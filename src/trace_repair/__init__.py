@@ -42,9 +42,14 @@ from .orchestrator import (
     build_prompt,
     parse_candidate,
     repair_example,
-    run_baseline,
 )
-from .pipeline import PipelineResult, RunManifest, run_pipeline
+from .pipeline import (
+    PipelineResult,
+    RunManifest,
+    filter_dataset,
+    recompute_report,
+    run_pipeline,
+)
 from .policy import (
     AcceptanceVerdict,
     PolicyConfig,
@@ -59,12 +64,12 @@ from .policy import (
 from .providers import RemoteProvider, ReplayCacheMiss, ReplayProvider
 from .reporting import (
     FieldStats,
+    ReportIdentityError,
     RunReport,
     TransitionLabel,
     aggregate_runs,
     compute_report,
     label_transitions,
-    render_aggregate,
     render_report,
     rule_of_three,
     sign_test,
@@ -113,9 +118,10 @@ __all__ = [
     "build_prompt",
     "parse_candidate",
     "repair_example",
-    "run_baseline",
     "PipelineResult",
     "RunManifest",
+    "filter_dataset",
+    "recompute_report",
     "run_pipeline",
     "AcceptanceVerdict",
     "PolicyConfig",
@@ -130,12 +136,12 @@ __all__ = [
     "ReplayCacheMiss",
     "ReplayProvider",
     "FieldStats",
+    "ReportIdentityError",
     "RunReport",
     "TransitionLabel",
     "aggregate_runs",
     "compute_report",
     "label_transitions",
-    "render_aggregate",
     "render_report",
     "rule_of_three",
     "sign_test",

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Verbs: run, replay, baseline, filter, sample, report. Configuration
+Verbs: run (alias replay), baseline, filter, sample, report. Configuration
 precedence: built-in defaults < --config JSON file < environment
 variables < explicit flags.
 """
@@ -13,13 +13,12 @@ import logging
 import sys
 from pathlib import Path
 
-from .orchestrator import BASELINE_MODES
 from .pipeline import (
-    MODE_FILTER_DATASET,
+    BASELINE_MODES,
     MODE_GUARDED,
-    MODE_REPLAY,
-    MODE_REPORT,
     RunManifest,
+    filter_dataset,
+    recompute_report,
     run_pipeline,
 )
 from .policy import PolicyConfig, config_from_env, config_from_mapping
@@ -109,11 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    run_cmd = commands.add_parser("run", help="guarded repair over a dataset")
+    run_cmd = commands.add_parser(
+        "run",
+        aliases=["replay"],
+        help="guarded repair over a dataset (replay: from a candidate cache)",
+    )
+    run_cmd.set_defaults(mode=MODE_GUARDED, triggered_ids=None)
     _add_run_flags(run_cmd)
-
-    replay_cmd = commands.add_parser("replay", help="guarded repair from a candidate cache")
-    _add_run_flags(replay_cmd)
 
     baseline_cmd = commands.add_parser("baseline", help="direct-regeneration baselines")
     baseline_cmd.add_argument("--mode", choices=BASELINE_MODES, required=True)
@@ -149,63 +150,34 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
 
-    if args.command in ("run", "replay", "baseline"):
-        if args.command == "baseline":
-            mode = args.mode
-            triggered = getattr(args, "triggered_ids", None)
-        else:
-            mode = MODE_REPLAY if args.command == "replay" else MODE_GUARDED
-            triggered = None
-        manifest = RunManifest(
-            mode=mode,
-            dataset_path=args.dataset,
-            output_dir=args.output_dir,
-            config=_build_config(args),
-            provider=args.provider,
-            cache_path=args.cache,
-            triggered_ids_path=triggered,
-            resume=args.resume,
-            harm_budget=args.harm_budget,
-        )
-        result = run_pipeline(manifest)
-        print(render_report(result.report), end="")
-        return 0
-
     if args.command == "filter":
-        manifest = RunManifest(
-            mode=MODE_FILTER_DATASET,
-            dataset_path=args.dataset,
-            output_dir=args.output_dir,
-        )
-        result = run_pipeline(manifest)
-        print(json.dumps(result.filter_counts, indent=2))
+        _, counts = filter_dataset(args.dataset, args.output_dir)
+        print(json.dumps(counts["rejected"], indent=2))
         return 0
 
     if args.command == "sample":
-        manifest = RunManifest(
-            mode=MODE_FILTER_DATASET,
-            dataset_path=args.dataset,
-            output_dir=args.output_dir,
-            seed=args.seed,
-            sample_size=args.size,
-        )
-        result = run_pipeline(manifest)
-        print(f"sampled ids written to {result.paths['sample_ids']}")
+        paths, _ = filter_dataset(args.dataset, args.output_dir, args.size, args.seed)
+        print(f"sampled ids written to {paths['sample_ids']}")
         return 0
 
     if args.command == "report":
-        manifest = RunManifest(
-            mode=MODE_REPORT,
-            dataset_path=args.predictions,
-            output_dir=args.output_dir,
-            predictions_path=args.predictions,
-            harm_budget=args.harm_budget,
+        result = recompute_report(args.predictions, args.output_dir, args.harm_budget)
+    else:
+        result = run_pipeline(
+            RunManifest(
+                mode=args.mode,
+                dataset_path=args.dataset,
+                output_dir=args.output_dir,
+                config=_build_config(args),
+                provider=args.provider,
+                cache_path=args.cache,
+                triggered_ids_path=args.triggered_ids,
+                resume=args.resume,
+                harm_budget=args.harm_budget,
+            )
         )
-        result = run_pipeline(manifest)
-        print(render_report(result.report), end="")
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+    print(render_report(result.report), end="")
+    return 0
 
 
 if __name__ == "__main__":

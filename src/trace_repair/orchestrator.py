@@ -351,13 +351,12 @@ def _evaluate_candidate(
     r0: ReasoningTrace,
     diag0: DiagnosisReport,
     trigger_decision: TriggerDecision,
-    parsed: ParsedCandidate,
+    candidate: ReasoningTrace,
     cfg: PolicyConfig,
     record: CandidateRecord,
     accept_all: bool = False,
 ) -> ReasoningTrace | None:
     """Gate one parsed candidate; returns the trace when it is accepted."""
-    candidate = ReasoningTrace.from_text(parsed.trace_text())
     if accept_all:
         record.clean = True
         record.verdict = None
@@ -412,10 +411,10 @@ def repair_example(
                 record.error = "parse_failure"
             continue
         record.parsed = parsed
-        candidate_answer = ReasoningTrace.from_text(parsed.trace_text()).answer
-        record.answer_changed = not answers_equivalent(r0.answer, candidate_answer)
+        candidate = ReasoningTrace.from_text(parsed.trace_text())
+        record.answer_changed = not answers_equivalent(r0.answer, candidate.answer)
         accepted = _evaluate_candidate(
-            problem_text, r0, diag0, trigger_decision, parsed, cfg, record, accept_all
+            problem_text, r0, diag0, trigger_decision, candidate, cfg, record, accept_all
         )
         if accepted is not None:
             return RepairOutcome(
@@ -424,91 +423,3 @@ def repair_example(
                 accepted_index=attempt_index,
             )
     return RepairOutcome(final_trace=r0, records=tuple(records), accepted_index=None)
-
-
-MODE_SOLVE_ALL = "solve_all"
-MODE_SOLVE_TRIGGERED = "solve_triggered"
-MODE_DIRECT_BESTOF3_GATED = "direct_bestof3_gated"
-
-BASELINE_MODES = (MODE_SOLVE_ALL, MODE_SOLVE_TRIGGERED, MODE_DIRECT_BESTOF3_GATED)
-
-
-def baseline_example(
-    mode: str,
-    example_id: str,
-    problem_text: str,
-    r0: ReasoningTrace,
-    diag0: DiagnosisReport,
-    trigger_decision: TriggerDecision,
-    provider: CandidateProvider,
-    cfg: PolicyConfig,
-) -> RepairOutcome:
-    """Direct-regeneration baseline step for a single example.
-
-    solve_all and solve_triggered accept every parsed output with a single
-    attempt; the gated best-of-3 baseline keeps all gates but drops the
-    initial trace and diagnostic hint from the prompt.
-    """
-    if mode in (MODE_SOLVE_ALL, MODE_SOLVE_TRIGGERED):
-        return repair_example(
-            example_id,
-            problem_text,
-            r0,
-            diag0,
-            trigger_decision,
-            provider,
-            cfg,
-            include_initial=False,
-            n_attempts=1,
-            accept_all=True,
-        )
-    if mode == MODE_DIRECT_BESTOF3_GATED:
-        return repair_example(
-            example_id,
-            problem_text,
-            r0,
-            diag0,
-            trigger_decision,
-            provider,
-            cfg,
-            include_initial=False,
-        )
-    raise ValueError(f"unknown baseline mode: {mode}")
-
-
-def run_baseline(
-    mode: str,
-    dataset,
-    provider: CandidateProvider,
-    cfg: PolicyConfig,
-    triggered_ids: set[str] | None = None,
-):
-    """Run a baseline over a dataset; returns (finals by id, records).
-
-    Triggered modes require the trigger set of a prior guarded run; when
-    none is supplied the deterministic trigger is recomputed, which gives
-    the same set.
-    """
-    from .policy import trigger as trigger_fn
-
-    finals: dict[str, ReasoningTrace] = {}
-    all_records: list[CandidateRecord] = []
-    for record in dataset:
-        r0 = ReasoningTrace.from_text(record.cached_initial_trace or "")
-        diag0 = diagnose(record.problem_text, r0)
-        decision = trigger_fn(diag0.meta, diag0.graph, r0, cfg)
-        if mode == MODE_SOLVE_ALL:
-            targeted = True
-        elif triggered_ids is not None:
-            targeted = record.example_id in triggered_ids
-        else:
-            targeted = decision.triggered
-        if not targeted:
-            finals[record.example_id] = r0
-            continue
-        outcome = baseline_example(
-            mode, record.example_id, record.problem_text, r0, diag0, decision, provider, cfg
-        )
-        finals[record.example_id] = outcome.final_trace
-        all_records.extend(outcome.records)
-    return finals, all_records

@@ -9,46 +9,55 @@ Every run writes the same artifact set into its output directory:
     report.txt          the same report as a plain table
     progress.jsonl      per-example checkpoint, appended as examples finish
 
-Final artifacts are serialized once, in example-id order, so interrupted
-runs can resume from progress.jsonl and still produce byte-identical
-output.
+Guarded repair and the direct-regeneration baselines share one
+per-example path; a mode only picks which examples are repaired and the
+repair_example arguments. Final artifacts are serialized once, in
+example-id order, each through a temp file, so interrupted runs can resume
+from progress.jsonl and still produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .answers import ReasoningTrace, answers_equivalent, normalize_answer
-from .datasets import DatasetRecord, FilterResult, filter_numeric, load_dataset, sample_subset, write_dataset
+from .answers import ReasoningTrace
+from .datasets import DatasetRecord, filter_numeric, load_dataset, sample_subset, write_dataset
 from .diagnostics import diagnose
-from .orchestrator import (
-    BASELINE_MODES,
-    CandidateRecord,
-    MODE_SOLVE_ALL,
-    baseline_example,
-    repair_example,
-)
+from .orchestrator import CandidateRecord, repair_example
 from .policy import PolicyConfig, trigger
 from .providers import RemoteProvider, ReplayProvider
-from .reporting import (
-    RunReport,
-    TransitionLabel,
-    compute_report,
-    render_report,
-)
+from .reporting import RunReport, compute_report, label_transitions, render_report
 from .risk_graph import risk_categories
 
 log = logging.getLogger(__name__)
 
 MODE_GUARDED = "guarded"
-MODE_REPLAY = "replay"
-MODE_FILTER_DATASET = "filter_dataset"
-MODE_REPORT = "report"
+# Replay is guarded repair served from a candidate cache; the provider is
+# the only difference, so it is a name, not a mode.
+MODE_REPLAY = MODE_GUARDED
+MODE_SOLVE_ALL = "solve_all"
+MODE_SOLVE_TRIGGERED = "solve_triggered"
+MODE_DIRECT_BESTOF3_GATED = "direct_bestof3_gated"
 
-RUN_MODES = (MODE_GUARDED, MODE_REPLAY, *BASELINE_MODES, MODE_FILTER_DATASET, MODE_REPORT)
+# repair_example arguments for each mode. The direct-regeneration
+# baselines drop the initial trace and diagnostic hint from the prompt;
+# solve_all and solve_triggered accept every parsed output of one attempt,
+# while the gated best-of-3 baseline keeps all gates.
+MODE_REPAIR_ARGS = {
+    MODE_GUARDED: {"include_initial": True, "n_attempts": None, "accept_all": False},
+    MODE_SOLVE_ALL: {"include_initial": False, "n_attempts": 1, "accept_all": True},
+    MODE_SOLVE_TRIGGERED: {"include_initial": False, "n_attempts": 1, "accept_all": True},
+    MODE_DIRECT_BESTOF3_GATED: {"include_initial": False, "n_attempts": None, "accept_all": False},
+}
+
+BASELINE_MODES = (MODE_SOLVE_ALL, MODE_SOLVE_TRIGGERED, MODE_DIRECT_BESTOF3_GATED)
+RUN_MODES = (MODE_GUARDED, *BASELINE_MODES)
+# Modes that may take the trigger set of a prior guarded run.
+TRIGGERED_ID_MODES = (MODE_SOLVE_TRIGGERED, MODE_DIRECT_BESTOF3_GATED)
 
 # Consecutive examples whose generations all fail at the transport level
 # before the run is declared dead and aborted for a later resume.
@@ -76,30 +85,24 @@ class RunManifest:
     provider: str = "replay"
     cache_path: Path | None = None
     triggered_ids_path: Path | None = None
-    seed: int | None = None
-    sample_size: int | None = None
-    predictions_path: Path | None = None
     resume: bool = False
     harm_budget: float | None = None
 
     def validate(self) -> None:
         if self.mode not in RUN_MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {RUN_MODES}")
-        if self.mode == MODE_FILTER_DATASET and self.sample_size is not None and self.seed is None:
-            raise ValueError("sampling requires a seed")
-        if (
-            self.provider == "replay"
-            and self.mode in (MODE_REPLAY, MODE_GUARDED, *BASELINE_MODES)
-            and self.cache_path is None
-        ):
+        if self.triggered_ids_path is not None and self.mode not in TRIGGERED_ID_MODES:
+            raise ValueError(
+                f"a triggered-ids file applies only to {TRIGGERED_ID_MODES}, not {self.mode!r}"
+            )
+        if self.provider == "replay" and self.cache_path is None:
             raise ValueError("replay provider requires a candidate cache path")
 
 
 @dataclass
 class PipelineResult:
-    report: RunReport | None
+    report: RunReport
     paths: dict[str, Path]
-    filter_counts: dict[str, int] | None = None
 
 
 def _build_provider(manifest: RunManifest):
@@ -110,15 +113,17 @@ def _build_provider(manifest: RunManifest):
     raise ValueError(f"unknown provider {manifest.provider!r}")
 
 
-def _load_triggered_ids(path: Path | None) -> set[str] | None:
+def _load_triggered_ids(path: Path | None, dataset_ids: set[str]) -> set[str] | None:
     if path is None:
         return None
-    ids = set()
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                ids.add(line)
+        ids = {line.strip() for line in handle if line.strip()}
+    unknown = ids - dataset_ids
+    if unknown:
+        raise ValueError(
+            f"{path} names {len(unknown)} example ids that are not in the dataset, "
+            f"e.g. {min(unknown)!r}"
+        )
     return ids
 
 
@@ -167,48 +172,28 @@ def _process_example(
     records: tuple[CandidateRecord, ...] = ()
     accepted_index = None
 
-    mode = manifest.mode
-    if mode in (MODE_GUARDED, MODE_REPLAY):
-        if decision.triggered:
-            outcome = repair_example(
-                record.example_id,
-                record.problem_text,
-                r0,
-                diag0,
-                decision,
-                provider,
-                cfg,
-            )
-            final, records, accepted_index = (
-                outcome.final_trace,
-                outcome.records,
-                outcome.accepted_index,
-            )
-    elif mode in BASELINE_MODES:
-        if mode == MODE_SOLVE_ALL:
-            targeted = True
-        elif triggered_ids is not None:
-            targeted = record.example_id in triggered_ids
-        else:
-            targeted = decision.triggered
-        if targeted:
-            outcome = baseline_example(
-                mode,
-                record.example_id,
-                record.problem_text,
-                r0,
-                diag0,
-                decision,
-                provider,
-                cfg,
-            )
-            final, records, accepted_index = (
-                outcome.final_trace,
-                outcome.records,
-                outcome.accepted_index,
-            )
+    if manifest.mode == MODE_SOLVE_ALL:
+        targeted = True
+    elif triggered_ids is not None:
+        targeted = record.example_id in triggered_ids
     else:
-        raise ValueError(f"mode {mode!r} does not process examples")
+        targeted = decision.triggered
+    if targeted:
+        outcome = repair_example(
+            record.example_id,
+            record.problem_text,
+            r0,
+            diag0,
+            decision,
+            provider,
+            cfg,
+            **MODE_REPAIR_ARGS[manifest.mode],
+        )
+        final, records, accepted_index = (
+            outcome.final_trace,
+            outcome.records,
+            outcome.accepted_index,
+        )
 
     prediction = {
         "example_id": record.example_id,
@@ -229,10 +214,25 @@ def _process_example(
     }
 
 
+def _write_text(path: Path, chunks) -> None:
+    """Write an artifact through a temp file, so a crash never leaves it half written."""
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False) + "\n")
+    _write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+
+
+def _read_jsonl(path: Path) -> list[dict]:
+    with open(path, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle if line.strip()]
 
 
 def risk_log_summary(risk_rows: list[dict]) -> dict:
@@ -272,27 +272,33 @@ def risk_log_summary(risk_rows: list[dict]) -> dict:
     }
 
 
-def _labels_from_predictions(predictions: list[dict]) -> list[TransitionLabel]:
-    labels = []
-    for row in predictions:
-        gold = normalize_answer(row["gold_answer"])
-        initial = normalize_answer(row["initial_answer"])
-        final = normalize_answer(row["final_answer"])
-        labels.append(
-            TransitionLabel(
-                example_id=row["example_id"],
-                initially_correct=answers_equivalent(initial, gold),
-                finally_correct=answers_equivalent(final, gold),
-                triggered=row["triggered"],
-                accepted=row["accepted"],
-            )
-        )
-    return labels
-
-
-def _finalize_run(
-    manifest: RunManifest, results: list[dict], dataset: list[DatasetRecord]
+def _write_report(
+    output_dir: Path,
+    predictions: list[dict],
+    records: list[CandidateRecord] | None,
+    harm_budget: float | None,
 ) -> PipelineResult:
+    """Compute the report of a run's predictions and write report.json/.txt."""
+    labels = label_transitions(
+        [row["initial_answer"] for row in predictions],
+        [row["final_answer"] for row in predictions],
+        [row["gold_answer"] for row in predictions],
+        example_ids=[row["example_id"] for row in predictions],
+        triggered=[row["triggered"] for row in predictions],
+        accepted=[row["accepted"] for row in predictions],
+    )
+    gold_by_id = {row["example_id"]: row["gold_answer"] for row in predictions}
+    report = compute_report(labels, records, gold_by_id, harm_budget=harm_budget)
+    paths = {
+        "report_json": output_dir / REPORT_JSON_FILE,
+        "report_text": output_dir / REPORT_TEXT_FILE,
+    }
+    _write_jsonl(paths["report_json"], [report.to_json_dict()])
+    _write_text(paths["report_text"], [render_report(report)])
+    return PipelineResult(report=report, paths=paths)
+
+
+def _finalize_run(manifest: RunManifest, results: list[dict]) -> PipelineResult:
     output = manifest.output_dir
     results = sorted(results, key=lambda item: item["example_id"])
 
@@ -300,47 +306,41 @@ def _finalize_run(
     candidate_rows = [row for item in results for row in item["candidates"]]
     risk_rows = [item["risk"] for item in results]
 
-    labels = _labels_from_predictions(predictions)
     records = [CandidateRecord.from_json_dict(row) for row in candidate_rows]
-    gold_by_id = {record.example_id: record.gold_answer for record in dataset}
-    report = compute_report(
-        labels, records, gold_by_id, harm_budget=manifest.harm_budget
-    )
+    reported = _write_report(output, predictions, records, manifest.harm_budget)
 
     paths = {
         "predictions": output / PREDICTIONS_FILE,
         "candidates": output / CANDIDATES_FILE,
         "risk_log": output / RISK_LOG_FILE,
         "risk_summary": output / RISK_SUMMARY_FILE,
-        "report_json": output / REPORT_JSON_FILE,
-        "report_text": output / REPORT_TEXT_FILE,
     }
     _write_jsonl(paths["predictions"], predictions)
     _write_jsonl(paths["candidates"], candidate_rows)
     _write_jsonl(paths["risk_log"], risk_rows)
     _write_jsonl(paths["risk_summary"], [risk_log_summary(risk_rows)])
-    _write_jsonl(paths["report_json"], [report.to_json_dict()])
-    with open(paths["report_text"], "w", encoding="utf-8") as handle:
-        handle.write(render_report(report))
-    return PipelineResult(report=report, paths=paths)
+    return PipelineResult(report=reported.report, paths={**paths, **reported.paths})
 
 
 def _run_examples(manifest: RunManifest) -> PipelineResult:
     dataset = load_dataset(manifest.dataset_path)
+    dataset_ids = {record.example_id for record in dataset}
     provider = _build_provider(manifest)
-    triggered_ids = _load_triggered_ids(manifest.triggered_ids_path)
+    triggered_ids = _load_triggered_ids(manifest.triggered_ids_path, dataset_ids)
 
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
     progress_path = manifest.output_dir / PROGRESS_FILE
 
     completed: dict[str, dict] = {}
     if manifest.resume and progress_path.exists():
-        with open(progress_path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    payload = json.loads(line)
-                    completed[payload["example_id"]] = payload
+        completed = {payload["example_id"]: payload for payload in _read_jsonl(progress_path)}
+        unknown = completed.keys() - dataset_ids
+        if unknown:
+            raise ValueError(
+                f"{progress_path} holds {len(unknown)} example ids that are not in "
+                f"{manifest.dataset_path}, e.g. {min(unknown)!r}; resume only "
+                f"with the dataset the run started on"
+            )
         log.info("resuming: %d examples already complete", len(completed))
     elif progress_path.exists():
         progress_path.unlink()
@@ -373,17 +373,25 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
             results.append(payload)
             progress.write(json.dumps(payload, ensure_ascii=False) + "\n")
             progress.flush()
-    return _finalize_run(manifest, results, dataset)
+    return _finalize_run(manifest, results)
 
 
-def _run_filter(manifest: RunManifest) -> PipelineResult:
-    dataset = load_dataset(manifest.dataset_path)
-    manifest.output_dir.mkdir(parents=True, exist_ok=True)
-    result: FilterResult = filter_numeric(dataset)
+def filter_dataset(
+    dataset_path: Path,
+    output_dir: Path,
+    sample_size: int | None = None,
+    seed: int | None = None,
+) -> tuple[dict[str, Path], dict]:
+    """Keep the numeric-answer records, optionally sample them; returns (paths, counts)."""
+    if sample_size is not None and seed is None:
+        raise ValueError("sampling requires a seed")
+    dataset = load_dataset(dataset_path)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    result = filter_numeric(dataset)
 
     paths = {
-        "numeric_pool": manifest.output_dir / "numeric_pool.jsonl",
-        "filter_counts": manifest.output_dir / "filter_counts.json",
+        "numeric_pool": output_dir / "numeric_pool.jsonl",
+        "filter_counts": output_dir / "filter_counts.json",
     }
     write_dataset(result.kept, paths["numeric_pool"])
     counts = {
@@ -392,62 +400,35 @@ def _run_filter(manifest: RunManifest) -> PipelineResult:
         "rejected": result.counts(),
         "rejected_ids": result.rejected_ids,
     }
-    with open(paths["filter_counts"], "w", encoding="utf-8") as handle:
-        json.dump(counts, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    _write_text(paths["filter_counts"], [json.dumps(counts, ensure_ascii=False, indent=2), "\n"])
 
-    if manifest.sample_size is not None:
-        subset = sample_subset(result.kept, manifest.sample_size, manifest.seed)
-        paths["sample"] = manifest.output_dir / f"sample_seed{manifest.seed}.jsonl"
-        paths["sample_ids"] = manifest.output_dir / f"sample_seed{manifest.seed}_ids.txt"
+    if sample_size is not None:
+        subset = sample_subset(result.kept, sample_size, seed)
+        paths["sample"] = output_dir / f"sample_seed{seed}.jsonl"
+        paths["sample_ids"] = output_dir / f"sample_seed{seed}_ids.txt"
         write_dataset(subset, paths["sample"])
-        with open(paths["sample_ids"], "w", encoding="utf-8") as handle:
-            for record in subset:
-                handle.write(record.example_id + "\n")
-    return PipelineResult(report=None, paths=paths, filter_counts=counts["rejected"])
+        _write_text(paths["sample_ids"], [record.example_id + "\n" for record in subset])
+    return paths, counts
 
 
-def _run_report(manifest: RunManifest) -> PipelineResult:
-    predictions_path = manifest.predictions_path or (
-        manifest.output_dir / PREDICTIONS_FILE
-    )
-    predictions = []
-    with open(predictions_path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                predictions.append(json.loads(line))
-    labels = _labels_from_predictions(predictions)
+def recompute_report(
+    predictions_path: Path, output_dir: Path, harm_budget: float | None = None
+) -> PipelineResult:
+    """Recompute report.json/.txt from a run's saved predictions, without a provider.
 
+    The candidate-flow block needs the run's candidates.jsonl, read from
+    beside the predictions file when it is there.
+    """
+    predictions = _read_jsonl(predictions_path)
     candidates_path = predictions_path.parent / CANDIDATES_FILE
     records = None
-    gold_by_id = None
     if candidates_path.exists():
-        records = []
-        with open(candidates_path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    records.append(CandidateRecord.from_json_dict(json.loads(line)))
-        gold_by_id = {row["example_id"]: row["gold_answer"] for row in predictions}
-
-    report = compute_report(labels, records, gold_by_id, harm_budget=manifest.harm_budget)
-    manifest.output_dir.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "report_json": manifest.output_dir / REPORT_JSON_FILE,
-        "report_text": manifest.output_dir / REPORT_TEXT_FILE,
-    }
-    _write_jsonl(paths["report_json"], [report.to_json_dict()])
-    with open(paths["report_text"], "w", encoding="utf-8") as handle:
-        handle.write(render_report(report))
-    return PipelineResult(report=report, paths=paths)
+        records = [CandidateRecord.from_json_dict(row) for row in _read_jsonl(candidates_path)]
+    output_dir.mkdir(parents=True, exist_ok=True)
+    return _write_report(output_dir, predictions, records, harm_budget)
 
 
 def run_pipeline(manifest: RunManifest) -> PipelineResult:
-    """Dispatch a manifest to the matching run mode."""
+    """Run guarded repair or a direct-regeneration baseline over a dataset."""
     manifest.validate()
-    if manifest.mode == MODE_FILTER_DATASET:
-        return _run_filter(manifest)
-    if manifest.mode == MODE_REPORT:
-        return _run_report(manifest)
     return _run_examples(manifest)

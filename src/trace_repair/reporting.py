@@ -25,6 +25,16 @@ TRANSITION_WW = "W->W"
 TRANSITIONS = (TRANSITION_WC, TRANSITION_CW, TRANSITION_WW, TRANSITION_CC)
 
 
+class ReportIdentityError(ValueError):
+    """A flow or accounting identity failed: labels and records disagree."""
+
+
+def _check_identity(holds: bool, identity: str) -> None:
+    # An explicit raise, not an assert, so the check also runs under -O.
+    if not holds:
+        raise ReportIdentityError(f"report identity failed: {identity}")
+
+
 @dataclass(frozen=True)
 class TransitionLabel:
     example_id: str
@@ -253,15 +263,22 @@ def compute_report(
         }
         # Flow identities hold on every run by construction; recheck the
         # cross-source ones that depend on record/label consistency.
-        assert flow["RejC"] == flow["CorrC"] - flow["AccC"]
-        assert flow["NoC"] == flow["InitW"] - flow["CorrC"]
-        assert flow["FinalW"] == flow["InitW"] - fixed
-        assert flow["RejC"] >= 0, "accepted fixes without a gold-matching candidate"
+        _check_identity(flow["RejC"] == flow["CorrC"] - flow["AccC"], "RejC = CorrC - AccC")
+        _check_identity(flow["NoC"] == flow["InitW"] - flow["CorrC"], "NoC = InitW - CorrC")
+        _check_identity(flow["FinalW"] == flow["InitW"] - fixed, "FinalW = InitW - fixed")
+        _check_identity(
+            flow["RejC"] >= 0, "RejC >= 0 (accepted fixes without a gold-matching candidate)"
+        )
         report.candidate_flow = flow
 
     # Accounting identity in exact counts.
-    assert finally_correct == initially_correct + fixed - broken
-    assert accepted == sum(outcome_counts.values())
+    _check_identity(
+        finally_correct == initially_correct + fixed - broken,
+        "final correct = initial correct + fixed - broken",
+    )
+    _check_identity(
+        accepted == sum(outcome_counts.values()), "accepted = sum of accepted outcomes"
+    )
     return report
 
 
@@ -354,16 +371,4 @@ def render_report(report: RunReport) -> str:
     if report.harm_budget is not None:
         status = "EXCEEDED" if report.harm_budget_exceeded else "within budget"
         lines.append(f"harm budget         {fmt2(report.harm_budget):>10} ({status})")
-    return "\n".join(lines) + "\n"
-
-
-def render_aggregate(stats: Mapping[str, FieldStats]) -> str:
-    lines = ["aggregate over runs", "-------------------"]
-    header = f"{'field':<18}{'mean':>10}{'std':>10}{'min':>10}{'max':>10}"
-    lines.append(header)
-    for name, entry in stats.items():
-        lines.append(
-            f"{name:<18}{fmt2(entry.mean):>10}{fmt2(entry.std):>10}"
-            f"{fmt2(entry.minimum):>10}{fmt2(entry.maximum):>10}"
-        )
     return "\n".join(lines) + "\n"

@@ -3,12 +3,10 @@ import json
 import pytest
 
 from trace_repair.answers import ReasoningTrace
-from trace_repair.datasets import DatasetRecord
+from trace_repair.datasets import DatasetRecord, write_dataset
 from trace_repair.diagnostics import diagnose
 from trace_repair.orchestrator import (
-    MODE_DIRECT_BESTOF3_GATED,
-    MODE_SOLVE_ALL,
-    MODE_SOLVE_TRIGGERED,
+    CandidateRecord,
     ProviderTransportError,
     STYLE_HINT_GUIDED,
     STYLE_SOLVE_FRESH,
@@ -16,8 +14,14 @@ from trace_repair.orchestrator import (
     build_prompt,
     parse_candidate,
     repair_example,
-    run_baseline,
     style_for_attempt,
+)
+from trace_repair.pipeline import (
+    MODE_DIRECT_BESTOF3_GATED,
+    MODE_SOLVE_ALL,
+    MODE_SOLVE_TRIGGERED,
+    RunManifest,
+    run_pipeline,
 )
 from trace_repair.policy import PolicyConfig, trigger
 from trace_repair.providers import ReplayCacheMiss, ReplayEntry, ReplayProvider
@@ -231,72 +235,105 @@ def _dataset():
     ]
 
 
+def _run_baseline(tmp_path, mode, cache, triggered_ids=None):
+    """Run a baseline through the pipeline; returns (finals by id, records)."""
+    dataset_path = tmp_path / "dataset.jsonl"
+    write_dataset(_dataset(), dataset_path)
+    cache_path = tmp_path / "cache.jsonl"
+    cache_path.write_text(
+        "".join(
+            json.dumps(
+                {
+                    "example_id": example_id,
+                    "attempt_index": attempt,
+                    "raw_output": entry.raw_output,
+                    "retry_output": entry.retry_output,
+                }
+            )
+            + "\n"
+            for (example_id, attempt), entry in cache.items()
+        )
+    )
+    ids_path = None
+    if triggered_ids is not None:
+        ids_path = tmp_path / "triggered_ids.txt"
+        ids_path.write_text("".join(f"{example_id}\n" for example_id in triggered_ids))
+    result = run_pipeline(
+        RunManifest(
+            mode=mode,
+            dataset_path=dataset_path,
+            output_dir=tmp_path / "out",
+            cache_path=cache_path,
+            triggered_ids_path=ids_path,
+        )
+    )
+    finals = {
+        row["example_id"]: ReasoningTrace.from_text(row["final_trace"])
+        for row in map(json.loads, open(result.paths["predictions"]))
+    }
+    records = [
+        CandidateRecord.from_json_dict(json.loads(line))
+        for line in open(result.paths["candidates"])
+    ]
+    return finals, records
+
+
 class TestBaselines:
-    def test_solve_all_calls_every_example(self):
+    def test_solve_all_calls_every_example(self, tmp_path):
         cache = {
             ("a", 0): ReplayEntry(GOOD),
             ("b", 0): ReplayEntry(json.dumps({"steps": ["11 + 6 = 17"], "final_answer": "17"})),
         }
-        finals, records = run_baseline(MODE_SOLVE_ALL, _dataset(), ReplayProvider(cache), CFG)
+        finals, records = _run_baseline(tmp_path, MODE_SOLVE_ALL, cache)
         assert len(records) == 2
         assert finals["a"].answer.canonical == "22"
         assert finals["b"].answer.canonical == "17"
 
-    def test_solve_triggered_only_touches_triggered(self):
+    def test_solve_triggered_only_touches_triggered(self, tmp_path):
         cache = {("a", 0): ReplayEntry(GOOD)}
-        finals, records = run_baseline(
-            MODE_SOLVE_TRIGGERED, _dataset(), ReplayProvider(cache), CFG
-        )
+        finals, records = _run_baseline(tmp_path, MODE_SOLVE_TRIGGERED, cache)
         # Example b is clean and never triggered; no cache entry needed.
         assert len(records) == 1
         assert finals["b"].text == _dataset()[1].cached_initial_trace
 
-    def test_solve_all_accepts_unconditionally(self):
+    def test_solve_all_accepts_unconditionally(self, tmp_path):
         # Even a no-op regeneration replaces the trace in solve_all.
         cache = {
             ("a", 0): ReplayEntry(NOOP),
             ("b", 0): ReplayEntry(json.dumps({"steps": ["11 + 6 = 17"], "final_answer": "17"})),
         }
-        finals, _ = run_baseline(MODE_SOLVE_ALL, _dataset(), ReplayProvider(cache), CFG)
+        finals, _ = _run_baseline(tmp_path, MODE_SOLVE_ALL, cache)
         assert finals["a"].answer.canonical == "23"
 
-    def test_direct_gated_applies_gates(self):
+    def test_direct_gated_applies_gates(self, tmp_path):
         unsupported = json.dumps({"steps": ["it is clear"], "final_answer": "99"})
         cache = {
             ("a", 0): ReplayEntry(unsupported),
             ("a", 1): ReplayEntry(unsupported),
             ("a", 2): ReplayEntry(unsupported),
         }
-        finals, records = run_baseline(
-            MODE_DIRECT_BESTOF3_GATED,
-            _dataset(),
-            ReplayProvider(cache),
-            CFG,
-            triggered_ids={"a"},
+        finals, records = _run_baseline(
+            tmp_path, MODE_DIRECT_BESTOF3_GATED, cache, triggered_ids={"a"}
         )
         assert finals["a"].answer.canonical == "23"  # preserved
         assert len(records) == 3
 
-    def test_direct_gated_accepts_supported_fix(self):
+    def test_direct_gated_accepts_supported_fix(self, tmp_path):
         cache = {("a", 0): ReplayEntry(GOOD)}
-        finals, records = run_baseline(
-            MODE_DIRECT_BESTOF3_GATED,
-            _dataset(),
-            ReplayProvider(cache),
-            CFG,
-            triggered_ids={"a"},
+        finals, records = _run_baseline(
+            tmp_path, MODE_DIRECT_BESTOF3_GATED, cache, triggered_ids={"a"}
         )
         assert finals["a"].answer.canonical == "22"
         assert len(records) == 1
 
-    def test_solve_all_keeps_trace_when_output_never_parses(self):
+    def test_solve_all_keeps_trace_when_output_never_parses(self, tmp_path):
         # An output that stays malformed after the retry has no answer to
         # substitute; the cached trace survives even in accept-all mode.
         cache = {
             ("a", 0): ReplayEntry(MALFORMED, retry_output=MALFORMED),
             ("b", 0): ReplayEntry(json.dumps({"steps": ["11 + 6 = 17"], "final_answer": "17"})),
         }
-        finals, records = run_baseline(MODE_SOLVE_ALL, _dataset(), ReplayProvider(cache), CFG)
+        finals, records = _run_baseline(tmp_path, MODE_SOLVE_ALL, cache)
         assert finals["a"].text == WRONG_INITIAL
         assert len(records) == 2
         assert records[0].retried

@@ -12,12 +12,15 @@ from synthetic_run import (
     write_synthetic_run,
 )
 from trace_repair.cli import main
+from trace_repair import pipeline
 from trace_repair.pipeline import (
-    MODE_FILTER_DATASET,
+    MODE_GUARDED,
     MODE_REPLAY,
-    MODE_REPORT,
+    MODE_SOLVE_TRIGGERED,
     PROGRESS_FILE,
     RunManifest,
+    filter_dataset,
+    recompute_report,
     run_pipeline,
 )
 from trace_repair.datasets import DatasetRecord, write_dataset
@@ -31,11 +34,11 @@ def synthetic(tmp_path_factory):
     return directory, dataset_path, cache_path
 
 
-def _replay_manifest(output_dir, dataset_path, cache_path, **kwargs):
+def _replay_manifest(output_dir, dataset_path, cache_path, mode=MODE_REPLAY, **kwargs):
     from pathlib import Path
 
     return RunManifest(
-        mode=MODE_REPLAY,
+        mode=mode,
         dataset_path=Path(dataset_path),
         output_dir=Path(output_dir),
         cache_path=Path(cache_path),
@@ -152,6 +155,38 @@ class TestReplayRun:
         for key in ("predictions", "candidates", "risk_log", "report_json"):
             assert resumed.paths[key].read_bytes() == fresh.paths[key].read_bytes()
 
+    def test_resume_refuses_another_dataset(self, synthetic, tmp_path):
+        from synthetic_run import build_synthetic_run
+
+        directory, dataset_path, cache_path = synthetic
+        run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        subset_path = tmp_path / "subset.jsonl"
+        write_dataset(build_synthetic_run()[0][:10], subset_path)
+        with pytest.raises(ValueError, match="not in"):
+            run_pipeline(
+                _replay_manifest(tmp_path / "run", subset_path, cache_path, resume=True)
+            )
+
+    def test_failed_write_keeps_previous_artifacts(self, synthetic, tmp_path, monkeypatch):
+        directory, dataset_path, cache_path = synthetic
+        first = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        before = first.paths["predictions"].read_bytes()
+        files = sorted(path.name for path in (tmp_path / "run").iterdir())
+
+        dumps = json.dumps
+
+        def failing_dumps(obj, *args, **kwargs):
+            # Fails halfway through the predictions.jsonl rows.
+            if isinstance(obj, dict) and "final_trace" in obj and obj["example_id"] == "ex025":
+                raise RuntimeError("serialization failed")
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline.json, "dumps", failing_dumps)
+        with pytest.raises(RuntimeError, match="serialization failed"):
+            run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        assert first.paths["predictions"].read_bytes() == before
+        assert sorted(path.name for path in (tmp_path / "run").iterdir()) == files
+
 
 class TestGuardsEndToEnd:
     def test_equation_support_guard_prevents_broken_correct(self, tmp_path):
@@ -210,19 +245,38 @@ class TestGuardsEndToEnd:
         assert ablated.report.harm_rate == 100.0
 
 
+class TestTriggeredIds:
+    def test_rejected_outside_triggered_modes(self, synthetic, tmp_path):
+        directory, dataset_path, cache_path = synthetic
+        ids_path = tmp_path / "ids.txt"
+        ids_path.write_text("ex020\n")
+        manifest = _replay_manifest(
+            tmp_path / "run", dataset_path, cache_path, triggered_ids_path=ids_path
+        )
+        assert manifest.mode == MODE_GUARDED
+        with pytest.raises(ValueError, match="triggered-ids"):
+            run_pipeline(manifest)
+
+    def test_ids_must_be_in_the_dataset(self, synthetic, tmp_path):
+        directory, dataset_path, cache_path = synthetic
+        ids_path = tmp_path / "ids.txt"
+        ids_path.write_text("ex020\nother-dataset-7\n")
+        manifest = _replay_manifest(
+            tmp_path / "run",
+            dataset_path,
+            cache_path,
+            mode=MODE_SOLVE_TRIGGERED,
+            triggered_ids_path=ids_path,
+        )
+        with pytest.raises(ValueError, match="'other-dataset-7'"):
+            run_pipeline(manifest)
+
+
 class TestReportMode:
     def test_recomputes_identically_without_provider(self, synthetic, tmp_path):
-        from pathlib import Path
-
         directory, dataset_path, cache_path = synthetic
         run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
-        manifest = RunManifest(
-            mode=MODE_REPORT,
-            dataset_path=Path(dataset_path),
-            output_dir=tmp_path / "report",
-            predictions_path=run.paths["predictions"],
-        )
-        recomputed = run_pipeline(manifest)
+        recomputed = recompute_report(run.paths["predictions"], tmp_path / "report")
         assert recomputed.report.to_json_dict() == run.report.to_json_dict()
 
 
@@ -237,31 +291,18 @@ class TestFilterMode:
         dataset_path = tmp_path / "pool.jsonl"
         write_dataset(records, dataset_path)
 
-        manifest = RunManifest(
-            mode=MODE_FILTER_DATASET,
-            dataset_path=dataset_path,
-            output_dir=tmp_path / "filtered",
-            seed=42,
-            sample_size=10,
-        )
-        result = run_pipeline(manifest)
-        counts = json.load(open(result.paths["filter_counts"]))
+        paths, _ = filter_dataset(dataset_path, tmp_path / "filtered", sample_size=10, seed=42)
+        counts = json.load(open(paths["filter_counts"]))
         assert counts["pool"] == 32
         assert counts["kept"] == 30
         assert counts["kept"] + sum(counts["rejected"].values()) == counts["pool"]
-        sample_ids = open(result.paths["sample_ids"]).read().split()
+        sample_ids = open(paths["sample_ids"]).read().split()
         assert len(sample_ids) == 10
         assert len(set(sample_ids)) == 10
 
     def test_sampling_requires_seed(self, tmp_path):
-        manifest = RunManifest(
-            mode=MODE_FILTER_DATASET,
-            dataset_path=tmp_path / "x.jsonl",
-            output_dir=tmp_path,
-            sample_size=5,
-        )
         with pytest.raises(ValueError, match="seed"):
-            run_pipeline(manifest)
+            filter_dataset(tmp_path / "x.jsonl", tmp_path, sample_size=5)
 
 
 class TestCli:

@@ -1,10 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trace_repair
 from trace_repair.orchestrator import CandidateRecord, ParsedCandidate
 from trace_repair.reporting import (
+    ReportIdentityError,
     RunReport,
     TransitionLabel,
     aggregate_runs,
@@ -26,6 +32,12 @@ def _record(example_id, attempt, answer=None):
         raw_output="",
         parsed=ParsedCandidate(steps=("s",), final_answer=answer) if answer else None,
     )
+
+
+def _impossible_flow():
+    """An accepted W->C fix whose only candidate misses gold, so RejC = -1."""
+    labels = [TransitionLabel("a", False, True, triggered=True, accepted=True)]
+    return labels, [_record("a", 0, "5")], {"a": "7"}
 
 
 class TestLabels:
@@ -141,6 +153,31 @@ class TestComputeReport:
         labels = label_transitions(["7"], ["7"], ["7"])
         report = compute_report(labels)
         assert report.candidate_flow is None
+
+    def test_impossible_flow_raises(self):
+        with pytest.raises(ReportIdentityError, match="RejC >= 0"):
+            compute_report(*_impossible_flow())
+
+    def test_impossible_flow_raises_under_optimize(self):
+        # python -O strips assert statements; the identity check must survive it.
+        script = (
+            "from test_reporting import _impossible_flow\n"
+            "from trace_repair.reporting import ReportIdentityError, compute_report\n"
+            "try:\n"
+            "    compute_report(*_impossible_flow())\n"
+            "except ReportIdentityError as exc:\n"
+            "    print(exc)\n"
+        )
+        paths = [Path(trace_repair.__file__).resolve().parents[1], Path(__file__).resolve().parent]
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "RejC >= 0" in result.stdout
 
 
 class TestAggregate:
