@@ -12,13 +12,12 @@ constants so alternate tunings stay in one place.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .answers import ReasoningTrace
-from .equations import EquationCheck, check_equations, naming_conflicts, parse_number
-from .risk_graph import GraphReport, semantic_graph_check
+from .equations import EquationCheck, check_equations, naming_conflicts, numeric_mentions
+from .risk_graph import GraphReport, ProblemAnalysis, analyse_problem, semantic_graph_check
 
 CATEGORY_CLEAN = "clean"
 CATEGORY_GENERATION_FAILURE = "generation_failure"
@@ -40,13 +39,6 @@ WEIGHT_EQUATIONS = 0.5
 WEIGHT_COVERAGE = 0.3
 WEIGHT_FORMAT = 0.2
 
-# Numeric mentions counted for coverage: digit-based forms only. Number
-# words belong to the risk-graph mention extractor, not to coverage.
-_MENTION_RE = re.compile(
-    r"(?<![\w.,/:])[-+]?(?:\d+/\d+|\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+\.\d*|\.\d+|\d+)"
-)
-
-
 @dataclass(frozen=True)
 class MetaDiagnosis:
     category: str
@@ -56,29 +48,33 @@ class MetaDiagnosis:
     format_score: float
 
 
-def numeric_mentions(text: str) -> set[Fraction]:
-    """Distinct normalized numeric mentions in a text."""
-    values = set()
-    for match in _MENTION_RE.finditer(text):
-        value = parse_number(match.group(0))
-        if value is not None:
-            values.add(value)
+def _used_values(trace_text: str, checks: list[EquationCheck]) -> set[Fraction]:
+    values = numeric_mentions(trace_text)
+    for check in checks:
+        values.update(check.operands)
     return values
 
 
-def constraint_coverage(problem_text: str, trace_text: str) -> float:
+def constraint_coverage(
+    problem: ProblemAnalysis | str,
+    trace_text: str,
+    checks: list[EquationCheck] | None = None,
+) -> float:
     """Fraction of the problem's numeric mentions used by the trace.
 
     A mention counts as used when it appears literally in the trace or as
     an operand of any scanned equation. An empty constraint set is fully
     covered by definition.
     """
-    problem_values = numeric_mentions(problem_text)
+    if isinstance(problem, ProblemAnalysis):
+        problem_values = problem.mentions
+    else:
+        problem_values = numeric_mentions(problem)
     if not problem_values:
         return 1.0
-    trace_values = numeric_mentions(trace_text)
-    for check in check_equations(trace_text):
-        trace_values.update(check.operands)
+    if checks is None:
+        checks = check_equations(trace_text)
+    trace_values = _used_values(trace_text, checks)
     covered = sum(1 for value in problem_values if value in trace_values)
     return covered / len(problem_values)
 
@@ -154,6 +150,7 @@ class DiagnosisReport:
     meta: MetaDiagnosis
     graph: GraphReport
     missing_quantities: tuple[str, ...]
+    problem: ProblemAnalysis
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -162,25 +159,26 @@ def _fraction_text(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def diagnose(problem_text: str, trace: ReasoningTrace | str) -> DiagnosisReport:
-    """Run every deterministic diagnostic for one (problem, trace) pair."""
+def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> DiagnosisReport:
+    """Run every deterministic diagnostic for one (problem, trace) pair.
+
+    Pass ``diag0.problem`` to diagnose another trace for the same problem
+    without analysing the problem again.
+    """
+    if isinstance(problem, str):
+        problem = analyse_problem(problem)
     if isinstance(trace, str):
         trace = ReasoningTrace.from_text(trace)
     checks = check_equations(trace.text)
-    coverage = constraint_coverage(problem_text, trace.text)
-    meta = meta_diagnose(problem_text, trace, checks, coverage)
-    graph = semantic_graph_check(problem_text, trace.text)
-
-    trace_values = numeric_mentions(trace.text)
-    for check in checks:
-        trace_values.update(check.operands)
-    missing = sorted(
-        numeric_mentions(problem_text) - trace_values,
-    )
+    coverage = constraint_coverage(problem, trace.text, checks)
+    meta = meta_diagnose(problem.text, trace, checks, coverage)
+    graph = semantic_graph_check(problem, trace, checks)
+    missing = sorted(problem.mentions - _used_values(trace.text, checks))
     return DiagnosisReport(
         checks=tuple(checks),
         coverage=coverage,
         meta=meta,
         graph=graph,
         missing_quantities=tuple(_fraction_text(value) for value in missing),
+        problem=problem,
     )

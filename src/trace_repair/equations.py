@@ -62,6 +62,10 @@ _IS_NAMING_RE = re.compile(
     re.IGNORECASE,
 )
 
+# Numeric mentions counted for coverage: digit-based forms only. Number
+# words belong to the risk-graph mention extractor, not to coverage.
+_MENTION_RE = re.compile(rf"(?<![\w.,/:])[-+]?{_NUM}")
+
 
 @dataclass(frozen=True)
 class EquationCheck:
@@ -90,6 +94,16 @@ def parse_number(token: str) -> Fraction | None:
         return sign * Fraction(text)
     except (ValueError, ZeroDivisionError):
         return None
+
+
+def numeric_mentions(text: str) -> set[Fraction]:
+    """Distinct normalized numeric mentions in a text."""
+    values = set()
+    for match in _MENTION_RE.finditer(text):
+        value = parse_number(match.group(0))
+        if value is not None:
+            values.add(value)
+    return values
 
 
 def _verify(operator: str, a: Fraction, b: Fraction, claimed: Fraction) -> bool:

@@ -347,7 +347,6 @@ def _generate_and_parse(
 
 
 def _evaluate_candidate(
-    problem_text: str,
     r0: ReasoningTrace,
     diag0: DiagnosisReport,
     trigger_decision: TriggerDecision,
@@ -361,13 +360,13 @@ def _evaluate_candidate(
         record.clean = True
         record.verdict = None
         return candidate
-    clean = is_clean(candidate.text, cfg, initial_length=len(r0.text))
+    clean = is_clean(candidate, cfg, initial_length=len(r0.text))
     record.clean = clean.ok
     record.clean_reason = clean.reason
     if not clean.ok:
         record.verdict = AcceptanceVerdict.rejected(REJECT_UNCLEAN)
         return None
-    diag_c = diagnose(problem_text, candidate)
+    diag_c = diagnose(diag0.problem, candidate)
     record.graph_clean = not has_high_risk(diag_c.graph)
     verdict = accept_policy(r0, candidate, diag0, diag_c, trigger_decision, cfg)
     record.verdict = verdict
@@ -414,7 +413,7 @@ def repair_example(
         candidate = ReasoningTrace.from_text(parsed.trace_text())
         record.answer_changed = not answers_equivalent(r0.answer, candidate.answer)
         accepted = _evaluate_candidate(
-            problem_text, r0, diag0, trigger_decision, candidate, cfg, record, accept_all
+            r0, diag0, trigger_decision, candidate, cfg, record, accept_all
         )
         if accepted is not None:
             return RepairOutcome(

@@ -219,7 +219,7 @@ class Cleanliness(NamedTuple):
 
 
 def is_clean(
-    candidate_text: str, cfg: PolicyConfig, initial_length: int = 0
+    candidate: ReasoningTrace | str, cfg: PolicyConfig, initial_length: int = 0
 ) -> Cleanliness:
     """Output-cleanliness gate for a repair candidate.
 
@@ -227,19 +227,21 @@ def is_clean(
     final-answer line, a bounded length relative to the initial trace,
     and no meta-discussion phrasing.
     """
-    if not candidate_text.strip():
+    if isinstance(candidate, str):
+        candidate = ReasoningTrace.from_text(candidate)
+    text = candidate.text
+    if not text.strip():
         return Cleanliness(False, "empty")
-    if len(candidate_text) < cfg.min_repair_chars:
+    if len(text) < cfg.min_repair_chars:
         return Cleanliness(False, "too_short")
-    trace = ReasoningTrace.from_text(candidate_text)
-    if not trace.has_answer:
+    if not candidate.has_answer:
         return Cleanliness(False, "no_answer")
-    if trace.extraction.answer_line_count != 1:
+    if candidate.extraction.answer_line_count != 1:
         return Cleanliness(False, "answer_line_count")
     cap = max(EXCESS_LENGTH_FLOOR, EXCESS_LENGTH_FACTOR * initial_length)
-    if len(candidate_text) > cap:
+    if len(text) > cap:
         return Cleanliness(False, "too_long")
-    lowered = candidate_text.lower()
+    lowered = text.lower()
     for phrase in CLEANLINESS_BLOCKLIST:
         if phrase in lowered:
             return Cleanliness(False, "meta_discussion")

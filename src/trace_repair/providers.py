@@ -1,10 +1,11 @@
 """Candidate providers: deterministic replay and a generic remote client.
 
 The replay provider serves recorded outputs keyed by (example id, attempt
-index) and fails loudly on a cache miss, which keeps experiment replays
-honest. The remote provider talks to any chat-completions style endpoint
-with temperature 0 and the configured token budgets; rate limiting and
-backoff live here, outside the policy logic.
+index) and fails loudly on a cache miss or on a row recorded under
+another prompt, which keeps experiment replays honest. The remote
+provider talks to any chat-completions style endpoint with temperature 0
+and the configured token budgets; rate limiting and backoff live here,
+outside the policy logic.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -34,6 +35,7 @@ class ReplayCacheMiss(RuntimeError):
 class ReplayEntry:
     raw_output: str
     retry_output: str | None = None
+    prompt_hash: str | None = None
 
 
 class ReplayProvider:
@@ -58,6 +60,7 @@ class ReplayProvider:
                 entries[key] = ReplayEntry(
                     raw_output=payload["raw_output"],
                     retry_output=payload.get("retry_output"),
+                    prompt_hash=payload.get("prompt_hash"),
                 )
         return cls(entries)
 
@@ -68,6 +71,11 @@ class ReplayProvider:
             raise ReplayCacheMiss(
                 f"no cached output for example {prompt.example_id!r} "
                 f"attempt {prompt.attempt_index}"
+            )
+        if entry.prompt_hash and entry.prompt_hash != replace(prompt, retry_of=None).prompt_hash():
+            raise ReplayCacheMiss(
+                f"cached output for example {prompt.example_id!r} attempt "
+                f"{prompt.attempt_index} was recorded under another prompt"
             )
         if prompt.is_retry:
             if entry.retry_output is None:

@@ -6,16 +6,39 @@ signals from five checks, and scores the trace by subtracting per-risk
 penalties from 1.0, clipped to [0, 1]. The signals are recall-oriented
 diagnostic features: most warnings are benign and the downstream
 acceptance policy is responsible for filtering them.
+
+The graph has three edge kinds, each built only because a check reads it:
+
+- comparison ("more/fewer/less than"): ``_check_comparisons`` takes the
+  problem's delta from the first one and asks whether the trace has any;
+- rate ("each/per/every"): ``_check_rate_usage`` requires the problem's
+  per-quantity to be multiplied or divided in the trace;
+- change_event (gave, lost, bought, ...): ``_check_change_events`` flags
+  a trace that adds what the problem removes, or the reverse.
+
+Nodes are in token order, so every nearest-node lookup looks only at the
+two list neighbours of a position and the graph is linear in text length.
+A problem is analysed once per example (``ProblemAnalysis``) and shared
+by the diagnosis of every trace for it.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .answers import ReasoningTrace, as_fraction
-from .equations import OP_ADD, OP_DIV, OP_MUL, OP_SUB, EquationCheck, check_equations
+from .equations import (
+    OP_ADD,
+    OP_DIV,
+    OP_MUL,
+    OP_SUB,
+    EquationCheck,
+    check_equations,
+    numeric_mentions,
+)
 
 RISK_QUANTITY_BINDING = "quantity_binding_error"
 RISK_COMPARISON = "comparison_warning"
@@ -50,11 +73,9 @@ HIGH_RISK_CATEGORIES = frozenset(
 DIAGNOSIS_OK = "ok"
 DIAGNOSIS_GENERATION_FAILURE = "generation_failure"
 
-EDGE_AGGREGATION = "aggregation"
 EDGE_COMPARISON = "comparison"
 EDGE_RATE = "rate"
 EDGE_CHANGE_EVENT = "change_event"
-EDGE_PART_WHOLE = "part_whole"
 
 DIRECTION_INCREASE = "increase"
 DIRECTION_DECREASE = "decrease"
@@ -140,7 +161,6 @@ class RelationEdge:
     members: tuple[int, ...]
     direction: str = DIRECTION_UNKNOWN
     marker_node: int | None = None
-    source: str = "marker"
 
 
 @dataclass(frozen=True)
@@ -150,6 +170,24 @@ class QuantityGraph:
 
 
 EMPTY_GRAPH = QuantityGraph(nodes=(), edges=())
+
+
+@dataclass(frozen=True)
+class ProblemAnalysis:
+    """A problem text with its quantity graph and numeric mentions."""
+
+    text: str
+    graph: QuantityGraph
+    mentions: frozenset[Fraction]
+
+
+def analyse_problem(text: str) -> ProblemAnalysis:
+    """Parse a problem once; every trace diagnosed against it shares this."""
+    return ProblemAnalysis(
+        text=text,
+        graph=build_relation_graph(extract_quantities(text), text),
+        mentions=frozenset(numeric_mentions(text)),
+    )
 
 
 @dataclass(frozen=True)
@@ -181,7 +219,8 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     previous_end = 0
     for match in _TOKEN_RE.finditer(text):
-        sentence = sum(1 for position in breaks if position < match.start())
+        # Breaks include the "." inside decimals, so count them by position.
+        sentence = bisect_left(breaks, match.start())
         gap = text[previous_end : match.start()]
         sentence_initial = previous_end == 0 or bool(_SENTENCE_BREAK_RE.search(gap))
         tokens.append(
@@ -291,127 +330,51 @@ def extract_quantities(text: str) -> list[QuantityNode]:
     return nodes
 
 
-def _nodes_by_value(nodes: tuple[QuantityNode, ...] | list[QuantityNode]) -> dict[Fraction, list[int]]:
-    mapping: dict[Fraction, list[int]] = {}
-    for index, node in enumerate(nodes):
-        mapping.setdefault(node.value, []).append(index)
-    return mapping
-
-
-def _match_operands_to_nodes(
-    values: tuple[Fraction, ...], nodes: list[QuantityNode]
-) -> list[int]:
-    by_value = _nodes_by_value(nodes)
-    members: list[int] = []
-    used: set[int] = set()
-    for value in values:
-        for index in by_value.get(value, []):
-            if index not in used:
-                members.append(index)
-                used.add(index)
-                break
-    return members
+def _nearest(positions: list[int], target: int, candidates) -> int | None:
+    """The candidate node nearest a token, the earlier on a tie; None if none."""
+    inside = [index for index in candidates if 0 <= index < len(positions)]
+    return min(inside, key=lambda index: (abs(positions[index] - target), index), default=None)
 
 
 def build_relation_graph(nodes: list[QuantityNode], text: str) -> QuantityGraph:
-    """Add relation edges over extracted nodes from deterministic templates."""
+    """Add relation edges over ``extract_quantities(text)`` from templates."""
     tokens = _tokenize(text)
     lowered = [token.text.lower() for token in tokens]
-    checks = check_equations(text)
+    positions = [node.token_index for node in nodes]
+    count = len(nodes)
     edges: list[RelationEdge] = []
 
-    def nodes_near(token_index: int, limit: int = WINDOW_TOKENS) -> list[int]:
-        return [
-            index
-            for index, node in enumerate(nodes)
-            if abs(node.token_index - token_index) <= limit
-        ]
-
-    # Aggregation: total/together/altogether/"in all"/"in total" markers
-    # plus additive equations.
+    # Comparison: "more than" / "fewer than" / "less than"; the nearest node
+    # at or before the marker and the nearest after it, within the window.
     for position, word in enumerate(lowered):
-        is_marker = word in AGGREGATION_MARKERS or (
-            word == "in"
-            and position + 1 < len(lowered)
-            and lowered[position + 1] in ("all", "total")
-        )
-        if not is_marker:
-            continue
-        members = nodes_near(position)
-        if members:
-            edges.append(RelationEdge(kind=EDGE_AGGREGATION, members=tuple(members)))
-    for check in checks:
-        if check.operator != OP_ADD:
-            continue
-        members = _match_operands_to_nodes(
-            check.operands + (check.claimed_result,), nodes
-        )
-        if len(members) >= 2:
-            edges.append(
-                RelationEdge(kind=EDGE_AGGREGATION, members=tuple(members), source="equation")
-            )
-
-    # Comparison: "more than" / "fewer than" / "less than".
-    for position, word in enumerate(lowered):
-        if word not in COMPARATIVE_MARKERS:
-            continue
-        if position + 1 >= len(lowered) or lowered[position + 1] != "than":
+        if word not in COMPARATIVE_MARKERS or lowered[position + 1 : position + 2] != ["than"]:
             continue
         direction = DIRECTION_INCREASE if word == "more" else DIRECTION_DECREASE
-        before = [i for i, node in enumerate(nodes) if 0 <= position - node.token_index <= WINDOW_TOKENS]
-        after = [i for i, node in enumerate(nodes) if 0 < node.token_index - position <= WINDOW_TOKENS]
-        members: list[int] = []
-        if before:
-            members.append(before[-1])
-        if after:
-            members.append(after[0])
+        split = bisect_right(positions, position)
+        members = tuple(
+            index
+            for index in (split - 1, split)
+            if 0 <= index < count and abs(positions[index] - position) <= WINDOW_TOKENS
+        )
         if members:
-            edges.append(
-                RelationEdge(
-                    kind=EDGE_COMPARISON, members=tuple(members), direction=direction
-                )
-            )
+            edges.append(RelationEdge(kind=EDGE_COMPARISON, members=members, direction=direction))
 
-    # Rate: each/per/every markers plus multiplicative contexts.
+    # Rate: each/per/every; the per-node is the node nearest the marker and
+    # its partner the node nearest the per-node.
     for position, word in enumerate(lowered):
         if word not in RATE_MARKERS:
             continue
-        candidates = [
-            (abs(node.token_index - position), 0 if node.token_index < position else 1, index)
-            for index, node in enumerate(nodes)
-            if abs(node.token_index - position) <= WINDOW_TOKENS
-        ]
-        if not candidates:
+        split = bisect_left(positions, position)
+        per_index = _nearest(positions, position, (split - 1, split))
+        if per_index is None or abs(positions[per_index] - position) > WINDOW_TOKENS:
             continue
-        candidates.sort()
-        per_index = candidates[0][2]
-        members = [per_index]
-        partner = [
-            (abs(node.token_index - nodes[per_index].token_index), index)
-            for index, node in enumerate(nodes)
-            if index != per_index
-        ]
-        if partner:
-            partner.sort()
-            members.append(partner[0][1])
-        edges.append(
-            RelationEdge(kind=EDGE_RATE, members=tuple(members), marker_node=per_index)
-        )
-    for check in checks:
-        if check.operator != OP_MUL:
-            continue
-        members = _match_operands_to_nodes(check.operands, nodes)
-        if len(members) == 2:
-            edges.append(
-                RelationEdge(
-                    kind=EDGE_RATE,
-                    members=tuple(members),
-                    marker_node=members[1],
-                    source="equation",
-                )
-            )
+        partner = _nearest(positions, positions[per_index], (per_index - 1, per_index + 1))
+        members = (per_index,) if partner is None else (per_index, partner)
+        edges.append(RelationEdge(kind=EDGE_RATE, members=members, marker_node=per_index))
 
-    # Change events: one edge per node carrying a change verb.
+    # Change events: one edge per node carrying a change verb, based on the
+    # nearest node in the same sentence.
+    sentences = [tokens[position].sentence for position in positions]
     for index, node in enumerate(nodes):
         verbs = node.predicate_context & CHANGE_VERBS
         if not verbs:
@@ -424,50 +387,16 @@ def build_relation_graph(nodes: list[QuantityNode], text: str) -> QuantityGraph:
             if verb in _INCREASE_VERBS:
                 direction = DIRECTION_INCREASE
                 break
-        node_sentence = _sentence_of(tokens, node.token_index)
-        base = None
-        best = None
-        for other_index, other in enumerate(nodes):
-            if other_index == index:
-                continue
-            if _sentence_of(tokens, other.token_index) != node_sentence:
-                continue
-            distance = abs(other.token_index - node.token_index)
-            key = (distance, 0 if other.token_index < node.token_index else 1)
-            if best is None or key < best:
-                best = key
-                base = other_index
+        neighbours = [
+            other
+            for other in (index - 1, index + 1)
+            if 0 <= other < count and sentences[other] == sentences[index]
+        ]
+        base = _nearest(positions, node.token_index, neighbours)
         members = (index,) if base is None else (index, base)
-        edges.append(
-            RelationEdge(kind=EDGE_CHANGE_EVENT, members=members, direction=direction)
-        )
-
-    # Part-whole: a total-marked node explained by two subgroup quantities.
-    for index, node in enumerate(nodes):
-        if not (node.predicate_context & (AGGREGATION_MARKERS | {"all"})):
-            continue
-        others = [i for i in range(len(nodes)) if i != index]
-        found = False
-        for first_position, first in enumerate(others):
-            for second in others[first_position + 1 :]:
-                if nodes[first].value + nodes[second].value == node.value:
-                    edges.append(
-                        RelationEdge(
-                            kind=EDGE_PART_WHOLE, members=(first, second, index)
-                        )
-                    )
-                    found = True
-                    break
-            if found:
-                break
+        edges.append(RelationEdge(kind=EDGE_CHANGE_EVENT, members=members, direction=direction))
 
     return QuantityGraph(nodes=tuple(nodes), edges=tuple(edges))
-
-
-def _sentence_of(tokens: list[_Token], token_index: int) -> int:
-    if 0 <= token_index < len(tokens):
-        return tokens[token_index].sentence
-    return -1
 
 
 def _binding_tokens(node: QuantityNode) -> frozenset[str]:
@@ -490,7 +419,9 @@ def _check_quantity_binding(
 ) -> list[RiskSignal]:
     """Same number bound to a different entity/unit than in the problem."""
     signals: list[RiskSignal] = []
-    problem_values = _nodes_by_value(problem_graph.nodes)
+    problem_values: dict[Fraction, list[int]] = {}
+    for index, node in enumerate(problem_graph.nodes):
+        problem_values.setdefault(node.value, []).append(index)
     seen_values: set[Fraction] = set()
 
     for trace_node in trace_graph.nodes:
@@ -614,7 +545,7 @@ def _check_rate_usage(
 
     seen: set[Fraction] = set()
     for edge in problem_graph.edges:
-        if edge.kind != EDGE_RATE or edge.source != "marker" or edge.marker_node is None:
+        if edge.kind != EDGE_RATE or edge.marker_node is None:
             continue
         per_node = problem_graph.nodes[edge.marker_node]
         if per_node.value in seen:
@@ -740,15 +671,22 @@ def _check_answer_format(
     ]
 
 
-def semantic_graph_check(problem_text: str, trace_text: str) -> GraphReport:
+def semantic_graph_check(
+    problem: ProblemAnalysis | str,
+    trace: ReasoningTrace | str,
+    trace_checks: list[EquationCheck] | None = None,
+) -> GraphReport:
     """Run the five risk checks and produce the clipped score.
 
-    An empty or answerless trace is a generation failure with score 0.
+    Takes the problem's analysis and the parsed trace (or their texts),
+    and the trace's equation checks when the caller already has them. An
+    empty or answerless trace is a generation failure with score 0.
     """
-    problem_nodes = extract_quantities(problem_text)
-    problem_graph = build_relation_graph(problem_nodes, problem_text)
-
-    trace = ReasoningTrace.from_text(trace_text)
+    if isinstance(problem, str):
+        problem = analyse_problem(problem)
+    if isinstance(trace, str):
+        trace = ReasoningTrace.from_text(trace)
+    problem_text, problem_graph = problem.text, problem.graph
     if trace.is_empty or not trace.has_answer:
         return GraphReport(
             problem_graph=problem_graph,
@@ -764,9 +702,9 @@ def semantic_graph_check(problem_text: str, trace_text: str) -> GraphReport:
             diagnosis=DIAGNOSIS_GENERATION_FAILURE,
         )
 
-    trace_nodes = extract_quantities(trace_text)
-    trace_graph = build_relation_graph(trace_nodes, trace_text)
-    trace_checks = check_equations(trace_text)
+    trace_graph = build_relation_graph(extract_quantities(trace.text), trace.text)
+    if trace_checks is None:
+        trace_checks = check_equations(trace.text)
 
     risks: list[RiskSignal] = []
     risks.extend(_check_quantity_binding(problem_graph, trace_graph))

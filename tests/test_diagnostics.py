@@ -113,3 +113,20 @@ class TestDiagnoseBundle:
     def test_missing_quantities_listed(self):
         report = diagnose("3 bags, 4 candies, 99 ribbons", "3 * 4 = 12\nFinal Answer: 12")
         assert report.missing_quantities == ("99",)
+
+
+class TestAnalysedOnce:
+    PROBLEM = "Tom has 3 bags with 4 candies each. He gives away 2 more than Ann. How many are left?"
+
+    def test_one_equation_scan_per_diagnose(self, count_calls):
+        calls = count_calls("equations", "check_equations")
+        diagnose(self.PROBLEM, "3 * 4 = 12\n12 - 2 = 10\nFinal Answer: 10")
+        assert len(calls) == 1
+
+    def test_candidate_diagnosis_reuses_the_problem_analysis(self, count_calls):
+        candidate = "3 * 4 = 12\n12 - 5 = 7\nFinal Answer: 7"
+        diag0 = diagnose(self.PROBLEM, "3 + 4 = 7\nFinal Answer: 7")
+        expected = diagnose(self.PROBLEM, candidate)
+        graphs = count_calls("risk_graph", "build_relation_graph")
+        assert diagnose(diag0.problem, candidate) == expected
+        assert [args[1] for args in graphs] == [candidate]

@@ -337,3 +337,15 @@ class TestBaselines:
         assert finals["a"].text == WRONG_INITIAL
         assert len(records) == 2
         assert records[0].retried
+
+
+def test_each_candidate_text_is_parsed_once(count_calls):
+    r0, diag0, decision = _context()
+    provider = ReplayProvider(
+        {("ex1", 0): ReplayEntry(NOOP), ("ex1", 1): ReplayEntry(NOOP), ("ex1", 2): ReplayEntry(GOOD)}
+    )
+    extractions = count_calls("answers", "extract_answer")
+    outcome = repair_example("ex1", PROBLEM, r0, diag0, decision, provider, CFG)
+    assert outcome.accepted_index == 2
+    texts = [record.parsed.trace_text() for record in outcome.records]
+    assert [args[0] for args in extractions] == texts

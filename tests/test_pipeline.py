@@ -14,6 +14,7 @@ from synthetic_run import (
 from trace_repair.cli import main
 from trace_repair import pipeline
 from trace_repair.pipeline import (
+    MODE_DIRECT_BESTOF3_GATED,
     MODE_GUARDED,
     MODE_REPLAY,
     MODE_SOLVE_TRIGGERED,
@@ -186,6 +187,67 @@ class TestReplayRun:
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
         assert first.paths["predictions"].read_bytes() == before
         assert sorted(path.name for path in (tmp_path / "run").iterdir()) == files
+
+
+    def test_replay_refuses_a_cache_recorded_under_other_prompts(self, synthetic, tmp_path):
+        directory, dataset_path, cache_path = synthetic
+        first = run_pipeline(_replay_manifest(tmp_path / "a", dataset_path, cache_path))
+        recorded = first.paths["candidates"]
+        again = run_pipeline(_replay_manifest(tmp_path / "b", dataset_path, recorded))
+        for key in ARTIFACT_KEYS:
+            assert again.paths[key].read_bytes() == first.paths[key].read_bytes()
+        with pytest.raises(ReplayCacheMiss, match="another prompt"):
+            run_pipeline(
+                _replay_manifest(
+                    tmp_path / "c", dataset_path, recorded, mode=MODE_DIRECT_BESTOF3_GATED
+                )
+            )
+
+
+ARTIFACT_KEYS = (
+    "predictions",
+    "candidates",
+    "risk_log",
+    "risk_summary",
+    "report_json",
+    "report_text",
+)
+
+# sha256 of the synthetic replay's artifacts, in ARTIFACT_KEYS order.
+_GUARDED_DIGESTS = (
+    "332fcb3c98a67722db53466379ed06d140a5dac0eec0d3b817b2e6a66fcacf86",
+    "d84b71bfa1583da8ef109421044da3dd52d5b8a846dbe3dca21ae37ab3cc6139",
+    "09c26e215b920bf496939333a424d8e97971cc16a58f471e36311358b87420dc",
+    "6d87c2d59dbbe5c673112dec9e2143612c38fbfe0bc8a8163a7267539704fcdf",
+    "e413da1ab1fe96816f6b498fe5f41f3fcdc8390f5261c02ff1e0f31ca598702f",
+    "c4600f2ec3ad827fa1a5db019a632d26521f301157c59872af776814e6254fed",
+)
+SYNTHETIC_DIGESTS = {
+    MODE_GUARDED: _GUARDED_DIGESTS,
+    MODE_SOLVE_TRIGGERED: (
+        "8372aa30a868d4f9ae460b3848dcd8240c2534d5a72b2c541434e51ddb723358",
+        "a30e3707a68934bf593d4909f26ea6769ca4f91cd0c987a5c946e8ade5e78fbb",
+        "35768cded32bf87417188164f20e24073c0302f3812467fbd1fa7aa8155ad505",
+        "9864c4316f2cb05378bce25551507952b8fc09dbc97f679e6af9ec91f2dd037f",
+        "34a0b4a03f4dcd9edbadebac537f38e6425898f826a2a5aa857bc67fe065ea86",
+        "b7278c8267598f5f84c90b6bf1031c34906c548d86f2ffe8355d196a28726cf2",
+    ),
+    MODE_DIRECT_BESTOF3_GATED: (
+        _GUARDED_DIGESTS[0],
+        "e6260018ca3712dcf91698afec3a1ad11253e28d31a24e49ce3ac36754622156",
+    )
+    + _GUARDED_DIGESTS[2:],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SYNTHETIC_DIGESTS))
+def test_synthetic_replay_digests(synthetic, tmp_path, mode):
+    import hashlib
+
+    directory, dataset_path, cache_path = synthetic
+    result = run_pipeline(_replay_manifest(tmp_path, dataset_path, cache_path, mode=mode))
+    digests = tuple(hashlib.sha256(result.paths[key].read_bytes()).hexdigest() for key in ARTIFACT_KEYS)
+    assert digests == SYNTHETIC_DIGESTS[mode]
 
 
 class TestGuardsEndToEnd:

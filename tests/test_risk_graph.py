@@ -5,10 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trace_repair.risk_graph import (
+    CHANGE_VERBS,
+    COMPARATIVE_MARKERS,
     DIAGNOSIS_GENERATION_FAILURE,
     DIAGNOSIS_OK,
+    EDGE_CHANGE_EVENT,
     EDGE_COMPARISON,
     EDGE_RATE,
+    RATE_MARKERS,
+    WINDOW_TOKENS,
+    _TOKEN_RE,
     HIGH_RISK_CATEGORIES,
     RISK_CATEGORIES,
     RISK_CHANGE_EVENT,
@@ -89,6 +95,69 @@ class TestRelationGraph:
             if edge.kind == EDGE_RATE:
                 assert edge.marker_node is not None
                 assert edge.marker_node in edge.members
+
+
+_SOUP_WORDS = (
+    "3", "4", "4", "3.50", "twelve", "$2", "1/2", "more", "fewer", "less", "than",
+    "each", "per", "every", "gave", "bought", "lost", "apples", "Tom", "and",
+    ".", "!", "?", "4.", "2.5!",
+)
+
+
+def _reference_edges(text):
+    """The graph's edges by brute force over all node pairs."""
+    nodes = extract_quantities(text)
+    tokens = list(_TOKEN_RE.finditer(text))
+    words = [token.group(0).lower() for token in tokens]
+    breaks = [index for index, char in enumerate(text) if char in ".!?"]
+
+    def sentence(node):
+        return sum(1 for position in breaks if position < tokens[node.token_index].start())
+
+    edges = []
+    for position, word in enumerate(words):
+        if word in COMPARATIVE_MARKERS and words[position + 1 : position + 2] == ["than"]:
+            before = [i for i, node in enumerate(nodes) if 0 <= position - node.token_index <= WINDOW_TOKENS]
+            after = [i for i, node in enumerate(nodes) if 0 < node.token_index - position <= WINDOW_TOKENS]
+            members = tuple(before[-1:] + after[:1])
+            if members:
+                edges.append((EDGE_COMPARISON, members, None))
+    for position, word in enumerate(words):
+        if word not in RATE_MARKERS:
+            continue
+        near = sorted(
+            (abs(node.token_index - position), node.token_index > position, i)
+            for i, node in enumerate(nodes)
+            if abs(node.token_index - position) <= WINDOW_TOKENS
+        )
+        if not near:
+            continue
+        per = near[0][2]
+        partners = sorted(
+            (abs(node.token_index - nodes[per].token_index), i)
+            for i, node in enumerate(nodes)
+            if i != per
+        )
+        edges.append((EDGE_RATE, (per,) + tuple(i for _, i in partners[:1]), per))
+    for index, node in enumerate(nodes):
+        if not node.predicate_context & CHANGE_VERBS:
+            continue
+        bases = sorted(
+            (abs(other.token_index - node.token_index), other.token_index > node.token_index, i)
+            for i, other in enumerate(nodes)
+            if i != index and sentence(other) == sentence(node)
+        )
+        edges.append((EDGE_CHANGE_EVENT, (index,) + tuple(i for *_, i in bases[:1]), None))
+    return edges
+
+
+class TestNearestNodeRules:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_SOUP_WORDS), max_size=60))
+    def test_edges_match_all_pairs_reference(self, words):
+        text = " ".join(words)
+        graph = build_relation_graph(extract_quantities(text), text)
+        assert [(edge.kind, edge.members, edge.marker_node) for edge in graph.edges] == _reference_edges(text)
 
 
 class TestChecks:
