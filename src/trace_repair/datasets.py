@@ -16,6 +16,7 @@ The first ``size`` shuffled indices are kept and returned in pool order.
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
 from dataclasses import dataclass, field
@@ -110,10 +111,23 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     return records
 
 
+def write_artifact(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write a file through a temp file, so a crash never leaves it half written."""
+    path = Path(path)
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def write_dataset(records: Iterable[DatasetRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n")
+    write_artifact(
+        path, (json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n" for record in records)
+    )
 
 
 @dataclass

@@ -48,11 +48,21 @@ class MetaDiagnosis:
     format_score: float
 
 
-def _used_values(trace_text: str, checks: list[EquationCheck]) -> set[Fraction]:
-    values = numeric_mentions(trace_text)
+def _missing_and_coverage(
+    mentions: frozenset[Fraction] | set[Fraction], trace_text: str, checks: list[EquationCheck]
+) -> tuple[list[Fraction], float]:
+    """The problem's mentions the trace never uses, sorted, and the share it uses.
+
+    A mention counts as used when it appears literally in the trace or as
+    an operand of any scanned equation. An empty constraint set is fully
+    covered by definition.
+    """
+    used = numeric_mentions(trace_text)
     for check in checks:
-        values.update(check.operands)
-    return values
+        used.update(check.operands)
+    missing = sorted(mentions - used)
+    count = len(mentions)
+    return missing, (count - len(missing)) / count if count else 1.0
 
 
 def constraint_coverage(
@@ -60,23 +70,14 @@ def constraint_coverage(
     trace_text: str,
     checks: list[EquationCheck] | None = None,
 ) -> float:
-    """Fraction of the problem's numeric mentions used by the trace.
-
-    A mention counts as used when it appears literally in the trace or as
-    an operand of any scanned equation. An empty constraint set is fully
-    covered by definition.
-    """
+    """Fraction of the problem's numeric mentions used by the trace."""
     if isinstance(problem, ProblemAnalysis):
-        problem_values = problem.mentions
+        mentions = problem.mentions
     else:
-        problem_values = numeric_mentions(problem)
-    if not problem_values:
-        return 1.0
+        mentions = numeric_mentions(problem)
     if checks is None:
         checks = check_equations(trace_text)
-    trace_values = _used_values(trace_text, checks)
-    covered = sum(1 for value in problem_values if value in trace_values)
-    return covered / len(problem_values)
+    return _missing_and_coverage(mentions, trace_text, checks)[1]
 
 
 def _format_score(trace: ReasoningTrace) -> float:
@@ -153,12 +154,6 @@ class DiagnosisReport:
     problem: ProblemAnalysis
 
 
-def _fraction_text(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> DiagnosisReport:
     """Run every deterministic diagnostic for one (problem, trace) pair.
 
@@ -170,15 +165,14 @@ def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> Dia
     if isinstance(trace, str):
         trace = ReasoningTrace.from_text(trace)
     checks = check_equations(trace.text)
-    coverage = constraint_coverage(problem, trace.text, checks)
+    missing, coverage = _missing_and_coverage(problem.mentions, trace.text, checks)
     meta = meta_diagnose(problem.text, trace, checks, coverage)
     graph = semantic_graph_check(problem, trace, checks)
-    missing = sorted(problem.mentions - _used_values(trace.text, checks))
     return DiagnosisReport(
         checks=tuple(checks),
         coverage=coverage,
         meta=meta,
         graph=graph,
-        missing_quantities=tuple(_fraction_text(value) for value in missing),
+        missing_quantities=tuple(str(value) for value in missing),
         problem=problem,
     )

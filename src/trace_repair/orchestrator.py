@@ -127,18 +127,12 @@ def style_for_attempt(attempt_index: int) -> str:
     return _STYLE_CYCLE[attempt_index % len(_STYLE_CYCLE)]
 
 
-def _claim_text(check) -> str:
-    claimed = check.claimed_result
-    value = str(claimed.numerator) if claimed.denominator == 1 else str(claimed)
-    return f"{check.lhs_text} = {value}"
-
-
 def render_hint(diag0: DiagnosisReport) -> str:
     """Deterministic diagnostic hint text built from the initial diagnosis."""
     parts: list[str] = []
     bad = [check for check in diag0.checks if not check.verified]
     if bad:
-        shown = "; ".join(_claim_text(check) for check in bad[:3])
+        shown = "; ".join(f"{check.lhs_text} = {check.claimed_result}" for check in bad[:3])
         parts.append(f"incorrect arithmetic: {shown}")
     if diag0.missing_quantities:
         parts.append(

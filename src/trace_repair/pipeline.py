@@ -20,12 +20,18 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .answers import ReasoningTrace
-from .datasets import DatasetRecord, filter_numeric, load_dataset, sample_subset, write_dataset
+from .datasets import (
+    DatasetRecord,
+    filter_numeric,
+    load_dataset,
+    sample_subset,
+    write_artifact,
+    write_dataset,
+)
 from .diagnostics import diagnose
 from .orchestrator import CandidateRecord, repair_example
 from .policy import PolicyConfig, trigger
@@ -214,20 +220,8 @@ def _process_example(
     }
 
 
-def _write_text(path: Path, chunks) -> None:
-    """Write an artifact through a temp file, so a crash never leaves it half written."""
-    temp = path.with_name(path.name + ".tmp")
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
-
-
 def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    _write_text(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+    write_artifact(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -294,7 +288,7 @@ def _write_report(
         "report_text": output_dir / REPORT_TEXT_FILE,
     }
     _write_jsonl(paths["report_json"], [report.to_json_dict()])
-    _write_text(paths["report_text"], [render_report(report)])
+    write_artifact(paths["report_text"], [render_report(report)])
     return PipelineResult(report=report, paths=paths)
 
 
@@ -400,14 +394,14 @@ def filter_dataset(
         "rejected": result.counts(),
         "rejected_ids": result.rejected_ids,
     }
-    _write_text(paths["filter_counts"], [json.dumps(counts, ensure_ascii=False, indent=2), "\n"])
+    write_artifact(paths["filter_counts"], [json.dumps(counts, ensure_ascii=False, indent=2), "\n"])
 
     if sample_size is not None:
         subset = sample_subset(result.kept, sample_size, seed)
         paths["sample"] = output_dir / f"sample_seed{seed}.jsonl"
         paths["sample_ids"] = output_dir / f"sample_seed{seed}_ids.txt"
         write_dataset(subset, paths["sample"])
-        _write_text(paths["sample_ids"], [record.example_id + "\n" for record in subset])
+        write_artifact(paths["sample_ids"], [record.example_id + "\n" for record in subset])
     return paths, counts
 
 

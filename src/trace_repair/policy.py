@@ -82,7 +82,6 @@ class PolicyConfig:
     """
 
     n_candidates: int = 3
-    trigger_graph_threshold: float = 0.80
     graph_min_score: float = 0.60
     graph_drop_tolerance: float = 0.05
     meta_trigger_threshold: float = 0.65
@@ -113,7 +112,6 @@ ENV_KEYS: dict[str, str] = {
     "DISABLE_EQUATION_SUPPORT_GUARD": "disable_equation_support",
     "RELAX_MISSING_CONSTRAINT_ACCEPT": "relax_missing_constraint",
     "WEAK_REASONER_MODE": "weak_reasoner_mode",
-    "REPAIR_TRIGGER_GRAPH_THRESHOLD": "trigger_graph_threshold",
     "GRAPH_ACCEPT_MIN_SCORE": "graph_min_score",
     "GRAPH_SCORE_DROP_TOLERANCE": "graph_drop_tolerance",
     "MEDIUM_TRIGGER_META_SCORE": "meta_trigger_threshold",
@@ -128,20 +126,6 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(field_name: str, raw: str):
-    current = getattr(PolicyConfig(), field_name)
-    if isinstance(current, bool):
-        lowered = raw.strip().lower()
-        if lowered in _BOOL_TRUE:
-            return True
-        if lowered in _BOOL_FALSE:
-            return False
-        raise ValueError(f"invalid boolean for {field_name}: {raw!r}")
-    if isinstance(current, int):
-        return int(raw)
-    return float(raw)
-
-
 def config_from_mapping(values: Mapping[str, object], base: PolicyConfig | None = None) -> PolicyConfig:
     """Build a config from a plain mapping of field names to values."""
     config = base or PolicyConfig()
@@ -152,7 +136,10 @@ def config_from_mapping(values: Mapping[str, object], base: PolicyConfig | None 
             raise ValueError(f"unknown config key: {key}")
         current = getattr(config, key)
         if isinstance(current, bool) and isinstance(value, str):
-            value = _coerce(key, value)
+            lowered = value.strip().lower()
+            if lowered not in _BOOL_TRUE | _BOOL_FALSE:
+                raise ValueError(f"invalid boolean for {key}: {value!r}")
+            value = lowered in _BOOL_TRUE
         elif isinstance(current, int) and not isinstance(value, bool):
             value = int(value)
         elif isinstance(current, float):
@@ -166,12 +153,8 @@ def config_from_env(
 ) -> PolicyConfig:
     """Apply environment-variable overrides on top of a base config."""
     environ = os.environ if environ is None else environ
-    config = base or PolicyConfig()
-    overrides = {}
-    for env_key, field_name in ENV_KEYS.items():
-        if env_key in environ:
-            overrides[field_name] = _coerce(field_name, environ[env_key])
-    return config.with_overrides(**overrides) if overrides else config
+    values = {name: environ[key] for key, name in ENV_KEYS.items() if key in environ}
+    return config_from_mapping(values, base)
 
 
 @dataclass(frozen=True)

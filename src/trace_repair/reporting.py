@@ -50,7 +50,7 @@ class TransitionLabel:
         return f"{first}->{second}"
 
 
-def _coerce(value: AnswerValue | str) -> AnswerValue:
+def _answer_value(value: AnswerValue | str) -> AnswerValue:
     if isinstance(value, AnswerValue):
         return value
     return normalize_answer(str(value))
@@ -72,9 +72,9 @@ def label_transitions(
         example_ids = [str(index) for index in range(count)]
     labels = []
     for index in range(count):
-        gold = _coerce(gold_answers[index])
-        initially = answers_equivalent(_coerce(initial_answers[index]), gold)
-        finally_ = answers_equivalent(_coerce(final_answers[index]), gold)
+        gold = _answer_value(gold_answers[index])
+        initially = answers_equivalent(_answer_value(initial_answers[index]), gold)
+        finally_ = answers_equivalent(_answer_value(final_answers[index]), gold)
         labels.append(
             TransitionLabel(
                 example_id=example_ids[index],
@@ -233,7 +233,7 @@ def compute_report(
         record_list = list(records)
         report.attempts = len(record_list)
         gold_map = {
-            key: _coerce(value) for key, value in (gold_by_id or {}).items()
+            key: _answer_value(value) for key, value in (gold_by_id or {}).items()
         }
         matches_by_example: dict[str, bool] = {}
         for record in record_list:

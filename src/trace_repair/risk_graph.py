@@ -38,6 +38,7 @@ from .equations import (
     EquationCheck,
     check_equations,
     numeric_mentions,
+    parse_number,
 )
 
 RISK_QUANTITY_BINDING = "quantity_binding_error"
@@ -236,23 +237,14 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _token_value(token: _Token) -> Fraction | None:
-    text = token.text
+def _number_value(text: str) -> Fraction | None:
+    """A number word's value, or a digit string's through ``parse_number``."""
     lowered = text.lower()
     if lowered in NUMBER_WORDS:
         return Fraction(NUMBER_WORDS[lowered])
-    if not any(ch.isdigit() for ch in text):
-        return None
-    text = text.lstrip("$").replace(",", "")
-    try:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            if int(den) == 0:
-                return None
-            return Fraction(int(num), int(den))
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        return None
+    if any(ch.isdigit() for ch in text):
+        return parse_number(text.lstrip("$"))
+    return None
 
 
 def _is_unit_candidate(token: _Token) -> bool:
@@ -274,7 +266,7 @@ def extract_quantities(text: str) -> list[QuantityNode]:
     tokens = _tokenize(text)
     nodes: list[QuantityNode] = []
     for index, token in enumerate(tokens):
-        value = _token_value(token)
+        value = _number_value(token.text)
         if value is None:
             continue
         window_tokens = tokens[max(0, index - WINDOW_TOKENS) : index + WINDOW_TOKENS + 1]
@@ -470,15 +462,6 @@ _EQUAL_SPLIT_RE = re.compile(
 )
 
 
-def _word_or_digit_value(token: str) -> Fraction | None:
-    lowered = token.lower()
-    if lowered in NUMBER_WORDS:
-        return Fraction(NUMBER_WORDS[lowered])
-    if token.isdigit():
-        return Fraction(int(token))
-    return None
-
-
 def _check_comparisons(
     problem_text: str,
     problem_graph: QuantityGraph,
@@ -513,7 +496,7 @@ def _check_comparisons(
 
     match = _TIMES_MORE_RE.search(problem_text)
     if match:
-        multiplier = _word_or_digit_value(match.group(1))
+        multiplier = _number_value(match.group(1))
         if multiplier is not None:
             multiplied = {
                 operand

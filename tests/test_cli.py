@@ -1,0 +1,54 @@
+"""The CLI's config flags, config file and environment all reach PolicyConfig."""
+
+import json
+
+import pytest
+
+from trace_repair.cli import _build_config, build_parser
+from trace_repair.policy import ENV_KEYS, PolicyConfig
+
+RUN = ["run", "--dataset", "data.jsonl", "--output-dir", "out"]
+
+
+@pytest.fixture(autouse=True)
+def clean_environment(monkeypatch):
+    for key in ENV_KEYS:
+        monkeypatch.delenv(key, raising=False)
+
+
+def _config(*flags):
+    return _build_config(build_parser().parse_args([*RUN, *flags]))
+
+
+@pytest.mark.parametrize(
+    "flags, field, value",
+    [
+        (["--n-candidates", "5"], "n_candidates", 5),
+        (["--graph-min-score", "0.7"], "graph_min_score", 0.7),
+        (["--graph-drop-tolerance", "0.2"], "graph_drop_tolerance", 0.2),
+        (["--meta-trigger-threshold", "0.5"], "meta_trigger_threshold", 0.5),
+        (
+            ["--missing-constraint-trigger-threshold", "0.8"],
+            "missing_constraint_trigger_threshold",
+            0.8,
+        ),
+        (["--min-repair-chars", "40"], "min_repair_chars", 40),
+        (["--no-graph-guard"], "enable_graph_guard", False),
+        (["--no-equation-support"], "disable_equation_support", True),
+        (["--relax-missing-constraint"], "relax_missing_constraint", True),
+        (["--weak-reasoner-mode"], "weak_reasoner_mode", True),
+    ],
+)
+def test_each_config_flag_sets_its_field(flags, field, value):
+    assert _config(*flags) == PolicyConfig().with_overrides(**{field: value})
+
+
+def test_flags_over_environment_over_file_over_defaults(tmp_path, monkeypatch):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(
+        json.dumps({"n_candidates": 1, "min_repair_chars": 10, "graph_min_score": 0.5})
+    )
+    monkeypatch.setenv("LLM_REPAIR_NUM_CANDIDATES", "4")
+    monkeypatch.setenv("MIN_REPAIR_LENGTH", "30")
+    config = _config("--config", str(config_path), "--min-repair-chars", "50")
+    assert config == PolicyConfig(n_candidates=4, min_repair_chars=50, graph_min_score=0.5)

@@ -38,6 +38,17 @@ class TestLoadWrite:
         write_dataset(records, path)
         assert [r.example_id for r in load_dataset(path)] == ["id3", "id1", "id2"]
 
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        records = [_record(f"id{i}") for i in range(4)]
+        path = tmp_path / "data.jsonl"
+        write_dataset(records, path)
+        before = path.read_bytes()
+        unserializable = _record("bad", problem=object())
+        with pytest.raises(TypeError):
+            write_dataset(records[:2] + [unserializable] + records[2:], path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"example_id": "a", "problem_text": "p", "gold_answer": "1"}\nnot json\n')

@@ -130,3 +130,14 @@ class TestAnalysedOnce:
         graphs = count_calls("risk_graph", "build_relation_graph")
         assert diagnose(diag0.problem, candidate) == expected
         assert [args[1] for args in graphs] == [candidate]
+
+    def test_one_mention_scan_per_candidate_diagnosis(self, count_calls):
+        diag0 = diagnose(self.PROBLEM, "3 + 4 = 7\nFinal Answer: 7")
+        scans = count_calls("equations", "numeric_mentions")
+        candidate = "3 * 4 = 12\n12 - 2 = 10\nFinal Answer: 10"
+        diagnose(diag0.problem, candidate)
+        assert [args[0] for args in scans] == [candidate]
+
+    def test_coverage_is_the_used_share(self):
+        problem, trace = "3 bags, 4 candies, 99 ribbons", "3 * 4 = 12\nFinal Answer: 12"
+        assert diagnose(problem, trace).coverage == constraint_coverage(problem, trace) == 2 / 3

@@ -82,7 +82,6 @@ _EMPTY = ReasoningTrace.from_text("")
 class TestConfig:
     def test_defaults_match_main_configuration(self):
         assert CFG.n_candidates == 3
-        assert CFG.trigger_graph_threshold == 0.80
         assert CFG.graph_min_score == 0.60
         assert CFG.graph_drop_tolerance == 0.05
         assert CFG.meta_trigger_threshold == 0.65
@@ -118,6 +117,14 @@ class TestConfig:
     def test_mapping_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             config_from_mapping({"not_a_field": 1})
+
+    def test_mapping_rejects_the_removed_graph_threshold(self):
+        with pytest.raises(ValueError, match="unknown config key"):
+            config_from_mapping({"trigger_graph_threshold": 0.8})
+
+    def test_env_rejects_a_bad_boolean(self):
+        with pytest.raises(ValueError, match="invalid boolean for enable_graph_guard"):
+            config_from_env({"ENABLE_GRAPH_GUARD": "maybe"})
 
 
 class TestTrigger:

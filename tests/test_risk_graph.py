@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trace_repair.equations import parse_number
 from trace_repair.risk_graph import (
     CHANGE_VERBS,
     COMPARATIVE_MARKERS,
@@ -16,6 +18,7 @@ from trace_repair.risk_graph import (
     WINDOW_TOKENS,
     _TOKEN_RE,
     HIGH_RISK_CATEGORIES,
+    NUMBER_WORDS,
     RISK_CATEGORIES,
     RISK_CHANGE_EVENT,
     RISK_EQUALLY_SPLIT,
@@ -63,6 +66,33 @@ class TestExtractQuantities:
         node = extract_quantities(text)[0]
         start, end = node.window
         assert 0 <= start < end <= len(text)
+
+
+class TestNumberValues:
+    """Every digit string becomes a value through ``parse_number``."""
+
+    @pytest.mark.parametrize("token", ["3.50", "$3.50", "1,200", "3/4", "007", "٣"])
+    def test_digit_token(self, token):
+        (node,) = extract_quantities(f"it costs {token} today")
+        assert node.value == parse_number(token.lstrip("$"))
+
+    @pytest.mark.parametrize("word", ["twelve", "dozen"])
+    def test_number_word(self, word):
+        (node,) = extract_quantities(f"it costs {word} today")
+        assert node.value == NUMBER_WORDS[word]
+
+    def test_zero_denominator_is_no_node(self):
+        assert extract_quantities("it costs 3/0 today") == []
+
+    @pytest.mark.parametrize("multiplier", ["3", "three", "٣"])
+    def test_times_more_multiplier(self, multiplier):
+        problem = f"Tom has {multiplier} times more apples than the 5 Sam has. How many has Tom?"
+
+        def risks(trace):
+            return [risk.category for risk in semantic_graph_check(problem, trace).risks]
+
+        assert RISK_TIMES_MORE not in risks("5 * 3 = 15\nFinal Answer: 15")
+        assert RISK_TIMES_MORE in risks("5 * 7 = 35\nFinal Answer: 35")
 
 
 class TestRelationGraph:
