@@ -37,6 +37,7 @@ from .orchestrator import (
     CandidateRecord,
     ParsedCandidate,
     PromptSpec,
+    ProviderResponseError,
     ProviderTransportError,
     RepairOutcome,
     build_prompt,
@@ -113,6 +114,7 @@ __all__ = [
     "CandidateRecord",
     "ParsedCandidate",
     "PromptSpec",
+    "ProviderResponseError",
     "ProviderTransportError",
     "RepairOutcome",
     "build_prompt",

@@ -22,6 +22,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .policy import PolicyConfig, config_from_env, config_from_mapping
+from .providers import RemoteProvider
 from .reporting import render_report
 
 
@@ -90,11 +91,24 @@ def _build_config(args: argparse.Namespace) -> PolicyConfig:
     return config.with_overrides(**overrides) if overrides else config
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", type=Path, required=True)
     parser.add_argument("--output-dir", type=Path, required=True)
     parser.add_argument("--provider", choices=("replay", "remote"), default="replay")
     parser.add_argument("--cache", type=Path, help="candidate cache for the replay provider")
+    parser.add_argument(
+        "--concurrency",
+        type=_positive_int,
+        help="examples in flight at once with the remote provider "
+        f"(default {RemoteProvider.DEFAULT_CONCURRENCY})",
+    )
     parser.add_argument("--resume", action="store_true")
     parser.add_argument("--harm-budget", type=float, default=None)
     _add_config_flags(parser)
@@ -144,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "concurrency", None) is not None and args.provider != "remote":
+        parser.error("--concurrency applies only to --provider remote")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
@@ -174,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:
                 triggered_ids_path=args.triggered_ids,
                 resume=args.resume,
                 harm_budget=args.harm_budget,
+                concurrency=args.concurrency,
             )
         )
     print(render_report(result.report), end="")

@@ -64,6 +64,14 @@ class ProviderTransportError(RuntimeError):
     """Transport-level failure talking to a candidate provider."""
 
 
+class ProviderResponseError(RuntimeError):
+    """The provider answered, but its reply holds no candidate text.
+
+    Recorded as a parse failure of the attempt: the provider is up, so it
+    neither is retried nor counts toward an outage.
+    """
+
+
 @dataclass(frozen=True)
 class PromptSpec:
     example_id: str
@@ -325,6 +333,9 @@ def _generate_and_parse(
     except ProviderTransportError as exc:
         record.error = f"transport: {exc}"
         return None
+    except ProviderResponseError as exc:
+        record.error = f"parse_failure: {exc}"
+        return None
     record.raw_output = raw
     parsed = parse_candidate(raw)
     if parsed is not None:
@@ -335,6 +346,9 @@ def _generate_and_parse(
         retry_raw = provider.generate(retry_spec, cfg.retry_max_tokens, cfg.temperature)
     except ProviderTransportError as exc:
         record.error = f"transport on retry: {exc}"
+        return None
+    except ProviderResponseError as exc:
+        record.error = f"parse_failure on retry: {exc}"
         return None
     record.retry_output = retry_raw
     return parse_candidate(retry_raw)

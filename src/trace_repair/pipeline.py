@@ -14,13 +14,21 @@ per-example path; a mode only picks which examples are repaired and the
 repair_example arguments. Final artifacts are serialized once, in
 example-id order, each through a temp file, so interrupted runs can resume
 from progress.jsonl and still produce byte-identical output.
+
+A remote provider keeps up to its ``concurrency`` examples in flight at
+once; their results are still taken in dataset order, so progress.jsonl,
+the resume checkpoint and the outage abort read as in a serial run.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import deque
+from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from .answers import ReasoningTrace
@@ -93,6 +101,8 @@ class RunManifest:
     triggered_ids_path: Path | None = None
     resume: bool = False
     harm_budget: float | None = None
+    # Examples in flight at once with the remote provider; None takes its default.
+    concurrency: int | None = None
 
     def validate(self) -> None:
         if self.mode not in RUN_MODES:
@@ -103,6 +113,8 @@ class RunManifest:
             )
         if self.provider == "replay" and self.cache_path is None:
             raise ValueError("replay provider requires a candidate cache path")
+        if self.concurrency is not None and self.provider != "remote":
+            raise ValueError("concurrency applies only to the remote provider")
 
 
 @dataclass
@@ -114,8 +126,10 @@ class PipelineResult:
 def _build_provider(manifest: RunManifest):
     if manifest.provider == "replay":
         return ReplayProvider.from_jsonl(manifest.cache_path)
-    if manifest.provider == "remote":
+    if manifest.provider == "remote" and manifest.concurrency is None:
         return RemoteProvider()
+    if manifest.provider == "remote":
+        return RemoteProvider(concurrency=manifest.concurrency)
     raise ValueError(f"unknown provider {manifest.provider!r}")
 
 
@@ -316,6 +330,32 @@ def _finalize_run(manifest: RunManifest, results: list[dict]) -> PipelineResult:
     return PipelineResult(report=reported.report, paths={**paths, **reported.paths})
 
 
+def _in_order(process, items, concurrency: int):
+    """Yield ``process(item)`` for each item in order, with up to ``concurrency`` calls in flight.
+
+    At 1 this is a plain ``map``: no thread starts. Closing the generator
+    cancels the calls that have not started and waits for the others; their
+    results, and any error they raise, are dropped, since a serial run that
+    stopped at the same item would not have made those calls.
+    """
+    if concurrency == 1:
+        yield from map(process, items)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    items = iter(items)
+    with ThreadPoolExecutor(concurrency) as pool:
+        window = deque(pool.submit(process, item) for item in islice(items, concurrency))
+        try:
+            while window:
+                result = window.popleft().result()
+                window.extend(pool.submit(process, item) for item in islice(items, 1))
+                yield result
+        finally:
+            for future in window:
+                future.cancel()
+
+
 def _run_examples(manifest: RunManifest) -> PipelineResult:
     dataset = load_dataset(manifest.dataset_path)
     dataset_ids = {record.example_id for record in dataset}
@@ -339,13 +379,18 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
     elif progress_path.exists():
         progress_path.unlink()
 
+    process = partial(
+        _process_example, manifest=manifest, provider=provider, triggered_ids=triggered_ids
+    )
+    pending = [record for record in dataset if record.example_id not in completed]
     results = list(completed.values())
     outage_streak = 0
-    with open(progress_path, "a", encoding="utf-8") as progress:
-        for record in dataset:
-            if record.example_id in completed:
-                continue
-            payload = _process_example(record, manifest, provider, triggered_ids)
+    with (
+        closing(provider),
+        open(progress_path, "a", encoding="utf-8") as progress,
+        closing(_in_order(process, pending, provider.concurrency)) as payloads,
+    ):
+        for payload in payloads:
             candidates = payload["candidates"]
             transport_dead = bool(candidates) and all(
                 row["error"] is not None and row["error"].startswith("transport")

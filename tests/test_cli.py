@@ -52,3 +52,43 @@ def test_flags_over_environment_over_file_over_defaults(tmp_path, monkeypatch):
     monkeypatch.setenv("MIN_REPAIR_LENGTH", "30")
     config = _config("--config", str(config_path), "--min-repair-chars", "50")
     assert config == PolicyConfig(n_candidates=4, min_repair_chars=50, graph_min_score=0.5)
+
+
+def _manifest_of(monkeypatch, *flags):
+    """The RunManifest that ``main`` hands to run_pipeline for these flags."""
+    from trace_repair import cli
+
+    seen = []
+
+    def capture(manifest):
+        seen.append(manifest)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(cli, "run_pipeline", capture)
+    with pytest.raises(SystemExit):
+        cli.main([*RUN, *flags])
+    return seen[0]
+
+
+def test_concurrency_reaches_the_manifest(monkeypatch):
+    assert _manifest_of(monkeypatch, "--provider", "remote", "--concurrency", "3").concurrency == 3
+    assert _manifest_of(monkeypatch, "--provider", "remote").concurrency is None
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--provider", "remote", "--concurrency", "0"],
+        ["--provider", "remote", "--concurrency", "-2"],
+        ["--cache", "c.jsonl", "--concurrency", "2"],
+        ["--provider", "replay", "--cache", "c.jsonl", "--concurrency", "1"],
+    ],
+)
+def test_bad_concurrency_is_a_parser_error(monkeypatch, capsys, flags):
+    from trace_repair import cli
+
+    monkeypatch.setattr(cli, "run_pipeline", lambda manifest: pytest.fail("run started"))
+    with pytest.raises(SystemExit) as raised:
+        cli.main([*RUN, *flags])
+    assert raised.value.code == 2
+    assert "--concurrency" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from trace_repair.datasets import DatasetRecord, write_dataset
 from trace_repair.diagnostics import diagnose
 from trace_repair.orchestrator import (
     CandidateRecord,
+    ProviderResponseError,
     ProviderTransportError,
     STYLE_HINT_GUIDED,
     STYLE_SOLVE_FRESH,
@@ -186,6 +187,29 @@ class TestRepairExample:
         outcome = repair_example("ex1", PROBLEM, r0, diag0, decision, FlakyProvider(), CFG)
         assert outcome.records[0].error is not None
         assert outcome.accepted_index == 1
+
+    def test_reply_without_candidate_text_is_a_parse_failure(self):
+        r0, diag0, decision = _context()
+        calls = []
+
+        class GarbledProvider:
+            identity = "garbled"
+
+            def generate(self, prompt, max_tokens, temperature):
+                calls.append((prompt.attempt_index, prompt.is_retry))
+                if prompt.attempt_index == 0:
+                    raise ProviderResponseError("malformed response body")
+                if prompt.is_retry:
+                    raise ProviderResponseError("no choices")
+                return MALFORMED if prompt.attempt_index == 1 else GOOD
+
+        provider = GarbledProvider()
+        outcome = repair_example("ex1", PROBLEM, r0, diag0, decision, provider, CFG)
+        assert calls == [(0, False), (1, False), (1, True), (2, False)]
+        assert outcome.records[0].error == "parse_failure: malformed response body"
+        assert not outcome.records[0].retried
+        assert outcome.records[1].error == "parse_failure on retry: no choices"
+        assert outcome.accepted_index == 2
 
     def test_call_budget(self):
         r0, diag0, decision = _context()

@@ -1,0 +1,178 @@
+"""Examples in flight through the remote provider: same bytes, less waiting.
+
+The synthetic dataset is served by an in-process endpoint with a fixed
+latency and content-keyed faults, through ``RemoteProvider`` and its
+session, at one, four and eight examples in flight.
+"""
+
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+from fake_endpoint import FakeEndpoint
+from synthetic_run import GROUP_SAFE_FIX, GROUP_UNSAFE, write_synthetic_run
+from trace_repair.pipeline import (
+    MODE_GUARDED,
+    MODE_REPLAY,
+    PROGRESS_FILE,
+    ProviderOutageError,
+    RunManifest,
+    run_pipeline,
+)
+from trace_repair.providers import ReplayProvider
+
+ARTIFACTS = ("predictions", "candidates", "risk_log", "risk_summary", "report_json", "report_text")
+LATENCY_S = 0.03
+# The fifth example that calls the provider; the first twenty are never triggered.
+FIFTH_REPAIRED = 24
+
+
+@pytest.fixture(scope="module")
+def synthetic(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("synthetic")
+    return write_synthetic_run(directory)
+
+
+@pytest.fixture
+def endpoint(synthetic, monkeypatch):
+    served = FakeEndpoint(*synthetic, latency_s=LATENCY_S)
+    # A 503 with Retry-After: 0 on the first request of these, and a
+    # request that fails on every try, so a transport error is recorded.
+    served.transient = {
+        (GROUP_SAFE_FIX[1], 0, False),
+        (GROUP_UNSAFE[2], 1, False),
+        (GROUP_UNSAFE[4], 2, False),
+    }
+    served.failing = {(GROUP_UNSAFE[0], 0, False)}
+    served.install(monkeypatch)
+    return served
+
+
+def _run(synthetic, output_dir: Path, concurrency: int, **kwargs):
+    manifest = RunManifest(
+        mode=MODE_GUARDED,
+        dataset_path=Path(synthetic[0]),
+        output_dir=output_dir,
+        provider="remote",
+        concurrency=concurrency,
+        **kwargs,
+    )
+    start = time.perf_counter()
+    result = run_pipeline(manifest)
+    return result, time.perf_counter() - start
+
+
+def _bytes(result, output_dir: Path) -> dict:
+    out = {key: result.paths[key].read_bytes() for key in ARTIFACTS}
+    out["progress"] = (output_dir / PROGRESS_FILE).read_bytes()
+    return out
+
+
+def test_artifacts_match_and_wait_overlaps(synthetic, endpoint, tmp_path):
+    serial, serial_s = _run(synthetic, tmp_path / "k1", 1)
+    endpoint.requests.clear()
+    pooled, pooled_s = _run(synthetic, tmp_path / "k4", 4)
+    assert _bytes(pooled, tmp_path / "k4") == _bytes(serial, tmp_path / "k1")
+    candidates = serial.paths["candidates"].read_text()
+    assert candidates.count('"error": "transport: 503 Server Error') == 1
+    assert pooled_s <= 0.5 * serial_s, (serial_s, pooled_s)
+
+
+def test_more_workers_than_cores_with_frequent_switches(synthetic, endpoint, tmp_path):
+    endpoint.latency_s = 0.0
+    serial, _ = _run(synthetic, tmp_path / "k1", 1)
+    endpoint.requests.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pooled, _ = _run(synthetic, tmp_path / "k8", 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _bytes(pooled, tmp_path / "k8") == _bytes(serial, tmp_path / "k1")
+
+
+def test_outage_aborts_at_the_same_example_and_resumes(synthetic, endpoint, tmp_path):
+    endpoint.down_from = FIFTH_REPAIRED
+    progress = {}
+    for concurrency in (1, 4):
+        endpoint.requests.clear()
+        with pytest.raises(ProviderOutageError):
+            _run(synthetic, tmp_path / f"k{concurrency}", concurrency)
+        progress[concurrency] = (tmp_path / f"k{concurrency}" / PROGRESS_FILE).read_bytes()
+    assert progress[4] == progress[1]
+    assert progress[1].count(b"\n") == FIFTH_REPAIRED
+
+    endpoint.down_from = None
+    resumed, _ = _run(synthetic, tmp_path / "k4", 4, resume=True)
+    fresh, _ = _run(synthetic, tmp_path / "fresh", 4)
+    assert _bytes(resumed, tmp_path / "k4") == _bytes(fresh, tmp_path / "fresh")
+
+
+def test_malformed_body_is_one_parse_failure_not_an_outage(synthetic, endpoint, tmp_path):
+    endpoint.malformed = True
+    endpoint.latency_s = 0.0
+    endpoint.transient = endpoint.failing = set()
+    # Every attempt of thirty examples in a row fails, and the run completes.
+    result, _ = _run(synthetic, tmp_path / "out", 2)
+    rows = result.paths["candidates"].read_text().splitlines()
+    assert len(rows) == 30 * 3
+    assert all('"error": "parse_failure: malformed response body' in row for row in rows)
+    assert sum(endpoint.requests.values()) == len(rows)
+    assert set(endpoint.requests.values()) == {1}
+
+
+def test_replay_runs_inline(synthetic, tmp_path, monkeypatch):
+    threads_before = threading.active_count()
+    seen = set()
+    generate = ReplayProvider.generate
+
+    def recording(self, *args, **kwargs):
+        seen.add((threading.current_thread() is threading.main_thread(), threading.active_count()))
+        return generate(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReplayProvider, "generate", recording)
+    dataset_path, cache_path = synthetic
+    run_pipeline(
+        RunManifest(
+            mode=MODE_REPLAY,
+            dataset_path=Path(dataset_path),
+            output_dir=tmp_path / "out",
+            cache_path=Path(cache_path),
+        )
+    )
+    assert seen == {(True, threads_before)}
+
+
+def test_import_loads_no_pool_and_no_http_client():
+    import trace_repair
+
+    code = (
+        "import sys, trace_repair; "
+        "print(sorted(m for m in ('concurrent.futures', 'requests') if m in sys.modules))"
+    )
+    src = str(Path(trace_repair.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_concurrency_is_for_the_remote_provider_only(synthetic, tmp_path):
+    dataset_path, cache_path = synthetic
+    manifest = RunManifest(
+        mode=MODE_REPLAY,
+        dataset_path=Path(dataset_path),
+        output_dir=tmp_path / "out",
+        cache_path=Path(cache_path),
+        concurrency=2,
+    )
+    with pytest.raises(ValueError, match="concurrency"):
+        run_pipeline(manifest)
