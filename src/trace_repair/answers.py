@@ -47,8 +47,7 @@ _MARKER_LINE_RE = re.compile(r"^\s*(?:final\s+answer\s*(?:is\b|:)|answer\s*:)", 
 _RATIO_RE = re.compile(r"^[-+]?\d+(?:\.\d+)?\s*:\s*[-+]?\d+(?:\.\d+)?$")
 _FRACTION_RE = re.compile(r"^([-+]?\d+)\s*/\s*(\d+)$")
 _COMMA_RE = re.compile(r"^[-+]?\d{1,3}(?:,\d{3})+(?:\.\d+)?$")
-_INT_RE = re.compile(r"^[-+]?\d+$")
-_DECIMAL_RE = re.compile(r"^[-+]?(?:\d+\.\d*|\.\d+)$")
+_PLAIN_NUMBER_RE = re.compile(r"^[-+]?(?:\d+(?:\.\d*)?|\.\d+)$")
 
 _PAREN_RE = re.compile(r"\([^)]*\)")
 _CURRENCY_CHARS = "$€£"
@@ -81,23 +80,23 @@ NO_ANSWER = AnswerValue(raw_text="", canonical="", kind=KIND_NONE)
 
 
 def _canonical_number(text: str) -> str | None:
-    """Minimal canonical form for a plain integer or decimal string."""
-    if _INT_RE.match(text):
-        return str(int(text))
-    if _DECIMAL_RE.match(text):
-        negative = text.lstrip().startswith("-")
-        body = text.lstrip("+-")
-        int_part, _, frac_part = body.partition(".")
-        frac_part = frac_part.rstrip("0")
-        int_part = str(int(int_part)) if int_part else "0"
-        if not frac_part:
-            value = int_part
-        else:
-            value = f"{int_part}.{frac_part}"
-        if negative and value.strip("0.") != "":
-            return "-" + value
-        return value
-    return None
+    """Minimal canonical form for a plain integer or decimal string.
+
+    None for anything else, and for an integer part too long for ``int``.
+    """
+    if not _PLAIN_NUMBER_RE.match(text):
+        return None
+    int_part, _, frac_part = text.lstrip("+-").partition(".")
+    try:
+        value = str(int(int_part)) if int_part else "0"
+    except ValueError:
+        return None
+    frac_part = frac_part.rstrip("0")
+    if frac_part:
+        value = f"{value}.{frac_part}"
+    if text.startswith("-") and value.strip("0.") != "":
+        return "-" + value
+    return value
 
 
 def normalize_answer(raw: str) -> AnswerValue:
@@ -132,10 +131,11 @@ def normalize_answer(raw: str) -> AnswerValue:
 
     frac_match = _FRACTION_RE.match(text)
     if frac_match:
-        numerator = int(frac_match.group(1))
-        denominator = int(frac_match.group(2))
-        if denominator != 0:
-            reduced = Fraction(numerator, denominator)
+        try:
+            reduced = Fraction(int(frac_match.group(1)), int(frac_match.group(2)))
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
             if reduced.denominator == 1:
                 return AnswerValue(raw_text=raw, canonical=str(reduced.numerator), kind=KIND_INTEGER)
             return AnswerValue(

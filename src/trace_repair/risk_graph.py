@@ -1,31 +1,33 @@
 """Surface semantic-risk graph over quantity mentions.
 
-Builds lightweight quantity graphs for problem and trace from
-deterministic surface patterns (no parser, no learned model), emits risk
-signals from five checks, and scores the trace by subtracting per-risk
-penalties from 1.0, clipped to [0, 1]. The signals are recall-oriented
-diagnostic features: most warnings are benign and the downstream
-acceptance policy is responsible for filtering them.
+Finds quantity mentions in problem and trace from deterministic surface
+patterns (no parser, no learned model), emits risk signals from five
+checks, and scores the trace by subtracting per-risk penalties from 1.0,
+clipped to [0, 1]. The signals are recall-oriented diagnostic features:
+most warnings are benign and the acceptance policy filters them.
 
-The graph has three edge kinds, each built only because a check reads it:
+Each text is tokenised once. The problem gets a graph of three edge kinds:
 
 - comparison ("more/fewer/less than"): ``_check_comparisons`` takes the
-  problem's delta from the first one and asks whether the trace has any;
+  problem's delta from the first one;
 - rate ("each/per/every"): ``_check_rate_usage`` requires the problem's
   per-quantity to be multiplied or divided in the trace;
 - change_event (gave, lost, bought, ...): ``_check_change_events`` flags
   a trace that adds what the problem removes, or the reverse.
 
-Nodes are in token order, so every nearest-node lookup looks only at the
-two list neighbours of a position and the graph is linear in text length.
-A problem is analysed once per example (``ProblemAnalysis``) and shared
-by the diagnosis of every trace for it.
+The trace gets only what the checks read of it: its nodes for
+``_check_quantity_binding`` and, for ``_check_comparisons``, whether it has
+a comparison edge, found by stopping at the first. Nodes are in token
+order, so each nearest-node lookup reads two list neighbours and the graph
+is linear in text length. A problem is analysed once per example
+(``ProblemAnalysis``) and shared by the diagnosis of every trace for it.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,8 +141,6 @@ _SENTENCE_BREAK_RE = re.compile(r"[.!?]")
 @dataclass(frozen=True)
 class _Token:
     text: str
-    start: int
-    end: int
     sentence: int
     sentence_initial: bool
 
@@ -152,7 +152,6 @@ class QuantityNode:
     unit_phrase: str
     entity_mention: str
     predicate_context: frozenset[str]
-    window: tuple[int, int]
     token_index: int
 
 
@@ -170,9 +169,6 @@ class QuantityGraph:
     edges: tuple[RelationEdge, ...]
 
 
-EMPTY_GRAPH = QuantityGraph(nodes=(), edges=())
-
-
 @dataclass(frozen=True)
 class ProblemAnalysis:
     """A problem text with its quantity graph and numeric mentions."""
@@ -186,7 +182,7 @@ def analyse_problem(text: str) -> ProblemAnalysis:
     """Parse a problem once; every trace diagnosed against it shares this."""
     return ProblemAnalysis(
         text=text,
-        graph=build_relation_graph(extract_quantities(text), text),
+        graph=build_relation_graph(*extract_quantities(text)),
         mentions=frozenset(numeric_mentions(text)),
     )
 
@@ -200,8 +196,6 @@ class RiskSignal:
 
 @dataclass(frozen=True)
 class GraphReport:
-    problem_graph: QuantityGraph
-    trace_graph: QuantityGraph
     risks: tuple[RiskSignal, ...]
     score: float
     diagnosis: str
@@ -227,8 +221,6 @@ def _tokenize(text: str) -> list[_Token]:
         tokens.append(
             _Token(
                 text=match.group(0),
-                start=match.start(),
-                end=match.end(),
                 sentence=sentence,
                 sentence_initial=sentence_initial,
             )
@@ -256,12 +248,13 @@ def _is_unit_candidate(token: _Token) -> bool:
     )
 
 
-def extract_quantities(text: str) -> list[QuantityNode]:
-    """Turn every numeric mention into an annotated quantity node.
+def extract_quantities(text: str) -> tuple[list[_Token], list[QuantityNode]]:
+    """Tokenise a text and turn every numeric mention into a quantity node.
 
     Digit strings, number words, fractions, and money expressions all
     count. Unit phrase, entity mention, and predicate context come from a
-    five-token window on each side.
+    five-token window on each side. Returns the tokens with the nodes, so
+    that nothing tokenises the text again.
     """
     tokens = _tokenize(text)
     nodes: list[QuantityNode] = []
@@ -315,11 +308,10 @@ def extract_quantities(text: str) -> list[QuantityNode]:
                 unit_phrase=unit,
                 entity_mention=entity,
                 predicate_context=predicate,
-                window=(window_tokens[0].start, window_tokens[-1].end),
                 token_index=index,
             )
         )
-    return nodes
+    return tokens, nodes
 
 
 def _nearest(positions: list[int], target: int, candidates) -> int | None:
@@ -328,28 +320,32 @@ def _nearest(positions: list[int], target: int, candidates) -> int | None:
     return min(inside, key=lambda index: (abs(positions[index] - target), index), default=None)
 
 
-def build_relation_graph(nodes: list[QuantityNode], text: str) -> QuantityGraph:
-    """Add relation edges over ``extract_quantities(text)`` from templates."""
-    tokens = _tokenize(text)
-    lowered = [token.text.lower() for token in tokens]
-    positions = [node.token_index for node in nodes]
-    count = len(nodes)
-    edges: list[RelationEdge] = []
+def _comparison_edges(words: list[str], positions: list[int]) -> Iterator[RelationEdge]:
+    """Yield one comparison edge per "more/fewer/less than", in text order.
 
-    # Comparison: "more than" / "fewer than" / "less than"; the nearest node
-    # at or before the marker and the nearest after it, within the window.
-    for position, word in enumerate(lowered):
-        if word not in COMPARATIVE_MARKERS or lowered[position + 1 : position + 2] != ["than"]:
+    Its members are the nearest node at or before the marker and the
+    nearest after it, within the window; a marker with neither yields none.
+    """
+    for position, word in enumerate(words):
+        if word not in COMPARATIVE_MARKERS or words[position + 1 : position + 2] != ["than"]:
             continue
         direction = DIRECTION_INCREASE if word == "more" else DIRECTION_DECREASE
         split = bisect_right(positions, position)
         members = tuple(
             index
             for index in (split - 1, split)
-            if 0 <= index < count and abs(positions[index] - position) <= WINDOW_TOKENS
+            if 0 <= index < len(positions) and abs(positions[index] - position) <= WINDOW_TOKENS
         )
         if members:
-            edges.append(RelationEdge(kind=EDGE_COMPARISON, members=members, direction=direction))
+            yield RelationEdge(kind=EDGE_COMPARISON, members=members, direction=direction)
+
+
+def build_relation_graph(tokens: list[_Token], nodes: list[QuantityNode]) -> QuantityGraph:
+    """Add relation edges from templates over ``extract_quantities(text)``."""
+    lowered = [token.text.lower() for token in tokens]
+    positions = [node.token_index for node in nodes]
+    count = len(nodes)
+    edges = list(_comparison_edges(lowered, positions))
 
     # Rate: each/per/every; the per-node is the node nearest the marker and
     # its partner the node nearest the per-node.
@@ -407,7 +403,7 @@ def _stem(word: str) -> str:
 
 
 def _check_quantity_binding(
-    problem_graph: QuantityGraph, trace_graph: QuantityGraph
+    problem_graph: QuantityGraph, trace_nodes: list[QuantityNode]
 ) -> list[RiskSignal]:
     """Same number bound to a different entity/unit than in the problem."""
     signals: list[RiskSignal] = []
@@ -416,7 +412,7 @@ def _check_quantity_binding(
         problem_values.setdefault(node.value, []).append(index)
     seen_values: set[Fraction] = set()
 
-    for trace_node in trace_graph.nodes:
+    for trace_node in trace_nodes:
         if trace_node.value in seen_values:
             continue
         same_value = problem_values.get(trace_node.value)
@@ -465,12 +461,11 @@ _EQUAL_SPLIT_RE = re.compile(
 def _check_comparisons(
     problem_text: str,
     problem_graph: QuantityGraph,
-    trace_graph: QuantityGraph,
+    trace_has_comparison: bool,
     trace_checks: list[EquationCheck],
 ) -> list[RiskSignal]:
     signals: list[RiskSignal] = []
 
-    trace_has_comparison = any(edge.kind == EDGE_COMPARISON for edge in trace_graph.edges)
     addsub_operands: set[Fraction] = set()
     for check in trace_checks:
         if check.operator in (OP_ADD, OP_SUB):
@@ -672,8 +667,6 @@ def semantic_graph_check(
     problem_text, problem_graph = problem.text, problem.graph
     if trace.is_empty or not trace.has_answer:
         return GraphReport(
-            problem_graph=problem_graph,
-            trace_graph=EMPTY_GRAPH,
             risks=(
                 RiskSignal(
                     category=RISK_GENERATION_FAILURE,
@@ -685,13 +678,17 @@ def semantic_graph_check(
             diagnosis=DIAGNOSIS_GENERATION_FAILURE,
         )
 
-    trace_graph = build_relation_graph(extract_quantities(trace.text), trace.text)
+    tokens, trace_nodes = extract_quantities(trace.text)
+    comparisons = _comparison_edges(
+        [token.text.lower() for token in tokens], [node.token_index for node in trace_nodes]
+    )
+    trace_has_comparison = next(comparisons, None) is not None
     if trace_checks is None:
         trace_checks = check_equations(trace.text)
 
     risks: list[RiskSignal] = []
-    risks.extend(_check_quantity_binding(problem_graph, trace_graph))
-    risks.extend(_check_comparisons(problem_text, problem_graph, trace_graph, trace_checks))
+    risks.extend(_check_quantity_binding(problem_graph, trace_nodes))
+    risks.extend(_check_comparisons(problem_text, problem_graph, trace_has_comparison, trace_checks))
     risks.extend(_check_rate_usage(problem_graph, problem_text, trace_checks))
     risks.extend(_check_change_events(problem_graph, trace_checks))
     risks.extend(_check_answer_format(problem_text, trace, trace_checks))
@@ -710,8 +707,6 @@ def semantic_graph_check(
     score = min(1.0, max(0.0, score))
 
     return GraphReport(
-        problem_graph=problem_graph,
-        trace_graph=trace_graph,
         risks=tuple(deduped),
         score=score,
         diagnosis=DIAGNOSIS_OK,

@@ -56,7 +56,6 @@ from trace_repair.reporting import (
 from trace_repair.risk_graph import (
     DIAGNOSIS_GENERATION_FAILURE,
     DIAGNOSIS_OK,
-    EMPTY_GRAPH,
     GraphReport,
     RiskSignal,
     SEVERITY_HIGH,
@@ -407,8 +406,6 @@ def test_criterion_7_trigger_table():
             else ()
         )
         graph = GraphReport(
-            problem_graph=EMPTY_GRAPH,
-            trace_graph=EMPTY_GRAPH,
             risks=risks,
             score=0.0 if graph_failed else 1.0,
             diagnosis=DIAGNOSIS_GENERATION_FAILURE if graph_failed else DIAGNOSIS_OK,

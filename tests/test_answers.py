@@ -58,6 +58,25 @@ class TestNormalize:
 
     @pytest.mark.parametrize(
         "raw",
+        [
+            "1" * 5000,
+            "-" + "1" * 5000,
+            "1" * 5000 + ".5",
+            "1," + ",".join(["111"] * 1700),
+            "1" * 5000 + "/3",
+            "3/" + "1" * 5000,
+            "1" * 5000 + ":2",
+            "2:" + "1" * 5000,
+        ],
+        ids=["integer", "negative", "decimal", "comma", "numerator", "denominator", "ratio", "ratio_right"],
+    )
+    def test_digit_run_too_long_for_int_is_no_answer(self, raw):
+        assert normalize_answer(raw).kind == KIND_NONE
+        trace = ReasoningTrace.from_text(f"step\nFinal Answer: {raw}")
+        assert not trace.has_answer
+
+    @pytest.mark.parametrize(
+        "raw",
         ["12.0", "4/6", "$3.50 (dollars)", "1,059,955", "2:3", "yes", "hello there", ".5"],
     )
     def test_idempotent(self, raw):

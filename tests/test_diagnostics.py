@@ -129,7 +129,20 @@ class TestAnalysedOnce:
         expected = diagnose(self.PROBLEM, candidate)
         graphs = count_calls("risk_graph", "build_relation_graph")
         assert diagnose(diag0.problem, candidate) == expected
-        assert [args[1] for args in graphs] == [candidate]
+        assert graphs == []
+
+    def test_each_text_is_tokenised_once(self, count_calls):
+        trace = "3 + 4 = 7\nFinal Answer: 7"
+        tokenised = count_calls("risk_graph", "_tokenize")
+        diagnose(self.PROBLEM, trace)
+        assert [args[0] for args in tokenised] == [self.PROBLEM, trace]
+
+    def test_candidate_text_is_tokenised_once(self, count_calls):
+        diag0 = diagnose(self.PROBLEM, "3 + 4 = 7\nFinal Answer: 7")
+        tokenised = count_calls("risk_graph", "_tokenize")
+        candidate = "3 * 4 = 12\n12 - 2 = 10\nFinal Answer: 10"
+        diagnose(diag0.problem, candidate)
+        assert [args[0] for args in tokenised] == [candidate]
 
     def test_one_mention_scan_per_candidate_diagnosis(self, count_calls):
         diag0 = diagnose(self.PROBLEM, "3 + 4 = 7\nFinal Answer: 7")

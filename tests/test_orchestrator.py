@@ -119,6 +119,10 @@ class TestParseCandidate:
     def test_failures(self, raw):
         assert parse_candidate(raw) is None
 
+    def test_final_answer_too_long_for_int_is_a_failure(self):
+        raw = json.dumps({"steps": ["x"], "final_answer": "1" * 5000})
+        assert parse_candidate(raw) is None
+
 
 class TestRepairExample:
     def test_first_accepted_wins_and_short_circuits(self):

@@ -307,6 +307,34 @@ class TestGuardsEndToEnd:
         assert ablated.report.harm_rate == 100.0
 
 
+class TestHostileNumbers:
+    def test_replay_past_a_5000_digit_final_answer(self, tmp_path):
+        huge = "1" * 5000
+        record = DatasetRecord(
+            example_id="h1",
+            problem_text="Ann has 3 apples and buys 4 more. How many apples does she have?",
+            gold_answer="7",
+            cached_initial_trace=f"3 + 4 = 7\nFinal Answer: {huge}",
+        )
+        dataset_path = tmp_path / "one.jsonl"
+        write_dataset([record], dataset_path)
+        hostile = json.dumps({"steps": ["3 + 4 = 7"], "final_answer": huge})
+        fix = json.dumps({"steps": ["3 + 4 = 7"], "final_answer": "7"})
+        cache_path = tmp_path / "cache.jsonl"
+        cache_path.write_text(
+            json.dumps({"example_id": "h1", "attempt_index": 0, "raw_output": hostile, "retry_output": fix})
+            + "\n"
+        )
+
+        result = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        assert all(path.exists() for path in result.paths.values())
+        (prediction,) = map(json.loads, open(result.paths["predictions"]))
+        assert prediction["triggered"] and prediction["accepted"]
+        assert prediction["final_answer"] == "7"
+        (candidate,) = map(json.loads, open(result.paths["candidates"]))
+        assert candidate["retried"]
+
+
 class TestTriggeredIds:
     def test_rejected_outside_triggered_modes(self, synthetic, tmp_path):
         directory, dataset_path, cache_path = synthetic

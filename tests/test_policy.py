@@ -39,7 +39,6 @@ from trace_repair.policy import (
 from trace_repair.risk_graph import (
     DIAGNOSIS_GENERATION_FAILURE,
     DIAGNOSIS_OK,
-    EMPTY_GRAPH,
     GraphReport,
     RiskSignal,
     SEVERITY_HIGH,
@@ -57,8 +56,6 @@ def _graph(score=1.0, high=False, diagnosis=DIAGNOSIS_OK):
             ),
         )
     return GraphReport(
-        problem_graph=EMPTY_GRAPH,
-        trace_graph=EMPTY_GRAPH,
         risks=risks,
         score=score,
         diagnosis=diagnosis,
