@@ -4,6 +4,10 @@ Supported answer forms: integers, decimals, comma-grouped numbers,
 fractions, colon-formed ratio/time strings, and yes/no words. Every
 comparison in the pipeline goes through the canonical value produced
 here, so the rules are deliberately strict and order-independent.
+
+Answer tokens use the equation scanner's number grammar plus ratios, and
+every digit string becomes a value through ``equations.parse_number``; a
+number it refuses (one as long as Python's digit limit) is no answer.
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ import logging
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .equations import _NUM, _NUMBER_START, parse_number
 
 log = logging.getLogger(__name__)
 
@@ -23,20 +29,13 @@ KIND_YES_NO = "yes_no"
 KIND_NONE = "none"
 
 NUMERIC_KINDS = frozenset({KIND_INTEGER, KIND_DECIMAL, KIND_FRACTION})
-ALL_KINDS = NUMERIC_KINDS | {KIND_RATIO_OR_TIME, KIND_YES_NO, KIND_NONE}
 
-_FRACTION_PART = r"\d+/\d+"
 _RATIO_PART = r"\d+(?:\.\d+)?:\d+(?:\.\d+)?"
-_COMMA_PART = r"\d{1,3}(?:,\d{3})+(?:\.\d+)?"
-_DECIMAL_PART = r"\d+\.\d*|\.\d+"
-_INT_PART = r"\d+"
 
-# Answer-like tokens. Boundary lookbehind keeps us from starting a token in
-# the middle of a larger number ("059" inside "1,059") or after a letter.
+# Answer-like tokens: a ratio or a number, or a yes/no word. A ratio's first
+# digit run ends in ":" or ".", so trying it first never takes a fraction.
 ANSWER_TOKEN_RE = re.compile(
-    r"(?<![\w.,/:])"
-    rf"(?:[-+]?(?:{_FRACTION_PART}|{_RATIO_PART}|{_COMMA_PART}|{_DECIMAL_PART}|{_INT_PART})"
-    r"|(?:yes|no)\b)",
+    rf"{_NUMBER_START}(?:[-+]?(?:{_RATIO_PART}|{_NUM})|(?:yes|no)\b)",
     re.IGNORECASE,
 )
 
@@ -63,10 +62,6 @@ class AnswerValue:
     canonical: str
     kind: str
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.kind in NUMERIC_KINDS
-
 
 @dataclass(frozen=True)
 class ExtractionResult:
@@ -82,21 +77,16 @@ NO_ANSWER = AnswerValue(raw_text="", canonical="", kind=KIND_NONE)
 def _canonical_number(text: str) -> str | None:
     """Minimal canonical form for a plain integer or decimal string.
 
-    None for anything else, and for an integer part too long for ``int``.
+    None for anything else, and for a number ``parse_number`` refuses.
     """
-    if not _PLAIN_NUMBER_RE.match(text):
+    number = parse_number(text) if _PLAIN_NUMBER_RE.match(text) else None
+    if number is None:
         return None
-    int_part, _, frac_part = text.lstrip("+-").partition(".")
-    try:
-        value = str(int(int_part)) if int_part else "0"
-    except ValueError:
-        return None
-    frac_part = frac_part.rstrip("0")
+    value = str(abs(number.numerator) // number.denominator)
+    frac_part = text.partition(".")[2].rstrip("0")
     if frac_part:
         value = f"{value}.{frac_part}"
-    if text.startswith("-") and value.strip("0.") != "":
-        return "-" + value
-    return value
+    return "-" + value if number.numerator < 0 else value
 
 
 def normalize_answer(raw: str) -> AnswerValue:
@@ -131,11 +121,8 @@ def normalize_answer(raw: str) -> AnswerValue:
 
     frac_match = _FRACTION_RE.match(text)
     if frac_match:
-        try:
-            reduced = Fraction(int(frac_match.group(1)), int(frac_match.group(2)))
-        except (ValueError, ZeroDivisionError):
-            pass
-        else:
+        reduced = parse_number(f"{frac_match.group(1)}/{frac_match.group(2)}")
+        if reduced is not None:
             if reduced.denominator == 1:
                 return AnswerValue(raw_text=raw, canonical=str(reduced.numerator), kind=KIND_INTEGER)
             return AnswerValue(
@@ -191,18 +178,15 @@ def as_fraction(value: AnswerValue) -> Fraction | None:
     """Exact rational value for numeric kinds, None otherwise."""
     if value.kind not in NUMERIC_KINDS:
         return None
-    try:
-        return Fraction(value.canonical)
-    except (ValueError, ZeroDivisionError):
-        return None
+    return parse_number(value.canonical)
 
 
 def _ratio_components(value: AnswerValue) -> tuple[Fraction, Fraction] | None:
     left, _, right = value.canonical.partition(":")
-    try:
-        return Fraction(left), Fraction(right)
-    except (ValueError, ZeroDivisionError):
+    left_value, right_value = parse_number(left), parse_number(right)
+    if left_value is None or right_value is None:
         return None
+    return left_value, right_value
 
 
 def answers_equivalent(a: AnswerValue, b: AnswerValue) -> bool:

@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .pipeline import (
@@ -71,21 +72,12 @@ def _build_config(args: argparse.Namespace) -> PolicyConfig:
         with open(args.config, encoding="utf-8") as handle:
             config = config_from_mapping(json.load(handle), base=config)
     config = config_from_env(base=config)
-    overrides = {}
-    for name in (
-        "n_candidates",
-        "graph_min_score",
-        "graph_drop_tolerance",
-        "meta_trigger_threshold",
-        "missing_constraint_trigger_threshold",
-        "min_repair_chars",
-        "enable_graph_guard",
-        "relax_missing_constraint",
-        "weak_reasoner_mode",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+    # A flag's dest is its config field's name; fields without a flag read None.
+    overrides = {
+        field.name: getattr(args, field.name)
+        for field in fields(PolicyConfig)
+        if getattr(args, field.name, None) is not None
+    }
     if getattr(args, "equation_support", None) is not None:
         overrides["disable_equation_support"] = not args.equation_support
     return config.with_overrides(**overrides) if overrides else config

@@ -26,15 +26,6 @@ CATEGORY_LOGICAL_CONTRADICTION = "logical_contradiction"
 CATEGORY_MISSING_CONSTRAINT = "missing_constraint"
 CATEGORY_LOW_SYMBOLIC_COVERAGE = "low_symbolic_coverage"
 
-META_CATEGORIES = (
-    CATEGORY_CLEAN,
-    CATEGORY_GENERATION_FAILURE,
-    CATEGORY_ARITHMETIC_ERROR,
-    CATEGORY_LOGICAL_CONTRADICTION,
-    CATEGORY_MISSING_CONSTRAINT,
-    CATEGORY_LOW_SYMBOLIC_COVERAGE,
-)
-
 WEIGHT_EQUATIONS = 0.5
 WEIGHT_COVERAGE = 0.3
 WEIGHT_FORMAT = 0.2
@@ -91,7 +82,6 @@ def _format_score(trace: ReasoningTrace) -> float:
 
 
 def meta_diagnose(
-    problem_text: str,
     trace: ReasoningTrace,
     checks: list[EquationCheck],
     coverage: float,
@@ -166,7 +156,7 @@ def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> Dia
         trace = ReasoningTrace.from_text(trace)
     checks = check_equations(trace.text)
     missing, coverage = _missing_and_coverage(problem.mentions, trace.text, checks)
-    meta = meta_diagnose(problem.text, trace, checks, coverage)
+    meta = meta_diagnose(trace, checks, coverage)
     graph = semantic_graph_check(problem, trace, checks)
     return DiagnosisReport(
         checks=tuple(checks),

@@ -5,12 +5,18 @@ them with exact rational arithmetic; no floating tolerance anywhere.
 Also scans the restricted derivational naming statements ("Number of
 trays = 23", "the greatest common divisor is 15") that the support and
 contradiction checks consume.
+
+Owns the number grammar (``_NUM``) and ``parse_number``, the one place in
+the package where digit text becomes a value. A number as long as
+Python's int-to-string digit limit is unparseable, so every value the
+diagnostics hold can be printed in a hint or an artifact.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +38,9 @@ _OP_SYMBOLS = {
     "÷": OP_DIV,
 }
 
+# A number's first character may not follow a word character or another
+# number's separator, so no number starts inside "1,059" or "x2".
+_NUMBER_START = r"(?<![\w.,/:])"
 _NUM = r"(?:\d+/\d+|\d{1,3}(?:,\d{3})+(?:\.\d+)?|\d+\.\d*|\.\d+|\d+)"
 _SIGNED_NUM = rf"[-+]?{_NUM}"
 
@@ -64,7 +73,10 @@ _IS_NAMING_RE = re.compile(
 
 # Numeric mentions counted for coverage: digit-based forms only. Number
 # words belong to the risk-graph mention extractor, not to coverage.
-_MENTION_RE = re.compile(rf"(?<![\w.,/:])[-+]?{_NUM}")
+_MENTION_RE = re.compile(rf"{_NUMBER_START}[-+]?{_NUM}")
+
+# Python's int-to-string digit limit; 0, or no such function, means none.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 @dataclass(frozen=True)
@@ -78,20 +90,19 @@ class EquationCheck:
 
 
 def parse_number(token: str) -> Fraction | None:
-    """Exact rational value of a numeric token; None if unparseable."""
-    text = token.strip().replace(",", "")
-    sign = 1
-    if text.startswith(("+", "-")):
-        if text[0] == "-":
-            sign = -1
-        text = text[1:]
+    """Exact rational value of a numeric token; None if unparseable.
+
+    This is the one place where digit text becomes a value. A token is a
+    number as ``_NUM`` matches it, with an optional sign. One as long as
+    Python's int-to-string digit limit is unparseable, so every value
+    returned for such a token can be printed.
+    """
+    text = token.replace(",", "")
+    limit = _digit_limit()
+    if limit and len(text) >= limit:
+        return None
     try:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            if int(den) == 0:
-                return None
-            return sign * Fraction(int(num), int(den))
-        return sign * Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         return None
 

@@ -19,8 +19,14 @@ The trace gets only what the checks read of it: its nodes for
 ``_check_quantity_binding`` and, for ``_check_comparisons``, whether it has
 a comparison edge, found by stopping at the first. Nodes are in token
 order, so each nearest-node lookup reads two list neighbours and the graph
-is linear in text length. A problem is analysed once per example
-(``ProblemAnalysis``) and shared by the diagnosis of every trace for it.
+is linear in text length.
+
+A problem is analysed once per example (``ProblemAnalysis``) and shared by
+the diagnosis of every trace for it. The analysis holds everything the
+checks read of the problem: the graph, its numeric mentions, each value's
+binding words, the first "N times more" phrase, the equal-split flag and
+the kind of quantity the question asks for. No check reads problem text.
+Digit tokens become values through ``equations.parse_number``.
 """
 
 from __future__ import annotations
@@ -160,7 +166,6 @@ class RelationEdge:
     kind: str
     members: tuple[int, ...]
     direction: str = DIRECTION_UNKNOWN
-    marker_node: int | None = None
 
 
 @dataclass(frozen=True)
@@ -171,19 +176,37 @@ class QuantityGraph:
 
 @dataclass(frozen=True)
 class ProblemAnalysis:
-    """A problem text with its quantity graph and numeric mentions."""
+    """Everything the checks read of a problem text.
 
-    text: str
+    ``bindings`` maps each node value to the union of its nodes' binding
+    words. ``times_more`` is the first "N times more" phrase with its
+    multiplier, or None when there is none or N is not a number.
+    ``requested`` is "difference", "total" or None, read from the question.
+    """
+
     graph: QuantityGraph
     mentions: frozenset[Fraction]
+    bindings: dict[Fraction, frozenset[str]]
+    times_more: tuple[str, Fraction] | None
+    equal_split: bool
+    requested: str | None
 
 
 def analyse_problem(text: str) -> ProblemAnalysis:
     """Parse a problem once; every trace diagnosed against it shares this."""
+    graph = build_relation_graph(*extract_quantities(text))
+    bindings: dict[Fraction, frozenset[str]] = {}
+    for node in graph.nodes:
+        bindings[node.value] = bindings.get(node.value, frozenset()) | _binding_tokens(node)
+    match = _TIMES_MORE_RE.search(text)
+    multiplier = _number_value(match.group(1)) if match else None
     return ProblemAnalysis(
-        text=text,
-        graph=build_relation_graph(*extract_quantities(text)),
+        graph=graph,
         mentions=frozenset(numeric_mentions(text)),
+        bindings=bindings,
+        times_more=None if multiplier is None else (match.group(0), multiplier),
+        equal_split=_EQUAL_SPLIT_RE.search(text) is not None,
+        requested=_requested_kind(text),
     )
 
 
@@ -347,8 +370,7 @@ def build_relation_graph(tokens: list[_Token], nodes: list[QuantityNode]) -> Qua
     count = len(nodes)
     edges = list(_comparison_edges(lowered, positions))
 
-    # Rate: each/per/every; the per-node is the node nearest the marker and
-    # its partner the node nearest the per-node.
+    # Rate: each/per/every; its one member is the node nearest the marker.
     for position, word in enumerate(lowered):
         if word not in RATE_MARKERS:
             continue
@@ -356,9 +378,7 @@ def build_relation_graph(tokens: list[_Token], nodes: list[QuantityNode]) -> Qua
         per_index = _nearest(positions, position, (split - 1, split))
         if per_index is None or abs(positions[per_index] - position) > WINDOW_TOKENS:
             continue
-        partner = _nearest(positions, positions[per_index], (per_index - 1, per_index + 1))
-        members = (per_index,) if partner is None else (per_index, partner)
-        edges.append(RelationEdge(kind=EDGE_RATE, members=members, marker_node=per_index))
+        edges.append(RelationEdge(kind=EDGE_RATE, members=(per_index,)))
 
     # Change events: one edge per node carrying a change verb, based on the
     # nearest node in the same sentence.
@@ -403,44 +423,30 @@ def _stem(word: str) -> str:
 
 
 def _check_quantity_binding(
-    problem_graph: QuantityGraph, trace_nodes: list[QuantityNode]
+    problem: ProblemAnalysis, trace_nodes: list[QuantityNode]
 ) -> list[RiskSignal]:
     """Same number bound to a different entity/unit than in the problem."""
     signals: list[RiskSignal] = []
-    problem_values: dict[Fraction, list[int]] = {}
-    for index, node in enumerate(problem_graph.nodes):
-        problem_values.setdefault(node.value, []).append(index)
     seen_values: set[Fraction] = set()
 
     for trace_node in trace_nodes:
         if trace_node.value in seen_values:
             continue
-        same_value = problem_values.get(trace_node.value)
-        if not same_value:
-            continue
-        trace_binding = _binding_tokens(trace_node)
-        if not trace_binding:
-            continue
-        same_binding: set[str] = set()
-        for index in same_value:
-            same_binding |= _binding_tokens(problem_graph.nodes[index])
+        same_binding = problem.bindings.get(trace_node.value)
         if not same_binding:
             continue
-        if trace_binding & same_binding:
+        trace_binding = _binding_tokens(trace_node)
+        if not trace_binding or trace_binding & same_binding:
             continue
-        other_binding: set[str] = set()
-        for value, indices in problem_values.items():
-            if value == trace_node.value:
-                continue
-            for index in indices:
-                other_binding |= _binding_tokens(problem_graph.nodes[index])
         seen_values.add(trace_node.value)
         evidence = (
             f"trace uses {trace_node.surface} with "
             f"'{trace_node.unit_phrase or trace_node.entity_mention}'; "
             f"problem binds it to '{' '.join(sorted(same_binding))}'",
         )
-        if trace_binding & other_binding:
+        # The trace's words miss this value's binding, so any overlap is with
+        # another value's.
+        if any(trace_binding & words for words in problem.bindings.values()):
             severity = SEVERITY_HIGH
         else:
             severity = SEVERITY_WARNING
@@ -459,12 +465,12 @@ _EQUAL_SPLIT_RE = re.compile(
 
 
 def _check_comparisons(
-    problem_text: str,
-    problem_graph: QuantityGraph,
+    problem: ProblemAnalysis,
     trace_has_comparison: bool,
     trace_checks: list[EquationCheck],
 ) -> list[RiskSignal]:
     signals: list[RiskSignal] = []
+    problem_graph = problem.graph
 
     addsub_operands: set[Fraction] = set()
     for check in trace_checks:
@@ -489,33 +495,30 @@ def _check_comparisons(
         )
         break
 
-    match = _TIMES_MORE_RE.search(problem_text)
-    if match:
-        multiplier = _number_value(match.group(1))
-        if multiplier is not None:
-            multiplied = {
-                operand
-                for check in trace_checks
-                if check.operator == OP_MUL
-                for operand in check.operands
-            }
-            if multiplier not in multiplied and multiplier + 1 not in multiplied:
-                signals.append(
-                    RiskSignal(
-                        category=RISK_TIMES_MORE,
-                        severity=SEVERITY_HIGH,
-                        evidence=(f"'{match.group(0)}' has no multiplication in the trace",),
-                    )
+    if problem.times_more is not None:
+        phrase, multiplier = problem.times_more
+        multiplied = {
+            operand
+            for check in trace_checks
+            if check.operator == OP_MUL
+            for operand in check.operands
+        }
+        if multiplier not in multiplied and multiplier + 1 not in multiplied:
+            signals.append(
+                RiskSignal(
+                    category=RISK_TIMES_MORE,
+                    severity=SEVERITY_HIGH,
+                    evidence=(f"'{phrase}' has no multiplication in the trace",),
                 )
+            )
     return signals
 
 
 def _check_rate_usage(
-    problem_graph: QuantityGraph,
-    problem_text: str,
-    trace_checks: list[EquationCheck],
+    problem: ProblemAnalysis, trace_checks: list[EquationCheck]
 ) -> list[RiskSignal]:
     signals: list[RiskSignal] = []
+    problem_graph = problem.graph
     muldiv_operands: set[Fraction] = set()
     for check in trace_checks:
         if check.operator in (OP_MUL, OP_DIV):
@@ -523,9 +526,9 @@ def _check_rate_usage(
 
     seen: set[Fraction] = set()
     for edge in problem_graph.edges:
-        if edge.kind != EDGE_RATE or edge.marker_node is None:
+        if edge.kind != EDGE_RATE:
             continue
-        per_node = problem_graph.nodes[edge.marker_node]
+        per_node = problem_graph.nodes[edge.members[0]]
         if per_node.value in seen:
             continue
         seen.add(per_node.value)
@@ -542,7 +545,7 @@ def _check_rate_usage(
             )
         )
 
-    if _EQUAL_SPLIT_RE.search(problem_text):
+    if problem.equal_split:
         has_division = any(check.operator == OP_DIV for check in trace_checks)
         if not has_division:
             signals.append(
@@ -616,15 +619,20 @@ def _question_part(problem_text: str) -> str:
     return sentences[-1] if sentences else problem_text
 
 
-def _check_answer_format(
-    problem_text: str, trace: ReasoningTrace, trace_checks: list[EquationCheck]
-) -> list[RiskSignal]:
+def _requested_kind(problem_text: str) -> str | None:
+    """The kind the question asks for: "difference", "total" or None."""
     question = _question_part(problem_text)
     if _ASKS_DIFFERENCE_RE.search(question):
-        requested = "difference"
-    elif _ASKS_TOTAL_RE.search(question):
-        requested = "total"
-    else:
+        return "difference"
+    if _ASKS_TOTAL_RE.search(question):
+        return "total"
+    return None
+
+
+def _check_answer_format(
+    requested: str | None, trace: ReasoningTrace, trace_checks: list[EquationCheck]
+) -> list[RiskSignal]:
+    if requested is None:
         return []
 
     final_value = as_fraction(trace.answer)
@@ -664,7 +672,6 @@ def semantic_graph_check(
         problem = analyse_problem(problem)
     if isinstance(trace, str):
         trace = ReasoningTrace.from_text(trace)
-    problem_text, problem_graph = problem.text, problem.graph
     if trace.is_empty or not trace.has_answer:
         return GraphReport(
             risks=(
@@ -687,11 +694,11 @@ def semantic_graph_check(
         trace_checks = check_equations(trace.text)
 
     risks: list[RiskSignal] = []
-    risks.extend(_check_quantity_binding(problem_graph, trace_nodes))
-    risks.extend(_check_comparisons(problem_text, problem_graph, trace_has_comparison, trace_checks))
-    risks.extend(_check_rate_usage(problem_graph, problem_text, trace_checks))
-    risks.extend(_check_change_events(problem_graph, trace_checks))
-    risks.extend(_check_answer_format(problem_text, trace, trace_checks))
+    risks.extend(_check_quantity_binding(problem, trace_nodes))
+    risks.extend(_check_comparisons(problem, trace_has_comparison, trace_checks))
+    risks.extend(_check_rate_usage(problem, trace_checks))
+    risks.extend(_check_change_events(problem.graph, trace_checks))
+    risks.extend(_check_answer_format(problem.requested, trace, trace_checks))
 
     deduped: list[RiskSignal] = []
     seen: set[tuple[str, tuple[str, ...]]] = set()

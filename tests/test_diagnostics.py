@@ -19,7 +19,7 @@ def _meta(problem, trace_text):
     trace = ReasoningTrace.from_text(trace_text)
     checks = check_equations(trace_text)
     coverage = constraint_coverage(problem, trace_text)
-    return meta_diagnose(problem, trace, checks, coverage)
+    return meta_diagnose(trace, checks, coverage)
 
 
 class TestCoverage:
@@ -143,6 +143,12 @@ class TestAnalysedOnce:
         candidate = "3 * 4 = 12\n12 - 2 = 10\nFinal Answer: 10"
         diagnose(diag0.problem, candidate)
         assert [args[0] for args in tokenised] == [candidate]
+
+    def test_candidate_diagnosis_reads_no_problem_text(self, count_calls):
+        diag0 = diagnose(self.PROBLEM, "3 + 4 = 7\nFinal Answer: 7")
+        questions = count_calls("risk_graph", "_question_part")
+        diagnose(diag0.problem, "3 * 4 = 12\n12 - 2 = 10\nFinal Answer: 10")
+        assert questions == []
 
     def test_one_mention_scan_per_candidate_diagnosis(self, count_calls):
         diag0 = diagnose(self.PROBLEM, "3 + 4 = 7\nFinal Answer: 7")

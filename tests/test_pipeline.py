@@ -250,6 +250,39 @@ def test_synthetic_replay_digests(synthetic, tmp_path, mode):
     assert digests == SYNTHETIC_DIGESTS[mode]
 
 
+_ARTIFACT_FILES = (
+    pipeline.PREDICTIONS_FILE,
+    pipeline.CANDIDATES_FILE,
+    pipeline.RISK_LOG_FILE,
+    pipeline.RISK_SUMMARY_FILE,
+    pipeline.REPORT_JSON_FILE,
+    pipeline.REPORT_TEXT_FILE,
+)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_cli_replay_digests_under_optimize_and_hash_seed(synthetic, tmp_path, hash_seed):
+    """The guarded replay is byte-identical with asserts stripped and any hash seed."""
+    import hashlib
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    directory, dataset_path, cache_path = synthetic
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+    subprocess.run(
+        [sys.executable, "-O", "-m", "trace_repair.cli", "run", "--dataset", str(dataset_path),
+         "--cache", str(cache_path), "--output-dir", str(tmp_path)],
+        env=env,
+        check=True,
+        capture_output=True,
+    )
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _ARTIFACT_FILES)
+    assert digests == SYNTHETIC_DIGESTS[MODE_GUARDED]
+
+
 class TestGuardsEndToEnd:
     def test_equation_support_guard_prevents_broken_correct(self, tmp_path):
         # A correct-but-triggered trace gets a clean-looking candidate whose
@@ -333,6 +366,45 @@ class TestHostileNumbers:
         assert prediction["final_answer"] == "7"
         (candidate,) = map(json.loads, open(result.paths["candidates"]))
         assert candidate["retried"]
+
+
+def _replay_one(tmp_path, problem_text, cached_trace):
+    """Replay one example whose every attempt replies "3 + 4 = 7"."""
+    record = DatasetRecord(
+        example_id="h1", problem_text=problem_text, gold_answer="7", cached_initial_trace=cached_trace
+    )
+    dataset_path = tmp_path / "one.jsonl"
+    write_dataset([record], dataset_path)
+    reply = json.dumps({"steps": ["3 + 4 = 7"], "final_answer": "7"})
+    cache_path = tmp_path / "cache.jsonl"
+    cache_path.write_text(
+        "".join(
+            json.dumps({"example_id": "h1", "attempt_index": attempt, "raw_output": reply}) + "\n"
+            for attempt in range(3)
+        )
+    )
+    return run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+
+
+# Integer and fraction parts each fit Python's digit limit; the value does not.
+UNPRINTABLE = "1" * 4000 + "." + "1" * 4000
+
+
+class TestUnprintableNumbers:
+    def test_replay_past_a_problem_holding_one(self, tmp_path):
+        problem = f"Ann has 3 apples and buys {UNPRINTABLE} more. How many apples does she have?"
+        result = _replay_one(tmp_path, problem, "3 + 5 = 9\nFinal Answer: 9")
+        assert all(path.exists() for path in result.paths.values())
+        (prediction,) = map(json.loads, open(result.paths["predictions"]))
+        assert prediction["triggered"]
+
+    def test_replay_past_a_wrong_claim_of_one(self, tmp_path):
+        trace = f"{'1' * 3000} * {'1' * 3000} = {UNPRINTABLE}\nFinal Answer: 7"
+        problem = "Ann has 3 apples and buys 4 more. How many apples does she have?"
+        result = _replay_one(tmp_path, problem, trace)
+        assert all(path.exists() for path in result.paths.values())
+        (prediction,) = map(json.loads, open(result.paths["predictions"]))
+        assert prediction["triggered"]
 
 
 class TestTriggeredIds:

@@ -97,8 +97,7 @@ class TestRelationGraph:
         graph = build_relation_graph(*extract_quantities(text))
         rate_edges = [edge for edge in graph.edges if edge.kind == EDGE_RATE]
         assert len(rate_edges) == 1
-        assert rate_edges[0].marker_node is not None
-        per = graph.nodes[rate_edges[0].marker_node]
+        per = graph.nodes[rate_edges[0].members[0]]
         assert per.value == Fraction(4)
 
     def test_comparison_edge_direction(self):
@@ -119,8 +118,7 @@ class TestRelationGraph:
         graph = build_relation_graph(*extract_quantities(text))
         for edge in graph.edges:
             if edge.kind == EDGE_RATE:
-                assert edge.marker_node is not None
-                assert edge.marker_node in edge.members
+                assert len(edge.members) == 1
 
 
 _SOUP_WORDS = (
@@ -147,7 +145,7 @@ def _reference_edges(text):
             after = [i for i, node in enumerate(nodes) if 0 < node.token_index - position <= WINDOW_TOKENS]
             members = tuple(before[-1:] + after[:1])
             if members:
-                edges.append((EDGE_COMPARISON, members, None))
+                edges.append((EDGE_COMPARISON, members))
     for position, word in enumerate(words):
         if word not in RATE_MARKERS:
             continue
@@ -158,13 +156,7 @@ def _reference_edges(text):
         )
         if not near:
             continue
-        per = near[0][2]
-        partners = sorted(
-            (abs(node.token_index - nodes[per].token_index), i)
-            for i, node in enumerate(nodes)
-            if i != per
-        )
-        edges.append((EDGE_RATE, (per,) + tuple(i for _, i in partners[:1]), per))
+        edges.append((EDGE_RATE, (near[0][2],)))
     for index, node in enumerate(nodes):
         if not node.predicate_context & CHANGE_VERBS:
             continue
@@ -173,7 +165,7 @@ def _reference_edges(text):
             for i, other in enumerate(nodes)
             if i != index and sentence(other) == sentence(node)
         )
-        edges.append((EDGE_CHANGE_EVENT, (index,) + tuple(i for *_, i in bases[:1]), None))
+        edges.append((EDGE_CHANGE_EVENT, (index,) + tuple(i for *_, i in bases[:1])))
     return edges
 
 
@@ -183,7 +175,7 @@ class TestNearestNodeRules:
     def test_edges_match_all_pairs_reference(self, words):
         text = " ".join(words)
         graph = build_relation_graph(*extract_quantities(text))
-        assert [(edge.kind, edge.members, edge.marker_node) for edge in graph.edges] == _reference_edges(text)
+        assert [(edge.kind, edge.members) for edge in graph.edges] == _reference_edges(text)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(_SOUP_WORDS), max_size=60))
