@@ -66,8 +66,6 @@ class AnswerValue:
 @dataclass(frozen=True)
 class ExtractionResult:
     value: AnswerValue
-    marker_found: bool
-    marker_span: tuple[int, int] | None
     answer_line_count: int
 
 
@@ -151,9 +149,6 @@ def extract_answer(trace_text: str) -> ExtractionResult:
     an answer is a valid result, not an error.
     """
     markers = list(MARKER_RE.finditer(trace_text))
-    marker_found = bool(markers)
-    marker_span = (markers[-1].start(), markers[-1].end()) if markers else None
-
     search_start = markers[-1].end() if markers else 0
     region = trace_text[search_start:]
     tokens = list(ANSWER_TOKEN_RE.finditer(region))
@@ -166,12 +161,7 @@ def extract_answer(trace_text: str) -> ExtractionResult:
     answer_line_count = sum(
         1 for line in trace_text.splitlines() if _MARKER_LINE_RE.match(line)
     )
-    return ExtractionResult(
-        value=value,
-        marker_found=marker_found,
-        marker_span=marker_span,
-        answer_line_count=answer_line_count,
-    )
+    return ExtractionResult(value=value, answer_line_count=answer_line_count)
 
 
 def as_fraction(value: AnswerValue) -> Fraction | None:

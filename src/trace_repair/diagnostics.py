@@ -137,7 +137,6 @@ class DiagnosisReport:
     """The full deterministic diagnostic bundle for one trace."""
 
     checks: tuple[EquationCheck, ...]
-    coverage: float
     meta: MetaDiagnosis
     graph: GraphReport
     missing_quantities: tuple[str, ...]
@@ -160,7 +159,6 @@ def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> Dia
     graph = semantic_graph_check(problem, trace, checks)
     return DiagnosisReport(
         checks=tuple(checks),
-        coverage=coverage,
         meta=meta,
         graph=graph,
         missing_quantities=tuple(str(value) for value in missing),

@@ -25,7 +25,7 @@ from .policy import (
     accept_policy,
     is_clean,
 )
-from .risk_graph import has_high_risk, risk_categories
+from .risk_graph import graph_clean, risk_categories
 
 log = logging.getLogger(__name__)
 
@@ -375,7 +375,7 @@ def _evaluate_candidate(
         record.verdict = AcceptanceVerdict.rejected(REJECT_UNCLEAN)
         return None
     diag_c = diagnose(diag0.problem, candidate)
-    record.graph_clean = not has_high_risk(diag_c.graph)
+    record.graph_clean = graph_clean(diag_c.graph)
     verdict = accept_policy(r0, candidate, diag0, diag_c, trigger_decision, cfg)
     record.verdict = verdict
     return candidate if verdict.accepted else None

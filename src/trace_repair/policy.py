@@ -26,6 +26,7 @@ from .equations import EquationCheck, verified_results
 from .risk_graph import (
     DIAGNOSIS_GENERATION_FAILURE,
     GraphReport,
+    graph_clean,
     graph_guard,
     has_high_risk,
 )
@@ -255,10 +256,6 @@ class AcceptanceVerdict:
         return AcceptanceVerdict(accepted=False, path=PATH_NONE, rejection_reasons=reasons)
 
 
-def _graph_clean(report: GraphReport) -> bool:
-    return report.diagnosis != DIAGNOSIS_GENERATION_FAILURE and not has_high_risk(report)
-
-
 def _match_path(
     initial: ReasoningTrace,
     candidate: ReasoningTrace,
@@ -267,7 +264,7 @@ def _match_path(
     trigger_reasons: frozenset[str],
     cfg: PolicyConfig,
 ) -> str | None:
-    candidate_graph_clean = _graph_clean(diag_c.graph)
+    candidate_graph_clean = graph_clean(diag_c.graph)
     improvable = {CATEGORY_CLEAN, CATEGORY_LOW_SYMBOLIC_COVERAGE}
 
     if REASON_HIGH_RISK_SEMANTIC in trigger_reasons and candidate_graph_clean:

@@ -6,20 +6,22 @@ checks, and scores the trace by subtracting per-risk penalties from 1.0,
 clipped to [0, 1]. The signals are recall-oriented diagnostic features:
 most warnings are benign and the acceptance policy filters them.
 
-Each text is tokenised once. The problem gets a graph of three edge kinds:
+Each text is tokenised once. The problem's graph has one edge per relation
+a check tests, filtered and deduplicated once, and each edge carries its node:
 
 - comparison ("more/fewer/less than"): ``_check_comparisons`` takes the
-  problem's delta from the first one;
-- rate ("each/per/every"): ``_check_rate_usage`` requires the problem's
-  per-quantity to be multiplied or divided in the trace;
-- change_event (gave, lost, bought, ...): ``_check_change_events`` flags
-  a trace that adds what the problem removes, or the reverse.
+  problem's delta from the first one the trace does not add or subtract;
+- rate ("each/per/every"), one per per-quantity value: ``_check_rate_usage``
+  requires it to be multiplied or divided in the trace;
+- change_event (gave, lost, bought, ...), one per pair of a changed value
+  and a different base value: ``_check_change_events`` flags a trace that
+  adds what the problem removes, or the reverse.
 
 The trace gets only what the checks read of it: its nodes for
 ``_check_quantity_binding`` and, for ``_check_comparisons``, whether it has
-a comparison edge, found by stopping at the first. Nodes are in token
-order, so each nearest-node lookup reads two list neighbours and the graph
-is linear in text length.
+a comparison, found by stopping at the first. Nodes are in token order, so
+each nearest-node lookup reads two list neighbours and the graph is linear
+in text length.
 
 A problem is analysed once per example (``ProblemAnalysis``) and shared by
 the diagnosis of every trace for it. The analysis holds everything the
@@ -85,10 +87,6 @@ DIAGNOSIS_GENERATION_FAILURE = "generation_failure"
 EDGE_COMPARISON = "comparison"
 EDGE_RATE = "rate"
 EDGE_CHANGE_EVENT = "change_event"
-
-DIRECTION_INCREASE = "increase"
-DIRECTION_DECREASE = "decrease"
-DIRECTION_UNKNOWN = "unknown"
 
 PENALTIES = {SEVERITY_HIGH: 0.35, SEVERITY_WARNING: 0.15}
 
@@ -157,15 +155,22 @@ class QuantityNode:
     value: Fraction
     unit_phrase: str
     entity_mention: str
-    predicate_context: frozenset[str]
+    change_verbs: frozenset[str]
     token_index: int
 
 
 @dataclass(frozen=True)
 class RelationEdge:
+    """One relation a check tests.
+
+    ``node`` is a comparison's delta, a rate's per-quantity or the changed
+    quantity; a change also has the ``base`` value it changes.
+    """
+
     kind: str
-    members: tuple[int, ...]
-    direction: str = DIRECTION_UNKNOWN
+    node: QuantityNode
+    base: Fraction | None = None
+    decrease: bool = False
 
 
 @dataclass(frozen=True)
@@ -228,6 +233,11 @@ def has_high_risk(report: GraphReport) -> bool:
     return any(risk.severity == SEVERITY_HIGH for risk in report.risks)
 
 
+def graph_clean(report: GraphReport) -> bool:
+    """Not a generation failure and no high-severity risk."""
+    return report.diagnosis != DIAGNOSIS_GENERATION_FAILURE and not has_high_risk(report)
+
+
 def risk_categories(report: GraphReport) -> list[str]:
     return [risk.category for risk in report.risks]
 
@@ -275,7 +285,7 @@ def extract_quantities(text: str) -> tuple[list[_Token], list[QuantityNode]]:
     """Tokenise a text and turn every numeric mention into a quantity node.
 
     Digit strings, number words, fractions, and money expressions all
-    count. Unit phrase, entity mention, and predicate context come from a
+    count. Unit phrase, entity mention, and change verbs come from a
     five-token window on each side. Returns the tokens with the nodes, so
     that nothing tokenises the text again.
     """
@@ -318,11 +328,8 @@ def extract_quantities(text: str) -> tuple[list[_Token], list[QuantityNode]]:
                 best_distance = key
                 entity = word
 
-        predicate = frozenset(
-            other.text.lower()
-            for other in window_tokens
-            if other.text.lower() in PREDICATE_LEXICON
-        )
+        words = (other.text.lower() for other in window_tokens)
+        change_verbs = frozenset(word for word in words if word in CHANGE_VERBS)
 
         nodes.append(
             QuantityNode(
@@ -330,7 +337,7 @@ def extract_quantities(text: str) -> tuple[list[_Token], list[QuantityNode]]:
                 value=value,
                 unit_phrase=unit,
                 entity_mention=entity,
-                predicate_context=predicate,
+                change_verbs=change_verbs,
                 token_index=index,
             )
         )
@@ -343,34 +350,37 @@ def _nearest(positions: list[int], target: int, candidates) -> int | None:
     return min(inside, key=lambda index: (abs(positions[index] - target), index), default=None)
 
 
-def _comparison_edges(words: list[str], positions: list[int]) -> Iterator[RelationEdge]:
-    """Yield one comparison edge per "more/fewer/less than", in text order.
+def _comparison_deltas(words: list[str], positions: list[int]) -> Iterator[int]:
+    """Yield the delta node of each "more/fewer/less than", in text order.
 
-    Its members are the nearest node at or before the marker and the
-    nearest after it, within the window; a marker with neither yields none.
+    The delta is the nearest node at or before the marker within the
+    window, or else the nearest after it; a marker with neither yields none.
     """
     for position, word in enumerate(words):
         if word not in COMPARATIVE_MARKERS or words[position + 1 : position + 2] != ["than"]:
             continue
-        direction = DIRECTION_INCREASE if word == "more" else DIRECTION_DECREASE
         split = bisect_right(positions, position)
-        members = tuple(
-            index
-            for index in (split - 1, split)
-            if 0 <= index < len(positions) and abs(positions[index] - position) <= WINDOW_TOKENS
-        )
-        if members:
-            yield RelationEdge(kind=EDGE_COMPARISON, members=members, direction=direction)
+        for index in (split - 1, split):
+            if 0 <= index < len(positions) and abs(positions[index] - position) <= WINDOW_TOKENS:
+                yield index
+                break
 
 
 def build_relation_graph(tokens: list[_Token], nodes: list[QuantityNode]) -> QuantityGraph:
-    """Add relation edges from templates over ``extract_quantities(text)``."""
+    """One edge per relation a check tests, over ``extract_quantities(text)``.
+
+    Comparisons come one per marker, rates one per value and changes one per
+    pair of distinct values, each the first in text order.
+    """
     lowered = [token.text.lower() for token in tokens]
     positions = [node.token_index for node in nodes]
-    count = len(nodes)
-    edges = list(_comparison_edges(lowered, positions))
+    edges = [
+        RelationEdge(kind=EDGE_COMPARISON, node=nodes[index])
+        for index in _comparison_deltas(lowered, positions)
+    ]
 
-    # Rate: each/per/every; its one member is the node nearest the marker.
+    # Rate: each/per/every; the per-quantity is the node nearest the marker.
+    rates: set[Fraction] = set()
     for position, word in enumerate(lowered):
         if word not in RATE_MARKERS:
             continue
@@ -378,31 +388,32 @@ def build_relation_graph(tokens: list[_Token], nodes: list[QuantityNode]) -> Qua
         per_index = _nearest(positions, position, (split - 1, split))
         if per_index is None or abs(positions[per_index] - position) > WINDOW_TOKENS:
             continue
-        edges.append(RelationEdge(kind=EDGE_RATE, members=(per_index,)))
+        if nodes[per_index].value not in rates:
+            rates.add(nodes[per_index].value)
+            edges.append(RelationEdge(kind=EDGE_RATE, node=nodes[per_index]))
 
-    # Change events: one edge per node carrying a change verb, based on the
-    # nearest node in the same sentence.
+    # Change events: a node carrying a change verb, based on the nearest
+    # same-sentence node; its first verb in sorted order gives the direction.
     sentences = [tokens[position].sentence for position in positions]
+    pairs: set[frozenset[Fraction]] = set()
     for index, node in enumerate(nodes):
-        verbs = node.predicate_context & CHANGE_VERBS
-        if not verbs:
+        if not node.change_verbs:
             continue
-        direction = DIRECTION_UNKNOWN
-        for verb in sorted(verbs):
-            if verb in _DECREASE_VERBS:
-                direction = DIRECTION_DECREASE
-                break
-            if verb in _INCREASE_VERBS:
-                direction = DIRECTION_INCREASE
-                break
         neighbours = [
             other
             for other in (index - 1, index + 1)
-            if 0 <= other < count and sentences[other] == sentences[index]
+            if 0 <= other < len(nodes) and sentences[other] == sentences[index]
         ]
-        base = _nearest(positions, node.token_index, neighbours)
-        members = (index,) if base is None else (index, base)
-        edges.append(RelationEdge(kind=EDGE_CHANGE_EVENT, members=members, direction=direction))
+        base_index = _nearest(positions, node.token_index, neighbours)
+        if base_index is None:
+            continue
+        base = nodes[base_index].value
+        pair = frozenset({node.value, base})
+        if len(pair) < 2 or pair in pairs:
+            continue
+        pairs.add(pair)
+        decrease = min(node.change_verbs) in _DECREASE_VERBS
+        edges.append(RelationEdge(kind=EDGE_CHANGE_EVENT, node=node, base=base, decrease=decrease))
 
     return QuantityGraph(nodes=tuple(nodes), edges=tuple(edges))
 
@@ -470,30 +481,22 @@ def _check_comparisons(
     trace_checks: list[EquationCheck],
 ) -> list[RiskSignal]:
     signals: list[RiskSignal] = []
-    problem_graph = problem.graph
 
     addsub_operands: set[Fraction] = set()
     for check in trace_checks:
         if check.operator in (OP_ADD, OP_SUB):
             addsub_operands.update(check.operands)
 
-    for edge in problem_graph.edges:
-        if edge.kind != EDGE_COMPARISON or not edge.members:
-            continue
-        delta = problem_graph.nodes[edge.members[0]].value
-        if trace_has_comparison or delta in addsub_operands:
-            continue
+    deltas = [edge.node for edge in problem.graph.edges if edge.kind == EDGE_COMPARISON]
+    unapplied = [delta for delta in deltas if delta.value not in addsub_operands]
+    if unapplied and not trace_has_comparison:
         signals.append(
             RiskSignal(
                 category=RISK_COMPARISON,
                 severity=SEVERITY_WARNING,
-                evidence=(
-                    f"comparison over {problem_graph.nodes[edge.members[0]].surface} "
-                    "is not applied in the trace",
-                ),
+                evidence=(f"comparison over {unapplied[0].surface} is not applied in the trace",),
             )
         )
-        break
 
     if problem.times_more is not None:
         phrase, multiplier = problem.times_more
@@ -518,29 +521,21 @@ def _check_rate_usage(
     problem: ProblemAnalysis, trace_checks: list[EquationCheck]
 ) -> list[RiskSignal]:
     signals: list[RiskSignal] = []
-    problem_graph = problem.graph
     muldiv_operands: set[Fraction] = set()
     for check in trace_checks:
         if check.operator in (OP_MUL, OP_DIV):
             muldiv_operands.update(check.operands)
 
-    seen: set[Fraction] = set()
-    for edge in problem_graph.edges:
-        if edge.kind != EDGE_RATE:
-            continue
-        per_node = problem_graph.nodes[edge.members[0]]
-        if per_node.value in seen:
-            continue
-        seen.add(per_node.value)
-        if per_node.value in muldiv_operands:
+    for edge in problem.graph.edges:
+        if edge.kind != EDGE_RATE or edge.node.value in muldiv_operands:
             continue
         signals.append(
             RiskSignal(
                 category=RISK_RATE_MISSING,
                 severity=SEVERITY_HIGH,
                 evidence=(
-                    f"per-quantity {per_node.surface} "
-                    f"({per_node.unit_phrase or 'no unit'}) is never multiplied",
+                    f"per-quantity {edge.node.surface} "
+                    f"({edge.node.unit_phrase or 'no unit'}) is never multiplied",
                 ),
             )
         )
@@ -562,30 +557,14 @@ def _check_change_events(
     problem_graph: QuantityGraph, trace_checks: list[EquationCheck]
 ) -> list[RiskSignal]:
     signals: list[RiskSignal] = []
-    seen_pairs: set[frozenset[Fraction]] = set()
     for edge in problem_graph.edges:
-        if edge.kind != EDGE_CHANGE_EVENT or len(edge.members) < 2:
+        if edge.kind != EDGE_CHANGE_EVENT:
             continue
-        if edge.direction == DIRECTION_UNKNOWN:
-            continue
-        changed = problem_graph.nodes[edge.members[0]].value
-        base = problem_graph.nodes[edge.members[1]].value
-        if changed == base:
-            continue
-        pair = {changed, base}
-        if frozenset(pair) in seen_pairs:
-            continue
-        seen_pairs.add(frozenset(pair))
-
-        def has(operator: str) -> bool:
-            return any(
-                check.operator == operator and set(check.operands) == pair
-                for check in trace_checks
-            )
-
-        if edge.direction == DIRECTION_DECREASE and has(OP_ADD) and not has(OP_SUB):
+        pair = {edge.node.value, edge.base}
+        operators = {check.operator for check in trace_checks if set(check.operands) == pair}
+        if edge.decrease and operators & {OP_ADD, OP_SUB} == {OP_ADD}:
             wrong, right = "added", "removed"
-        elif edge.direction == DIRECTION_INCREASE and has(OP_SUB) and not has(OP_ADD):
+        elif not edge.decrease and operators & {OP_ADD, OP_SUB} == {OP_SUB}:
             wrong, right = "subtracted", "added"
         else:
             continue
@@ -593,10 +572,7 @@ def _check_change_events(
             RiskSignal(
                 category=RISK_CHANGE_EVENT,
                 severity=SEVERITY_HIGH,
-                evidence=(
-                    f"{problem_graph.nodes[edge.members[0]].surface} should be "
-                    f"{right} but the trace {wrong} it",
-                ),
+                evidence=(f"{edge.node.surface} should be {right} but the trace {wrong} it",),
             )
         )
     return signals
@@ -686,10 +662,10 @@ def semantic_graph_check(
         )
 
     tokens, trace_nodes = extract_quantities(trace.text)
-    comparisons = _comparison_edges(
+    deltas = _comparison_deltas(
         [token.text.lower() for token in tokens], [node.token_index for node in trace_nodes]
     )
-    trace_has_comparison = next(comparisons, None) is not None
+    trace_has_comparison = next(deltas, None) is not None
     if trace_checks is None:
         trace_checks = check_equations(trace.text)
 
@@ -735,9 +711,7 @@ def graph_guard(
     high-severity risk, meets the minimum score, and does not drop more
     than the tolerance below the initial trace's score.
     """
-    if candidate.diagnosis == DIAGNOSIS_GENERATION_FAILURE:
-        return False
-    if has_high_risk(candidate):
+    if not graph_clean(candidate):
         return False
     if candidate.score + _SCORE_EPS < min_score:
         return False

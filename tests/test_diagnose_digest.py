@@ -1,0 +1,164 @@
+"""The diagnosis layer's output, pinned by one digest over a seeded sample.
+
+``diagnose`` and ``render_hint`` run on 2,000 random problem/trace pairs
+drawn from a vocabulary of numbers, number words, rate, comparison, change,
+split and total words, "N times more" phrases, arithmetic lines and naming
+lines. The sample holds every risk category, both quantity-binding
+severities and every meta category, so a change to any check's result
+changes the digest. A refactor of the diagnosis layer must keep it.
+"""
+
+import hashlib
+import operator
+import random
+from fractions import Fraction
+
+from trace_repair.diagnostics import (
+    CATEGORY_ARITHMETIC_ERROR,
+    CATEGORY_CLEAN,
+    CATEGORY_GENERATION_FAILURE,
+    CATEGORY_LOGICAL_CONTRADICTION,
+    CATEGORY_LOW_SYMBOLIC_COVERAGE,
+    CATEGORY_MISSING_CONSTRAINT,
+    diagnose,
+)
+from trace_repair.orchestrator import render_hint
+from trace_repair.risk_graph import (
+    RISK_CATEGORIES,
+    RISK_QUANTITY_BINDING,
+    SEVERITY_HIGH,
+    SEVERITY_WARNING,
+)
+
+SEED = 20261018
+PAIRS = 2000
+DIGEST = "f6c4395b80cc98aaf16b6e6cf63eeb9d58243d325a93a2839f38fa9f3f0d31c6"
+
+NAMES = ("Tom", "Sam", "Ann", "Lee")
+UNITS = ("apples", "bags", "candies", "pens", "kids", "dollars")
+NUMBERS = ("2", "3", "4", "5", "7", "10", "12", "3.5", "1/2", "$4", "three", "twelve")
+CHANGE = ("gave", "lost", "spent", "removed", "bought", "received", "added")
+RATE = ("each", "per", "every")
+COMPARE = ("more", "fewer", "less")
+MEANINGS = (
+    "total", "together", "altogether", "left", "remaining", "difference", "sum",
+    "split", "equally", "among", "shared", "evenly",
+)
+APPLY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+OPERATORS = tuple(APPLY)
+
+
+def _problem(rng):
+    pick = rng.choice
+    templates = (
+        lambda: f"{pick(NAMES)} has {pick(NUMBERS)} {pick(UNITS)}.",
+        lambda: f"Had {pick(NUMBERS)} {pick(UNITS)} and {pick(CHANGE)} "
+        f"{pick(NUMBERS)} {pick(UNITS)}.",
+        lambda: f"{pick(NUMBERS)} {pick(UNITS)} with {pick(NUMBERS)} {pick(UNITS)} {pick(RATE)}.",
+        lambda: f"{pick(NAMES)} has {pick(NUMBERS)} {pick(COMPARE)} than "
+        f"{pick(NAMES)}'s {pick(NUMBERS)}.",
+        lambda: f"{pick(NAMES)} has {pick(('3', 'two', 'four', 'many'))} times more "
+        f"{pick(UNITS)} than the {pick(NUMBERS)} {pick(NAMES)} has.",
+        lambda: f"{pick(NUMBERS)} {pick(UNITS)} are split equally among {pick(NUMBERS)} kids.",
+        lambda: " ".join(rng.choices(NUMBERS + CHANGE + RATE + COMPARE + MEANINGS + UNITS, k=6))
+        + pick((".", "!", "")),
+    )
+    sentences = [pick(templates)() for _ in range(rng.randint(1, 4))]
+    sentences.append(
+        pick((
+            "How many are there in total?",
+            "How many more does he have?",
+            "How many are left?",
+            "What is the difference?",
+            "How many does each kid get?",
+            "",
+        ))
+    )
+    return " ".join(sentences)
+
+
+def _numbers_of(text):
+    return [word.strip(".!?$") for word in text.split() if word.strip(".!?$")[:1].isdigit()]
+
+
+def _trace(rng, problem):
+    pick = rng.choice
+    pool = _numbers_of(problem) or ["3"]
+    lines = []
+    for _ in range(rng.randint(0, 5)):
+        kind = rng.random()
+        if kind < 0.55:
+            a, b = pick(pool), pick(pool + ["2", "3", "10"])
+            op = pick(OPERATORS)
+            left, right = Fraction(a), Fraction(b)
+            value = APPLY[op](left, right) if right or op != "/" else Fraction(0)
+            if rng.random() < 0.2:
+                result = str(rng.randint(1, 40))
+            elif value.denominator == 1:
+                result = str(value.numerator)
+            else:
+                result = f"{float(value):.2f}"
+            lines.append(f"{a} {op} {b} = {result}")
+        elif kind < 0.7:
+            lines.append(f"Total = {pick(('7', '8'))}")
+        elif kind < 0.85:
+            lines.append(f"{pick(NAMES)} has {pick(pool)} {pick(UNITS)}.")
+        else:
+            lines.append(
+                f"That is {pick(pool)} {pick(COMPARE + CHANGE + RATE)} than {pick(pool)} "
+                f"{pick(UNITS)}."
+            )
+    ending = rng.random()
+    if ending < 0.8:
+        lines.append(f"Final Answer: {pick(pool + ['7', '12'])}")
+    elif ending < 0.9:
+        lines.append(f"Final Answer: {pick(pool)}\nFinal Answer: {pick(pool)}")
+    elif ending < 0.95:
+        lines = []
+    return "\n".join(lines)
+
+
+def sample(seed=SEED, count=PAIRS):
+    """Yield ``(problem, trace, report)`` for ``count`` seeded random pairs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        problem = _problem(rng)
+        trace = _trace(rng, problem)
+        yield problem, trace, diagnose(problem, trace)
+
+
+def digest(reports):
+    sha = hashlib.sha256()
+    for report in reports:
+        sha.update(
+            repr((
+                report.checks,
+                report.meta,
+                report.graph,
+                report.missing_quantities,
+                render_hint(report),
+            )).encode()
+        )
+    return sha.hexdigest()
+
+
+def test_sample_holds_every_category_and_matches_the_recorded_digest():
+    reports = [report for _, _, report in sample()]
+    risks = {risk.category for report in reports for risk in report.graph.risks}
+    assert risks == set(RISK_CATEGORIES)
+    severities = {
+        risk.severity
+        for report in reports
+        for risk in report.graph.risks
+        if risk.category == RISK_QUANTITY_BINDING
+    }
+    assert severities == {SEVERITY_HIGH, SEVERITY_WARNING}
+    assert {report.meta.category for report in reports} == {
+        CATEGORY_CLEAN,
+        CATEGORY_GENERATION_FAILURE,
+        CATEGORY_ARITHMETIC_ERROR,
+        CATEGORY_LOGICAL_CONTRADICTION,
+        CATEGORY_MISSING_CONSTRAINT,
+        CATEGORY_LOW_SYMBOLIC_COVERAGE,
+    }
+    assert digest(reports) == DIGEST

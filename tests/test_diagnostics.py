@@ -105,7 +105,7 @@ class TestMetaDiagnose:
 class TestDiagnoseBundle:
     def test_bundle_fields(self):
         report = diagnose("3 bags and 4 candies", "3 * 4 = 12\nFinal Answer: 12")
-        assert report.coverage == 1.0
+        assert report.meta.constraint_coverage == 1.0
         assert report.meta.category == CATEGORY_CLEAN
         assert report.graph.diagnosis == "ok"
         assert report.missing_quantities == ()
@@ -159,4 +159,5 @@ class TestAnalysedOnce:
 
     def test_coverage_is_the_used_share(self):
         problem, trace = "3 bags, 4 candies, 99 ribbons", "3 * 4 = 12\nFinal Answer: 12"
-        assert diagnose(problem, trace).coverage == constraint_coverage(problem, trace) == 2 / 3
+        coverage = diagnose(problem, trace).meta.constraint_coverage
+        assert coverage == constraint_coverage(problem, trace) == 2 / 3

@@ -16,6 +16,7 @@ from trace_repair.risk_graph import (
     EDGE_RATE,
     RATE_MARKERS,
     WINDOW_TOKENS,
+    _DECREASE_VERBS,
     _TOKEN_RE,
     HIGH_RISK_CATEGORIES,
     NUMBER_WORDS,
@@ -43,7 +44,7 @@ class TestExtractQuantities:
         nodes = extract_quantities("He bought 3 bags")[1]
         assert len(nodes) == 1
         assert nodes[0].value == Fraction(3)
-        assert "bought" in nodes[0].predicate_context
+        assert nodes[0].change_verbs == {"bought"}
         assert nodes[0].unit_phrase == "bags"
 
     def test_number_word(self):
@@ -97,28 +98,25 @@ class TestRelationGraph:
         graph = build_relation_graph(*extract_quantities(text))
         rate_edges = [edge for edge in graph.edges if edge.kind == EDGE_RATE]
         assert len(rate_edges) == 1
-        per = graph.nodes[rate_edges[0].members[0]]
-        assert per.value == Fraction(4)
+        assert rate_edges[0].node.value == Fraction(4)
 
-    def test_comparison_edge_direction(self):
-        text = "Sam has 5 more than Tom's 7"
-        graph = build_relation_graph(*extract_quantities(text))
-        comparisons = [edge for edge in graph.edges if edge.kind == EDGE_COMPARISON]
-        assert comparisons and comparisons[0].direction == "increase"
-        values = {graph.nodes[i].value for i in comparisons[0].members}
-        assert values == {Fraction(5), Fraction(7)}
+    def test_comparison_edge_delta(self):
+        """The delta is the node before the marker, or else the one after it."""
+        for text, delta in (("Sam has 5 more than Tom's 7", 5), ("Sam has fewer than 7 apples", 7)):
+            graph = build_relation_graph(*extract_quantities(text))
+            comparisons = [edge for edge in graph.edges if edge.kind == EDGE_COMPARISON]
+            assert [edge.node.value for edge in comparisons] == [delta]
 
     def test_no_markers_no_edges(self):
         text = "A sentence about 3 dogs"
         graph = build_relation_graph(*extract_quantities(text))
         assert graph.edges == ()
 
-    def test_rate_edges_have_one_per_marker_node(self):
-        text = "3 boxes hold 4 pens each. 3 * 4 = 12 pens in all."
+    def test_one_rate_edge_per_value(self):
+        text = "3 boxes hold 4 pens each. 4 cups per box, 5 lids per cup."
         graph = build_relation_graph(*extract_quantities(text))
-        for edge in graph.edges:
-            if edge.kind == EDGE_RATE:
-                assert len(edge.members) == 1
+        rates = [edge.node.value for edge in graph.edges if edge.kind == EDGE_RATE]
+        assert rates == [4, 5]
 
 
 _SOUP_WORDS = (
@@ -129,7 +127,10 @@ _SOUP_WORDS = (
 
 
 def _reference_edges(text):
-    """The graph's edges by brute force over all node pairs."""
+    """The graph's edges by brute force over all node pairs.
+
+    Each edge is ``(kind, token index of its node, base value, decrease)``.
+    """
     nodes = extract_quantities(text)[1]
     tokens = list(_TOKEN_RE.finditer(text))
     words = [token.group(0).lower() for token in tokens]
@@ -143,9 +144,10 @@ def _reference_edges(text):
         if word in COMPARATIVE_MARKERS and words[position + 1 : position + 2] == ["than"]:
             before = [i for i, node in enumerate(nodes) if 0 <= position - node.token_index <= WINDOW_TOKENS]
             after = [i for i, node in enumerate(nodes) if 0 < node.token_index - position <= WINDOW_TOKENS]
-            members = tuple(before[-1:] + after[:1])
+            members = before[-1:] + after[:1]
             if members:
-                edges.append((EDGE_COMPARISON, members))
+                edges.append((EDGE_COMPARISON, nodes[members[0]].token_index, None, False))
+    rates = set()
     for position, word in enumerate(words):
         if word not in RATE_MARKERS:
             continue
@@ -154,18 +156,26 @@ def _reference_edges(text):
             for i, node in enumerate(nodes)
             if abs(node.token_index - position) <= WINDOW_TOKENS
         )
-        if not near:
+        if not near or nodes[near[0][2]].value in rates:
             continue
-        edges.append((EDGE_RATE, (near[0][2],)))
+        rates.add(nodes[near[0][2]].value)
+        edges.append((EDGE_RATE, nodes[near[0][2]].token_index, None, False))
+    pairs = set()
     for index, node in enumerate(nodes):
-        if not node.predicate_context & CHANGE_VERBS:
-            continue
+        start = max(0, node.token_index - WINDOW_TOKENS)
+        verbs = sorted(set(words[start : node.token_index + WINDOW_TOKENS + 1]) & CHANGE_VERBS)
         bases = sorted(
             (abs(other.token_index - node.token_index), other.token_index > node.token_index, i)
             for i, other in enumerate(nodes)
             if i != index and sentence(other) == sentence(node)
         )
-        edges.append((EDGE_CHANGE_EVENT, (index,) + tuple(i for *_, i in bases[:1])))
+        if not verbs or not bases:
+            continue
+        pair = frozenset({node.value, nodes[bases[0][2]].value})
+        if len(pair) == 2 and pair not in pairs:
+            pairs.add(pair)
+            decrease = verbs[0] in _DECREASE_VERBS
+            edges.append((EDGE_CHANGE_EVENT, node.token_index, nodes[bases[0][2]].value, decrease))
     return edges
 
 
@@ -175,7 +185,10 @@ class TestNearestNodeRules:
     def test_edges_match_all_pairs_reference(self, words):
         text = " ".join(words)
         graph = build_relation_graph(*extract_quantities(text))
-        assert [(edge.kind, edge.members) for edge in graph.edges] == _reference_edges(text)
+        edges = [
+            (edge.kind, edge.node.token_index, edge.base, edge.decrease) for edge in graph.edges
+        ]
+        assert edges == _reference_edges(text)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(_SOUP_WORDS), max_size=60))
