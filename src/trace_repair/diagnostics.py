@@ -39,8 +39,8 @@ class MetaDiagnosis:
     format_score: float
 
 
-def _missing_and_coverage(
-    mentions: frozenset[Fraction] | set[Fraction], trace_text: str, checks: list[EquationCheck]
+def constraint_coverage(
+    mentions: frozenset[Fraction], trace_text: str, checks: list[EquationCheck]
 ) -> tuple[list[Fraction], float]:
     """The problem's mentions the trace never uses, sorted, and the share it uses.
 
@@ -54,21 +54,6 @@ def _missing_and_coverage(
     missing = sorted(mentions - used)
     count = len(mentions)
     return missing, (count - len(missing)) / count if count else 1.0
-
-
-def constraint_coverage(
-    problem: ProblemAnalysis | str,
-    trace_text: str,
-    checks: list[EquationCheck] | None = None,
-) -> float:
-    """Fraction of the problem's numeric mentions used by the trace."""
-    if isinstance(problem, ProblemAnalysis):
-        mentions = problem.mentions
-    else:
-        mentions = numeric_mentions(problem)
-    if checks is None:
-        checks = check_equations(trace_text)
-    return _missing_and_coverage(mentions, trace_text, checks)[1]
 
 
 def _format_score(trace: ReasoningTrace) -> float:
@@ -154,7 +139,7 @@ def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> Dia
     if isinstance(trace, str):
         trace = ReasoningTrace.from_text(trace)
     checks = check_equations(trace.text)
-    missing, coverage = _missing_and_coverage(problem.mentions, trace.text, checks)
+    missing, coverage = constraint_coverage(problem.mentions, trace.text, checks)
     meta = meta_diagnose(trace, checks, coverage)
     graph = semantic_graph_check(problem, trace, checks)
     return DiagnosisReport(

@@ -1,10 +1,11 @@
 """Best-of-N candidate generation and guarded selection loop.
 
-For each triggered example the orchestrator builds attempt-specific
-prompts, asks the provider for up to N JSON candidates, applies at most
-one format retry per attempt, and runs cleanliness, re-diagnosis, and
-the acceptance policy. The first accepted candidate wins; otherwise the
-cached trace is preserved unchanged.
+For each triggered example the orchestrator builds the prompt once;
+attempt i differs only in its index, which selects style i mod 3. It asks
+the provider for up to N JSON candidates, applies at most one format retry
+per attempt, and runs cleanliness, re-diagnosis, and the acceptance
+policy. The first accepted candidate wins; otherwise the cached trace is
+preserved unchanged.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Protocol
 
 from .answers import NUMERIC_KINDS, ReasoningTrace, answers_equivalent, normalize_answer
@@ -76,14 +78,16 @@ class ProviderResponseError(RuntimeError):
 class PromptSpec:
     example_id: str
     attempt_index: int
-    style: str
     problem_text: str
     initial_reasoning: str
     diagnostic_hint: str
     semantic_error: str
     meta_error: str
-    schema_text: str = SCHEMA_TEXT
     retry_of: str | None = None
+
+    @property
+    def style(self) -> str:
+        return style_for_attempt(self.attempt_index)
 
     @property
     def is_retry(self) -> bool:
@@ -92,7 +96,7 @@ class PromptSpec:
     def user_text(self) -> str:
         lines = [
             "Schema:",
-            self.schema_text,
+            SCHEMA_TEXT,
             "",
             "Rules:",
             "- Use at most 4 steps.",
@@ -174,16 +178,7 @@ def build_prompt(
         meta = diag0.meta.category
     else:
         initial = hint = semantic = meta = ""
-    return PromptSpec(
-        example_id=example_id,
-        attempt_index=attempt_index,
-        style=style_for_attempt(attempt_index),
-        problem_text=problem_text,
-        initial_reasoning=initial,
-        diagnostic_hint=hint,
-        semantic_error=semantic,
-        meta_error=meta,
-    )
+    return PromptSpec(example_id, attempt_index, problem_text, initial, hint, semantic, meta)
 
 
 @dataclass(frozen=True)
@@ -232,7 +227,7 @@ def parse_candidate(raw: str) -> ParsedCandidate | None:
     return ParsedCandidate(steps=tuple(steps), final_answer=final_answer)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateRecord:
     example_id: str
     attempt_index: int
@@ -279,34 +274,29 @@ class CandidateRecord:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "CandidateRecord":
-        parsed = payload.get("parsed")
-        verdict = payload.get("verdict")
+        parsed, verdict = payload["parsed"], payload["verdict"]
         return cls(
             example_id=payload["example_id"],
             attempt_index=payload["attempt_index"],
-            prompt_hash=payload.get("prompt_hash", ""),
-            raw_output=payload.get("raw_output", ""),
-            retry_output=payload.get("retry_output"),
+            prompt_hash=payload["prompt_hash"],
+            raw_output=payload["raw_output"],
+            retry_output=payload["retry_output"],
             parsed=(
-                ParsedCandidate(tuple(parsed["steps"]), parsed["final_answer"])
-                if parsed
-                else None
+                ParsedCandidate(tuple(parsed["steps"]), parsed["final_answer"]) if parsed else None
             ),
-            retried=payload.get("retried", False),
-            clean=payload.get("clean", False),
-            clean_reason=payload.get("clean_reason"),
-            graph_clean=payload.get("graph_clean"),
-            answer_changed=payload.get("answer_changed"),
+            retried=payload["retried"],
+            clean=payload["clean"],
+            clean_reason=payload["clean_reason"],
+            graph_clean=payload["graph_clean"],
+            answer_changed=payload["answer_changed"],
             verdict=(
                 AcceptanceVerdict(
-                    accepted=verdict["accepted"],
-                    path=verdict["path"],
-                    rejection_reasons=tuple(verdict["rejection_reasons"]),
+                    verdict["accepted"], verdict["path"], tuple(verdict["rejection_reasons"])
                 )
                 if verdict
                 else None
             ),
-            error=payload.get("error"),
+            error=payload["error"],
         )
 
 
@@ -321,64 +311,59 @@ class RepairOutcome:
         return self.accepted_index is not None
 
 
-def _generate_and_parse(
-    provider: CandidateProvider,
+def _generate(
+    provider: CandidateProvider, spec: PromptSpec, max_tokens: int, temperature: float
+) -> tuple[str | None, str | None]:
+    """One provider call: its output, or else the error the attempt records."""
+    suffix = " on retry" if spec.is_retry else ""
+    try:
+        return provider.generate(spec, max_tokens, temperature), None
+    except ProviderTransportError as exc:
+        return None, f"transport{suffix}: {exc}"
+    except ProviderResponseError as exc:
+        return None, f"parse_failure{suffix}: {exc}"
+
+
+def _attempt(
     spec: PromptSpec,
-    cfg: PolicyConfig,
-    record: CandidateRecord,
-) -> ParsedCandidate | None:
-    """One generation plus at most one format retry; updates the record."""
-    try:
-        raw = provider.generate(spec, cfg.repair_max_tokens, cfg.temperature)
-    except ProviderTransportError as exc:
-        record.error = f"transport: {exc}"
-        return None
-    except ProviderResponseError as exc:
-        record.error = f"parse_failure: {exc}"
-        return None
-    record.raw_output = raw
-    parsed = parse_candidate(raw)
-    if parsed is not None:
-        return parsed
-    retry_spec = replace(spec, retry_of=raw)
-    record.retried = True
-    try:
-        retry_raw = provider.generate(retry_spec, cfg.retry_max_tokens, cfg.temperature)
-    except ProviderTransportError as exc:
-        record.error = f"transport on retry: {exc}"
-        return None
-    except ProviderResponseError as exc:
-        record.error = f"parse_failure on retry: {exc}"
-        return None
-    record.retry_output = retry_raw
-    return parse_candidate(retry_raw)
-
-
-def _evaluate_candidate(
     r0: ReasoningTrace,
     diag0: DiagnosisReport,
     trigger_decision: TriggerDecision,
-    candidate: ReasoningTrace,
+    provider: CandidateProvider,
     cfg: PolicyConfig,
-    record: CandidateRecord,
-    accept_all: bool = False,
-) -> ReasoningTrace | None:
-    """Gate one parsed candidate; returns the trace when it is accepted."""
+    accept_all: bool,
+) -> tuple[CandidateRecord, ReasoningTrace | None]:
+    """Generate, retry the format at most once and apply the guards.
+
+    Returns the attempt's record and, when it is accepted, the candidate.
+    """
+    record = partial(CandidateRecord, spec.example_id, spec.attempt_index, spec.prompt_hash())
+    raw, error = _generate(provider, spec, cfg.repair_max_tokens, cfg.temperature)
+    if raw is None:
+        return record(raw_output="", error=error), None
+    record = partial(record, raw_output=raw)
+    parsed = parse_candidate(raw)
+    if parsed is None:
+        retry_spec = replace(spec, retry_of=raw)
+        retry_raw, error = _generate(provider, retry_spec, cfg.retry_max_tokens, cfg.temperature)
+        record = partial(record, retry_output=retry_raw, retried=True)
+        parsed = None if retry_raw is None else parse_candidate(retry_raw)
+        if parsed is None:
+            return record(error=error or "parse_failure"), None
+    candidate = ReasoningTrace.from_text(parsed.trace_text())
+    record = partial(
+        record, parsed=parsed, answer_changed=not answers_equivalent(r0.answer, candidate.answer)
+    )
     if accept_all:
-        record.clean = True
-        record.verdict = None
-        return candidate
+        return record(clean=True), candidate
     clean = is_clean(candidate, cfg, initial_length=len(r0.text))
-    record.clean = clean.ok
-    record.clean_reason = clean.reason
+    record = partial(record, clean=clean.ok, clean_reason=clean.reason)
     if not clean.ok:
-        record.verdict = AcceptanceVerdict.rejected(REJECT_UNCLEAN)
-        return None
+        return record(verdict=AcceptanceVerdict.rejected(REJECT_UNCLEAN)), None
     diag_c = diagnose(diag0.problem, candidate)
-    record.graph_clean = graph_clean(diag_c.graph)
     verdict = accept_policy(r0, candidate, diag0, diag_c, trigger_decision, cfg)
-    record.verdict = verdict
-    return candidate if verdict.accepted else None
+    accepted = candidate if verdict.accepted else None
+    return record(graph_clean=graph_clean(diag_c.graph), verdict=verdict), accepted
 
 
 def repair_example(
@@ -400,33 +385,12 @@ def repair_example(
     further attempts are generated once a candidate is accepted.
     """
     attempts = cfg.n_candidates if n_attempts is None else n_attempts
+    spec = build_prompt(example_id, problem_text, r0.text, diag0, 0, include_initial)
     records: list[CandidateRecord] = []
     for attempt_index in range(attempts):
-        spec = build_prompt(
-            example_id, problem_text, r0.text, diag0, attempt_index, include_initial
-        )
-        record = CandidateRecord(
-            example_id=example_id,
-            attempt_index=attempt_index,
-            prompt_hash=spec.prompt_hash(),
-            raw_output="",
-        )
+        attempt = replace(spec, attempt_index=attempt_index)
+        record, accepted = _attempt(attempt, r0, diag0, trigger_decision, provider, cfg, accept_all)
         records.append(record)
-        parsed = _generate_and_parse(provider, spec, cfg, record)
-        if parsed is None:
-            if record.error is None:
-                record.error = "parse_failure"
-            continue
-        record.parsed = parsed
-        candidate = ReasoningTrace.from_text(parsed.trace_text())
-        record.answer_changed = not answers_equivalent(r0.answer, candidate.answer)
-        accepted = _evaluate_candidate(
-            r0, diag0, trigger_decision, candidate, cfg, record, accept_all
-        )
         if accepted is not None:
-            return RepairOutcome(
-                final_trace=accepted,
-                records=tuple(records),
-                accepted_index=attempt_index,
-            )
-    return RepairOutcome(final_trace=r0, records=tuple(records), accepted_index=None)
+            return RepairOutcome(accepted, tuple(records), attempt_index)
+    return RepairOutcome(r0, tuple(records), None)

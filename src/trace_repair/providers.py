@@ -1,11 +1,12 @@
 """Candidate providers: deterministic replay and a generic remote client.
 
 The replay provider serves recorded outputs keyed by (example id, attempt
-index) and fails loudly on a cache miss or on a row recorded under
-another prompt, which keeps experiment replays honest. The remote
-provider talks to any chat-completions style endpoint with temperature 0
-and the configured token budgets; connection reuse, retries and backoff
-live here, outside the policy logic. A reply without candidate text is a
+index). It refuses a cache with an incomplete or duplicate row and fails
+loudly on a cache miss or on a row recorded under another prompt, which
+keeps experiment replays honest. The remote provider talks to any
+chat-completions style endpoint with temperature 0 and the configured
+token budgets; connection reuse, retries and backoff live here, outside
+the policy logic. A reply without candidate text is a
 ``ProviderResponseError``, which the orchestrator records as a parse
 failure, not as a transport failure.
 """
@@ -63,19 +64,30 @@ class ReplayProvider:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ReplayProvider":
-        """Load a candidate cache file (one JSON record per line)."""
+        """Load a candidate cache file (one JSON record per line).
+
+        A row without ``example_id``, ``attempt_index`` or ``raw_output``,
+        or a second row for the same attempt, aborts with its line number.
+        """
         entries: dict[tuple[str, int], ReplayEntry] = {}
         with open(path, encoding="utf-8") as handle:
-            for line in handle:
+            for line_number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 payload = json.loads(line)
-                key = (payload["example_id"], int(payload["attempt_index"]))
+                try:
+                    key = (payload["example_id"], int(payload["attempt_index"]))
+                    raw_output = payload["raw_output"]
+                except KeyError as exc:
+                    raise ValueError(f"{path}:{line_number}: missing field {exc}") from None
+                if key in entries:
+                    raise ValueError(
+                        f"{path}:{line_number}: duplicate row for example {key[0]!r} "
+                        f"attempt {key[1]}"
+                    )
                 entries[key] = ReplayEntry(
-                    raw_output=payload["raw_output"],
-                    retry_output=payload.get("retry_output"),
-                    prompt_hash=payload.get("prompt_hash"),
+                    raw_output, payload.get("retry_output"), payload.get("prompt_hash")
                 )
         return cls(entries)
 

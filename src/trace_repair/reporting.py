@@ -9,7 +9,7 @@ live in this module, with the flow identities checked on every report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -87,7 +87,7 @@ def label_transitions(
     return labels
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
     total: int = 0
     initial_accuracy: float = 0.0
@@ -108,25 +108,7 @@ class RunReport:
     harm_budget_exceeded: bool | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "initial_accuracy": self.initial_accuracy,
-            "final_accuracy": self.final_accuracy,
-            "delta": self.delta,
-            "fixed": self.fixed,
-            "broken": self.broken,
-            "harm_rate": self.harm_rate,
-            "accepted": self.accepted,
-            "attempts": self.attempts,
-            "accepted_precision": self.accepted_precision,
-            "error_repair_rate": self.error_repair_rate,
-            "sign_test_p": self.sign_test_p,
-            "rule_of_three_bound": self.rule_of_three_bound,
-            "candidate_flow": self.candidate_flow,
-            "outcome_counts": self.outcome_counts,
-            "harm_budget": self.harm_budget,
-            "harm_budget_exceeded": self.harm_budget_exceeded,
-        }
+        return asdict(self)
 
 
 def round2(value: float) -> float:
@@ -210,28 +192,10 @@ def compute_report(
     sign_p = sign_test(fixed, broken) if fixed + broken >= 1 else None
     bound = rule_of_three(total) if broken == 0 else None
 
-    report = RunReport(
-        total=total,
-        initial_accuracy=initial_accuracy,
-        final_accuracy=final_accuracy,
-        delta=final_accuracy - initial_accuracy,
-        fixed=fixed,
-        broken=broken,
-        harm_rate=harm_rate,
-        accepted=accepted,
-        attempts=0,
-        accepted_precision=accepted_precision,
-        error_repair_rate=error_repair_rate,
-        sign_test_p=sign_p,
-        rule_of_three_bound=bound,
-        outcome_counts=outcome_counts,
-        harm_budget=harm_budget,
-        harm_budget_exceeded=(harm_rate > harm_budget) if harm_budget is not None else None,
-    )
-
+    attempts, flow = 0, None
     if records is not None:
         record_list = list(records)
-        report.attempts = len(record_list)
+        attempts = len(record_list)
         gold_map = {
             key: _answer_value(value) for key, value in (gold_by_id or {}).items()
         }
@@ -243,22 +207,20 @@ def compute_report(
             if _candidate_matches_gold(record, gold):
                 matches_by_example[record.example_id] = True
 
-        init_w = init_wrong
         trig_w = sum(1 for label in labels if not label.initially_correct and label.triggered)
         corr_c = sum(
             1
             for label in labels
             if not label.initially_correct and matches_by_example.get(label.example_id, False)
         )
-        acc_c = fixed
         flow = {
-            "InitW": init_w,
+            "InitW": init_wrong,
             "TrigW": trig_w,
             "CorrC": corr_c,
-            "AccC": acc_c,
-            "RejC": corr_c - acc_c,
-            "NoC": init_w - corr_c,
-            "FinalW": init_w - fixed,
+            "AccC": fixed,
+            "RejC": corr_c - fixed,
+            "NoC": init_wrong - corr_c,
+            "FinalW": init_wrong - fixed,
             "Brk": broken,
         }
         # Flow identities hold on every run by construction; recheck the
@@ -269,7 +231,6 @@ def compute_report(
         _check_identity(
             flow["RejC"] >= 0, "RejC >= 0 (accepted fixes without a gold-matching candidate)"
         )
-        report.candidate_flow = flow
 
     # Accounting identity in exact counts.
     _check_identity(
@@ -279,7 +240,25 @@ def compute_report(
     _check_identity(
         accepted == sum(outcome_counts.values()), "accepted = sum of accepted outcomes"
     )
-    return report
+    return RunReport(
+        total=total,
+        initial_accuracy=initial_accuracy,
+        final_accuracy=final_accuracy,
+        delta=final_accuracy - initial_accuracy,
+        fixed=fixed,
+        broken=broken,
+        harm_rate=harm_rate,
+        accepted=accepted,
+        attempts=attempts,
+        accepted_precision=accepted_precision,
+        error_repair_rate=error_repair_rate,
+        sign_test_p=sign_p,
+        rule_of_three_bound=bound,
+        candidate_flow=flow,
+        outcome_counts=outcome_counts,
+        harm_budget=harm_budget,
+        harm_budget_exceeded=(harm_rate > harm_budget) if harm_budget is not None else None,
+    )
 
 
 @dataclass(frozen=True)

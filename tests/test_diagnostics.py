@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from trace_repair.answers import ReasoningTrace
@@ -13,35 +15,36 @@ from trace_repair.diagnostics import (
     meta_diagnose,
 )
 from trace_repair.equations import check_equations
+from trace_repair.risk_graph import analyse_problem
 
 
 def _meta(problem, trace_text):
     trace = ReasoningTrace.from_text(trace_text)
     checks = check_equations(trace_text)
-    coverage = constraint_coverage(problem, trace_text)
+    coverage = diagnose(problem, trace_text).meta.constraint_coverage
     return meta_diagnose(trace, checks, coverage)
 
 
 class TestCoverage:
     def test_all_quantities_used(self):
-        assert constraint_coverage("3 bags, 4 candies", "3 * 4 = 12") == 1.0
+        assert diagnose("3 bags, 4 candies", "3 * 4 = 12").meta.constraint_coverage == 1.0
 
     def test_half_used(self):
-        assert constraint_coverage("3 bags, 4 candies", "the answer is 4") == 0.5
+        assert diagnose("3 bags, 4 candies", "the answer is 4").meta.constraint_coverage == 0.5
 
     def test_no_numbers_in_problem(self):
-        assert constraint_coverage("a problem with no numbers", "anything 5") == 1.0
+        assert diagnose("a problem with no numbers", "anything 5").meta.constraint_coverage == 1.0
 
     def test_equation_operands_count(self):
         # 12 appears only as an operand of the sub-equation.
-        assert constraint_coverage("12 eggs and 5 hens", "12 - 5 = 7") == 1.0
+        assert diagnose("12 eggs and 5 hens", "12 - 5 = 7").meta.constraint_coverage == 1.0
 
     def test_distinct_mention_counting(self):
         # Repeated problem quantities count once.
-        assert constraint_coverage("3 cats and 3 dogs and 8 birds", "3 + 8 = 11") == 1.0
+        assert diagnose("3 cats and 3 dogs and 8 birds", "3 + 8 = 11").meta.constraint_coverage == 1.0
 
     def test_value_based_matching(self):
-        assert constraint_coverage("3.50 per kg", "the price is 7/2") == 1.0
+        assert diagnose("3.50 per kg", "the price is 7/2").meta.constraint_coverage == 1.0
 
 
 class TestMetaDiagnose:
@@ -160,4 +163,8 @@ class TestAnalysedOnce:
     def test_coverage_is_the_used_share(self):
         problem, trace = "3 bags, 4 candies, 99 ribbons", "3 * 4 = 12\nFinal Answer: 12"
         coverage = diagnose(problem, trace).meta.constraint_coverage
-        assert coverage == constraint_coverage(problem, trace) == 2 / 3
+        missing, share = constraint_coverage(
+            analyse_problem(problem).mentions, trace, check_equations(trace)
+        )
+        assert coverage == share == 2 / 3
+        assert missing == [Fraction(99)]

@@ -377,3 +377,104 @@ def test_each_candidate_text_is_parsed_once(count_calls):
     assert outcome.accepted_index == 2
     texts = [record.parsed.trace_text() for record in outcome.records]
     assert [args[0] for args in extractions] == texts
+
+
+TRANSPORT = ProviderTransportError("connection reset")
+NO_TEXT = ProviderResponseError("no choices")
+ACCEPTED_GOOD = {
+    "raw_output": MALFORMED,
+    "retry_output": GOOD,
+    "parsed": {"steps": ["14 + 8 = 22"], "final_answer": "22"},
+    "retried": True,
+    "clean": True,
+    "graph_clean": True,
+    "answer_changed": True,
+    "verdict": {"accepted": True, "path": "clean_semantic_improvement", "rejection_reasons": []},
+}
+
+
+@pytest.mark.parametrize(
+    "first, retry, fields",
+    [
+        (TRANSPORT, None, {"error": "transport: connection reset"}),
+        (
+            MALFORMED,
+            TRANSPORT,
+            {"raw_output": MALFORMED, "retried": True, "error": "transport on retry: connection reset"},
+        ),
+        (NO_TEXT, None, {"error": "parse_failure: no choices"}),
+        (
+            MALFORMED,
+            NO_TEXT,
+            {"raw_output": MALFORMED, "retried": True, "error": "parse_failure on retry: no choices"},
+        ),
+        (
+            MALFORMED,
+            MALFORMED,
+            {
+                "raw_output": MALFORMED,
+                "retry_output": MALFORMED,
+                "retried": True,
+                "error": "parse_failure",
+            },
+        ),
+        (MALFORMED, GOOD, ACCEPTED_GOOD),
+    ],
+    ids=[
+        "transport",
+        "transport_on_retry",
+        "no_text",
+        "no_text_on_retry",
+        "malformed_twice",
+        "malformed_then_valid",
+    ],
+)
+def test_every_shape_an_attempt_can_end_in(first, retry, fields):
+    r0, diag0, decision = _context()
+    calls = []
+
+    class ScriptedProvider:
+        identity = "scripted"
+
+        def generate(self, prompt, max_tokens, temperature):
+            calls.append(prompt.is_retry)
+            reply = retry if prompt.is_retry else first
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+    outcome = repair_example(
+        "ex1", PROBLEM, r0, diag0, decision, ScriptedProvider(), CFG, n_attempts=1
+    )
+    row = {
+        "example_id": "ex1",
+        "attempt_index": 0,
+        "prompt_hash": build_prompt("ex1", PROBLEM, r0.text, diag0, 0).prompt_hash(),
+        "raw_output": "",
+        "retry_output": None,
+        "parsed": None,
+        "retried": False,
+        "clean": False,
+        "clean_reason": None,
+        "graph_clean": None,
+        "answer_changed": None,
+        "verdict": None,
+        "error": None,
+    }
+    row.update(fields)
+    assert [record.to_json_dict() for record in outcome.records] == [row]
+    assert calls == ([False, True] if row["retried"] else [False])
+    assert outcome.accepted_index == (0 if row["verdict"] else None)
+
+
+def test_prompt_is_built_once_per_example(count_calls):
+    r0, diag0, decision = _context()
+    hints = count_calls("orchestrator", "render_hint")
+    categories = count_calls("orchestrator", "risk_categories")
+    provider = ReplayProvider({("ex1", attempt): ReplayEntry(NOOP) for attempt in range(3)})
+    outcome = repair_example("ex1", PROBLEM, r0, diag0, decision, provider, CFG)
+    assert hints == [(diag0,)]
+    assert categories == [(diag0.graph,)]
+    assert [record.prompt_hash for record in outcome.records] == [
+        build_prompt("ex1", PROBLEM, r0.text, diag0, attempt).prompt_hash() for attempt in range(3)
+    ]

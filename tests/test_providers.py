@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 
@@ -18,7 +19,6 @@ from trace_repair.providers import (
 SPEC = PromptSpec(
     example_id="ex1",
     attempt_index=0,
-    style="hint_guided",
     problem_text="2 + 2?",
     initial_reasoning="2 + 2 = 5\nFinal Answer: 5",
     diagnostic_hint="incorrect arithmetic",
@@ -60,6 +60,23 @@ class TestReplayProvider:
         retry = dataclasses.replace(SPEC, retry_of="only raw")
         with pytest.raises(ReplayCacheMiss):
             provider.generate(retry, 512, 0.0)
+
+    @pytest.mark.parametrize(
+        "second_row, message",
+        [
+            ({"example_id": "ex1", "attempt_index": 0, "raw_output": "other"}, "duplicate row"),
+            ({"example_id": "ex1", "attempt_index": "0", "raw_output": "other"}, "duplicate row"),
+            ({"attempt_index": 1, "raw_output": "x"}, "missing field 'example_id'"),
+            ({"example_id": "ex1", "raw_output": "x"}, "missing field 'attempt_index'"),
+            ({"example_id": "ex1", "attempt_index": 1}, "missing field 'raw_output'"),
+        ],
+    )
+    def test_malformed_or_ambiguous_cache_is_refused(self, tmp_path, second_row, message):
+        path = tmp_path / "cache.jsonl"
+        first = {"example_id": "ex1", "attempt_index": 0, "raw_output": "first"}
+        path.write_text(f"{json.dumps(first)}\n\n{json.dumps(second_row)}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
+            ReplayProvider.from_jsonl(path)
 
 
 class _FakeResponse:
