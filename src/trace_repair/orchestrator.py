@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Protocol
 
@@ -76,6 +76,13 @@ class ProviderResponseError(RuntimeError):
 
 @dataclass(frozen=True)
 class PromptSpec:
+    """One repair prompt; a format retry adds the malformed output.
+
+    ``base_hash`` is ``prompt_hash()`` of the prompt without its retry part,
+    when the repair loop has already computed it for the attempt's record;
+    a replay provider checks it against the cache instead of hashing again.
+    """
+
     example_id: str
     attempt_index: int
     problem_text: str
@@ -84,6 +91,7 @@ class PromptSpec:
     semantic_error: str
     meta_error: str
     retry_of: str | None = None
+    base_hash: str | None = field(default=None, compare=False, repr=False)
 
     @property
     def style(self) -> str:
@@ -337,7 +345,8 @@ def _attempt(
 
     Returns the attempt's record and, when it is accepted, the candidate.
     """
-    record = partial(CandidateRecord, spec.example_id, spec.attempt_index, spec.prompt_hash())
+    spec = replace(spec, base_hash=spec.prompt_hash())
+    record = partial(CandidateRecord, spec.example_id, spec.attempt_index, spec.base_hash)
     raw, error = _generate(provider, spec, cfg.repair_max_tokens, cfg.temperature)
     if raw is None:
         return record(raw_output="", error=error), None

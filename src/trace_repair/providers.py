@@ -66,8 +66,10 @@ class ReplayProvider:
     def from_jsonl(cls, path: str | Path) -> "ReplayProvider":
         """Load a candidate cache file (one JSON record per line).
 
-        A row without ``example_id``, ``attempt_index`` or ``raw_output``,
-        or a second row for the same attempt, aborts with its line number.
+        A line that is not a JSON object, a row without ``example_id``,
+        ``attempt_index`` or ``raw_output``, an ``attempt_index`` that is not
+        an integer, or a second row for the same attempt aborts with a
+        ``ValueError`` that names the line.
         """
         entries: dict[tuple[str, int], ReplayEntry] = {}
         with open(path, encoding="utf-8") as handle:
@@ -75,15 +77,27 @@ class ReplayProvider:
                 line = line.strip()
                 if not line:
                     continue
-                payload = json.loads(line)
+                where = f"{path}:{line_number}"
+                try:
+                    payload = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{where}: not JSON ({exc})") from None
+                if not isinstance(payload, dict):
+                    raise ValueError(
+                        f"{where}: row is a JSON {type(payload).__name__}, not an object"
+                    )
                 try:
                     key = (payload["example_id"], int(payload["attempt_index"]))
                     raw_output = payload["raw_output"]
                 except KeyError as exc:
-                    raise ValueError(f"{path}:{line_number}: missing field {exc}") from None
+                    raise ValueError(f"{where}: missing field {exc}") from None
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"{where}: attempt_index {payload['attempt_index']!r} is not an integer"
+                    ) from None
                 if key in entries:
                     raise ValueError(
-                        f"{path}:{line_number}: duplicate row for example {key[0]!r} "
+                        f"{where}: duplicate row for example {key[0]!r} "
                         f"attempt {key[1]}"
                     )
                 entries[key] = ReplayEntry(
@@ -99,7 +113,9 @@ class ReplayProvider:
                 f"no cached output for example {prompt.example_id!r} "
                 f"attempt {prompt.attempt_index}"
             )
-        if entry.prompt_hash and entry.prompt_hash != replace(prompt, retry_of=None).prompt_hash():
+        if entry.prompt_hash and entry.prompt_hash != (
+            prompt.base_hash or replace(prompt, retry_of=None).prompt_hash()
+        ):
             raise ReplayCacheMiss(
                 f"cached output for example {prompt.example_id!r} attempt "
                 f"{prompt.attempt_index} was recorded under another prompt"

@@ -6,8 +6,11 @@ checks, and scores the trace by subtracting per-risk penalties from 1.0,
 clipped to [0, 1]. The signals are recall-oriented diagnostic features:
 most warnings are benign and the acceptance policy filters them.
 
-Each text is tokenised once. The problem's graph has one edge per relation
-a check tests, filtered and deduplicated once, and each edge carries its node:
+Each text is tokenised once, and each token's features (its lowered text,
+its unit word and its entity word) are computed once, so every node reads
+its five-token window from list slots. The problem's graph has one edge
+per relation a check tests, filtered and deduplicated once, and each edge
+carries its node:
 
 - comparison ("more/fewer/less than"): ``_check_comparisons`` takes the
   problem's delta from the first one the trace does not add or subtract;
@@ -145,6 +148,7 @@ _SENTENCE_BREAK_RE = re.compile(r"[.!?]")
 @dataclass(frozen=True)
 class _Token:
     text: str
+    lower: str
     sentence: int
     sentence_initial: bool
 
@@ -204,7 +208,7 @@ def analyse_problem(text: str) -> ProblemAnalysis:
     for node in graph.nodes:
         bindings[node.value] = bindings.get(node.value, frozenset()) | _binding_tokens(node)
     match = _TIMES_MORE_RE.search(text)
-    multiplier = _number_value(match.group(1)) if match else None
+    multiplier = _number_value(match.group(1).lower()) if match else None
     return ProblemAnalysis(
         graph=graph,
         mentions=frozenset(numeric_mentions(text)),
@@ -251,9 +255,11 @@ def _tokenize(text: str) -> list[_Token]:
         sentence = bisect_left(breaks, match.start())
         gap = text[previous_end : match.start()]
         sentence_initial = previous_end == 0 or bool(_SENTENCE_BREAK_RE.search(gap))
+        word = match.group(0)
         tokens.append(
             _Token(
-                text=match.group(0),
+                text=word,
+                lower=word.lower(),
                 sentence=sentence,
                 sentence_initial=sentence_initial,
             )
@@ -262,23 +268,29 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _number_value(text: str) -> Fraction | None:
-    """A number word's value, or a digit string's through ``parse_number``."""
-    lowered = text.lower()
-    if lowered in NUMBER_WORDS:
-        return Fraction(NUMBER_WORDS[lowered])
-    if any(ch.isdigit() for ch in text):
-        return parse_number(text.lstrip("$"))
+def _number_value(word: str) -> Fraction | None:
+    """A lowered token's value: a number word's, or a digit string's
+    through ``parse_number``; None for any other word.
+
+    A digit string is a token that starts with ``$`` or a digit.
+    """
+    if word[0] == "$" or word[0].isdigit():
+        return parse_number(word.lstrip("$"))
+    if word in NUMBER_WORDS:
+        return Fraction(NUMBER_WORDS[word])
     return None
 
 
-def _is_unit_candidate(token: _Token) -> bool:
-    text = token.text
-    return (
-        text.isalpha()
-        and len(text) > 1
-        and text.lower() not in _UNIT_EXCLUSIONS
-    )
+def _entity_word(token: _Token) -> str:
+    """The token's entity word, or "" if it has none.
+
+    That is a capitalised word, not at a sentence start and not excluded
+    as a unit, up to any apostrophe ("Tom" of "Tom's").
+    """
+    if not token.text[0].isupper() or token.sentence_initial:
+        return ""
+    word = token.text.split("'")[0]
+    return "" if word.lower() in _UNIT_EXCLUSIONS else word
 
 
 def extract_quantities(text: str) -> tuple[list[_Token], list[QuantityNode]]:
@@ -286,58 +298,51 @@ def extract_quantities(text: str) -> tuple[list[_Token], list[QuantityNode]]:
 
     Digit strings, number words, fractions, and money expressions all
     count. Unit phrase, entity mention, and change verbs come from a
-    five-token window on each side. Returns the tokens with the nodes, so
-    that nothing tokenises the text again.
+    five-token window on each side. Each token's lowered text, unit word
+    and entity word are computed once, and every window reads them from
+    there. Returns the tokens with the nodes, so that nothing tokenises the
+    text again.
     """
     tokens = _tokenize(text)
+    lowered = [token.lower for token in tokens]
+    units = [
+        word if word.isalpha() and len(word) > 1 and word not in _UNIT_EXCLUSIONS else ""
+        for word in lowered
+    ]
+    entities = [_entity_word(token) for token in tokens]
+    count = len(tokens)
     nodes: list[QuantityNode] = []
-    for index, token in enumerate(tokens):
-        value = _number_value(token.text)
+    for index, word in enumerate(lowered):
+        value = _number_value(word)
         if value is None:
             continue
-        window_tokens = tokens[max(0, index - WINDOW_TOKENS) : index + WINDOW_TOKENS + 1]
+        start = max(0, index - WINDOW_TOKENS)
+        end = index + WINDOW_TOKENS + 1
 
-        unit = ""
-        if token.text.startswith("$"):
+        if word[0] == "$":
             unit = "dollars"
         else:
-            for other in tokens[index + 1 : index + WINDOW_TOKENS + 1]:
-                if _is_unit_candidate(other):
-                    unit = other.text.lower()
-                    break
-            if not unit:
-                for other in reversed(tokens[max(0, index - WINDOW_TOKENS) : index]):
-                    if _is_unit_candidate(other):
-                        unit = other.text.lower()
-                        break
+            after = [candidate for candidate in units[index + 1 : end] if candidate]
+            before = [candidate for candidate in units[start:index] if candidate]
+            unit = after[0] if after else before[-1] if before else ""
 
+        # The nearest entity word, the earlier one on a tie.
         entity = ""
-        best_distance = None
-        for offset, other in enumerate(window_tokens):
-            other_index = max(0, index - WINDOW_TOKENS) + offset
-            if other_index == index:
-                continue
-            word = other.text.split("'")[0]
-            if not word or not word[0].isupper() or not word.isalpha():
-                continue
-            if other.sentence_initial or word.lower() in _UNIT_EXCLUSIONS:
-                continue
-            distance = abs(other_index - index)
-            key = (distance, 0 if other_index < index else 1)
-            if best_distance is None or key < best_distance:
-                best_distance = key
-                entity = word
-
-        words = (other.text.lower() for other in window_tokens)
-        change_verbs = frozenset(word for word in words if word in CHANGE_VERBS)
+        for distance in range(1, WINDOW_TOKENS + 1):
+            if index >= distance and entities[index - distance]:
+                entity = entities[index - distance]
+                break
+            if index + distance < count and entities[index + distance]:
+                entity = entities[index + distance]
+                break
 
         nodes.append(
             QuantityNode(
-                surface=token.text,
+                surface=tokens[index].text,
                 value=value,
                 unit_phrase=unit,
                 entity_mention=entity,
-                change_verbs=change_verbs,
+                change_verbs=CHANGE_VERBS.intersection(lowered[start:end]),
                 token_index=index,
             )
         )
@@ -372,7 +377,7 @@ def build_relation_graph(tokens: list[_Token], nodes: list[QuantityNode]) -> Qua
     Comparisons come one per marker, rates one per value and changes one per
     pair of distinct values, each the first in text order.
     """
-    lowered = [token.text.lower() for token in tokens]
+    lowered = [token.lower for token in tokens]
     positions = [node.token_index for node in nodes]
     edges = [
         RelationEdge(kind=EDGE_COMPARISON, node=nodes[index])
@@ -663,7 +668,7 @@ def semantic_graph_check(
 
     tokens, trace_nodes = extract_quantities(trace.text)
     deltas = _comparison_deltas(
-        [token.text.lower() for token in tokens], [node.token_index for node in trace_nodes]
+        [token.lower for token in tokens], [node.token_index for node in trace_nodes]
     )
     trace_has_comparison = next(deltas, None) is not None
     if trace_checks is None:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,42 @@ from trace_repair.equations import (
     check_equations,
     naming_conflicts,
     naming_statements,
+    parse_number,
     verified_results,
 )
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+class TestParseNumber:
+    """Plain ASCII digit runs take ``int()``; every value is a ``Fraction``."""
+
+    @pytest.mark.parametrize(
+        "token",
+        ["0", "7", "007", "000", "1234", "1,200", "1,234,567.25", "-5", "+7", "-007",
+         "3.50", "0.5", ".5", "12.", "3/4", "-6/8", "٣", "١٢"],
+    )
+    def test_agrees_with_fraction_of_the_text(self, token):
+        value = parse_number(token)
+        assert type(value) is Fraction
+        assert value == Fraction(token.replace(",", ""))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789", min_size=1, max_size=40))
+    def test_ascii_digit_runs(self, digits):
+        value = parse_number(digits)
+        assert type(value) is Fraction
+        assert value == Fraction(digits)
+
+    @pytest.mark.parametrize("token", ["²", "①", "3²", "", "1/0", "abc"])
+    def test_refuses_what_the_parent_refuses(self, token):
+        assert parse_number(token) is None
+
+    @pytest.mark.skipif(not _DIGIT_LIMIT, reason="this Python has no int digit limit")
+    def test_digit_limit(self):
+        assert parse_number("9" * (_DIGIT_LIMIT - 1)) == Fraction(10 ** (_DIGIT_LIMIT - 1) - 1)
+        assert parse_number("9" * _DIGIT_LIMIT) is None
+        assert parse_number("1," + "0" * (_DIGIT_LIMIT - 2)) == 10 ** (_DIGIT_LIMIT - 2)
 
 
 class TestCheckEquations:

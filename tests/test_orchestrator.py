@@ -7,6 +7,7 @@ from trace_repair.datasets import DatasetRecord, write_dataset
 from trace_repair.diagnostics import diagnose
 from trace_repair.orchestrator import (
     CandidateRecord,
+    PromptSpec,
     ProviderResponseError,
     ProviderTransportError,
     STYLE_HINT_GUIDED,
@@ -478,3 +479,31 @@ def test_prompt_is_built_once_per_example(count_calls):
     assert [record.prompt_hash for record in outcome.records] == [
         build_prompt("ex1", PROBLEM, r0.text, diag0, attempt).prompt_hash() for attempt in range(3)
     ]
+
+
+def test_each_attempt_hashes_its_prompt_once(monkeypatch):
+    """Three attempts that each need the format retry hash three prompts,
+    and the replay cache still checks both calls of every attempt."""
+    r0, diag0, decision = _context()
+    hashes = [
+        build_prompt("ex1", PROBLEM, r0.text, diag0, attempt).prompt_hash() for attempt in range(3)
+    ]
+    original = PromptSpec.prompt_hash
+    calls = []
+
+    def counting(self):
+        calls.append(self.attempt_index)
+        return original(self)
+
+    monkeypatch.setattr(PromptSpec, "prompt_hash", counting)
+    provider = ReplayProvider(
+        {("ex1", attempt): ReplayEntry(MALFORMED, NOOP, hashes[attempt]) for attempt in range(3)}
+    )
+    outcome = repair_example("ex1", PROBLEM, r0, diag0, decision, provider, CFG)
+    assert calls == [0, 1, 2]
+    assert [record.prompt_hash for record in outcome.records] == hashes
+    assert all(record.retried and record.parsed for record in outcome.records)
+
+    stale = ReplayProvider({("ex1", 0): ReplayEntry(MALFORMED, NOOP, "0" * 64)})
+    with pytest.raises(ReplayCacheMiss, match="another prompt"):
+        repair_example("ex1", PROBLEM, r0, diag0, decision, stale, CFG, n_attempts=1)

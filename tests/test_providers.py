@@ -78,6 +78,38 @@ class TestReplayProvider:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: {message}")):
             ReplayProvider.from_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "not JSON (Expecting value"),
+            ("[1, 2]", "row is a JSON list, not an object"),
+            ('"text"', "row is a JSON str, not an object"),
+            (
+                '{"example_id": "ex1", "attempt_index": "first", "raw_output": "x"}',
+                "attempt_index 'first' is not an integer",
+            ),
+            (
+                '{"example_id": "ex1", "attempt_index": null, "raw_output": "x"}',
+                "attempt_index None is not an integer",
+            ),
+        ],
+    )
+    def test_unreadable_row_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "cache.jsonl"
+        first = {"example_id": "ex1", "attempt_index": 0, "raw_output": "first"}
+        path.write_text(f"{json.dumps(first)}\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+            ReplayProvider.from_jsonl(path)
+
+    def test_retry_is_checked_against_its_base_prompt(self):
+        import dataclasses
+
+        provider = ReplayProvider({("ex1", 0): ReplayEntry("bad", "good", SPEC.prompt_hash())})
+        assert provider.generate(dataclasses.replace(SPEC, retry_of="bad"), 512, 0.0) == "good"
+        other = dataclasses.replace(SPEC, problem_text="3 + 3?", retry_of="bad")
+        with pytest.raises(ReplayCacheMiss, match="another prompt"):
+            provider.generate(other, 512, 0.0)
+
 
 class _FakeResponse:
     def __init__(self, payload, status=200):

@@ -18,6 +18,7 @@ from trace_repair.risk_graph import (
     WINDOW_TOKENS,
     _DECREASE_VERBS,
     _TOKEN_RE,
+    _UNIT_EXCLUSIONS,
     HIGH_RISK_CATEGORIES,
     NUMBER_WORDS,
     RISK_CATEGORIES,
@@ -63,6 +64,92 @@ class TestExtractQuantities:
         nodes = extract_quantities("Sam gave Tom's 7 apples away")[1]
         seven = [node for node in nodes if node.value == 7][0]
         assert seven.entity_mention == "Tom"
+
+
+def _reference_nodes(text):
+    """Each node as a tuple of its fields, found by scanning every window.
+
+    The unit is the first unit word after the number, or else the nearest
+    before it; the entity is the capitalised word at the smallest
+    ``(distance, before-first)`` key. Every token is lowered and tested
+    again for every window it falls in.
+    """
+    matches = list(_TOKEN_RE.finditer(text))
+    tokens = [match.group(0) for match in matches]
+    initial = [
+        index == 0 or any(char in ".!?" for char in text[matches[index - 1].end() : match.start()])
+        for index, match in enumerate(matches)
+    ]
+
+    def is_unit(token):
+        return token.isalpha() and len(token) > 1 and token.lower() not in _UNIT_EXCLUSIONS
+
+    nodes = []
+    for index, token in enumerate(tokens):
+        if token.lower() in NUMBER_WORDS:
+            value = Fraction(NUMBER_WORDS[token.lower()])
+        elif any(char.isdigit() for char in token):
+            value = parse_number(token.lstrip("$"))
+        else:
+            value = None
+        if value is None:
+            continue
+        start = max(0, index - WINDOW_TOKENS)
+        window = range(start, min(len(tokens), index + WINDOW_TOKENS + 1))
+
+        unit = ""
+        if token.startswith("$"):
+            unit = "dollars"
+        else:
+            after = [other for other in window if other > index and is_unit(tokens[other])]
+            before = [other for other in window if other < index and is_unit(tokens[other])]
+            if after or before:
+                unit = tokens[(after or before[::-1])[0]].lower()
+
+        entity, best = "", None
+        for other in window:
+            word = tokens[other].split("'")[0]
+            if other == index or not word or not word[0].isupper() or not word.isalpha():
+                continue
+            if initial[other] or word.lower() in _UNIT_EXCLUSIONS:
+                continue
+            key = (abs(other - index), 0 if other < index else 1)
+            if best is None or key < best:
+                best, entity = key, word
+
+        verbs = frozenset(tokens[other].lower() for other in window) & CHANGE_VERBS
+        nodes.append((token, value, unit, entity, verbs, index))
+    return nodes
+
+
+_NODE_WORDS = (
+    "3", "12", "007", "1,200", "12,345.50", "3.50", "$3.50", "$2", "$1,000", "1/2", "3/0",
+    "٣", "twelve", "Twelve", "dozen", "one", "Ten", "apples", "Apples", "bags", "x", "Tom",
+    "Tom's", "Sam", "Mary's", "isn't", "IT", "I", "A", "The", "the", "and", "Each", "each",
+    "gave", "Gave", "bought", "Lost", "more", "than", "total", "Final", ".", "!", "?", "4.",
+    "2.5!", ",", "+", "=",
+)
+
+
+class TestNodesMatchReference:
+    def test_reference_on_random_texts(self):
+        rng = random.Random(20261018)
+        lengths = list(range(0, 2 * WINDOW_TOKENS + 2)) + [20, 40]
+        for _ in range(5000):
+            words = rng.choices(_NODE_WORDS, k=rng.choice(lengths))
+            text = rng.choice(("", " ")).join(words) if rng.random() < 0.2 else " ".join(words)
+            nodes = [
+                (
+                    node.surface,
+                    node.value,
+                    node.unit_phrase,
+                    node.entity_mention,
+                    node.change_verbs,
+                    node.token_index,
+                )
+                for node in extract_quantities(text)[1]
+            ]
+            assert nodes == _reference_nodes(text), text
 
 
 class TestNumberValues:
