@@ -41,7 +41,7 @@ ANSWER_TOKEN_RE = re.compile(
 
 # Explicit final-answer markers. Nothing beyond these three phrases counts.
 MARKER_RE = re.compile(r"final\s+answer\s*(?:is\b|:)|answer\s*:", re.IGNORECASE)
-_MARKER_LINE_RE = re.compile(r"^\s*(?:final\s+answer\s*(?:is\b|:)|answer\s*:)", re.IGNORECASE)
+_MARKER_LINE_RE = re.compile(rf"^\s*(?:{MARKER_RE.pattern})", re.IGNORECASE)
 
 _RATIO_RE = re.compile(r"^[-+]?\d+(?:\.\d+)?\s*:\s*[-+]?\d+(?:\.\d+)?$")
 _FRACTION_RE = re.compile(r"^([-+]?\d+)\s*/\s*(\d+)$")

@@ -27,15 +27,17 @@ OP_DIV = "div"
 OP_LCM = "lcm"
 OP_GCD = "gcd"
 
-_OP_SYMBOLS = {
+# An equation's operator, keyed by its lowered symbol or lcm/gcd name.
+_OPERATORS = {
     "+": OP_ADD,
     "-": OP_SUB,
     "*": OP_MUL,
     "x": OP_MUL,
-    "X": OP_MUL,
     "×": OP_MUL,
     "/": OP_DIV,
     "÷": OP_DIV,
+    "lcm": OP_LCM,
+    "gcd": OP_GCD,
 }
 
 # A number's first character may not follow a word character or another
@@ -54,7 +56,7 @@ _EQUATION_RE = re.compile(
 )
 
 _LCM_GCD_RE = re.compile(
-    r"\b(?P<fn>lcm|gcd)\s*\(\s*(?P<a>[-+]?\d+)\s*,\s*(?P<b>[-+]?\d+)\s*\)\s*=\s*"
+    r"\b(?P<op>lcm|gcd)\s*\(\s*(?P<a>[-+]?\d+)\s*,\s*(?P<b>[-+]?\d+)\s*\)\s*=\s*"
     rf"(?P<c>{_SIGNED_NUM})",
     re.IGNORECASE,
 )
@@ -147,42 +149,25 @@ def check_equations(trace_text: str) -> list[EquationCheck]:
     Zero matches is a valid empty result.
     """
     checks: list[EquationCheck] = []
-
-    for match in _EQUATION_RE.finditer(trace_text):
-        a = parse_number(match.group("a"))
-        b = parse_number(match.group("b"))
-        c = parse_number(match.group("c"))
-        if a is None or b is None or c is None:
-            continue
-        operator = _OP_SYMBOLS[match.group("op")]
-        checks.append(
-            EquationCheck(
-                lhs_text=trace_text[match.start() : match.end("b")],
-                operands=(a, b),
-                operator=operator,
-                claimed_result=c,
-                verified=_verify(operator, a, b, c),
-                position=match.start(),
+    # An lcm/gcd left-hand side keeps one character past its second operand.
+    for pattern, lhs_overhang in ((_EQUATION_RE, 0), (_LCM_GCD_RE, 1)):
+        for match in pattern.finditer(trace_text):
+            a = parse_number(match.group("a"))
+            b = parse_number(match.group("b"))
+            c = parse_number(match.group("c"))
+            if a is None or b is None or c is None:
+                continue
+            operator = _OPERATORS[match.group("op").lower()]
+            checks.append(
+                EquationCheck(
+                    lhs_text=trace_text[match.start() : match.end("b") + lhs_overhang],
+                    operands=(a, b),
+                    operator=operator,
+                    claimed_result=c,
+                    verified=_verify(operator, a, b, c),
+                    position=match.start(),
+                )
             )
-        )
-
-    for match in _LCM_GCD_RE.finditer(trace_text):
-        a = parse_number(match.group("a"))
-        b = parse_number(match.group("b"))
-        c = parse_number(match.group("c"))
-        if a is None or b is None or c is None:
-            continue
-        operator = OP_LCM if match.group("fn").lower() == "lcm" else OP_GCD
-        checks.append(
-            EquationCheck(
-                lhs_text=trace_text[match.start() : match.end("b") + 1],
-                operands=(a, b),
-                operator=operator,
-                claimed_result=c,
-                verified=_verify(operator, a, b, c),
-                position=match.start(),
-            )
-        )
 
     checks.sort(key=lambda check: check.position)
     return checks

@@ -67,8 +67,9 @@ class ReplayProvider:
         """Load a candidate cache file (one JSON record per line).
 
         A line that is not a JSON object, a row without ``example_id``,
-        ``attempt_index`` or ``raw_output``, an ``attempt_index`` that is not
-        an integer, or a second row for the same attempt aborts with a
+        ``attempt_index`` or ``raw_output``, an ``attempt_index`` that is
+        neither an integer nor a string ``int()`` reads (a float or a boolean
+        is refused), or a second row for the same attempt aborts with a
         ``ValueError`` that names the line.
         """
         entries: dict[tuple[str, int], ReplayEntry] = {}
@@ -87,14 +88,21 @@ class ReplayProvider:
                         f"{where}: row is a JSON {type(payload).__name__}, not an object"
                     )
                 try:
-                    key = (payload["example_id"], int(payload["attempt_index"]))
+                    example_id = payload["example_id"]
+                    index = payload["attempt_index"]
                     raw_output = payload["raw_output"]
                 except KeyError as exc:
                     raise ValueError(f"{where}: missing field {exc}") from None
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"{where}: attempt_index {payload['attempt_index']!r} is not an integer"
-                    ) from None
+                # int() would read 1.5 and true as attempt 1, so only an
+                # integer, or a string that int() reads, names an attempt.
+                if isinstance(index, str):
+                    try:
+                        index = int(index)
+                    except ValueError:
+                        pass
+                if type(index) is not int:
+                    raise ValueError(f"{where}: attempt_index {index!r} is not an integer")
+                key = (example_id, index)
                 if key in entries:
                     raise ValueError(
                         f"{where}: duplicate row for example {key[0]!r} "

@@ -6,11 +6,12 @@ checks, and scores the trace by subtracting per-risk penalties from 1.0,
 clipped to [0, 1]. The signals are recall-oriented diagnostic features:
 most warnings are benign and the acceptance policy filters them.
 
-Each text is tokenised once, and each token's features (its lowered text,
-its unit word and its entity word) are computed once, so every node reads
-its five-token window from list slots. The problem's graph has one edge
-per relation a check tests, filtered and deduplicated once, and each edge
-carries its node:
+Each text is read by one regex pass that yields its tokens and its
+sentence breaks. The tokens come out as columns (text, lowered text,
+sentence index, sentence-initial flag), and each token's unit word and
+entity word are computed once, so every node reads its five-token window
+from list slots. The problem's graph has one edge per relation a check
+tests, filtered and deduplicated once, and each edge carries its node:
 
 - comparison ("more/fewer/less than"): ``_check_comparisons`` takes the
   problem's delta from the first one the trace does not add or subtract;
@@ -142,15 +143,13 @@ _ARITH_WORDS = frozenset({
 _UNIT_EXCLUSIONS = _STOPWORDS | _ARITH_WORDS | PREDICATE_LEXICON | set(NUMBER_WORDS)
 
 _TOKEN_RE = re.compile(r"\$?\d[\d,]*(?:\.\d+)?(?:/\d+)?|[A-Za-z]+(?:'[A-Za-z]+)?")
-_SENTENCE_BREAK_RE = re.compile(r"[.!?]")
+# A token, or a sentence break outside any token. No token starts with a
+# break character, so the tokens found are exactly ``_TOKEN_RE``'s.
+_TOKEN_OR_BREAK_RE = re.compile(rf"({_TOKEN_RE.pattern})|[.!?]")
 
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    lower: str
-    sentence: int
-    sentence_initial: bool
+# A text's tokens as columns: text, lowered text, sentence index and
+# sentence-initial flag.
+TokenColumns = tuple[list[str], list[str], list[int], list[bool]]
 
 
 @dataclass(frozen=True)
@@ -246,26 +245,30 @@ def risk_categories(report: GraphReport) -> list[str]:
     return [risk.category for risk in report.risks]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    breaks = [match.start() for match in _SENTENCE_BREAK_RE.finditer(text)]
-    tokens: list[_Token] = []
-    previous_end = 0
-    for match in _TOKEN_RE.finditer(text):
-        # Breaks include the "." inside decimals, so count them by position.
-        sentence = bisect_left(breaks, match.start())
-        gap = text[previous_end : match.start()]
-        sentence_initial = previous_end == 0 or bool(_SENTENCE_BREAK_RE.search(gap))
-        word = match.group(0)
-        tokens.append(
-            _Token(
-                text=word,
-                lower=word.lower(),
-                sentence=sentence,
-                sentence_initial=sentence_initial,
-            )
-        )
-        previous_end = match.end()
-    return tokens
+def _tokenize(text: str) -> TokenColumns:
+    """A text's tokens as columns, from one pass over the text.
+
+    A token's sentence index counts every break character before it,
+    including the "." inside an earlier decimal. A token is sentence-initial
+    when it comes first or a break outside any token precedes it.
+    """
+    words: list[str] = []
+    sentences: list[int] = []
+    initial: list[bool] = []
+    sentence = 0
+    at_start = True
+    for match in _TOKEN_OR_BREAK_RE.finditer(text):
+        word = match.group(1)
+        if word is None:
+            sentence += 1
+            at_start = True
+            continue
+        words.append(word)
+        sentences.append(sentence)
+        initial.append(at_start)
+        sentence += word.count(".")
+        at_start = False
+    return words, [word.lower() for word in words], sentences, initial
 
 
 def _number_value(word: str) -> Fraction | None:
@@ -281,36 +284,36 @@ def _number_value(word: str) -> Fraction | None:
     return None
 
 
-def _entity_word(token: _Token) -> str:
-    """The token's entity word, or "" if it has none.
+def _entity_word(text: str, sentence_initial: bool) -> str:
+    """A token's entity word, or "" if it has none.
 
     That is a capitalised word, not at a sentence start and not excluded
     as a unit, up to any apostrophe ("Tom" of "Tom's").
     """
-    if not token.text[0].isupper() or token.sentence_initial:
+    if not text[0].isupper() or sentence_initial:
         return ""
-    word = token.text.split("'")[0]
+    word = text.split("'")[0]
     return "" if word.lower() in _UNIT_EXCLUSIONS else word
 
 
-def extract_quantities(text: str) -> tuple[list[_Token], list[QuantityNode]]:
+def extract_quantities(text: str) -> tuple[TokenColumns, list[QuantityNode]]:
     """Tokenise a text and turn every numeric mention into a quantity node.
 
     Digit strings, number words, fractions, and money expressions all
     count. Unit phrase, entity mention, and change verbs come from a
-    five-token window on each side. Each token's lowered text, unit word
-    and entity word are computed once, and every window reads them from
-    there. Returns the tokens with the nodes, so that nothing tokenises the
-    text again.
+    five-token window on each side. One pass over the text yields its
+    tokens as columns; each token's unit word and entity word are computed
+    once, and every window reads them from there. Returns the token columns
+    with the nodes, so that nothing tokenises the text again.
     """
     tokens = _tokenize(text)
-    lowered = [token.lower for token in tokens]
+    words, lowered, _, initial = tokens
     units = [
         word if word.isalpha() and len(word) > 1 and word not in _UNIT_EXCLUSIONS else ""
         for word in lowered
     ]
-    entities = [_entity_word(token) for token in tokens]
-    count = len(tokens)
+    entities = list(map(_entity_word, words, initial))
+    count = len(words)
     nodes: list[QuantityNode] = []
     for index, word in enumerate(lowered):
         value = _number_value(word)
@@ -338,7 +341,7 @@ def extract_quantities(text: str) -> tuple[list[_Token], list[QuantityNode]]:
 
         nodes.append(
             QuantityNode(
-                surface=tokens[index].text,
+                surface=words[index],
                 value=value,
                 unit_phrase=unit,
                 entity_mention=entity,
@@ -371,13 +374,13 @@ def _comparison_deltas(words: list[str], positions: list[int]) -> Iterator[int]:
                 break
 
 
-def build_relation_graph(tokens: list[_Token], nodes: list[QuantityNode]) -> QuantityGraph:
+def build_relation_graph(tokens: TokenColumns, nodes: list[QuantityNode]) -> QuantityGraph:
     """One edge per relation a check tests, over ``extract_quantities(text)``.
 
     Comparisons come one per marker, rates one per value and changes one per
     pair of distinct values, each the first in text order.
     """
-    lowered = [token.lower for token in tokens]
+    _, lowered, token_sentences, _ = tokens
     positions = [node.token_index for node in nodes]
     edges = [
         RelationEdge(kind=EDGE_COMPARISON, node=nodes[index])
@@ -399,7 +402,7 @@ def build_relation_graph(tokens: list[_Token], nodes: list[QuantityNode]) -> Qua
 
     # Change events: a node carrying a change verb, based on the nearest
     # same-sentence node; its first verb in sorted order gives the direction.
-    sentences = [tokens[position].sentence for position in positions]
+    sentences = [token_sentences[position] for position in positions]
     pairs: set[frozenset[Fraction]] = set()
     for index, node in enumerate(nodes):
         if not node.change_verbs:
@@ -666,10 +669,8 @@ def semantic_graph_check(
             diagnosis=DIAGNOSIS_GENERATION_FAILURE,
         )
 
-    tokens, trace_nodes = extract_quantities(trace.text)
-    deltas = _comparison_deltas(
-        [token.lower for token in tokens], [node.token_index for node in trace_nodes]
-    )
+    (_, lowered, _, _), trace_nodes = extract_quantities(trace.text)
+    deltas = _comparison_deltas(lowered, [node.token_index for node in trace_nodes])
     trace_has_comparison = next(deltas, None) is not None
     if trace_checks is None:
         trace_checks = check_equations(trace.text)

@@ -87,6 +87,29 @@ class TestCheckEquations:
         assert checks[0].position < checks[1].position
         assert [check.operator for check in checks] == [OP_ADD, OP_MUL]
 
+    @pytest.mark.parametrize(
+        "text, operators",
+        [
+            ("2+2=5 then gcd(8,12)=3", [OP_ADD, OP_GCD]),
+            ("gcd(8,12)=3 then 2+2=5", [OP_GCD, OP_ADD]),
+        ],
+    )
+    def test_mixed_checks_come_in_position_order(self, text, operators):
+        assert [check.operator for check in check_equations(text)] == operators
+
+    @pytest.mark.parametrize(
+        "text, lhs_text",
+        [
+            ("2 + 2 = 5", "2 + 2"),
+            ("lcm(4, 6) = 12", "lcm(4, 6)"),
+            # One character past the second operand, not up to the bracket.
+            ("lcm(4, 6 ) = 11", "lcm(4, 6 "),
+        ],
+    )
+    def test_lhs_text(self, text, lhs_text):
+        (check,) = check_equations(text)
+        assert check.lhs_text == lhs_text
+
     def test_exact_rational_division(self):
         # a / b = reduced fraction verifies exactly, no tolerance.
         checks = check_equations("7 / 14 = 1/2")

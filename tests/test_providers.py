@@ -92,6 +92,14 @@ class TestReplayProvider:
                 '{"example_id": "ex1", "attempt_index": null, "raw_output": "x"}',
                 "attempt_index None is not an integer",
             ),
+            (
+                '{"example_id": "ex1", "attempt_index": 1.5, "raw_output": "x"}',
+                "attempt_index 1.5 is not an integer",
+            ),
+            (
+                '{"example_id": "ex1", "attempt_index": true, "raw_output": "x"}',
+                "attempt_index True is not an integer",
+            ),
         ],
     )
     def test_unreadable_row_names_its_line(self, tmp_path, line, message):
