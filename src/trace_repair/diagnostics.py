@@ -8,6 +8,11 @@ The meta score is a convex combination on [0, 1]:
 
 with generation failures forced to zero. The weights live here as module
 constants so alternate tunings stay in one place.
+
+``diagnose`` builds one ``equations.NumberValues`` table for the trace
+text and hands it to every scan of that text (the equation scan, the
+coverage mentions, the naming statements and the risk graph's quantities),
+so each distinct number token of the trace is parsed once per diagnosis.
 """
 
 from __future__ import annotations
@@ -16,7 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .answers import ReasoningTrace
-from .equations import EquationCheck, check_equations, naming_conflicts, numeric_mentions
+from .equations import (
+    EquationCheck,
+    NumberValues,
+    check_equations,
+    naming_conflicts,
+    numeric_mentions,
+)
 from .risk_graph import GraphReport, ProblemAnalysis, analyse_problem, semantic_graph_check
 
 CATEGORY_CLEAN = "clean"
@@ -40,7 +51,10 @@ class MetaDiagnosis:
 
 
 def constraint_coverage(
-    mentions: frozenset[Fraction], trace_text: str, checks: list[EquationCheck]
+    mentions: frozenset[Fraction],
+    trace_text: str,
+    checks: list[EquationCheck],
+    values: NumberValues | None = None,
 ) -> tuple[list[Fraction], float]:
     """The problem's mentions the trace never uses, sorted, and the share it uses.
 
@@ -48,7 +62,7 @@ def constraint_coverage(
     an operand of any scanned equation. An empty constraint set is fully
     covered by definition.
     """
-    used = numeric_mentions(trace_text)
+    used = numeric_mentions(trace_text, values)
     for check in checks:
         used.update(check.operands)
     missing = sorted(mentions - used)
@@ -70,6 +84,7 @@ def meta_diagnose(
     trace: ReasoningTrace,
     checks: list[EquationCheck],
     coverage: float,
+    values: NumberValues | None = None,
 ) -> MetaDiagnosis:
     """Assign the meta category and score for one trace.
 
@@ -97,7 +112,7 @@ def meta_diagnose(
 
     if any(not check.verified for check in checks):
         category = CATEGORY_ARITHMETIC_ERROR
-    elif naming_conflicts(trace.text):
+    elif naming_conflicts(trace.text, values):
         category = CATEGORY_LOGICAL_CONTRADICTION
     elif coverage < 1.0:
         category = CATEGORY_MISSING_CONSTRAINT
@@ -138,10 +153,11 @@ def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> Dia
         problem = analyse_problem(problem)
     if isinstance(trace, str):
         trace = ReasoningTrace.from_text(trace)
-    checks = check_equations(trace.text)
-    missing, coverage = constraint_coverage(problem.mentions, trace.text, checks)
-    meta = meta_diagnose(trace, checks, coverage)
-    graph = semantic_graph_check(problem, trace, checks)
+    values = NumberValues()
+    checks = check_equations(trace.text, values)
+    missing, coverage = constraint_coverage(problem.mentions, trace.text, checks, values)
+    meta = meta_diagnose(trace, checks, coverage, values)
+    graph = semantic_graph_check(problem, trace, checks, values)
     return DiagnosisReport(
         checks=tuple(checks),
         meta=meta,

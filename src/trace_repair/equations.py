@@ -10,6 +10,11 @@ Owns the number grammar (``_NUM``) and ``parse_number``, the one place in
 the package where digit text becomes a value. A number as long as
 Python's int-to-string digit limit is unparseable, so every value the
 diagnostics hold can be printed in a hint or an artifact.
+
+Each diagnosed text has one ``NumberValues`` table, which every scan of
+that text reads its values from, so each distinct token is parsed once per
+text however many scans read it. The scans take the table as an optional
+last argument and build their own when called alone.
 """
 
 from __future__ import annotations
@@ -113,14 +118,32 @@ def parse_number(token: str) -> Fraction | None:
         return None
 
 
-def numeric_mentions(text: str) -> set[Fraction]:
+class NumberValues(dict):
+    """One text's number values: ``values[token]`` is ``parse_number(token)``.
+
+    A token is parsed on its first lookup and its value kept, None included.
+    A table lives for one call that reads a text, so none is shared between
+    threads or kept across a run.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> Fraction | None:
+        value = self[token] = parse_number(token)
+        return value
+
+
+def numeric_mentions(text: str, values: NumberValues | None = None) -> set[Fraction]:
     """Distinct normalized numeric mentions in a text."""
-    values = set()
-    for match in _MENTION_RE.finditer(text):
-        value = parse_number(match.group(0))
+    if values is None:
+        values = NumberValues()
+    mentions = set()
+    # Each distinct token once, in text order.
+    for token in dict.fromkeys(_MENTION_RE.findall(text)):
+        value = values[token]
         if value is not None:
-            values.add(value)
-    return values
+            mentions.add(value)
+    return mentions
 
 
 def _verify(operator: str, a: Fraction, b: Fraction, claimed: Fraction) -> bool:
@@ -142,19 +165,19 @@ def _verify(operator: str, a: Fraction, b: Fraction, claimed: Fraction) -> bool:
     raise ValueError(f"unknown operator {operator!r}")
 
 
-def check_equations(trace_text: str) -> list[EquationCheck]:
+def check_equations(trace_text: str, values: NumberValues | None = None) -> list[EquationCheck]:
     """Scan a trace for binary arithmetic and LCM/GCD equations.
 
     Every match is verified exactly; division by zero never verifies.
     Zero matches is a valid empty result.
     """
+    if values is None:
+        values = NumberValues()
     checks: list[EquationCheck] = []
     # An lcm/gcd left-hand side keeps one character past its second operand.
     for pattern, lhs_overhang in ((_EQUATION_RE, 0), (_LCM_GCD_RE, 1)):
         for match in pattern.finditer(trace_text):
-            a = parse_number(match.group("a"))
-            b = parse_number(match.group("b"))
-            c = parse_number(match.group("c"))
+            a, b, c = values[match["a"]], values[match["b"]], values[match["c"]]
             if a is None or b is None or c is None:
                 continue
             operator = _OPERATORS[match.group("op").lower()]
@@ -195,11 +218,13 @@ def _trim_name(raw: str) -> str:
     return " ".join(words)
 
 
-def naming_statements(text: str) -> list[NamingStatement]:
+def naming_statements(text: str, values: NumberValues | None = None) -> list[NamingStatement]:
     """Derivational naming statements, keyed by the lowercase phrase."""
+    if values is None:
+        values = NumberValues()
     statements: list[NamingStatement] = []
     for match in _NAMING_RE.finditer(text):
-        value = parse_number(match.group("value"))
+        value = values[match.group("value")]
         if value is None:
             continue
         name = _trim_name(match.group("name"))
@@ -207,7 +232,7 @@ def naming_statements(text: str) -> list[NamingStatement]:
             continue
         statements.append(NamingStatement(name=name, value=value, position=match.start()))
     for match in _IS_NAMING_RE.finditer(text):
-        value = parse_number(match.group("value"))
+        value = values[match.group("value")]
         if value is None:
             continue
         name = " ".join(match.group(0)[: match.start("value") - match.start()].lower().split())
@@ -216,14 +241,16 @@ def naming_statements(text: str) -> list[NamingStatement]:
     return statements
 
 
-def naming_conflicts(text: str) -> list[tuple[str, tuple[Fraction, ...]]]:
+def naming_conflicts(
+    text: str, values: NumberValues | None = None
+) -> list[tuple[str, tuple[Fraction, ...]]]:
     """Names asserted with two or more distinct values."""
     by_name: dict[str, list[Fraction]] = {}
-    for statement in naming_statements(text):
+    for statement in naming_statements(text, values):
         by_name.setdefault(statement.name, []).append(statement.value)
     conflicts = []
-    for name, values in by_name.items():
-        distinct = sorted(set(values))
+    for name, named in by_name.items():
+        distinct = sorted(set(named))
         if len(distinct) > 1:
             conflicts.append((name, tuple(distinct)))
     return conflicts

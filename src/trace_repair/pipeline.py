@@ -13,7 +13,8 @@ Guarded repair and the direct-regeneration baselines share one
 per-example path; a mode only picks which examples are repaired and the
 repair_example arguments. Final artifacts are serialized once, in
 example-id order, each through a temp file, so interrupted runs can resume
-from progress.jsonl and still produce byte-identical output.
+from progress.jsonl and still produce byte-identical output. A resume drops
+the torn last line a kill mid-append leaves and runs that example again.
 
 A remote provider keeps up to its ``concurrency`` examples in flight at
 once; their results are still taken in dataset order, so progress.jsonl,
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import deque
+from collections.abc import Iterable
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
@@ -238,9 +240,42 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
     write_artifact(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
+def _jsonl_rows(path: Path, lines: Iterable[str]) -> list[dict]:
+    rows = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{number}: not JSON ({exc})") from None
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}:{number}: row is a JSON {type(row).__name__}, not an object")
+        rows.append(row)
+    return rows
+
+
 def _read_jsonl(path: Path) -> list[dict]:
+    """A JSONL file's rows; a line that is not a JSON object raises a ValueError naming it."""
     with open(path, encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+        return _jsonl_rows(path, handle)
+
+
+def _read_progress(path: Path) -> list[dict]:
+    """The checkpoint's rows, once a torn last line is cut off the file.
+
+    Every row is appended whole, newline included, so a last line without
+    its newline is what a kill mid-append leaves. It is truncated away, so
+    its example runs again and the next append starts a line of its own. A
+    bad line anywhere else raises a ValueError naming it.
+    """
+    with open(path, "r+b") as handle:
+        data = handle.read()
+        whole = data.rfind(b"\n") + 1
+        if whole < len(data):
+            log.warning("%s: dropping a torn last line of %d bytes", path, len(data) - whole)
+            handle.truncate(whole)
+    return _jsonl_rows(path, data[:whole].decode("utf-8").split("\n"))
 
 
 def risk_log_summary(risk_rows: list[dict]) -> dict:
@@ -367,7 +402,7 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
 
     completed: dict[str, dict] = {}
     if manifest.resume and progress_path.exists():
-        completed = {payload["example_id"]: payload for payload in _read_jsonl(progress_path)}
+        completed = {payload["example_id"]: payload for payload in _read_progress(progress_path)}
         unknown = completed.keys() - dataset_ids
         if unknown:
             raise ValueError(

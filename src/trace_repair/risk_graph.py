@@ -32,7 +32,11 @@ the diagnosis of every trace for it. The analysis holds everything the
 checks read of the problem: the graph, its numeric mentions, each value's
 binding words, the first "N times more" phrase, the equal-split flag and
 the kind of quantity the question asks for. No check reads problem text.
-Digit tokens become values through ``equations.parse_number``.
+Digit tokens become values through one ``equations.NumberValues`` table per
+text: ``analyse_problem`` shares one between the problem's quantities, its
+numeric mentions and the "N times more" multiplier, and
+``semantic_graph_check`` reads the trace's from its caller, so each distinct
+token is parsed once per text.
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ from .equations import (
     OP_MUL,
     OP_SUB,
     EquationCheck,
+    NumberValues,
     check_equations,
     numeric_mentions,
-    parse_number,
 )
 
 RISK_QUANTITY_BINDING = "quantity_binding_error"
@@ -202,15 +206,16 @@ class ProblemAnalysis:
 
 def analyse_problem(text: str) -> ProblemAnalysis:
     """Parse a problem once; every trace diagnosed against it shares this."""
-    graph = build_relation_graph(*extract_quantities(text))
+    values = NumberValues()
+    graph = build_relation_graph(*extract_quantities(text, values))
     bindings: dict[Fraction, frozenset[str]] = {}
     for node in graph.nodes:
         bindings[node.value] = bindings.get(node.value, frozenset()) | _binding_tokens(node)
     match = _TIMES_MORE_RE.search(text)
-    multiplier = _number_value(match.group(1).lower()) if match else None
+    multiplier = _number_value(match.group(1).lower(), values) if match else None
     return ProblemAnalysis(
         graph=graph,
-        mentions=frozenset(numeric_mentions(text)),
+        mentions=frozenset(numeric_mentions(text, values)),
         bindings=bindings,
         times_more=None if multiplier is None else (match.group(0), multiplier),
         equal_split=_EQUAL_SPLIT_RE.search(text) is not None,
@@ -271,14 +276,14 @@ def _tokenize(text: str) -> TokenColumns:
     return words, [word.lower() for word in words], sentences, initial
 
 
-def _number_value(word: str) -> Fraction | None:
+def _number_value(word: str, values: NumberValues) -> Fraction | None:
     """A lowered token's value: a number word's, or a digit string's
-    through ``parse_number``; None for any other word.
+    from the text's ``values``; None for any other word.
 
     A digit string is a token that starts with ``$`` or a digit.
     """
     if word[0] == "$" or word[0].isdigit():
-        return parse_number(word.lstrip("$"))
+        return values[word.lstrip("$")]
     if word in NUMBER_WORDS:
         return Fraction(NUMBER_WORDS[word])
     return None
@@ -296,7 +301,9 @@ def _entity_word(text: str, sentence_initial: bool) -> str:
     return "" if word.lower() in _UNIT_EXCLUSIONS else word
 
 
-def extract_quantities(text: str) -> tuple[TokenColumns, list[QuantityNode]]:
+def extract_quantities(
+    text: str, values: NumberValues | None = None
+) -> tuple[TokenColumns, list[QuantityNode]]:
     """Tokenise a text and turn every numeric mention into a quantity node.
 
     Digit strings, number words, fractions, and money expressions all
@@ -306,6 +313,8 @@ def extract_quantities(text: str) -> tuple[TokenColumns, list[QuantityNode]]:
     once, and every window reads them from there. Returns the token columns
     with the nodes, so that nothing tokenises the text again.
     """
+    if values is None:
+        values = NumberValues()
     tokens = _tokenize(text)
     words, lowered, _, initial = tokens
     units = [
@@ -316,7 +325,7 @@ def extract_quantities(text: str) -> tuple[TokenColumns, list[QuantityNode]]:
     count = len(words)
     nodes: list[QuantityNode] = []
     for index, word in enumerate(lowered):
-        value = _number_value(word)
+        value = _number_value(word, values)
         if value is None:
             continue
         start = max(0, index - WINDOW_TOKENS)
@@ -449,10 +458,10 @@ def _check_quantity_binding(
     seen_values: set[Fraction] = set()
 
     for trace_node in trace_nodes:
-        if trace_node.value in seen_values:
-            continue
+        # Only a bound value can be in seen_values, so an unbound one is
+        # looked up once.
         same_binding = problem.bindings.get(trace_node.value)
-        if not same_binding:
+        if not same_binding or trace_node.value in seen_values:
             continue
         trace_binding = _binding_tokens(trace_node)
         if not trace_binding or trace_binding & same_binding:
@@ -568,8 +577,10 @@ def _check_change_events(
     for edge in problem_graph.edges:
         if edge.kind != EDGE_CHANGE_EVENT:
             continue
-        pair = {edge.node.value, edge.base}
-        operators = {check.operator for check in trace_checks if set(check.operands) == pair}
+        # The two values differ, so a check over them has them in one of two
+        # orders; comparing tuples hashes no value.
+        orders = ((edge.node.value, edge.base), (edge.base, edge.node.value))
+        operators = {check.operator for check in trace_checks if check.operands in orders}
         if edge.decrease and operators & {OP_ADD, OP_SUB} == {OP_ADD}:
             wrong, right = "added", "removed"
         elif not edge.decrease and operators & {OP_ADD, OP_SUB} == {OP_SUB}:
@@ -614,12 +625,15 @@ def _requested_kind(problem_text: str) -> str | None:
 
 
 def _check_answer_format(
-    requested: str | None, trace: ReasoningTrace, trace_checks: list[EquationCheck]
+    requested: str | None,
+    trace: ReasoningTrace,
+    trace_checks: list[EquationCheck],
+    values: NumberValues,
 ) -> list[RiskSignal]:
     if requested is None:
         return []
 
-    final_value = as_fraction(trace.answer)
+    final_value = as_fraction(trace.answer, values)
     if final_value is None:
         return []
     derivations = [check for check in trace_checks if check.claimed_result == final_value]
@@ -645,12 +659,14 @@ def semantic_graph_check(
     problem: ProblemAnalysis | str,
     trace: ReasoningTrace | str,
     trace_checks: list[EquationCheck] | None = None,
+    values: NumberValues | None = None,
 ) -> GraphReport:
     """Run the five risk checks and produce the clipped score.
 
     Takes the problem's analysis and the parsed trace (or their texts),
-    and the trace's equation checks when the caller already has them. An
-    empty or answerless trace is a generation failure with score 0.
+    and the trace's equation checks and ``NumberValues`` table when the
+    caller already has them. An empty or answerless trace is a generation
+    failure with score 0.
     """
     if isinstance(problem, str):
         problem = analyse_problem(problem)
@@ -669,18 +685,20 @@ def semantic_graph_check(
             diagnosis=DIAGNOSIS_GENERATION_FAILURE,
         )
 
-    (_, lowered, _, _), trace_nodes = extract_quantities(trace.text)
+    if values is None:
+        values = NumberValues()
+    (_, lowered, _, _), trace_nodes = extract_quantities(trace.text, values)
     deltas = _comparison_deltas(lowered, [node.token_index for node in trace_nodes])
     trace_has_comparison = next(deltas, None) is not None
     if trace_checks is None:
-        trace_checks = check_equations(trace.text)
+        trace_checks = check_equations(trace.text, values)
 
     risks: list[RiskSignal] = []
     risks.extend(_check_quantity_binding(problem, trace_nodes))
     risks.extend(_check_comparisons(problem, trace_has_comparison, trace_checks))
     risks.extend(_check_rate_usage(problem, trace_checks))
     risks.extend(_check_change_events(problem.graph, trace_checks))
-    risks.extend(_check_answer_format(problem.requested, trace, trace_checks))
+    risks.extend(_check_answer_format(problem.requested, trace, trace_checks, values))
 
     deduped: list[RiskSignal] = []
     seen: set[tuple[str, tuple[str, ...]]] = set()

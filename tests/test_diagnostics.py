@@ -1,6 +1,10 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trace_repair.answers import ReasoningTrace
 from trace_repair.diagnostics import (
@@ -14,8 +18,11 @@ from trace_repair.diagnostics import (
     diagnose,
     meta_diagnose,
 )
-from trace_repair.equations import check_equations
-from trace_repair.risk_graph import analyse_problem
+from trace_repair.equations import NumberValues, check_equations, numeric_mentions, parse_number
+from trace_repair.risk_graph import analyse_problem, extract_quantities, semantic_graph_check
+
+# Python 3.10 has no digit limit; its runs still test long numbers.
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 
 
 def _meta(problem, trace_text):
@@ -168,3 +175,93 @@ class TestAnalysedOnce:
         )
         assert coverage == share == 2 / 3
         assert missing == [Fraction(99)]
+
+    def test_each_number_is_parsed_once_per_text(self, count_calls):
+        # Every number here is a plain integer, so a text's distinct number
+        # tokens are its distinct digit runs. The trace is built first, as
+        # the pipeline does, so only the diagnosis is counted.
+        problem = (
+            "Tom has 3 bags with 4 candies each. Ann has 2 times more bags. "
+            "How many candies are left?"
+        )
+        trace = ReasoningTrace.from_text(
+            "3 * 4 = 12\n12 - 2 = 10\nCandies left = 10\nFinal Answer: 10"
+        )
+        parsed = count_calls("equations", "parse_number")
+        diagnose(problem, trace)
+        assert len(parsed) <= len(_digit_runs(problem)) + len(_digit_runs(trace.text))
+
+    def test_candidate_diagnosis_parses_only_candidate_numbers(self, count_calls):
+        diag0 = diagnose(self.PROBLEM, "3 + 4 = 7\nFinal Answer: 7")
+        candidate = ReasoningTrace.from_text("3 * 4 = 12\n12 - 5 = 7\nFinal Answer: 7")
+        parsed = count_calls("equations", "parse_number")
+        diagnose(diag0.problem, candidate)
+        tokens = [args[0] for args in parsed]
+        assert len(tokens) == len(set(tokens))
+        assert set(tokens) <= _digit_runs(candidate.text)
+
+
+def _digit_runs(text):
+    return set(re.findall(r"\d+", text))
+
+
+class TestNumberValues:
+    def test_a_cached_none_stays_none(self, count_calls):
+        parsed = count_calls("equations", "parse_number")
+        values = NumberValues()
+        assert values["9" * LIMIT] is None
+        assert values["9" * LIMIT] is None
+        assert values["1/0"] is None
+        assert values["1/0"] is None
+        assert len(parsed) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                (
+                    "1" * (LIMIT - 1),
+                    "1" * LIMIT,
+                    "$" + "2" * (LIMIT - 1),
+                    "3 * 4 = 12",
+                    "12 - 5 = 7",
+                    "2 + 2 = 5",
+                    "1/2 = 0.5",
+                    "x-3+4=1",
+                    "1,2345",
+                    "$3.50",
+                    "lcm(4, 6) = 12",
+                    "Total pens = 5",
+                    "Total pens = 6",
+                    "each",
+                    "3 more than",
+                    "two times more",
+                    "Tom gave",
+                    "Final Answer: 7",
+                    "\n",
+                )
+            ),
+            max_size=12,
+        ).map(" ".join),
+        st.lists(
+            st.sampled_from(("1" * (LIMIT - 1), "1" * LIMIT, "3", "4", "12", "0.5", "bags", "=", "+")),
+            max_size=8,
+        ).map(" ".join),
+    )
+    def test_a_shared_table_reads_as_separate_calls(self, text, problem):
+        """Each scan gives the same result alone and with one table shared by all."""
+        values = NumberValues()
+        checks = check_equations(text)
+        assert check_equations(text, values) == checks
+        assert numeric_mentions(text, values) == numeric_mentions(text)
+        assert extract_quantities(text, values) == extract_quantities(text)
+        analysis = analyse_problem(problem)
+        assert constraint_coverage(analysis.mentions, text, checks, values) == constraint_coverage(
+            analysis.mentions, text, checks
+        )
+        trace = ReasoningTrace.from_text(text)
+        assert semantic_graph_check(analysis, trace, checks, values) == semantic_graph_check(
+            problem, text
+        )
+        assert diagnose(problem, text).graph == semantic_graph_check(problem, text)
+        assert all(value == parse_number(token) for token, value in values.items())

@@ -168,6 +168,39 @@ class TestReplayRun:
                 _replay_manifest(tmp_path / "run", subset_path, cache_path, resume=True)
             )
 
+    @pytest.mark.parametrize("kept_bytes", [40, 1])
+    def test_resume_drops_a_torn_last_line(self, synthetic, tmp_path, kept_bytes):
+        import hashlib
+
+        directory, dataset_path, cache_path = synthetic
+        fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
+        progress = (tmp_path / "fresh" / PROGRESS_FILE).read_bytes()
+        lines = progress.splitlines(keepends=True)
+        # What a kill mid-append leaves: 30 whole lines and the start of the 31st.
+        crash_dir = tmp_path / "crash"
+        crash_dir.mkdir()
+        (crash_dir / PROGRESS_FILE).write_bytes(b"".join(lines[:30]) + lines[30][:kept_bytes])
+
+        resumed = run_pipeline(
+            _replay_manifest(crash_dir, dataset_path, cache_path, resume=True)
+        )
+        for key in ARTIFACT_KEYS:
+            assert (
+                hashlib.sha256(resumed.paths[key].read_bytes()).hexdigest()
+                == hashlib.sha256(fresh.paths[key].read_bytes()).hexdigest()
+            ), key
+        # The torn example ran again on a line of its own.
+        assert (crash_dir / PROGRESS_FILE).read_bytes() == progress
+
+    def test_resume_refuses_a_torn_line_before_the_last(self, synthetic, tmp_path):
+        directory, dataset_path, cache_path = synthetic
+        run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = tmp_path / "run" / PROGRESS_FILE
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:4]) + lines[4][:40] + b"".join(lines[5:]))
+        with pytest.raises(ValueError, match=rf"{PROGRESS_FILE}:5: not JSON"):
+            run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
+
     def test_failed_write_keeps_previous_artifacts(self, synthetic, tmp_path, monkeypatch):
         directory, dataset_path, cache_path = synthetic
         first = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
@@ -440,6 +473,20 @@ class TestReportMode:
         run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
         recomputed = recompute_report(run.paths["predictions"], tmp_path / "report")
         assert recomputed.report.to_json_dict() == run.report.to_json_dict()
+
+    @pytest.mark.parametrize("key", ["predictions", "candidates"])
+    @pytest.mark.parametrize(
+        "bad, error", [(None, "not JSON"), ("[1, 2]", "row is a JSON list, not an object")]
+    )
+    def test_a_bad_line_names_its_file_and_line(self, synthetic, tmp_path, key, bad, error):
+        directory, dataset_path, cache_path = synthetic
+        run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = run.paths[key]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = (lines[2][:40] if bad is None else bad) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{path.name}:3: {error}"):
+            recompute_report(run.paths["predictions"], tmp_path / "report")
 
 
 class TestFilterMode:
