@@ -147,21 +147,30 @@ def numeric_mentions(text: str, values: NumberValues | None = None) -> set[Fract
 
 
 def _verify(operator: str, a: Fraction, b: Fraction, claimed: Fraction) -> bool:
-    if operator == OP_ADD:
-        return a + b == claimed
-    if operator == OP_SUB:
-        return a - b == claimed
-    if operator == OP_MUL:
-        return a * b == claimed
-    if operator == OP_DIV:
-        if b == 0:
-            return False
-        return a / b == claimed
+    """Whether ``a operator b`` equals ``claimed``, exactly.
+
+    The four arithmetic operators compare cross-multiplied numerators and
+    denominators, so no intermediate ``Fraction`` is built or reduced.
+    Every denominator is positive, and a divisor's numerator is not zero,
+    so each cross-multiplication multiplies both sides by a nonzero number.
+    """
     if operator in (OP_LCM, OP_GCD):
         if a.denominator != 1 or b.denominator != 1:
             return False
         fn = math.lcm if operator == OP_LCM else math.gcd
         return Fraction(fn(int(a), int(b))) == claimed
+    p, q = a.numerator, a.denominator
+    r, s = b.numerator, b.denominator
+    t, u = claimed.numerator, claimed.denominator
+    if operator == OP_ADD:
+        return (p * s + r * q) * u == t * q * s
+    if operator == OP_SUB:
+        return (p * s - r * q) * u == t * q * s
+    if operator == OP_MUL:
+        return p * r * u == t * q * s
+    if operator == OP_DIV:
+        # p/q ÷ r/s is p*s / (q*r), with r != 0.
+        return r != 0 and p * s * u == t * q * r
     raise ValueError(f"unknown operator {operator!r}")
 
 

@@ -117,6 +117,14 @@ class RunManifest:
             raise ValueError("replay provider requires a candidate cache path")
         if self.concurrency is not None and self.provider != "remote":
             raise ValueError("concurrency applies only to the remote provider")
+        _check_harm_budget(self.harm_budget)
+
+
+def _check_harm_budget(harm_budget: float | None) -> None:
+    """Refuse a harm budget that is not a share: NaN would read as within
+    budget, and infinity cannot be rendered in the report."""
+    if harm_budget is not None and not 0.0 <= harm_budget <= 1.0:
+        raise ValueError(f"harm budget must be a share in [0, 1], not {harm_budget!r}")
 
 
 @dataclass
@@ -493,6 +501,7 @@ def recompute_report(
     The candidate-flow block needs the run's candidates.jsonl, read from
     beside the predictions file when it is there.
     """
+    _check_harm_budget(harm_budget)
     predictions = _read_jsonl(predictions_path)
     candidates_path = predictions_path.parent / CANDIDATES_FILE
     records = None

@@ -8,6 +8,7 @@ passes. No learned verifier or model judge anywhere.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, NamedTuple
@@ -73,6 +74,9 @@ EXCESS_LENGTH_FACTOR = 4
 
 _EPS = 1e-9
 
+# What each kind of config field takes, for the error that refuses a value.
+_KINDS = {bool: "a bool", int: "an integer", float: "a finite number"}
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -98,6 +102,27 @@ class PolicyConfig:
     rescue_initial_meta_max: float = 0.40
     rescue_candidate_meta_min: float = 0.80
     improvement_margin: float = 0.10
+
+    def __post_init__(self) -> None:
+        """Refuse a value of the wrong kind, naming its field.
+
+        A boolean field takes only a bool, an integer field only an int and
+        a float field only a finite number: a NaN threshold compares false
+        with every score and so would switch its guard off.
+        """
+        for field in fields(self):
+            value = getattr(self, field.name)
+            kind = type(field.default)
+            if kind is bool:
+                valid = isinstance(value, bool)
+            elif isinstance(value, bool):
+                valid = False
+            elif kind is int:
+                valid = isinstance(value, int)
+            else:
+                valid = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+            if not valid:
+                raise ValueError(f"config field {field.name} takes {_KINDS[kind]}, not {value!r}")
 
     def with_overrides(self, **kwargs) -> "PolicyConfig":
         return replace(self, **kwargs)
@@ -127,6 +152,15 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
+def _parsed(kind: type, value: object) -> object:
+    """``kind(value)``, or ``value`` unchanged when it does not convert, so
+    that the config refuses it by its field's name."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        return value
+
+
 def config_from_mapping(values: Mapping[str, object], base: PolicyConfig | None = None) -> PolicyConfig:
     """Build a config from a plain mapping of field names to values."""
     config = base or PolicyConfig()
@@ -141,10 +175,14 @@ def config_from_mapping(values: Mapping[str, object], base: PolicyConfig | None 
             if lowered not in _BOOL_TRUE | _BOOL_FALSE:
                 raise ValueError(f"invalid boolean for {key}: {value!r}")
             value = lowered in _BOOL_TRUE
-        elif isinstance(current, int) and not isinstance(value, bool):
+        elif isinstance(current, int) and isinstance(value, str):
+            value = _parsed(int, value)
+        elif isinstance(current, int) and isinstance(value, float) and value.is_integer():
+            # A whole float such as 3.0 is the integer 3; any other float is
+            # refused by the config, not truncated.
             value = int(value)
-        elif isinstance(current, float):
-            value = float(value)
+        elif isinstance(current, float) and not isinstance(value, (bool, float)):
+            value = _parsed(float, value)
         overrides[key] = value
     return config.with_overrides(**overrides)
 

@@ -21,11 +21,16 @@ tests, filtered and deduplicated once, and each edge carries its node:
   and a different base value: ``_check_change_events`` flags a trace that
   adds what the problem removes, or the reverse.
 
-The trace gets only what the checks read of it: its nodes for
-``_check_quantity_binding`` and, for ``_check_comparisons``, whether it has
-a comparison, found by stopping at the first. Nodes are in token order, so
-each nearest-node lookup reads two list neighbours and the graph is linear
-in text length.
+The trace gets no graph and no nodes, only what the checks read of it: its
+token columns and each number's ``(token index, value)``, in token order.
+``_check_comparisons`` reads whether the trace has a comparison, found from
+the numbers' positions by stopping at the first. ``_check_quantity_binding``
+looks up the problem's binding once per distinct number token, builds the
+unit and entity columns at the first bound number, and reads a window only
+at a bound number whose value it has not yet flagged. ``_unit_and_entity``
+is the one definition of a number's window for the problem's nodes and the
+trace's bound numbers alike. Nodes are in token order, so each nearest-node
+lookup reads two list neighbours and the graph is linear in text length.
 
 A problem is analysed once per example (``ProblemAnalysis``) and shared by
 the diagnosis of every trace for it. The analysis holds everything the
@@ -108,6 +113,7 @@ NUMBER_WORDS: dict[str, int] = {
     "twenty": 20, "thirty": 30, "forty": 40, "fifty": 50, "sixty": 60,
     "seventy": 70, "eighty": 80, "ninety": 90, "dozen": 12,
 }
+_NUMBER_WORD_VALUES = {word: Fraction(value) for word, value in NUMBER_WORDS.items()}
 
 _DECREASE_VERBS = frozenset({
     "gave", "give", "gives", "given", "lost", "lose", "loses",
@@ -210,7 +216,9 @@ def analyse_problem(text: str) -> ProblemAnalysis:
     graph = build_relation_graph(*extract_quantities(text, values))
     bindings: dict[Fraction, frozenset[str]] = {}
     for node in graph.nodes:
-        bindings[node.value] = bindings.get(node.value, frozenset()) | _binding_tokens(node)
+        bindings[node.value] = bindings.get(node.value, frozenset()) | _binding_tokens(
+            node.unit_phrase, node.entity_mention
+        )
     match = _TIMES_MORE_RE.search(text)
     multiplier = _number_value(match.group(1).lower(), values) if match else None
     return ProblemAnalysis(
@@ -284,9 +292,17 @@ def _number_value(word: str, values: NumberValues) -> Fraction | None:
     """
     if word[0] == "$" or word[0].isdigit():
         return values[word.lstrip("$")]
-    if word in NUMBER_WORDS:
-        return Fraction(NUMBER_WORDS[word])
-    return None
+    return _NUMBER_WORD_VALUES.get(word)
+
+
+def _numbers(lowered: list[str], values: NumberValues) -> list[tuple[int, Fraction]]:
+    """Each numeric mention's token index and value, in token order."""
+    numbers = []
+    for index, word in enumerate(lowered):
+        value = _number_value(word, values)
+        if value is not None:
+            numbers.append((index, value))
+    return numbers
 
 
 def _entity_word(text: str, sentence_initial: bool) -> str:
@@ -299,6 +315,40 @@ def _entity_word(text: str, sentence_initial: bool) -> str:
         return ""
     word = text.split("'")[0]
     return "" if word.lower() in _UNIT_EXCLUSIONS else word
+
+
+def _token_features(tokens: TokenColumns) -> tuple[list[str], list[str]]:
+    """Each token's unit word and entity word, "" where it has none."""
+    words, lowered, _, initial = tokens
+    units = [
+        word if word.isalpha() and len(word) > 1 and word not in _UNIT_EXCLUSIONS else ""
+        for word in lowered
+    ]
+    return units, list(map(_entity_word, words, initial))
+
+
+def _unit_and_entity(
+    features: tuple[list[str], list[str]], index: int, word: str
+) -> tuple[str, str]:
+    """The unit phrase and entity mention of the number token ``word`` at
+    ``index``, from the five-token window on each side of it."""
+    units, entities = features
+    if word[0] == "$":
+        unit = "dollars"
+    else:
+        start, end = max(0, index - WINDOW_TOKENS), index + WINDOW_TOKENS + 1
+        after = [candidate for candidate in units[index + 1 : end] if candidate]
+        before = [candidate for candidate in units[start:index] if candidate]
+        unit = after[0] if after else before[-1] if before else ""
+
+    # The nearest entity word, the earlier one on a tie.
+    count = len(entities)
+    for distance in range(1, WINDOW_TOKENS + 1):
+        if index >= distance and entities[index - distance]:
+            return unit, entities[index - distance]
+        if index + distance < count and entities[index + distance]:
+            return unit, entities[index + distance]
+    return unit, ""
 
 
 def extract_quantities(
@@ -316,45 +366,19 @@ def extract_quantities(
     if values is None:
         values = NumberValues()
     tokens = _tokenize(text)
-    words, lowered, _, initial = tokens
-    units = [
-        word if word.isalpha() and len(word) > 1 and word not in _UNIT_EXCLUSIONS else ""
-        for word in lowered
-    ]
-    entities = list(map(_entity_word, words, initial))
-    count = len(words)
+    words, lowered, _, _ = tokens
+    features = _token_features(tokens)
     nodes: list[QuantityNode] = []
-    for index, word in enumerate(lowered):
-        value = _number_value(word, values)
-        if value is None:
-            continue
-        start = max(0, index - WINDOW_TOKENS)
-        end = index + WINDOW_TOKENS + 1
-
-        if word[0] == "$":
-            unit = "dollars"
-        else:
-            after = [candidate for candidate in units[index + 1 : end] if candidate]
-            before = [candidate for candidate in units[start:index] if candidate]
-            unit = after[0] if after else before[-1] if before else ""
-
-        # The nearest entity word, the earlier one on a tie.
-        entity = ""
-        for distance in range(1, WINDOW_TOKENS + 1):
-            if index >= distance and entities[index - distance]:
-                entity = entities[index - distance]
-                break
-            if index + distance < count and entities[index + distance]:
-                entity = entities[index + distance]
-                break
-
+    for index, value in _numbers(lowered, values):
+        unit, entity = _unit_and_entity(features, index, lowered[index])
+        window = lowered[max(0, index - WINDOW_TOKENS) : index + WINDOW_TOKENS + 1]
         nodes.append(
             QuantityNode(
                 surface=words[index],
                 value=value,
                 unit_phrase=unit,
                 entity_mention=entity,
-                change_verbs=CHANGE_VERBS.intersection(lowered[start:end]),
+                change_verbs=CHANGE_VERBS.intersection(window),
                 token_index=index,
             )
         )
@@ -435,9 +459,9 @@ def build_relation_graph(tokens: TokenColumns, nodes: list[QuantityNode]) -> Qua
     return QuantityGraph(nodes=tuple(nodes), edges=tuple(edges))
 
 
-def _binding_tokens(node: QuantityNode) -> frozenset[str]:
+def _binding_tokens(unit_phrase: str, entity_mention: str) -> frozenset[str]:
     words = set()
-    for chunk in (node.unit_phrase, node.entity_mention):
+    for chunk in (unit_phrase, entity_mention):
         for word in chunk.lower().split():
             if word and word not in _STOPWORDS:
                 words.add(_stem(word))
@@ -451,30 +475,52 @@ def _stem(word: str) -> str:
 
 
 def _check_quantity_binding(
-    problem: ProblemAnalysis, trace_nodes: list[QuantityNode]
+    problem: ProblemAnalysis, tokens: TokenColumns, numbers: list[tuple[int, Fraction]]
 ) -> list[RiskSignal]:
-    """Same number bound to a different entity/unit than in the problem."""
-    signals: list[RiskSignal] = []
-    seen_values: set[Fraction] = set()
+    """Same number bound to a different entity/unit than in the problem.
 
-    for trace_node in trace_nodes:
-        # Only a bound value can be in seen_values, so an unbound one is
-        # looked up once.
-        same_binding = problem.bindings.get(trace_node.value)
-        if not same_binding or trace_node.value in seen_values:
+    Reads the trace's token columns and its numbers' ``(token index,
+    value)``. Each distinct token's binding is looked up once, the unit and
+    entity columns are built at the first bound number, and a window is
+    read only at a bound number whose value is not yet flagged.
+    """
+    words, lowered, _, _ = tokens
+    signals: list[RiskSignal] = []
+    # Each distinct token's value and problem binding; None once the value
+    # is flagged, or when the problem does not bind it. Token strings hash
+    # once, so no value is hashed more than once per distinct token.
+    bound: dict[str, tuple[Fraction, frozenset[str]] | None] = {}
+    flagged: set[Fraction] = set()
+    features = None
+    for index, value in numbers:
+        word = lowered[index]
+        if word in bound:
+            entry = bound[word]
+        else:
+            same_binding = problem.bindings.get(value)
+            bound[word] = entry = (
+                (value, same_binding) if same_binding and value not in flagged else None
+            )
+        if entry is None:
             continue
-        trace_binding = _binding_tokens(trace_node)
+        if features is None:
+            features = _token_features(tokens)
+        unit, entity = _unit_and_entity(features, index, word)
+        trace_binding = _binding_tokens(unit, entity)
+        same_binding = entry[1]
         if not trace_binding or trace_binding & same_binding:
             continue
-        seen_values.add(trace_node.value)
+        flagged.add(value)
+        for other, other_entry in bound.items():
+            if other_entry is not None and other_entry[0] == value:
+                bound[other] = None
         evidence = (
-            f"trace uses {trace_node.surface} with "
-            f"'{trace_node.unit_phrase or trace_node.entity_mention}'; "
+            f"trace uses {words[index]} with '{unit or entity}'; "
             f"problem binds it to '{' '.join(sorted(same_binding))}'",
         )
         # The trace's words miss this value's binding, so any overlap is with
         # another value's.
-        if any(trace_binding & words for words in problem.bindings.values()):
+        if any(trace_binding & other for other in problem.bindings.values()):
             severity = SEVERITY_HIGH
         else:
             severity = SEVERITY_WARNING
@@ -687,14 +733,15 @@ def semantic_graph_check(
 
     if values is None:
         values = NumberValues()
-    (_, lowered, _, _), trace_nodes = extract_quantities(trace.text, values)
-    deltas = _comparison_deltas(lowered, [node.token_index for node in trace_nodes])
+    tokens = _tokenize(trace.text)
+    numbers = _numbers(tokens[1], values)
+    deltas = _comparison_deltas(tokens[1], [index for index, _ in numbers])
     trace_has_comparison = next(deltas, None) is not None
     if trace_checks is None:
         trace_checks = check_equations(trace.text, values)
 
     risks: list[RiskSignal] = []
-    risks.extend(_check_quantity_binding(problem, trace_nodes))
+    risks.extend(_check_quantity_binding(problem, tokens, numbers))
     risks.extend(_check_comparisons(problem, trace_has_comparison, trace_checks))
     risks.extend(_check_rate_usage(problem, trace_checks))
     risks.extend(_check_change_events(problem.graph, trace_checks))

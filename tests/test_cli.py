@@ -92,3 +92,18 @@ def test_bad_concurrency_is_a_parser_error(monkeypatch, capsys, flags):
         cli.main([*RUN, *flags])
     assert raised.value.code == 2
     assert "--concurrency" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--graph-min-score", "nan"], ["--graph-drop-tolerance", "nan"]]
+)
+def test_a_nan_threshold_flag_is_refused(flags):
+    with pytest.raises(ValueError, match="takes a finite number"):
+        _config(*flags)
+
+
+def test_a_truncated_config_file_value_is_refused(tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"n_candidates": 2.7}))
+    with pytest.raises(ValueError, match="config field n_candidates takes an integer"):
+        _config("--config", str(config_path))

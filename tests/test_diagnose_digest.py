@@ -1,11 +1,13 @@
-"""The diagnosis layer's output, pinned by one digest over a seeded sample.
+"""The diagnosis layer's output, pinned by two digests over seeded samples.
 
 ``diagnose`` and ``render_hint`` run on 2,000 random problem/trace pairs
 drawn from a vocabulary of numbers, number words, rate, comparison, change,
 split and total words, "N times more" phrases, arithmetic lines and naming
 lines. The sample holds every risk category, both quantity-binding
 severities and every meta category, so a change to any check's result
-changes the digest. A refactor of the diagnosis layer must keep it.
+changes the digest. A second digest pins 40 traces of 50 to 400 lines,
+the shape on which the trace side of the risk graph costs most. A refactor
+of the diagnosis layer must keep both.
 """
 
 import hashlib
@@ -162,3 +164,85 @@ def test_sample_holds_every_category_and_matches_the_recorded_digest():
         CATEGORY_LOW_SYMBOLIC_COVERAGE,
     }
     assert digest(reports) == DIGEST
+
+
+# Long traces: the shape the risk graph's trace side costs most on. Each
+# trace repeats the problem's numbers many times, with money tokens, entity
+# words, comparison markers, change verbs, decimals, fractions, negative
+# operands and zero divisors among its lines.
+LONG_SEED = 20261019
+LONG_PAIRS = 40
+LONG_LINES = (50, 400)
+LONG_DIGEST = "1dcdbb4e2ea4d79b2c2a94b0715cdef7f2bdbd4a8a9cf443cb8fdac215215162"
+EXTRA_OPERANDS = ("-2", "-3.5", "0.25", "3/4", "2", "0", "-1/2", "1,200")
+
+
+def _result_text(rng, value):
+    if value.denominator == 1:
+        return str(value.numerator)
+    return rng.choice((f"{float(value):.2f}", f"{value.numerator}/{value.denominator}"))
+
+
+def _long_trace(rng, problem):
+    pick = rng.choice
+    pool = _numbers_of(problem) or ["3"]
+    # Half the traces have no arithmetic slip, so not every one is an
+    # arithmetic error.
+    slips = pick((0.0, 0.02))
+    lines = []
+    for _ in range(rng.randint(*LONG_LINES)):
+        kind = rng.random()
+        if kind < 0.4:
+            a, b = pick(pool + list(EXTRA_OPERANDS)), pick(pool + list(EXTRA_OPERANDS))
+            op = pick(OPERATORS)
+            left, right = Fraction(a.replace(",", "")), Fraction(b.replace(",", ""))
+            if op == "/" and not right:
+                value = Fraction(rng.randint(0, 3))
+            else:
+                value = APPLY[op](left, right)
+            if rng.random() < slips:
+                value += rng.randint(1, 5)
+            lines.append(f"{a} {op} {b} = {_result_text(rng, value)}")
+        elif kind < 0.5:
+            lines.append(f"{pick(NAMES)} pays ${pick(pool)} for {pick(pool)} {pick(UNITS)}.")
+        elif kind < 0.62:
+            lines.append(
+                f"So {pick(NAMES)} has {pick(pool)} {pick(UNITS)} and {pick(NAMES)}'s "
+                f"{pick(UNITS)} are {pick(pool)}."
+            )
+        elif kind < 0.72:
+            lines.append(
+                f"That is {pick(pool)} {pick(COMPARE)} than the {pick(pool)} {pick(UNITS)}."
+            )
+        elif kind < 0.82:
+            lines.append(
+                f"Then {pick(NAMES)} {pick(CHANGE)} {pick(pool)} {pick(UNITS)} "
+                f"{pick(RATE)} {pick(('day', 'week', 'kid'))}."
+            )
+        elif kind < 0.9:
+            lines.append(f"{pick(('Total', 'Cost', 'Left'))} {pick(UNITS)} = {pick(pool)}")
+        else:
+            lines.append(
+                " ".join(rng.choices(NUMBERS + CHANGE + RATE + COMPARE + MEANINGS + UNITS, k=8))
+                + pick((".", "!", ""))
+            )
+    lines.append(f"Final Answer: {pick(pool + ['7', '12'])}")
+    return "\n".join(lines)
+
+
+def long_sample(seed=LONG_SEED, count=LONG_PAIRS):
+    """Yield ``(problem, trace, report)`` for ``count`` seeded long traces."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        problem = _problem(rng)
+        trace = _long_trace(rng, problem)
+        yield problem, trace, diagnose(problem, trace)
+
+
+def test_long_trace_sample_matches_the_recorded_digest():
+    pairs = list(long_sample())
+    lengths = [trace.count("\n") + 1 for _, trace, _ in pairs]
+    assert min(lengths) >= LONG_LINES[0] and max(lengths) <= LONG_LINES[1] + 1
+    risks = {risk.category for _, _, report in pairs for risk in report.graph.risks}
+    assert RISK_QUANTITY_BINDING in risks
+    assert digest(report for _, _, report in pairs) == LONG_DIGEST

@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from trace_repair.equations import (
     OP_LCM,
     OP_MUL,
     OP_SUB,
+    _verify,
     check_equations,
     naming_conflicts,
     naming_statements,
@@ -144,6 +146,52 @@ class TestCheckEquations:
         text = f"{a} / {b} = {reduced.numerator}/{reduced.denominator}"
         checks = check_equations(text)
         assert any(check.verified for check in checks)
+
+
+def _reference_result(operator, a, b):
+    """``a operator b`` by ``Fraction`` arithmetic; None where it is undefined."""
+    if operator in (OP_LCM, OP_GCD):
+        if a.denominator != 1 or b.denominator != 1:
+            return None
+        return Fraction((math.lcm if operator == OP_LCM else math.gcd)(int(a), int(b)))
+    if operator == OP_DIV:
+        return a / b if b else None
+    return {OP_ADD: a + b, OP_SUB: a - b, OP_MUL: a * b}[operator]
+
+
+_OPERANDS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-60, max_value=60).map(Fraction),
+    st.fractions(min_value=-60, max_value=60, max_denominator=24),
+)
+
+
+class TestVerify:
+    """Cross-multiplication agrees with ``Fraction`` arithmetic."""
+
+    @given(
+        st.sampled_from([OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_LCM, OP_GCD]),
+        _OPERANDS,
+        _OPERANDS,
+        _OPERANDS,
+        st.booleans(),
+    )
+    @settings(max_examples=1000)
+    def test_matches_fraction_arithmetic(self, operator, a, b, other, exact):
+        result = _reference_result(operator, a, b)
+        claimed = result if exact and result is not None else other
+        assert _verify(operator, a, b, claimed) is (result == claimed)
+
+    @pytest.mark.parametrize("operator", [OP_ADD, OP_SUB, OP_MUL, OP_DIV])
+    def test_negative_and_fractional_operands(self, operator):
+        a, b = Fraction(-3, 4), Fraction(5, -6)
+        result = _reference_result(operator, a, b)
+        assert _verify(operator, a, b, result)
+        assert not _verify(operator, a, b, -result)
+
+    def test_zero_divisor_never_verifies(self):
+        assert not _verify(OP_DIV, Fraction(0), Fraction(0), Fraction(0))
+        assert not _verify(OP_DIV, Fraction(3), Fraction(0), Fraction(0))
 
 
 class TestNamingStatements:

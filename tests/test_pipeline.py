@@ -489,6 +489,37 @@ class TestReportMode:
             recompute_report(run.paths["predictions"], tmp_path / "report")
 
 
+_BAD_HARM_BUDGETS = [float("inf"), float("-inf"), float("nan"), -0.1, 1.5]
+
+
+class TestHarmBudget:
+    """A harm budget that is not a share is refused before anything runs."""
+
+    @pytest.mark.parametrize("budget", _BAD_HARM_BUDGETS)
+    def test_a_run_refuses_it_before_any_example(self, synthetic, tmp_path, budget):
+        directory, dataset_path, cache_path = synthetic
+        manifest = _replay_manifest(tmp_path / "run", dataset_path, cache_path, harm_budget=budget)
+        with pytest.raises(ValueError, match="harm budget"):
+            run_pipeline(manifest)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("budget", _BAD_HARM_BUDGETS)
+    def test_report_mode_refuses_it(self, synthetic, tmp_path, budget):
+        directory, dataset_path, cache_path = synthetic
+        run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        with pytest.raises(ValueError, match="harm budget"):
+            recompute_report(run.paths["predictions"], tmp_path / "report", budget)
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("budget", [0.0, 0.05, 1.0])
+    def test_a_share_is_accepted(self, synthetic, tmp_path, budget):
+        directory, dataset_path, cache_path = synthetic
+        manifest = _replay_manifest(tmp_path / "run", dataset_path, cache_path, harm_budget=budget)
+        report = run_pipeline(manifest).report
+        assert report.harm_budget == budget
+        assert json.loads((tmp_path / "run" / "report.json").read_text())["harm_budget"] == budget
+
+
 class TestFilterMode:
     def test_filter_and_sample(self, tmp_path):
         records = [

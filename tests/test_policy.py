@@ -119,6 +119,50 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             config_from_mapping({"trigger_graph_threshold": 0.8})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("graph_min_score", float("nan")),
+            ("graph_drop_tolerance", float("nan")),
+            ("temperature", float("inf")),
+            ("graph_min_score", True),
+            ("n_candidates", 2.7),
+            ("n_candidates", 3.0),
+            ("n_candidates", True),
+            ("enable_graph_guard", 1),
+            ("enable_graph_guard", "false"),
+        ],
+    )
+    def test_a_value_of_the_wrong_kind_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"config field {field} takes"):
+            PolicyConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"config field {field} takes"):
+            PolicyConfig().with_overrides(**{field: value})
+
+    @pytest.mark.parametrize(
+        "values, field",
+        [
+            ({"n_candidates": 2.7}, "n_candidates"),
+            ({"graph_min_score": "nan"}, "graph_min_score"),
+            ({"graph_drop_tolerance": float("nan")}, "graph_drop_tolerance"),
+            ({"enable_graph_guard": 1}, "enable_graph_guard"),
+            ({"n_candidates": "2.7"}, "n_candidates"),
+            ({"graph_min_score": "high"}, "graph_min_score"),
+            ({"temperature": None}, "temperature"),
+        ],
+    )
+    def test_mapping_refuses_rather_than_truncates(self, values, field):
+        with pytest.raises(ValueError, match=f"config field {field} takes"):
+            config_from_mapping(values)
+
+    def test_mapping_reads_a_whole_float_as_an_integer(self):
+        assert config_from_mapping({"n_candidates": 2.0}).n_candidates == 2
+
+    def test_env_refuses_nan_thresholds(self):
+        env = {"GRAPH_ACCEPT_MIN_SCORE": "nan", "GRAPH_SCORE_DROP_TOLERANCE": "nan"}
+        with pytest.raises(ValueError, match="config field graph_min_score takes"):
+            config_from_env(env)
+
     def test_env_rejects_a_bad_boolean(self):
         with pytest.raises(ValueError, match="invalid boolean for enable_graph_guard"):
             config_from_env({"ENABLE_GRAPH_GUARD": "maybe"})

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -32,6 +33,9 @@ from trace_repair.risk_graph import (
     SEVERITY_HIGH,
     SEVERITY_WARNING,
     GraphReport,
+    RiskSignal,
+    _binding_tokens,
+    analyse_problem,
     build_relation_graph,
     extract_quantities,
     graph_guard,
@@ -150,6 +154,76 @@ class TestNodesMatchReference:
                 for node in extract_quantities(text)[1]
             ]
             assert nodes == _reference_nodes(text), text
+
+
+def _reference_binding_signals(problem, trace):
+    """``_check_quantity_binding`` as it reads over every trace node."""
+    signals, flagged = [], set()
+    for node in extract_quantities(trace)[1]:
+        same = problem.bindings.get(node.value)
+        if not same or node.value in flagged:
+            continue
+        binding = _binding_tokens(node.unit_phrase, node.entity_mention)
+        if not binding or binding & same:
+            continue
+        flagged.add(node.value)
+        high = any(binding & words for words in problem.bindings.values())
+        evidence = (
+            f"trace uses {node.surface} with '{node.unit_phrase or node.entity_mention}'; "
+            f"problem binds it to '{' '.join(sorted(same))}'",
+        )
+        signals.append(
+            RiskSignal(RISK_QUANTITY_BINDING, SEVERITY_HIGH if high else SEVERITY_WARNING, evidence)
+        )
+    return signals
+
+
+class _CountingBindings(dict):
+    """A problem's bindings that record every key looked up."""
+
+    def __init__(self, bindings):
+        super().__init__(bindings)
+        self.looked_up = []
+
+    def get(self, key, default=None):
+        self.looked_up.append(key)
+        return super().get(key, default)
+
+
+class TestTraceSide:
+    """The trace's numbers are read without building quantity nodes."""
+
+    def test_binding_check_matches_the_node_reference(self):
+        rng = random.Random(20261019)
+        for _ in range(3000):
+            problem = analyse_problem(" ".join(rng.choices(_NODE_WORDS, k=rng.randint(0, 20))))
+            trace = " ".join(rng.choices(_NODE_WORDS, k=rng.randint(0, 40))) + "\nFinal Answer: 3"
+            signals = [
+                risk
+                for risk in semantic_graph_check(problem, trace).risks
+                if risk.category == RISK_QUANTITY_BINDING
+            ]
+            assert signals == _reference_binding_signals(problem, trace), trace
+
+    def test_unbound_numbers_build_no_node_and_look_up_each_token_once(self, count_calls):
+        problem = analyse_problem("Tom has 3 bags. How many in total?")
+        problem = dataclasses.replace(problem, bindings=_CountingBindings(problem.bindings))
+        trace = "5 + 6 = 11\n5 * 2 = 10\nFive pens and 6 pens, $5 in all.\nFinal Answer: 11"
+        nodes = count_calls("risk_graph", "QuantityNode")
+        windows = count_calls("risk_graph", "_unit_and_entity")
+        semantic_graph_check(problem, trace)
+        assert nodes == [] and windows == []
+        # "5", "6", "11", "2", "10", "five" and "$5".
+        assert len(problem.bindings.looked_up) == 7
+
+    def test_a_flagged_value_reads_no_more_windows(self, count_calls):
+        problem = analyse_problem("Tom has 3 bags and 4 pens.")
+        windows = count_calls("risk_graph", "_unit_and_entity")
+        report = semantic_graph_check(
+            problem, "3 apples, three apples, 3 apples and $3.\nFinal Answer: 3"
+        )
+        assert [risk.category for risk in report.risks] == [RISK_QUANTITY_BINDING]
+        assert len(windows) == 1
 
 
 class TestNumberValues:
