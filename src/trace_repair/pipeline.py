@@ -17,7 +17,8 @@ from progress.jsonl and still produce byte-identical output. A resume drops
 the torn last line a kill mid-append leaves and runs that example again.
 
 A remote provider keeps up to its ``concurrency`` examples in flight at
-once; their results are still taken in dataset order, so progress.jsonl,
+once: each pool thread takes the next pending example as soon as its last
+one is done. Results are still taken in dataset order, so progress.jsonl,
 the resume checkpoint and the outage abort read as in a serial run.
 """
 
@@ -25,12 +26,10 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import deque
 from collections.abc import Iterable
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
 from .answers import ReasoningTrace
@@ -376,27 +375,21 @@ def _finalize_run(manifest: RunManifest, results: list[dict]) -> PipelineResult:
 def _in_order(process, items, concurrency: int):
     """Yield ``process(item)`` for each item in order, with up to ``concurrency`` calls in flight.
 
-    At 1 this is a plain ``map``: no thread starts. Closing the generator
-    cancels the calls that have not started and waits for the others; their
-    results, and any error they raise, are dropped, since a serial run that
-    stopped at the same item would not have made those calls.
+    At 1 this is a plain ``map``: no thread starts. Above 1 every item is
+    submitted to a pool of ``concurrency`` threads, so a thread that
+    finishes takes the next item at once, whichever item is still running
+    at the head. Closing the generator cancels the calls that have not
+    started and waits for the others; their results, and any error they
+    raise, are dropped, since a serial run that stopped at the same item
+    would not have made those calls.
     """
     if concurrency == 1:
         yield from map(process, items)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    items = iter(items)
     with ThreadPoolExecutor(concurrency) as pool:
-        window = deque(pool.submit(process, item) for item in islice(items, concurrency))
-        try:
-            while window:
-                result = window.popleft().result()
-                window.extend(pool.submit(process, item) for item in islice(items, 1))
-                yield result
-        finally:
-            for future in window:
-                future.cancel()
+        yield from pool.map(process, items)
 
 
 def _run_examples(manifest: RunManifest) -> PipelineResult:

@@ -76,6 +76,9 @@ _EPS = 1e-9
 
 # What each kind of config field takes, for the error that refuses a value.
 _KINDS = {bool: "a bool", int: "an integer", float: "a finite number"}
+# Counts and token budgets: at 0 a triggered example would be kept without
+# one repair call, or every call asked for nothing.
+_AT_LEAST_ONE = ("n_candidates", "repair_max_tokens", "retry_max_tokens")
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,8 @@ class PolicyConfig:
 
         A boolean field takes only a bool, an integer field only an int and
         a float field only a finite number: a NaN threshold compares false
-        with every score and so would switch its guard off.
+        with every score and so would switch its guard off. The candidate
+        count and both token budgets must be at least 1.
         """
         for field in fields(self):
             value = getattr(self, field.name)
@@ -123,6 +127,10 @@ class PolicyConfig:
                 valid = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
             if not valid:
                 raise ValueError(f"config field {field.name} takes {_KINDS[kind]}, not {value!r}")
+        for name in _AT_LEAST_ONE:
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"config field {name} must be at least 1, not {value!r}")
 
     def with_overrides(self, **kwargs) -> "PolicyConfig":
         return replace(self, **kwargs)

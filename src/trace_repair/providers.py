@@ -4,11 +4,11 @@ The replay provider serves recorded outputs keyed by (example id, attempt
 index). It refuses a cache with an incomplete or duplicate row and fails
 loudly on a cache miss or on a row recorded under another prompt, which
 keeps experiment replays honest. The remote provider talks to any
-chat-completions style endpoint with temperature 0 and the configured
-token budgets; connection reuse, retries and backoff live here, outside
-the policy logic. A reply without candidate text is a
-``ProviderResponseError``, which the orchestrator records as a parse
-failure, not as a transport failure.
+chat-completions style endpoint over the standard library's ``http.client``,
+with temperature 0 and the configured token budgets; connection reuse,
+retries and backoff live here, outside the policy logic. A reply without
+candidate text is a ``ProviderResponseError``, which the orchestrator
+records as a parse failure, not as a transport failure.
 """
 
 from __future__ import annotations
@@ -20,9 +20,12 @@ import os
 import random
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Mapping
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from .orchestrator import (
     SYSTEM_TEXT,
@@ -144,12 +147,17 @@ class ReplayProvider:
 class RemoteProvider:
     """JSON chat-completion client for a generic OpenAI-style endpoint.
 
-    Up to ``concurrency`` requests may be in flight at once; they share one
-    session, whose pool keeps at most that many connections open and
-    reuses them. Only transient failures are retried: connection errors,
-    timeouts, 408, 429 and 5xx, after the delay the server names in
-    ``Retry-After`` (seconds) or else a full-jitter backoff. Any other
-    error status fails the request at once.
+    A run calls ``generate`` from up to ``concurrency`` threads at once.
+    Each thread keeps one keep-alive connection, so a run holds at most that
+    many; a connection the server has closed is reopened on its next use.
+    Only transient failures are retried: connection errors, timeouts,
+    broken replies, 408, 429 and 5xx, after the delay the server names in
+    ``Retry-After`` (seconds) or else a full-jitter backoff. Any other error
+    status fails the request at once.
+
+    HTTPS verifies with the default ``ssl`` context, and the environment's
+    ``http_proxy``/``https_proxy``/``no_proxy`` are read once, when the
+    provider is built.
     """
 
     # A run serves this many examples at once unless told otherwise.
@@ -178,37 +186,65 @@ class RemoteProvider:
             raise ValueError(f"concurrency must be at least 1, not {concurrency}")
         self.concurrency = concurrency
         self.identity = f"remote:{self.model}"
+        self.url = f"{self.base_url}/chat/completions"
+        endpoint = _http_url(self.base_url, "base_url")
+        self._connect, absolute_form, self._headers = _route(endpoint, timeout)
+        self._target = self.url if absolute_form else f"{endpoint.path}/chat/completions"
+        self._headers["Content-Type"] = "application/json"
+        if self.api_key:
+            self._headers["Authorization"] = f"Bearer {self.api_key}"
         self._jitter = random.Random()
-        self._session = None
-        self._session_lock = threading.Lock()
+        self._local = threading.local()
+        self._connections: list = []
+        self._lock = threading.Lock()
 
-    def session(self):
-        """The provider's ``requests.Session``, made on first use."""
-        with self._session_lock:
-            if self._session is None:
-                import requests
+    def connection(self):
+        """This thread's keep-alive connection, made on first use.
 
-                session = requests.Session()
-                adapter = requests.adapters.HTTPAdapter(
-                    pool_connections=1, pool_maxsize=self.concurrency, pool_block=True
-                )
-                session.mount("http://", adapter)
-                session.mount("https://", adapter)
-                self._session = session
-            return self._session
+        An idle connection the server has since closed reads as readable;
+        it is closed here, so the next request opens a new socket without
+        spending a try.
+        """
+        with self._lock:
+            connection = getattr(self._local, "connection", None)
+            if connection is None:
+                connection = self._local.connection = self._connect()
+                self._connections.append(connection)
+        if connection.sock is not None and _readable(connection.sock):
+            connection.close()
+        return connection
 
     def close(self) -> None:
-        """Close the pooled connections; a later request opens new ones."""
-        with self._session_lock:
-            session, self._session = self._session, None
-        if session is not None:
-            session.close()
+        """Close every thread's connection; a later request opens a new one."""
+        with self._lock:
+            connections, self._connections = self._connections, []
+            self._local = threading.local()
+        for connection in connections:
+            connection.close()
 
     def backoff(self, attempt: int) -> float:
         """Full-jitter delay before retry ``attempt + 1``, in seconds."""
         return self._jitter.uniform(0.0, 2.0**attempt)
 
+    def post(self, body: bytes) -> tuple[int, str, str | None, bytes]:
+        """(status, reason, Retry-After, body) of one POST of ``body``.
+
+        The reply is read to its end so the connection can carry the next
+        request; a failure part way closes the connection instead.
+        """
+        connection = self.connection()
+        try:
+            connection.request("POST", self._target, body, self._headers)
+            response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        return response.status, response.reason, response.getheader("Retry-After"), data
+
     def generate(self, prompt: PromptSpec, max_tokens: int, temperature: float) -> str:
+        from http.client import HTTPException
+
         payload = {
             "model": self.model,
             "messages": [
@@ -218,32 +254,21 @@ class RemoteProvider:
             "temperature": temperature,
             "max_tokens": max_tokens,
         }
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-
-        session = self.session()
-        last_error: Exception | None = None
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        last_error: Exception | str | None = None
         for attempt in range(self.max_tries):
             delay = None
             try:
-                response = session.post(
-                    f"{self.base_url}/chat/completions",
-                    json=payload,
-                    headers=headers,
-                    timeout=self.timeout,
-                )
-            except OSError as exc:  # requests' exceptions are OSErrors too
-                if not _transient(exc):
-                    raise ProviderTransportError(str(exc)) from exc
+                status, reason, retry_after, data = self.post(body)
+            except (OSError, HTTPException) as exc:
                 last_error = exc
             else:
-                if response.status_code < 400:
-                    return _completion_text(response)
-                last_error = _status_error(response)
-                if not _retryable_status(response.status_code):
-                    raise ProviderTransportError(str(last_error))
-                delay = _retry_after(response.headers.get("Retry-After"))
+                if status < 400:
+                    return _completion_text(data)
+                last_error = _status_error(status, reason, self.url)
+                if not _retryable_status(status):
+                    raise ProviderTransportError(last_error)
+                delay = _retry_after(retry_after)
             if attempt + 1 < self.max_tries:
                 if delay is None:
                     delay = self.backoff(attempt)
@@ -252,30 +277,82 @@ class RemoteProvider:
         raise ProviderTransportError(str(last_error))
 
 
-def _transient(exc: OSError) -> bool:
-    """A socket error, connection error or timeout; not a bad URL or the like."""
-    import requests
+def _http_url(url: str, name: str) -> SplitResult:
+    """``url`` split, or a ``ValueError`` when it is not http(s) with a host and port."""
+    parts = urlsplit(url)
+    try:
+        parts.port
+    except ValueError as exc:
+        raise ValueError(f"{name} {url!r}: {exc}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"{name} {url!r} is not an http:// or https:// URL with a host")
+    return parts
 
-    if not isinstance(exc, requests.RequestException):
-        return True
-    return isinstance(
-        exc, (requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError)
-    )
+
+def _route(endpoint: SplitResult, timeout: float) -> tuple[Callable, bool, dict]:
+    """How to reach ``endpoint``: (a maker of one unopened connection, whether
+    the request target is the absolute URL, headers every request carries).
+
+    Through a proxy from the environment, an http request goes to the proxy
+    in absolute form and an https request through a ``CONNECT`` tunnel.
+    """
+    import http.client
+    from urllib.request import getproxies, proxy_bypass
+
+    https = endpoint.scheme == "https"
+    host, port = endpoint.hostname, endpoint.port or (443 if https else 80)
+    if https:
+        import ssl
+
+        kind = partial(http.client.HTTPSConnection, context=ssl.create_default_context())
+    else:
+        kind = http.client.HTTPConnection
+    proxy_url = getproxies().get(endpoint.scheme)
+    if not proxy_url or proxy_bypass(endpoint.netloc.rpartition("@")[2]):
+        return partial(kind, host, port, timeout=timeout), False, {}
+    proxy = _http_url(proxy_url if "://" in proxy_url else f"http://{proxy_url}", "proxy")
+    if proxy.scheme != "http":
+        raise ValueError(f"proxy {proxy_url!r}: only http:// proxies are supported")
+    proxy_headers = {}
+    if proxy.username is not None:
+        from base64 import b64encode
+
+        credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+        proxy_headers["Proxy-Authorization"] = "Basic " + b64encode(credentials.encode()).decode()
+    address = (proxy.hostname, proxy.port or 80)
+    if not https:
+        return partial(kind, *address, timeout=timeout), True, proxy_headers
+
+    def tunnel():
+        connection = kind(*address, timeout=timeout)
+        connection.set_tunnel(host, port, headers=proxy_headers)
+        return connection
+
+    return tunnel, False, {}
+
+
+def _readable(sock) -> bool:
+    """Whether an idle socket has something to read: the server closed it."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 def _retryable_status(status: int) -> bool:
     return status in (408, 429) or 500 <= status < 600
 
 
-def _status_error(response) -> Exception:
-    """The ``requests.HTTPError`` of an error reply, with requests' own message."""
-    import requests
-
-    try:
-        response.raise_for_status()
-    except requests.HTTPError as exc:
-        return exc
-    return requests.HTTPError(f"HTTP {response.status_code}", response=response)
+def _status_error(status: int, reason: str, url: str) -> str:
+    """The message of an error reply, worded as candidates.jsonl has recorded it."""
+    if 400 <= status < 500:
+        return f"{status} Client Error: {reason} for url: {url}"
+    if 500 <= status < 600:
+        return f"{status} Server Error: {reason} for url: {url}"
+    return f"HTTP {status}"
 
 
 def _retry_after(value: str | None) -> float | None:
@@ -289,10 +366,10 @@ def _retry_after(value: str | None) -> float | None:
     return max(0.0, seconds) if math.isfinite(seconds) else None
 
 
-def _completion_text(response) -> str:
-    """``choices[0].message.content`` of a reply, or ``ProviderResponseError``."""
+def _completion_text(body: bytes) -> str:
+    """``choices[0].message.content`` of a reply body, or ``ProviderResponseError``."""
     try:
-        content = response.json()["choices"][0]["message"]["content"]
+        content = json.loads(body)["choices"][0]["message"]["content"]
     except (ValueError, LookupError, TypeError) as exc:
         raise ProviderResponseError(
             f"malformed response body ({type(exc).__name__}: {exc})"

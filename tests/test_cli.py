@@ -107,3 +107,35 @@ def test_a_truncated_config_file_value_is_refused(tmp_path):
     config_path.write_text(json.dumps({"n_candidates": 2.7}))
     with pytest.raises(ValueError, match="config field n_candidates takes an integer"):
         _config("--config", str(config_path))
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+@pytest.mark.parametrize(
+    "source, field",
+    [
+        ("config", "n_candidates"),
+        ("config", "repair_max_tokens"),
+        ("config", "retry_max_tokens"),
+        ("LLM_REPAIR_NUM_CANDIDATES", "n_candidates"),
+        ("REPAIR_MAX_TOKENS", "repair_max_tokens"),
+        ("FORMAT_RETRY_MAX_TOKENS", "retry_max_tokens"),
+        ("--n-candidates", "n_candidates"),
+    ],
+)
+def test_a_count_below_one_stops_the_run_before_it_starts(
+    tmp_path, monkeypatch, source, field, value
+):
+    from trace_repair import cli
+
+    monkeypatch.setattr(cli, "run_pipeline", lambda manifest: pytest.fail("run started"))
+    flags = []
+    if source == "config":
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps({field: int(value)}))
+        flags = ["--config", str(config_path)]
+    elif source.startswith("--"):
+        flags = [source, value]
+    else:
+        monkeypatch.setenv(source, value)
+    with pytest.raises(ValueError, match=f"config field {field} must be at least 1, not {value}"):
+        cli.main([*RUN, *flags])

@@ -139,6 +139,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"config field {field} takes"):
             PolicyConfig().with_overrides(**{field: value})
 
+    @pytest.mark.parametrize("field", ["n_candidates", "repair_max_tokens", "retry_max_tokens"])
+    def test_a_count_or_budget_below_one_is_refused(self, field):
+        for value in (0, -2):
+            with pytest.raises(ValueError, match=f"config field {field} must be at least 1"):
+                PolicyConfig(**{field: value})
+            with pytest.raises(ValueError, match=f"config field {field} must be at least 1"):
+                config_from_mapping({field: value})
+        assert getattr(PolicyConfig(**{field: 1}), field) == 1
+
     @pytest.mark.parametrize(
         "values, field",
         [

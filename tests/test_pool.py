@@ -1,8 +1,8 @@
 """Examples in flight through the remote provider: same bytes, less waiting.
 
-The synthetic dataset is served by an in-process endpoint with a fixed
+The synthetic dataset is served by a loopback HTTP endpoint with a fixed
 latency and content-keyed faults, through ``RemoteProvider`` and its
-session, at one, four and eight examples in flight.
+connections, at one, four and eight examples in flight.
 """
 
 import subprocess
@@ -21,6 +21,7 @@ from trace_repair.pipeline import (
     PROGRESS_FILE,
     ProviderOutageError,
     RunManifest,
+    _in_order,
     run_pipeline,
 )
 from trace_repair.providers import ReplayProvider
@@ -39,17 +40,17 @@ def synthetic(tmp_path_factory):
 
 @pytest.fixture
 def endpoint(synthetic, monkeypatch):
-    served = FakeEndpoint(*synthetic, latency_s=LATENCY_S)
-    # A 503 with Retry-After: 0 on the first request of these, and a
-    # request that fails on every try, so a transport error is recorded.
-    served.transient = {
-        (GROUP_SAFE_FIX[1], 0, False),
-        (GROUP_UNSAFE[2], 1, False),
-        (GROUP_UNSAFE[4], 2, False),
-    }
-    served.failing = {(GROUP_UNSAFE[0], 0, False)}
-    served.install(monkeypatch)
-    return served
+    with FakeEndpoint(*synthetic, latency_s=LATENCY_S) as served:
+        # A 503 with Retry-After: 0 on the first request of these, and a
+        # request that fails on every try, so a transport error is recorded.
+        served.transient = {
+            (GROUP_SAFE_FIX[1], 0, False),
+            (GROUP_UNSAFE[2], 1, False),
+            (GROUP_UNSAFE[4], 2, False),
+        }
+        served.failing = {(GROUP_UNSAFE[0], 0, False)}
+        served.install(monkeypatch)
+        yield served
 
 
 def _run(synthetic, output_dir: Path, concurrency: int, **kwargs):
@@ -75,7 +76,10 @@ def _bytes(result, output_dir: Path) -> dict:
 def test_artifacts_match_and_wait_overlaps(synthetic, endpoint, tmp_path):
     serial, serial_s = _run(synthetic, tmp_path / "k1", 1)
     endpoint.requests.clear()
+    connections, faults = endpoint.connections, endpoint.faults
     pooled, pooled_s = _run(synthetic, tmp_path / "k4", 4)
+    # One connection per pool thread, plus one after each 503, which closes its own.
+    assert endpoint.connections - connections <= 4 + endpoint.faults - faults
     assert _bytes(pooled, tmp_path / "k4") == _bytes(serial, tmp_path / "k1")
     candidates = serial.paths["candidates"].read_text()
     assert candidates.count('"error": "transport: 503 Server Error') == 1
@@ -125,6 +129,21 @@ def test_malformed_body_is_one_parse_failure_not_an_outage(synthetic, endpoint, 
     assert set(endpoint.requests.values()) == {1}
 
 
+def test_a_free_thread_takes_the_next_item_while_the_head_waits():
+    # Item 0 can finish only once item 2 has started, which needs the
+    # thread that finished item 1 to move on past the waiting head.
+    item_2_started = threading.Event()
+
+    def process(item):
+        if item == 2:
+            item_2_started.set()
+        if item == 0:
+            assert item_2_started.wait(timeout=5), "item 2 waited for item 0"
+        return item
+
+    assert list(_in_order(process, range(4), 2)) == [0, 1, 2, 3]
+
+
 def test_replay_runs_inline(synthetic, tmp_path, monkeypatch):
     threads_before = threading.active_count()
     seen = set()
@@ -152,7 +171,7 @@ def test_import_loads_no_pool_and_no_http_client():
 
     code = (
         "import sys, trace_repair; "
-        "print(sorted(m for m in ('concurrent.futures', 'requests') if m in sys.modules))"
+        "print(sorted(m for m in ('concurrent.futures', 'http.client') if m in sys.modules))"
     )
     src = str(Path(trace_repair.__file__).resolve().parents[1])
     out = subprocess.run(

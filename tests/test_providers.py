@@ -1,13 +1,22 @@
+import errno
 import json
+import os
 import random
 import re
 import sys
 import threading
 
 import pytest
-import requests
 
-from fake_endpoint import completion, response
+from fake_endpoint import (
+    DROP,
+    Reply,
+    ScriptedEndpoint,
+    clear_proxies,
+    closed_port,
+    completion,
+    response,
+)
 from trace_repair.orchestrator import ProviderResponseError, ProviderTransportError, PromptSpec
 from trace_repair.providers import (
     RemoteProvider,
@@ -109,7 +118,7 @@ class TestReplayProvider:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             ReplayProvider.from_jsonl(path)
 
-    def test_retry_is_checked_against_its_base_prompt(self):
+    def test_retry_is_checked_against_its_base_prompt(self, remote):
         import dataclasses
 
         provider = ReplayProvider({("ex1", 0): ReplayEntry("bad", "good", SPEC.prompt_hash())})
@@ -119,17 +128,37 @@ class TestReplayProvider:
             provider.generate(other, 512, 0.0)
 
 
-class _FakeResponse:
-    def __init__(self, payload, status=200):
-        self._payload = payload
-        self.status_code = status
+COMPLETION = '{"steps": [], "final_answer": "4"}'
+URL = "http://llm.local/v1"
 
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise RuntimeError(f"HTTP {self.status_code}")
 
-    def json(self):
-        return self._payload
+@pytest.fixture
+def endpoint(monkeypatch):
+    clear_proxies(monkeypatch)
+    with ScriptedEndpoint() as served:
+        yield served
+
+
+@pytest.fixture
+def remote(endpoint):
+    """Builds providers for the endpoint, closed when the test ends."""
+    made = []
+
+    def make(**kwargs):
+        kwargs.setdefault("base_url", endpoint.base_url)
+        made.append(RemoteProvider(model="solver", **kwargs))
+        return made[-1]
+
+    yield make
+    for provider in made:
+        provider.close()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    slept = []
+    monkeypatch.setattr("time.sleep", slept.append)
+    return slept
 
 
 class TestRemoteProvider:
@@ -139,129 +168,137 @@ class TestRemoteProvider:
         with pytest.raises(ValueError):
             RemoteProvider()
 
-    def test_request_payload(self, monkeypatch):
-        seen = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, payload=json, headers=headers, timeout=timeout)
-            return _FakeResponse(
-                {"choices": [{"message": {"content": '{"steps": [], "final_answer": "4"}'}}]}
-            )
-
-        provider = RemoteProvider(base_url="http://llm.local/v1", model="solver", api_key="k")
-        monkeypatch.setattr(provider.session(), "post", fake_post)
+    def test_request_payload(self, remote, endpoint):
+        endpoint.script = [completion(COMPLETION)]
+        provider = remote(api_key="k")
         output = provider.generate(SPEC, 768, 0.0)
-        assert output == '{"steps": [], "final_answer": "4"}'
-        assert seen["url"] == "http://llm.local/v1/chat/completions"
-        assert seen["payload"]["temperature"] == 0.0
-        assert seen["payload"]["max_tokens"] == 768
-        assert seen["payload"]["model"] == "solver"
-        assert seen["payload"]["messages"][0]["role"] == "system"
-        assert "Return only valid JSON" in seen["payload"]["messages"][0]["content"]
-        assert seen["headers"]["Authorization"] == "Bearer k"
-        assert seen["timeout"] == 120.0
+        assert output == COMPLETION
+        [(target, headers, body)] = endpoint.received
+        payload = json.loads(body)
+        assert target == "/v1/chat/completions"
+        assert provider.url == f"{endpoint.base_url}/chat/completions"
+        assert payload["temperature"] == 0.0
+        assert payload["max_tokens"] == 768
+        assert payload["model"] == "solver"
+        assert payload["messages"][0]["role"] == "system"
+        assert "Return only valid JSON" in payload["messages"][0]["content"]
+        assert headers["Authorization"] == "Bearer k"
+        assert headers["Content-Type"] == "application/json"
+        assert provider.connection().timeout == 120.0
 
-    def test_retries_then_fails_loudly(self, monkeypatch):
-        calls = []
-
-        def flaky_post(url, **kwargs):
-            calls.append(url)
-            raise OSError("connection refused")
-
-        provider = RemoteProvider(base_url="http://llm.local/v1", model="solver")
-        monkeypatch.setattr(provider.session(), "post", flaky_post)
-        monkeypatch.setattr("time.sleep", lambda seconds: None)
-        with pytest.raises(ProviderTransportError):
+    def test_retries_then_fails_loudly(self, remote, endpoint, sleeps):
+        # The server closes each connection without a reply.
+        endpoint.script = [DROP] * 3
+        provider = remote()
+        with pytest.raises(ProviderTransportError, match="closed connection without response"):
             provider.generate(SPEC, 768, 0.0)
-        assert len(calls) == 3
+        assert len(endpoint.received) == 3
+        assert len(sleeps) == 2
 
-
-URL = "http://llm.local/v1"
+    @pytest.mark.parametrize(
+        "base_url", ["llm.local/v1", "ftp://llm.local/v1", "http:///v1", "http://llm.local:port/v1"]
+    )
+    def test_a_base_url_without_http_scheme_host_or_port_is_refused_at_start(self, base_url):
+        with pytest.raises(ValueError, match="^base_url"):
+            RemoteProvider(base_url=base_url, model="solver")
 
 
 class TestRemoteRetries:
     """Which failures are retried, and after how long."""
 
     @pytest.fixture
-    def sleeps(self, monkeypatch):
-        slept = []
-        monkeypatch.setattr("time.sleep", slept.append)
-        return slept
+    def serve(self, endpoint, remote):
+        def serve(replies, **kwargs):
+            """A provider that the endpoint answers with ``replies`` in turn;
+            returns (provider, the requests the endpoint received)."""
+            endpoint.script = replies
+            return remote(**kwargs), endpoint.received
 
-    def _serve(self, monkeypatch, replies, **kwargs):
-        """A provider whose session answers with ``replies`` in turn; returns (provider, calls)."""
-        provider = RemoteProvider(base_url=URL, model="solver", **kwargs)
-        calls = []
+        return serve
 
-        def post(url, **_):
-            reply = replies[len(calls)]
-            calls.append(url)
-            if isinstance(reply, Exception):
-                raise reply
-            reply.url = url
-            return reply
-
-        monkeypatch.setattr(provider.session(), "post", post)
-        return provider, calls
-
-    def test_503_retry_after_zero_retries_at_once(self, monkeypatch, sleeps):
-        provider, calls = self._serve(
-            monkeypatch, [response(503, {}, headers={"Retry-After": "0"}), completion("ok")]
+    def test_503_retry_after_zero_retries_at_once(self, serve, sleeps):
+        provider, calls = serve(
+            [response(503, {}, headers={"Retry-After": "0"}), completion("ok")]
         )
         assert provider.generate(SPEC, 768, 0.0) == "ok"
         assert len(calls) == 2
         assert sleeps == [0.0]
 
-    def test_429_sleeps_as_long_as_retry_after_says(self, monkeypatch, sleeps):
-        provider, calls = self._serve(
-            monkeypatch, [response(429, {}, headers={"Retry-After": "2"}), completion("ok")]
+    def test_429_sleeps_as_long_as_retry_after_says(self, serve, sleeps):
+        provider, calls = serve(
+            [response(429, {}, headers={"Retry-After": "2"}), completion("ok")]
         )
         assert provider.generate(SPEC, 768, 0.0) == "ok"
         assert sleeps == [2.0]
 
     @pytest.mark.parametrize("status", [408, 500, 502, 504])
-    def test_timeouts_and_server_errors_are_retried(self, monkeypatch, sleeps, status):
-        provider, calls = self._serve(monkeypatch, [response(status, {}), completion("ok")])
+    def test_timeouts_and_server_errors_are_retried(self, serve, sleeps, status):
+        provider, calls = serve([response(status, {}), completion("ok")])
         assert provider.generate(SPEC, 768, 0.0) == "ok"
         assert len(calls) == 2 and len(sleeps) == 1
 
     @pytest.mark.parametrize("status", [400, 401, 403, 404, 422])
-    def test_other_client_errors_fail_at_once(self, monkeypatch, sleeps, status):
-        provider, calls = self._serve(monkeypatch, [response(status, {"error": "no"})] * 3)
+    def test_other_client_errors_fail_at_once(self, serve, sleeps, status):
+        provider, calls = serve([response(status, {"error": "no"})] * 3)
         with pytest.raises(ProviderTransportError, match=f"^{status} Client Error"):
             provider.generate(SPEC, 768, 0.0)
         assert len(calls) == 1
         assert sleeps == []
 
     @pytest.mark.parametrize(
-        "error", [requests.ConnectionError("refused"), requests.Timeout("read timed out")]
+        "error",
+        [
+            ConnectionRefusedError(errno.ECONNREFUSED, os.strerror(errno.ECONNREFUSED)),
+            TimeoutError("timed out"),
+        ],
     )
-    def test_connection_errors_and_timeouts_are_retried(self, monkeypatch, sleeps, error):
-        provider, calls = self._serve(monkeypatch, [error] * 3)
-        with pytest.raises(ProviderTransportError, match=str(error)):
+    def test_connection_errors_and_timeouts_are_retried(self, serve, remote, sleeps, error):
+        if isinstance(error, ConnectionRefusedError):
+            provider = remote(base_url=f"http://127.0.0.1:{closed_port()}/v1")
+            calls = []
+            post = provider.post
+            provider.post = lambda body: calls.append(body) or post(body)
+        else:
+            # Each reply comes after the provider's read timeout.
+            provider, calls = serve([completion("late", delay_s=1.0)] * 3, timeout=0.1)
+        with pytest.raises(ProviderTransportError, match=f"^{re.escape(str(error))}$"):
             provider.generate(SPEC, 768, 0.0)
         assert len(calls) == 3 and len(sleeps) == 2
 
-    def test_a_bad_url_is_not_retried(self, monkeypatch, sleeps):
-        provider, calls = self._serve(monkeypatch, [requests.exceptions.InvalidURL("no host")] * 3)
-        with pytest.raises(ProviderTransportError, match="no host"):
-            provider.generate(SPEC, 768, 0.0)
-        assert len(calls) == 1 and sleeps == []
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"garbage\r\n\r\n",
+            b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"choices"',
+        ],
+        ids=["bad status line", "cut-short body"],
+    )
+    def test_broken_replies_are_retried(self, serve, endpoint, sleeps, raw):
+        provider, calls = serve([Reply(raw=raw), completion("ok")])
+        assert provider.generate(SPEC, 768, 0.0) == "ok"
+        assert len(calls) == 2 and len(sleeps) == 1
+        assert endpoint.connections == 2
 
-    def test_exhausted_retries_keep_the_status_message(self, monkeypatch, sleeps):
-        provider, calls = self._serve(
-            monkeypatch, [response(503, {}, headers={"Retry-After": "0"})] * 3
+    def test_a_bad_url_is_not_retried(self, serve, endpoint, sleeps):
+        # It is refused when the provider is built, before any request.
+        with pytest.raises(ValueError, match="is not an http:// or https:// URL with a host"):
+            serve([completion("ok")] * 3, base_url="127.0.0.1/v1")
+        assert endpoint.received == [] and sleeps == []
+
+    def test_exhausted_retries_keep_the_status_message(self, serve, endpoint, sleeps):
+        provider, calls = serve(
+            [response(503, {}, headers={"Retry-After": "0"})] * 3
         )
         with pytest.raises(ProviderTransportError) as raised:
             provider.generate(SPEC, 768, 0.0)
         assert str(raised.value) == (
-            f"503 Server Error: Service Unavailable for url: {URL}/chat/completions"
+            f"503 Server Error: Service Unavailable for url: {endpoint.base_url}/chat/completions"
         )
         assert len(calls) == 3 and sleeps == [0.0, 0.0]
 
-    def test_backoff_without_retry_after_is_full_jitter(self, monkeypatch, sleeps):
+    def test_backoff_without_retry_after_is_full_jitter(self, serve, sleeps):
         state = random.getstate()
-        provider, calls = self._serve(monkeypatch, [response(503, {})] * 3)
+        provider, calls = serve([response(503, {})] * 3)
         with pytest.raises(ProviderTransportError):
             provider.generate(SPEC, 768, 0.0)
         assert len(sleeps) == 2
@@ -273,9 +310,9 @@ class TestRemoteRetries:
         assert random.getstate() == state
 
     @pytest.mark.parametrize("value", ["soon", "nan", "Wed, 21 Oct 2015 07:28:00 GMT"])
-    def test_unreadable_retry_after_falls_back_to_jitter(self, monkeypatch, sleeps, value):
-        provider, calls = self._serve(
-            monkeypatch, [response(503, {}, headers={"Retry-After": value}), completion("ok")]
+    def test_unreadable_retry_after_falls_back_to_jitter(self, serve, sleeps, value):
+        provider, calls = serve(
+            [response(503, {}, headers={"Retry-After": value}), completion("ok")]
         )
         assert provider.generate(SPEC, 768, 0.0) == "ok"
         assert 0.0 <= sleeps[0] <= 1.0
@@ -288,35 +325,28 @@ class TestRemoteRetries:
             response(payload={"choices": [{"message": {"content": None}}]}),
         ],
     )
-    def test_malformed_body_is_a_response_error_without_retry(self, monkeypatch, sleeps, reply):
-        provider, calls = self._serve(monkeypatch, [reply] * 3)
+    def test_malformed_body_is_a_response_error_without_retry(self, serve, sleeps, reply):
+        provider, calls = serve([reply] * 3)
         with pytest.raises(ProviderResponseError, match="^malformed response body"):
             provider.generate(SPEC, 768, 0.0)
         assert len(calls) == 1 and sleeps == []
 
 
 class TestRemoteSession:
-    def test_one_pooled_session_until_closed(self):
-        provider = RemoteProvider(base_url=URL, model="solver", concurrency=3)
-        session = provider.session()
-        assert provider.session() is session
-        adapter = session.get_adapter(URL)
-        assert adapter._pool_maxsize == 3 and adapter._pool_block
-        provider.close()
-        assert provider.session() is not session
-        provider.close()
+    """One provider's connections, counted at the server."""
 
-    def test_threads_share_one_session(self):
-        providers = [RemoteProvider(base_url=URL, model="solver", concurrency=4) for _ in range(20)]
-        sessions = [[] for _ in providers]
+    def test_threads_share_at_most_k_connections_reused_across_calls(self, remote, endpoint):
+        endpoint.script = [completion("ok", delay_s=0.005)] * 24
+        provider = remote(concurrency=8)
         barrier = threading.Barrier(8)
+        outputs, held = [], []
 
-        def take():
-            for provider, seen in zip(providers, sessions):
-                barrier.wait(timeout=10)
-                seen.append(provider.session())
+        def work():
+            barrier.wait(timeout=10)
+            outputs.extend(provider.generate(SPEC, 768, 0.0) for _ in range(3))
+            held.append(provider.connection())
 
-        threads = [threading.Thread(target=take) for _ in range(8)]
+        threads = [threading.Thread(target=work) for _ in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -327,11 +357,83 @@ class TestRemoteSession:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        for provider, seen in zip(providers, sessions):
-            assert len(seen) == 8 and all(session is seen[0] for session in seen)
-            provider.close()
+        assert outputs == ["ok"] * 24
+        assert len(endpoint.received) == 24 and endpoint.connections == 8
+        assert len({id(connection) for connection in held}) == 8
+        provider.close()
+        assert all(connection.sock is None for connection in held)
+
+    def test_new_connections_after_close(self, remote, endpoint):
+        endpoint.script = [completion("ok")] * 3
+        provider = remote()
+        assert provider.generate(SPEC, 768, 0.0) == "ok"
+        assert provider.generate(SPEC, 768, 0.0) == "ok"
+        assert endpoint.connections == 1
+        first = provider.connection()
+        provider.close()
+        assert first.sock is None
+        assert provider.generate(SPEC, 768, 0.0) == "ok"
+        assert provider.connection() is not first
+        assert len(endpoint.received) == 3 and endpoint.connections == 2
+
+    def test_a_connection_dropped_while_idle_is_reopened_without_a_retry(
+        self, remote, endpoint, sleeps
+    ):
+        endpoint.script = [completion("first"), completion("second")]
+        provider = remote()
+        assert provider.generate(SPEC, 768, 0.0) == "first"
+        endpoint.drop_connections()
+        assert provider.generate(SPEC, 768, 0.0) == "second"
+        assert len(endpoint.received) == 2 and endpoint.connections == 2
+        assert sleeps == []
+
+    def test_a_connection_the_server_closed_after_an_error_is_reopened(
+        self, remote, endpoint, sleeps
+    ):
+        endpoint.script = [response(503, {}, headers={"Retry-After": "0"}), completion("ok")] * 2
+        provider = remote()
+        assert provider.generate(SPEC, 768, 0.0) == "ok"
+        assert provider.generate(SPEC, 768, 0.0) == "ok"
+        assert len(endpoint.received) == 4 and endpoint.connections == 3
+        assert sleeps == [0.0, 0.0]
+
+    def test_http_goes_through_the_environment_proxy_in_absolute_form(
+        self, remote, endpoint, monkeypatch
+    ):
+        endpoint.script = [completion("ok")]
+        monkeypatch.setenv("http_proxy", endpoint.base_url.removesuffix("/v1"))
+        provider = remote(base_url="http://llm.invalid:8080/v1")
+        assert provider.generate(SPEC, 768, 0.0) == "ok"
+        [(target, headers, _)] = endpoint.received
+        assert target == "http://llm.invalid:8080/v1/chat/completions"
+        assert headers["Host"] == "llm.invalid:8080"
+
+    def test_https_goes_through_the_environment_proxy_in_a_tunnel(
+        self, remote, endpoint, monkeypatch, sleeps
+    ):
+        endpoint.script = [response(407, {})] * 3
+        proxy = endpoint.base_url.removesuffix("/v1").replace("//", "//user:pa%20ss@")
+        monkeypatch.setenv("https_proxy", proxy)
+        provider = remote(base_url="https://llm.invalid/v1")
+        with pytest.raises(
+            ProviderTransportError, match="^Tunnel connection failed: 407 Proxy Authentication"
+        ):
+            provider.generate(SPEC, 768, 0.0)
+        assert [target for target, _, _ in endpoint.received] == ["llm.invalid:443"] * 3
+        # base64 of "user:pa ss"
+        assert endpoint.received[0][1]["Proxy-Authorization"] == "Basic dXNlcjpwYSBzcw=="
+        assert len(sleeps) == 2
+
+    def test_no_proxy_sends_the_request_direct(self, remote, endpoint, monkeypatch):
+        endpoint.script = [completion("ok")]
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{closed_port()}")
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        provider = remote()
+        assert provider.generate(SPEC, 768, 0.0) == "ok"
+        assert [target for target, _, _ in endpoint.received] == ["/v1/chat/completions"]
 
     def test_default_concurrency_and_its_floor(self):
         assert RemoteProvider(base_url=URL, model="solver").concurrency == 2
         with pytest.raises(ValueError):
             RemoteProvider(base_url=URL, model="solver", concurrency=0)
+
