@@ -70,7 +70,13 @@ def _build_config(args: argparse.Namespace) -> PolicyConfig:
     config = PolicyConfig()
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as handle:
-            config = config_from_mapping(json.load(handle), base=config)
+            try:
+                values = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{args.config}: not JSON ({exc})") from None
+        if not isinstance(values, dict):
+            raise ValueError(f"{args.config}: a JSON {type(values).__name__}, not an object")
+        config = config_from_mapping(values, base=config)
     config = config_from_env(base=config)
     # A flag's dest is its config field's name; fields without a flag read None.
     overrides = {

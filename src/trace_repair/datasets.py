@@ -1,6 +1,8 @@
-"""Dataset loading, numeric filtering, and reproducible sampling.
+"""JSONL input and output, dataset loading, numeric filtering, and sampling.
 
-Datasets are UTF-8 JSONL files with one record per line:
+``read_jsonl`` reads every JSONL input and ``write_jsonl`` writes every
+JSONL artifact. Datasets are UTF-8 JSONL files with one record per line,
+whose fields are read as text:
 
     {"example_id": ..., "problem_text": ..., "gold_answer": ...,
      "cached_initial_trace": ...}
@@ -21,7 +23,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .answers import (
     KIND_NONE,
@@ -52,7 +54,7 @@ _NUMERIC_ASK_RE = re.compile(
 
 
 class DatasetError(ValueError):
-    """Malformed or inconsistent dataset input. Always fatal."""
+    """A malformed or inconsistent input file, named with ``path:line``. Always fatal."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,29 @@ class DatasetRecord:
         return payload
 
 
+def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> Iterator[tuple[str, dict]]:
+    """Yield ``(where, row)``, ``where`` being ``path:line``, for each line that is not blank.
+
+    A line that is not JSON, a row that is not an object, or a row without
+    one of the ``required`` fields raises a ``DatasetError`` that names it.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{number}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"{where}: not JSON ({exc})") from None
+            if not isinstance(row, dict):
+                raise DatasetError(f"{where}: row is a JSON {type(row).__name__}, not an object")
+            for name in required:
+                if name not in row:
+                    raise DatasetError(f"{where}: missing field {name!r}")
+            yield where, row
+
+
 def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Parse a JSONL dataset file, preserving file order.
 
@@ -81,33 +106,20 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """
     records: list[DatasetRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{line_number}: invalid JSON: {exc}") from exc
-            if not isinstance(payload, dict):
-                raise DatasetError(f"{path}:{line_number}: record is not an object")
-            for name in _REQUIRED_FIELDS:
-                if name not in payload:
-                    raise DatasetError(f"{path}:{line_number}: missing field {name!r}")
-            example_id = str(payload["example_id"])
-            if example_id in seen:
-                raise DatasetError(f"{path}:{line_number}: duplicate example_id {example_id!r}")
-            seen.add(example_id)
-            trace = payload.get("cached_initial_trace")
-            records.append(
-                DatasetRecord(
-                    example_id=example_id,
-                    problem_text=str(payload["problem_text"]),
-                    gold_answer=str(payload["gold_answer"]),
-                    cached_initial_trace=str(trace) if trace is not None else None,
-                )
+    for where, row in read_jsonl(path, _REQUIRED_FIELDS):
+        example_id = str(row["example_id"])
+        if example_id in seen:
+            raise DatasetError(f"{where}: duplicate example_id {example_id!r}")
+        seen.add(example_id)
+        trace = row.get("cached_initial_trace")
+        records.append(
+            DatasetRecord(
+                example_id=example_id,
+                problem_text=str(row["problem_text"]),
+                gold_answer=str(row["gold_answer"]),
+                cached_initial_trace=str(trace) if trace is not None else None,
             )
+        )
     return records
 
 
@@ -124,10 +136,17 @@ def write_artifact(path: str | Path, chunks: Iterable[str]) -> None:
         temp.unlink(missing_ok=True)
 
 
+def jsonl_line(row: dict) -> str:
+    """One JSONL row as written to every artifact, newline included."""
+    return json.dumps(row, ensure_ascii=False) + "\n"
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    write_artifact(path, map(jsonl_line, rows))
+
+
 def write_dataset(records: Iterable[DatasetRecord], path: str | Path) -> None:
-    write_artifact(
-        path, (json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n" for record in records)
-    )
+    write_jsonl(path, (record.to_json_dict() for record in records))
 
 
 @dataclass

@@ -15,6 +15,8 @@ repair_example arguments. Final artifacts are serialized once, in
 example-id order, each through a temp file, so interrupted runs can resume
 from progress.jsonl and still produce byte-identical output. A resume drops
 the torn last line a kill mid-append leaves and runs that example again.
+A bad line or a missing field in any JSONL input stops the run naming
+``path:line``.
 
 A remote provider keeps up to its ``concurrency`` examples in flight at
 once: each pool thread takes the next pending example as soon as its last
@@ -26,9 +28,8 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterable
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -36,10 +37,13 @@ from .answers import ReasoningTrace
 from .datasets import (
     DatasetRecord,
     filter_numeric,
+    jsonl_line,
     load_dataset,
+    read_jsonl,
     sample_subset,
     write_artifact,
     write_dataset,
+    write_jsonl,
 )
 from .diagnostics import diagnose
 from .orchestrator import CandidateRecord, repair_example
@@ -89,6 +93,13 @@ RISK_SUMMARY_FILE = "risk_summary.json"
 REPORT_JSON_FILE = "report.json"
 REPORT_TEXT_FILE = "report.txt"
 PROGRESS_FILE = "progress.jsonl"
+
+# The fields read of a progress row, of a prediction by _write_report and of a candidate.
+_PROGRESS_FIELDS = ("example_id", "prediction", "candidates", "risk")
+_PREDICTION_FIELDS = (
+    "example_id", "initial_answer", "final_answer", "gold_answer", "triggered", "accepted"
+)
+_CANDIDATE_FIELDS = tuple(item.name for item in fields(CandidateRecord))
 
 
 @dataclass
@@ -243,38 +254,14 @@ def _process_example(
     }
 
 
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    write_artifact(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
-
-
-def _jsonl_rows(path: Path, lines: Iterable[str]) -> list[dict]:
-    rows = []
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{number}: not JSON ({exc})") from None
-        if not isinstance(row, dict):
-            raise ValueError(f"{path}:{number}: row is a JSON {type(row).__name__}, not an object")
-        rows.append(row)
-    return rows
-
-
-def _read_jsonl(path: Path) -> list[dict]:
-    """A JSONL file's rows; a line that is not a JSON object raises a ValueError naming it."""
-    with open(path, encoding="utf-8") as handle:
-        return _jsonl_rows(path, handle)
-
-
 def _read_progress(path: Path) -> list[dict]:
     """The checkpoint's rows, once a torn last line is cut off the file.
 
     Every row is appended whole, newline included, so a last line without
     its newline is what a kill mid-append leaves. It is truncated away, so
     its example runs again and the next append starts a line of its own. A
-    bad line anywhere else raises a ValueError naming it.
+    bad line anywhere else, or a row without a progress field, raises a
+    ``DatasetError`` naming it.
     """
     with open(path, "r+b") as handle:
         data = handle.read()
@@ -282,7 +269,7 @@ def _read_progress(path: Path) -> list[dict]:
         if whole < len(data):
             log.warning("%s: dropping a torn last line of %d bytes", path, len(data) - whole)
             handle.truncate(whole)
-    return _jsonl_rows(path, data[:whole].decode("utf-8").split("\n"))
+    return [row for _, row in read_jsonl(path, _PROGRESS_FIELDS)]
 
 
 def risk_log_summary(risk_rows: list[dict]) -> dict:
@@ -343,7 +330,7 @@ def _write_report(
         "report_json": output_dir / REPORT_JSON_FILE,
         "report_text": output_dir / REPORT_TEXT_FILE,
     }
-    _write_jsonl(paths["report_json"], [report.to_json_dict()])
+    write_jsonl(paths["report_json"], [report.to_json_dict()])
     write_artifact(paths["report_text"], [render_report(report)])
     return PipelineResult(report=report, paths=paths)
 
@@ -365,10 +352,10 @@ def _finalize_run(manifest: RunManifest, results: list[dict]) -> PipelineResult:
         "risk_log": output / RISK_LOG_FILE,
         "risk_summary": output / RISK_SUMMARY_FILE,
     }
-    _write_jsonl(paths["predictions"], predictions)
-    _write_jsonl(paths["candidates"], candidate_rows)
-    _write_jsonl(paths["risk_log"], risk_rows)
-    _write_jsonl(paths["risk_summary"], [risk_log_summary(risk_rows)])
+    write_jsonl(paths["predictions"], predictions)
+    write_jsonl(paths["candidates"], candidate_rows)
+    write_jsonl(paths["risk_log"], risk_rows)
+    write_jsonl(paths["risk_summary"], [risk_log_summary(risk_rows)])
     return PipelineResult(report=reported.report, paths={**paths, **reported.paths})
 
 
@@ -446,7 +433,7 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
                 continue
             outage_streak = 0
             results.append(payload)
-            progress.write(json.dumps(payload, ensure_ascii=False) + "\n")
+            progress.write(jsonl_line(payload))
             progress.flush()
     return _finalize_run(manifest, results)
 
@@ -495,11 +482,12 @@ def recompute_report(
     beside the predictions file when it is there.
     """
     _check_harm_budget(harm_budget)
-    predictions = _read_jsonl(predictions_path)
+    predictions = [row for _, row in read_jsonl(predictions_path, _PREDICTION_FIELDS)]
     candidates_path = predictions_path.parent / CANDIDATES_FILE
     records = None
     if candidates_path.exists():
-        records = [CandidateRecord.from_json_dict(row) for row in _read_jsonl(candidates_path)]
+        rows = read_jsonl(candidates_path, _CANDIDATE_FIELDS)
+        records = [CandidateRecord.from_json_dict(row) for _, row in rows]
     output_dir.mkdir(parents=True, exist_ok=True)
     return _write_report(output_dir, predictions, records, harm_budget)
 

@@ -1,9 +1,10 @@
 """Candidate providers: deterministic replay and a generic remote client.
 
 The replay provider serves recorded outputs keyed by (example id, attempt
-index). It refuses a cache with an incomplete or duplicate row and fails
-loudly on a cache miss or on a row recorded under another prompt, which
-keeps experiment replays honest. The remote provider talks to any
+index), the id read as text. It refuses a cache row that is incomplete,
+mistyped or a duplicate, naming ``path:line``, and fails loudly on a cache
+miss or on a row recorded under another prompt, which keeps experiment
+replays honest. The remote provider talks to any
 chat-completions style endpoint over the standard library's ``http.client``,
 with temperature 0 and the configured token budgets; connection reuse,
 retries and backoff live here, outside the policy logic. A reply without
@@ -27,6 +28,7 @@ from pathlib import Path
 from typing import Mapping
 from urllib.parse import SplitResult, unquote, urlsplit
 
+from .datasets import DatasetError, read_jsonl
 from .orchestrator import (
     SYSTEM_TEXT,
     PromptSpec,
@@ -70,50 +72,33 @@ class ReplayProvider:
         """Load a candidate cache file (one JSON record per line).
 
         A line that is not a JSON object, a row without ``example_id``,
-        ``attempt_index`` or ``raw_output``, an ``attempt_index`` that is
-        neither an integer nor a string ``int()`` reads (a float or a boolean
-        is refused), or a second row for the same attempt aborts with a
-        ``ValueError`` that names the line.
+        ``attempt_index`` or a string ``raw_output``, an ``attempt_index``
+        that is neither an integer nor a string ``int()`` reads, a
+        ``retry_output`` or ``prompt_hash`` that is neither a string nor
+        null, or a second row for the same attempt aborts with a
+        ``DatasetError`` that names the line. Ids are read as text, so ``7``
+        and ``"7"`` name the same example, as in the dataset.
         """
         entries: dict[tuple[str, int], ReplayEntry] = {}
-        with open(path, encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                where = f"{path}:{line_number}"
+        for where, row in read_jsonl(path, ("example_id", "attempt_index", "raw_output")):
+            index = row["attempt_index"]
+            # int() would read 1.5 and true as attempt 1, so only an
+            # integer, or a string that int() reads, names an attempt.
+            if isinstance(index, str):
                 try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{where}: not JSON ({exc})") from None
-                if not isinstance(payload, dict):
-                    raise ValueError(
-                        f"{where}: row is a JSON {type(payload).__name__}, not an object"
-                    )
-                try:
-                    example_id = payload["example_id"]
-                    index = payload["attempt_index"]
-                    raw_output = payload["raw_output"]
-                except KeyError as exc:
-                    raise ValueError(f"{where}: missing field {exc}") from None
-                # int() would read 1.5 and true as attempt 1, so only an
-                # integer, or a string that int() reads, names an attempt.
-                if isinstance(index, str):
-                    try:
-                        index = int(index)
-                    except ValueError:
-                        pass
-                if type(index) is not int:
-                    raise ValueError(f"{where}: attempt_index {index!r} is not an integer")
-                key = (example_id, index)
-                if key in entries:
-                    raise ValueError(
-                        f"{where}: duplicate row for example {key[0]!r} "
-                        f"attempt {key[1]}"
-                    )
-                entries[key] = ReplayEntry(
-                    raw_output, payload.get("retry_output"), payload.get("prompt_hash")
-                )
+                    index = int(index)
+                except ValueError:
+                    pass
+            if type(index) is not int:
+                raise DatasetError(f"{where}: attempt_index {index!r} is not an integer")
+            entry = ReplayEntry(row["raw_output"], row.get("retry_output"), row.get("prompt_hash"))
+            for name, value in vars(entry).items():
+                if not (isinstance(value, str) or value is None and name != "raw_output"):
+                    raise DatasetError(f"{where}: {name} {value!r} is not a string")
+            key = (str(row["example_id"]), index)
+            if key in entries:
+                raise DatasetError(f"{where}: duplicate row for example {key[0]!r} attempt {index}")
+            entries[key] = entry
         return cls(entries)
 
     def generate(self, prompt: PromptSpec, max_tokens: int, temperature: float) -> str:

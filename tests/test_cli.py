@@ -1,6 +1,7 @@
 """The CLI's config flags, config file and environment all reach PolicyConfig."""
 
 import json
+import re
 
 import pytest
 
@@ -106,6 +107,21 @@ def test_a_truncated_config_file_value_is_refused(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({"n_candidates": 2.7}))
     with pytest.raises(ValueError, match="config field n_candidates takes an integer"):
+        _config("--config", str(config_path))
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"n_candidates": 2', "not JSON"),
+        ('[{"n_candidates": 2}]', "a JSON list, not an object"),
+        ('"n_candidates"', "a JSON str, not an object"),
+    ],
+)
+def test_a_config_file_that_is_not_an_object_is_refused(tmp_path, text, error):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(config_path))}: {error}"):
         _config("--config", str(config_path))
 
 

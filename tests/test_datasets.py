@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from trace_repair.datasets import (
     DatasetRecord,
     filter_numeric,
     load_dataset,
+    read_jsonl,
     sample_subset,
     write_dataset,
 )
@@ -54,6 +56,16 @@ class TestLoadWrite:
         path.write_text('{"example_id": "a", "problem_text": "p", "gold_answer": "1"}\nnot json\n')
         with pytest.raises(DatasetError, match=":2:"):
             load_dataset(path)
+
+    def test_read_jsonl_skips_blank_lines_and_names_each_row(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n\n   \n{"a": 2, "b": 3}\n')
+        assert list(read_jsonl(path, ("a",))) == [
+            (f"{path}:1", {"a": 1}),
+            (f"{path}:4", {"a": 2, "b": 3}),
+        ]
+        with pytest.raises(DatasetError, match=re.escape(f"{path}:1: missing field 'b'")):
+            list(read_jsonl(path, ("a", "b")))
 
     def test_duplicate_id_is_fatal(self, tmp_path):
         path = tmp_path / "dup.jsonl"

@@ -201,6 +201,37 @@ class TestReplayRun:
         with pytest.raises(ValueError, match=rf"{PROGRESS_FILE}:5: not JSON"):
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
 
+    def test_resume_refuses_a_progress_row_without_a_field(self, synthetic, tmp_path):
+        directory, dataset_path, cache_path = synthetic
+        run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = tmp_path / "run" / PROGRESS_FILE
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[3])
+        del row["prediction"]
+        lines[3] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{PROGRESS_FILE}:4: missing field 'prediction'"):
+            run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
+
+    def test_integer_ids_name_the_same_example_in_dataset_and_cache(self, tmp_path):
+        from synthetic_run import build_synthetic_run
+
+        records, cache = build_synthetic_run()
+        fix_id = GROUP_SAFE_FIX[0]
+        record = next(record for record in records if record.example_id == fix_id)
+        dataset_path = tmp_path / "dataset.jsonl"
+        dataset_path.write_text(json.dumps({**record.to_json_dict(), "example_id": 7}) + "\n")
+        cache_path = tmp_path / "cache.jsonl"
+        cache_path.write_text(
+            "".join(
+                json.dumps({**row, "example_id": 7}) + "\n"
+                for row in cache
+                if row["example_id"] == fix_id
+            )
+        )
+        report = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path)).report
+        assert (report.total, report.accepted, report.fixed) == (1, 1, 1)
+
     def test_failed_write_keeps_previous_artifacts(self, synthetic, tmp_path, monkeypatch):
         directory, dataset_path, cache_path = synthetic
         first = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
@@ -476,7 +507,12 @@ class TestReportMode:
 
     @pytest.mark.parametrize("key", ["predictions", "candidates"])
     @pytest.mark.parametrize(
-        "bad, error", [(None, "not JSON"), ("[1, 2]", "row is a JSON list, not an object")]
+        "bad, error",
+        [
+            (None, "not JSON"),
+            ("[1, 2]", "row is a JSON list, not an object"),
+            ("{}", "missing field 'example_id'"),
+        ],
     )
     def test_a_bad_line_names_its_file_and_line(self, synthetic, tmp_path, key, bad, error):
         directory, dataset_path, cache_path = synthetic
@@ -486,6 +522,19 @@ class TestReportMode:
         lines[2] = (lines[2][:40] if bad is None else bad) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=rf"{path.name}:3: {error}"):
+            recompute_report(run.paths["predictions"], tmp_path / "report")
+
+    @pytest.mark.parametrize("key, name", [("predictions", "gold_answer"), ("candidates", "parsed")])
+    def test_a_row_without_a_field_names_its_file_and_line(self, synthetic, tmp_path, key, name):
+        directory, dataset_path, cache_path = synthetic
+        run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = run.paths[key]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = json.loads(lines[2])
+        del row[name]
+        lines[2] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"{path.name}:3: missing field '{name}'"):
             recompute_report(run.paths["predictions"], tmp_path / "report")
 
 

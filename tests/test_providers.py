@@ -109,6 +109,22 @@ class TestReplayProvider:
                 '{"example_id": "ex1", "attempt_index": true, "raw_output": "x"}',
                 "attempt_index True is not an integer",
             ),
+            (
+                '{"example_id": "ex1", "attempt_index": 1, "raw_output": null}',
+                "raw_output None is not a string",
+            ),
+            (
+                '{"example_id": "ex1", "attempt_index": 1, "raw_output": 5}',
+                "raw_output 5 is not a string",
+            ),
+            (
+                '{"example_id": "ex1", "attempt_index": 1, "raw_output": "x", "retry_output": 5}',
+                "retry_output 5 is not a string",
+            ),
+            (
+                '{"example_id": "ex1", "attempt_index": 1, "raw_output": "x", "prompt_hash": []}',
+                "prompt_hash [] is not a string",
+            ),
         ],
     )
     def test_unreadable_row_names_its_line(self, tmp_path, line, message):
@@ -117,6 +133,18 @@ class TestReplayProvider:
         path.write_text(f"{json.dumps(first)}\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             ReplayProvider.from_jsonl(path)
+
+    def test_an_integer_and_a_text_id_name_the_same_example(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        rows = [
+            {"example_id": 7, "attempt_index": 0, "raw_output": "int"},
+            {"example_id": "7", "attempt_index": 0, "raw_output": "text"},
+        ]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: duplicate row for example '7'")):
+            ReplayProvider.from_jsonl(path)
+        path.write_text(json.dumps(rows[0]) + "\n")
+        assert ReplayProvider.from_jsonl(path)._entries == {("7", 0): ReplayEntry("int")}
 
     def test_retry_is_checked_against_its_base_prompt(self, remote):
         import dataclasses
