@@ -75,27 +75,50 @@ class DatasetRecord:
         return payload
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
+    """Yield ``(where, line)``, ``where`` being ``path:line``, for each line that is not blank.
+    A line that is not UTF-8 raises a ``DatasetError`` that names it."""
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            where = f"{path}:{number}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"{where}: not UTF-8 ({exc})") from None
+            if line.strip():
+                yield where, line
+
+
+def json_fields(where: str, value, names: Sequence[str], name: str = "", lists=()) -> list:
+    """The values of ``names`` in ``value``, the JSON object at dotted ``name`` ("" for the row).
+    A ``value`` that is not an object, a missing field, or a field of ``lists``
+    that is not a list raises a ``DatasetError`` naming ``where`` and the field."""
+    if not isinstance(value, dict):
+        what = repr(name) if name else "row"
+        raise DatasetError(f"{where}: {what} is a JSON {type(value).__name__}, not an object")
+    for field_name in names:
+        dotted = f"{name}.{field_name}" if name else field_name
+        if field_name not in value:
+            raise DatasetError(f"{where}: missing field {dotted!r}")
+        if field_name in lists and not isinstance(value[field_name], list):
+            kind = type(value[field_name]).__name__
+            raise DatasetError(f"{where}: {dotted!r} is a JSON {kind}, not a list")
+    return [value[field_name] for field_name in names]
+
+
 def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> Iterator[tuple[str, dict]]:
-    """Yield ``(where, row)``, ``where`` being ``path:line``, for each line that is not blank.
+    """Yield ``(where, row)`` for each line of ``read_lines``.
 
     A line that is not JSON, a row that is not an object, or a row without
     one of the ``required`` fields raises a ``DatasetError`` that names it.
     """
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{number}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{where}: not JSON ({exc})") from None
-            if not isinstance(row, dict):
-                raise DatasetError(f"{where}: row is a JSON {type(row).__name__}, not an object")
-            for name in required:
-                if name not in row:
-                    raise DatasetError(f"{where}: missing field {name!r}")
-            yield where, row
+    for where, line in read_lines(path):
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{where}: not JSON ({exc})") from None
+        json_fields(where, row, required)
+        yield where, row
 
 
 def load_dataset(path: str | Path) -> list[DatasetRecord]:

@@ -13,11 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Protocol
 
 from .answers import NUMERIC_KINDS, ReasoningTrace, answers_equivalent, normalize_answer
+from .datasets import json_fields
 from .diagnostics import CATEGORY_CLEAN, DiagnosisReport, diagnose
 from .policy import (
     REJECT_UNCLEAN,
@@ -252,60 +253,31 @@ class CandidateRecord:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
+        parsed, verdict = self.parsed, self.verdict
         return {
-            "example_id": self.example_id,
-            "attempt_index": self.attempt_index,
-            "prompt_hash": self.prompt_hash,
-            "raw_output": self.raw_output,
-            "retry_output": self.retry_output,
-            "parsed": (
-                {"steps": list(self.parsed.steps), "final_answer": self.parsed.final_answer}
-                if self.parsed
-                else None
-            ),
-            "retried": self.retried,
-            "clean": self.clean,
-            "clean_reason": self.clean_reason,
-            "graph_clean": self.graph_clean,
-            "answer_changed": self.answer_changed,
-            "verdict": (
-                {
-                    "accepted": self.verdict.accepted,
-                    "path": self.verdict.path,
-                    "rejection_reasons": list(self.verdict.rejection_reasons),
-                }
-                if self.verdict
-                else None
-            ),
-            "error": self.error,
+            **vars(self),
+            "parsed": parsed and {"steps": list(parsed.steps), "final_answer": parsed.final_answer},
+            "verdict": verdict
+            and {**vars(verdict), "rejection_reasons": list(verdict.rejection_reasons)},
         }
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "CandidateRecord":
-        parsed, verdict = payload["parsed"], payload["verdict"]
-        return cls(
-            example_id=payload["example_id"],
-            attempt_index=payload["attempt_index"],
-            prompt_hash=payload["prompt_hash"],
-            raw_output=payload["raw_output"],
-            retry_output=payload["retry_output"],
-            parsed=(
-                ParsedCandidate(tuple(parsed["steps"]), parsed["final_answer"]) if parsed else None
-            ),
-            retried=payload["retried"],
-            clean=payload["clean"],
-            clean_reason=payload["clean_reason"],
-            graph_clean=payload["graph_clean"],
-            answer_changed=payload["answer_changed"],
-            verdict=(
-                AcceptanceVerdict(
-                    verdict["accepted"], verdict["path"], tuple(verdict["rejection_reasons"])
-                )
-                if verdict
-                else None
-            ),
-            error=payload["error"],
-        )
+    def from_json_dict(cls, where: str, row, name: str = "") -> "CandidateRecord":
+        record = cls(*json_fields(where, row, [item.name for item in fields(cls)], name))
+        prefix = f"{name}." if name else ""
+        parsed, verdict = record.parsed, record.verdict
+        if parsed is not None:
+            steps, answer = json_fields(
+                where, parsed, ("steps", "final_answer"), prefix + "parsed", lists=("steps",)
+            )
+            parsed = ParsedCandidate(tuple(steps), answer)
+        if verdict is not None:
+            accepted, path, reasons = json_fields(
+                where, verdict, ("accepted", "path", "rejection_reasons"), prefix + "verdict",
+                lists=("rejection_reasons",),
+            )
+            verdict = AcceptanceVerdict(accepted, path, tuple(reasons))
+        return replace(record, parsed=parsed, verdict=verdict)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ repair_example arguments. Final artifacts are serialized once, in
 example-id order, each through a temp file, so interrupted runs can resume
 from progress.jsonl and still produce byte-identical output. A resume drops
 the torn last line a kill mid-append leaves and runs that example again.
-A bad line or a missing field in any JSONL input stops the run naming
-``path:line``.
+Rows are typed (``ExampleResult``, ``Prediction``, ``CandidateRecord``): a bad
+line, a missing field, or a nested value that is not the object or list it
+should be stops the run naming ``path:line`` and the dotted field.
 
 A remote provider keeps up to its ``concurrency`` examples in flight at
 once: each pool thread takes the next pending example as soon as its last
@@ -35,11 +36,14 @@ from pathlib import Path
 
 from .answers import ReasoningTrace
 from .datasets import (
+    DatasetError,
     DatasetRecord,
     filter_numeric,
+    json_fields,
     jsonl_line,
     load_dataset,
     read_jsonl,
+    read_lines,
     sample_subset,
     write_artifact,
     write_dataset,
@@ -94,12 +98,57 @@ REPORT_JSON_FILE = "report.json"
 REPORT_TEXT_FILE = "report.txt"
 PROGRESS_FILE = "progress.jsonl"
 
-# The fields read of a progress row, of a prediction by _write_report and of a candidate.
-_PROGRESS_FIELDS = ("example_id", "prediction", "candidates", "risk")
-_PREDICTION_FIELDS = (
-    "example_id", "initial_answer", "final_answer", "gold_answer", "triggered", "accepted"
-)
-_CANDIDATE_FIELDS = tuple(item.name for item in fields(CandidateRecord))
+
+@dataclass(frozen=True)
+class Prediction:
+    example_id: str
+    initial_answer: str | None
+    final_answer: str | None
+    gold_answer: str
+    triggered: bool
+    trigger_reasons: list[str]
+    accepted: bool
+    accepted_attempt: int | None
+    final_trace: str
+
+    def to_json_dict(self) -> dict:
+        return dict(vars(self))
+
+    @classmethod
+    def from_json_dict(cls, where: str, row, name: str = "") -> "Prediction":
+        return cls(*json_fields(where, row, [item.name for item in fields(cls)], name))
+
+
+@dataclass(frozen=True)
+class ExampleResult:
+    """One example's outcome, as its progress.jsonl row holds it; ``risk`` is its risk_log row."""
+
+    prediction: Prediction
+    records: tuple[CandidateRecord, ...]
+    risk: dict
+
+    def to_json_dict(self) -> dict:
+        return {
+            "example_id": self.prediction.example_id,
+            "prediction": self.prediction.to_json_dict(),
+            "candidates": [record.to_json_dict() for record in self.records],
+            "risk": self.risk,
+        }
+
+    @classmethod
+    def from_json_dict(cls, where: str, row) -> "ExampleResult":
+        example_id, prediction, candidates, risk = json_fields(
+            where, row, ("example_id", "prediction", "candidates", "risk"), lists=("candidates",)
+        )
+        prediction = Prediction.from_json_dict(where, prediction, "prediction")
+        if example_id != prediction.example_id:
+            raise DatasetError(f"{where}: example_id {example_id!r} is not prediction.example_id")
+        records = tuple(
+            CandidateRecord.from_json_dict(where, item, f"candidates[{index}]")
+            for index, item in enumerate(candidates)
+        )
+        json_fields(where, risk, _RISK_FIELDS, "risk")
+        return cls(prediction, records, risk)
 
 
 @dataclass
@@ -156,8 +205,7 @@ def _build_provider(manifest: RunManifest):
 def _load_triggered_ids(path: Path | None, dataset_ids: set[str]) -> set[str] | None:
     if path is None:
         return None
-    with open(path, encoding="utf-8") as handle:
-        ids = {line.strip() for line in handle if line.strip()}
+    ids = {line.strip() for _, line in read_lines(path)}
     unknown = ids - dataset_ids
     if unknown:
         raise ValueError(
@@ -165,6 +213,13 @@ def _load_triggered_ids(path: Path | None, dataset_ids: set[str]) -> set[str] | 
             f"e.g. {min(unknown)!r}"
         )
     return ids
+
+
+# The fields of a risk_log.jsonl row, as _risk_log_entry writes them.
+_RISK_FIELDS = (
+    "example_id", "initial_risks", "initial_score", "initial_diagnosis", "meta_category",
+    "triggered", "accepted_attempt", "candidates",
+)
 
 
 def _risk_log_entry(
@@ -201,8 +256,8 @@ def _process_example(
     manifest: RunManifest,
     provider,
     triggered_ids: set[str] | None,
-) -> dict:
-    """Run one example end to end; returns its progress payload."""
+) -> ExampleResult:
+    """Run one example end to end."""
     cfg = manifest.config
     r0 = ReasoningTrace.from_text(record.cached_initial_trace or "")
     diag0 = diagnose(record.problem_text, r0)
@@ -235,33 +290,28 @@ def _process_example(
             outcome.accepted_index,
         )
 
-    prediction = {
-        "example_id": record.example_id,
-        "initial_answer": r0.answer.canonical,
-        "final_answer": final.answer.canonical,
-        "gold_answer": record.gold_answer,
-        "triggered": decision.triggered,
-        "trigger_reasons": sorted(decision.reasons),
-        "accepted": accepted_index is not None,
-        "accepted_attempt": accepted_index,
-        "final_trace": final.text,
-    }
-    return {
-        "example_id": record.example_id,
-        "prediction": prediction,
-        "candidates": [item.to_json_dict() for item in records],
-        "risk": _risk_log_entry(record, diag0, decision.triggered, records, accepted_index),
-    }
+    prediction = Prediction(
+        example_id=record.example_id,
+        initial_answer=r0.answer.canonical,
+        final_answer=final.answer.canonical,
+        gold_answer=record.gold_answer,
+        triggered=decision.triggered,
+        trigger_reasons=sorted(decision.reasons),
+        accepted=accepted_index is not None,
+        accepted_attempt=accepted_index,
+        final_trace=final.text,
+    )
+    risk = _risk_log_entry(record, diag0, decision.triggered, records, accepted_index)
+    return ExampleResult(prediction, records, risk)
 
 
-def _read_progress(path: Path) -> list[dict]:
+def _read_progress(path: Path) -> list[ExampleResult]:
     """The checkpoint's rows, once a torn last line is cut off the file.
 
     Every row is appended whole, newline included, so a last line without
     its newline is what a kill mid-append leaves. It is truncated away, so
     its example runs again and the next append starts a line of its own. A
-    bad line anywhere else, or a row without a progress field, raises a
-    ``DatasetError`` naming it.
+    bad line anywhere else, or a bad field, raises a ``DatasetError`` naming it.
     """
     with open(path, "r+b") as handle:
         data = handle.read()
@@ -269,32 +319,32 @@ def _read_progress(path: Path) -> list[dict]:
         if whole < len(data):
             log.warning("%s: dropping a torn last line of %d bytes", path, len(data) - whole)
             handle.truncate(whole)
-    return [row for _, row in read_jsonl(path, _PROGRESS_FIELDS)]
+    return [ExampleResult.from_json_dict(where, row) for where, row in read_jsonl(path)]
 
 
-def risk_log_summary(risk_rows: list[dict]) -> dict:
-    """Acceptance-decision pattern counts derived from the risk log."""
-    patterns = accepted = noop = 0
+def risk_log_summary(records: list[CandidateRecord]) -> dict:
+    """Acceptance-decision pattern counts of a run's candidate records."""
+    accepted = noop = 0
     changing = changing_accepted = 0
     changing_accepted_graph_clean = 0
     graph_clean = graph_risky = 0
-    for row in risk_rows:
-        for candidate in row["candidates"]:
-            patterns += 1
-            if candidate["accepted"]:
-                accepted += 1
-            if "no_op" in candidate["rejection_reasons"]:
-                noop += 1
-            if candidate["answer_changed"]:
-                changing += 1
-                if candidate["accepted"]:
-                    changing_accepted += 1
-                    if candidate["graph_clean"]:
-                        changing_accepted_graph_clean += 1
-            if candidate["graph_clean"] is True:
-                graph_clean += 1
-            elif candidate["graph_clean"] is False:
-                graph_risky += 1
+    for record in records:
+        verdict = record.verdict
+        if verdict and verdict.accepted:
+            accepted += 1
+        if verdict and "no_op" in verdict.rejection_reasons:
+            noop += 1
+        if record.answer_changed:
+            changing += 1
+            if verdict and verdict.accepted:
+                changing_accepted += 1
+                if record.graph_clean:
+                    changing_accepted_graph_clean += 1
+        if record.graph_clean is True:
+            graph_clean += 1
+        elif record.graph_clean is False:
+            graph_risky += 1
+    patterns = len(records)
     return {
         "patterns_inspected": patterns,
         "accepted_patterns": accepted,
@@ -311,20 +361,20 @@ def risk_log_summary(risk_rows: list[dict]) -> dict:
 
 def _write_report(
     output_dir: Path,
-    predictions: list[dict],
+    predictions: list[Prediction],
     records: list[CandidateRecord] | None,
     harm_budget: float | None,
 ) -> PipelineResult:
     """Compute the report of a run's predictions and write report.json/.txt."""
     labels = label_transitions(
-        [row["initial_answer"] for row in predictions],
-        [row["final_answer"] for row in predictions],
-        [row["gold_answer"] for row in predictions],
-        example_ids=[row["example_id"] for row in predictions],
-        triggered=[row["triggered"] for row in predictions],
-        accepted=[row["accepted"] for row in predictions],
+        [row.initial_answer for row in predictions],
+        [row.final_answer for row in predictions],
+        [row.gold_answer for row in predictions],
+        example_ids=[row.example_id for row in predictions],
+        triggered=[row.triggered for row in predictions],
+        accepted=[row.accepted for row in predictions],
     )
-    gold_by_id = {row["example_id"]: row["gold_answer"] for row in predictions}
+    gold_by_id = {row.example_id: row.gold_answer for row in predictions}
     report = compute_report(labels, records, gold_by_id, harm_budget=harm_budget)
     paths = {
         "report_json": output_dir / REPORT_JSON_FILE,
@@ -335,15 +385,11 @@ def _write_report(
     return PipelineResult(report=report, paths=paths)
 
 
-def _finalize_run(manifest: RunManifest, results: list[dict]) -> PipelineResult:
+def _finalize_run(manifest: RunManifest, results: list[ExampleResult]) -> PipelineResult:
     output = manifest.output_dir
-    results = sorted(results, key=lambda item: item["example_id"])
-
-    predictions = [item["prediction"] for item in results]
-    candidate_rows = [row for item in results for row in item["candidates"]]
-    risk_rows = [item["risk"] for item in results]
-
-    records = [CandidateRecord.from_json_dict(row) for row in candidate_rows]
+    results = sorted(results, key=lambda result: result.prediction.example_id)
+    predictions = [result.prediction for result in results]
+    records = [record for result in results for record in result.records]
     reported = _write_report(output, predictions, records, manifest.harm_budget)
 
     paths = {
@@ -352,10 +398,10 @@ def _finalize_run(manifest: RunManifest, results: list[dict]) -> PipelineResult:
         "risk_log": output / RISK_LOG_FILE,
         "risk_summary": output / RISK_SUMMARY_FILE,
     }
-    write_jsonl(paths["predictions"], predictions)
-    write_jsonl(paths["candidates"], candidate_rows)
-    write_jsonl(paths["risk_log"], risk_rows)
-    write_jsonl(paths["risk_summary"], [risk_log_summary(risk_rows)])
+    write_jsonl(paths["predictions"], (row.to_json_dict() for row in predictions))
+    write_jsonl(paths["candidates"], (record.to_json_dict() for record in records))
+    write_jsonl(paths["risk_log"], (result.risk for result in results))
+    write_jsonl(paths["risk_summary"], [risk_log_summary(records)])
     return PipelineResult(report=reported.report, paths={**paths, **reported.paths})
 
 
@@ -388,9 +434,9 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
     progress_path = manifest.output_dir / PROGRESS_FILE
 
-    completed: dict[str, dict] = {}
+    completed: dict[str, ExampleResult] = {}
     if manifest.resume and progress_path.exists():
-        completed = {payload["example_id"]: payload for payload in _read_progress(progress_path)}
+        completed = {item.prediction.example_id: item for item in _read_progress(progress_path)}
         unknown = completed.keys() - dataset_ids
         if unknown:
             raise ValueError(
@@ -411,19 +457,18 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
     with (
         closing(provider),
         open(progress_path, "a", encoding="utf-8") as progress,
-        closing(_in_order(process, pending, provider.concurrency)) as payloads,
+        closing(_in_order(process, pending, provider.concurrency)) as outcomes,
     ):
-        for payload in payloads:
-            candidates = payload["candidates"]
-            transport_dead = bool(candidates) and all(
-                row["error"] is not None and row["error"].startswith("transport")
-                for row in candidates
+        for result in outcomes:
+            transport_dead = bool(result.records) and all(
+                record.error is not None and record.error.startswith("transport")
+                for record in result.records
             )
             if transport_dead:
                 # Keep the example out of the durable checkpoint so a resume
                 # regenerates it once the provider is back.
                 outage_streak += 1
-                results.append(payload)
+                results.append(result)
                 if outage_streak >= OUTAGE_EXAMPLE_LIMIT:
                     raise ProviderOutageError(
                         f"{outage_streak} consecutive examples lost every "
@@ -432,8 +477,8 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
                     )
                 continue
             outage_streak = 0
-            results.append(payload)
-            progress.write(jsonl_line(payload))
+            results.append(result)
+            progress.write(jsonl_line(result.to_json_dict()))
             progress.flush()
     return _finalize_run(manifest, results)
 
@@ -482,12 +527,11 @@ def recompute_report(
     beside the predictions file when it is there.
     """
     _check_harm_budget(harm_budget)
-    predictions = [row for _, row in read_jsonl(predictions_path, _PREDICTION_FIELDS)]
+    predictions = [Prediction.from_json_dict(*line) for line in read_jsonl(predictions_path)]
     candidates_path = predictions_path.parent / CANDIDATES_FILE
     records = None
     if candidates_path.exists():
-        rows = read_jsonl(candidates_path, _CANDIDATE_FIELDS)
-        records = [CandidateRecord.from_json_dict(row) for _, row in rows]
+        records = [CandidateRecord.from_json_dict(*line) for line in read_jsonl(candidates_path)]
     output_dir.mkdir(parents=True, exist_ok=True)
     return _write_report(output_dir, predictions, records, harm_budget)
 

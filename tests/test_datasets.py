@@ -57,9 +57,10 @@ class TestLoadWrite:
         with pytest.raises(DatasetError, match=":2:"):
             load_dataset(path)
 
-    def test_read_jsonl_skips_blank_lines_and_names_each_row(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_read_jsonl_skips_blank_lines_and_names_each_row(self, tmp_path, newline):
         path = tmp_path / "rows.jsonl"
-        path.write_text('{"a": 1}\n\n   \n{"a": 2, "b": 3}\n')
+        path.write_text('{"a": 1}\n\n   \n{"a": 2, "b": 3}\n', newline=newline)
         assert list(read_jsonl(path, ("a",))) == [
             (f"{path}:1", {"a": 1}),
             (f"{path}:4", {"a": 2, "b": 3}),

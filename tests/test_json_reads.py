@@ -1,9 +1,14 @@
-"""The package parses JSON text in four places only.
+"""The package parses JSON text in four places only, and reads rows through their types.
 
 ``datasets.read_jsonl`` reads every JSONL input, so each of them skips
 blank lines and names ``path:line`` for a bad row. The other three parse
 one document each: a model's candidate, a provider's reply body and the
 ``--config`` file.
+
+``pipeline.py`` reads a prediction, candidate or risk row by a string key
+only inside a ``from_json_dict``, which names ``path:line`` and the dotted
+field when one is missing; elsewhere it reads attributes. Its only other
+string-key reads are of its own ``paths`` dicts.
 """
 
 import ast
@@ -45,6 +50,44 @@ def _json_reads(module: str, source: str) -> list[str]:
     return found
 
 
+PIPELINE_STRING_KEYS = [
+    "_finalize_run: paths['candidates']",
+    "_finalize_run: paths['predictions']",
+    "_finalize_run: paths['risk_log']",
+    "_finalize_run: paths['risk_summary']",
+    "_write_report: paths['report_json']",
+    "_write_report: paths['report_text']",
+    "filter_dataset: paths['filter_counts']",
+    "filter_dataset: paths['numeric_pool']",
+    "filter_dataset: paths['sample']",
+    "filter_dataset: paths['sample']",
+    "filter_dataset: paths['sample_ids']",
+    "filter_dataset: paths['sample_ids']",
+]
+
+
+def _string_key_reads(source: str) -> list[str]:
+    """``function: expression`` for each subscript by a string constant outside a ``from_json_dict``."""
+    found = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name != "from_json_dict":
+                    visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Subscript)
+                and isinstance(child.slice, ast.Constant)
+                and isinstance(child.slice.value, str)
+            ):
+                found.append(f"{function}: {ast.unparse(child)}")
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def test_json_is_parsed_only_in_the_allowed_places():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -62,4 +105,28 @@ def test_every_json_read_is_reported():
         "a.py: from json import",
         "a.py: <module>",
         "a.py: inner",
+    ]
+
+
+def test_pipeline_reads_rows_by_string_key_only_in_from_json_dict():
+    source = (PACKAGE / "pipeline.py").read_text(encoding="utf-8")
+    assert sorted(_string_key_reads(source)) == PIPELINE_STRING_KEYS
+
+
+def test_every_string_key_read_is_reported():
+    source = (
+        "LIMIT = LIMITS['a']\n"
+        "class Row:\n"
+        "    @classmethod\n"
+        "    def from_json_dict(cls, row):\n"
+        "        return row['b']\n"
+        "    def total(self, row, paths):\n"
+        "        row['c'] = paths[0] + row[KEY]\n"
+        "        return {'d': row['e']['f']}\n"
+    )
+    assert _string_key_reads(source) == [
+        "<module>: LIMITS['a']",
+        "total: row['c']",
+        "total: row['e']['f']",
+        "total: row['e']",
     ]

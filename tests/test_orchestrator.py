@@ -3,7 +3,7 @@ import json
 import pytest
 
 from trace_repair.answers import ReasoningTrace
-from trace_repair.datasets import DatasetRecord, write_dataset
+from trace_repair.datasets import DatasetRecord, read_jsonl, write_dataset
 from trace_repair.diagnostics import diagnose
 from trace_repair.orchestrator import (
     CandidateRecord,
@@ -301,8 +301,8 @@ def _run_baseline(tmp_path, mode, cache, triggered_ids=None):
         for row in map(json.loads, open(result.paths["predictions"]))
     }
     records = [
-        CandidateRecord.from_json_dict(json.loads(line))
-        for line in open(result.paths["candidates"])
+        CandidateRecord.from_json_dict(where, row)
+        for where, row in read_jsonl(result.paths["candidates"])
     ]
     return finals, records
 

@@ -1,4 +1,7 @@
 import json
+import re
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -35,9 +38,76 @@ def synthetic(tmp_path_factory):
     return directory, dataset_path, cache_path
 
 
-def _replay_manifest(output_dir, dataset_path, cache_path, mode=MODE_REPLAY, **kwargs):
-    from pathlib import Path
+_DELETE = object()
 
+
+def _edit_field(row, dotted, value):
+    """Set the field ``dotted`` of ``row``, such as ``candidates[0].parsed.steps``,
+    to ``value``, or delete it when ``value`` is ``_DELETE``."""
+    keys = re.findall(r"[^.\[\]]+", dotted)
+    *parents, last = [int(key) if key.isdigit() else key for key in keys]
+    for key in parents:
+        row = row[key]
+    if value is _DELETE:
+        del row[last]
+    else:
+        row[last] = value
+
+
+def _field_case(*where, value=_DELETE, expected=None):
+    """A test case: ``where`` (an artifact key, if any, then a dotted field), the
+    value that replaces the field, ``_DELETE`` to drop it, and the error naming it."""
+    dotted = where[-1]
+    if value is _DELETE:
+        return pytest.param(*where, value, f"missing field '{dotted}'", id="-".join(where))
+    kind = type(value).__name__
+    error = f"'{dotted}' is a JSON {kind}, not {expected}"
+    return pytest.param(*where, value, error, id="-".join(where) + f"={kind}")
+
+
+_PREDICTION_FIELDS = (
+    "example_id", "initial_answer", "final_answer", "gold_answer", "triggered",
+    "trigger_reasons", "accepted", "accepted_attempt", "final_trace",
+)
+_CANDIDATE_FIELDS = (
+    "example_id", "attempt_index", "prompt_hash", "raw_output", "retry_output", "parsed",
+    "retried", "clean", "clean_reason", "graph_clean", "answer_changed", "verdict", "error",
+    "parsed.steps", "parsed.final_answer", "verdict.accepted", "verdict.path",
+    "verdict.rejection_reasons",
+)
+_RISK_FIELDS = (
+    "example_id", "initial_risks", "initial_score", "initial_diagnosis", "meta_category",
+    "triggered", "accepted_attempt", "candidates",
+)
+# Each case edits the progress row of GROUP_SAFE_FIX[0], whose first candidate
+# holds a parsed output and a verdict.
+_PROGRESS_ROW_FAULTS = [
+    *(_field_case(name) for name in ("example_id", "prediction", "candidates", "risk")),
+    *(_field_case(f"prediction.{name}") for name in _PREDICTION_FIELDS),
+    *(_field_case(f"candidates[0].{name}") for name in _CANDIDATE_FIELDS),
+    *(_field_case(f"risk.{name}") for name in _RISK_FIELDS),
+    _field_case("prediction", value=[], expected="an object"),
+    _field_case("risk", value="ex020", expected="an object"),
+    _field_case("candidates", value={}, expected="a list"),
+    _field_case("candidates[0]", value=None, expected="an object"),
+    _field_case("candidates[0].parsed", value=[], expected="an object"),
+    _field_case("candidates[0].verdict", value=1, expected="an object"),
+    _field_case("candidates[0].parsed.steps", value="1 + 2 = 3", expected="a list"),
+    _field_case("candidates[0].verdict.rejection_reasons", value="no_op", expected="a list"),
+]
+# Each case edits line 3 of predictions.jsonl or candidates.jsonl; that
+# candidate holds a parsed output and a verdict.
+_REPORT_ROW_FAULTS = [
+    *(_field_case("predictions", name) for name in _PREDICTION_FIELDS),
+    *(_field_case("candidates", name) for name in _CANDIDATE_FIELDS),
+    _field_case("candidates", "parsed", value="3", expected="an object"),
+    _field_case("candidates", "verdict", value=[], expected="an object"),
+    _field_case("candidates", "parsed.steps", value={}, expected="a list"),
+    _field_case("candidates", "verdict.rejection_reasons", value="no_op", expected="a list"),
+]
+
+
+def _replay_manifest(output_dir, dataset_path, cache_path, mode=MODE_REPLAY, **kwargs):
     return RunManifest(
         mode=mode,
         dataset_path=Path(dataset_path),
@@ -201,17 +271,61 @@ class TestReplayRun:
         with pytest.raises(ValueError, match=rf"{PROGRESS_FILE}:5: not JSON"):
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
 
-    def test_resume_refuses_a_progress_row_without_a_field(self, synthetic, tmp_path):
+    @pytest.mark.parametrize("field, value, error", _PROGRESS_ROW_FAULTS)
+    def test_resume_refuses_a_progress_row_without_a_field(
+        self, synthetic, tmp_path, field, value, error
+    ):
+        directory, dataset_path, cache_path = synthetic
+        run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = tmp_path / "run" / PROGRESS_FILE
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        number = 1 + next(i for i, line in enumerate(lines) if GROUP_SAFE_FIX[0] in line)
+        row = json.loads(lines[number - 1])
+        _edit_field(row, field, value)
+        lines[number - 1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{PROGRESS_FILE}:{number}: {error}")):
+            run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
+
+    def test_resume_refuses_a_row_whose_ids_differ(self, synthetic, tmp_path):
         directory, dataset_path, cache_path = synthetic
         run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
         path = tmp_path / "run" / PROGRESS_FILE
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         row = json.loads(lines[3])
-        del row["prediction"]
+        row["prediction"]["example_id"] = "ex004"
         lines[3] = json.dumps(row) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"{PROGRESS_FILE}:4: missing field 'prediction'"):
+        error = f"{PROGRESS_FILE}:4: example_id 'ex003' is not prediction.example_id"
+        with pytest.raises(ValueError, match=re.escape(error)):
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
+
+    @pytest.mark.parametrize("name", ["dataset", "cache", "progress", "triggered_ids"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, synthetic, tmp_path, name):
+        directory, dataset_path, cache_path = synthetic
+        ids_path = tmp_path / "ids.txt"
+        ids_path.write_text(f"{GROUP_SAFE_FIX[0]}\n{GROUP_SAFE_FIX[1]}\n")
+        paths = {
+            "dataset": Path(shutil.copy(dataset_path, tmp_path)),
+            "cache": Path(shutil.copy(cache_path, tmp_path)),
+            "progress": tmp_path / "run" / PROGRESS_FILE,
+            "triggered_ids": ids_path,
+        }
+        manifest = _replay_manifest(
+            tmp_path / "run",
+            paths["dataset"],
+            paths["cache"],
+            mode=MODE_SOLVE_TRIGGERED,
+            triggered_ids_path=ids_path,
+            resume=True,
+        )
+        run_pipeline(manifest)
+        lines = paths[name].read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][:5] + b"\xff" + lines[1][5:]
+        paths[name].write_bytes(b"".join(lines))
+        error = f"{paths[name]}:2: not UTF-8 ('utf-8' codec can't decode byte 0xff"
+        with pytest.raises(ValueError, match=re.escape(error)):
+            run_pipeline(manifest)
 
     def test_integer_ids_name_the_same_example_in_dataset_and_cache(self, tmp_path):
         from synthetic_run import build_synthetic_run
@@ -524,17 +638,19 @@ class TestReportMode:
         with pytest.raises(ValueError, match=rf"{path.name}:3: {error}"):
             recompute_report(run.paths["predictions"], tmp_path / "report")
 
-    @pytest.mark.parametrize("key, name", [("predictions", "gold_answer"), ("candidates", "parsed")])
-    def test_a_row_without_a_field_names_its_file_and_line(self, synthetic, tmp_path, key, name):
+    @pytest.mark.parametrize("key, name, value, error", _REPORT_ROW_FAULTS)
+    def test_a_row_without_a_field_names_its_file_and_line(
+        self, synthetic, tmp_path, key, name, value, error
+    ):
         directory, dataset_path, cache_path = synthetic
         run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
         path = run.paths[key]
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         row = json.loads(lines[2])
-        del row[name]
+        _edit_field(row, name, value)
         lines[2] = json.dumps(row) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(ValueError, match=rf"{path.name}:3: missing field '{name}'"):
+        with pytest.raises(ValueError, match=re.escape(f"{path.name}:3: {error}")):
             recompute_report(run.paths["predictions"], tmp_path / "report")
 
 
