@@ -21,9 +21,12 @@ import json
 import os
 import random
 import re
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .answers import (
     KIND_NONE,
@@ -89,20 +92,47 @@ def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
                 yield where, line
 
 
-def json_fields(where: str, value, names: Sequence[str], name: str = "", lists=()) -> list:
+# The JSON value type of each field annotation; any other is a nested
+# dataclass, read from an object.
+_JSON_TYPES = {
+    bool: bool, int: int, str: str, list: list, tuple: list, types.NoneType: types.NoneType
+}
+_JSON_NAMES = {bool: "a bool", int: "an int", str: "a string", list: "a list", dict: "an object"}
+
+
+@cache
+def json_types(cls) -> dict[str, tuple[type, ...]]:
+    """Each field of the dataclass ``cls`` with the JSON value types its annotation admits."""
+    hints = typing.get_type_hints(cls)
+    admitted = {}
+    for item in fields(cls):
+        hint = hints[item.name]
+        union = hint.__args__ if isinstance(hint, types.UnionType) else (hint,)
+        admitted[item.name] = tuple(_JSON_TYPES.get(typing.get_origin(t) or t, dict) for t in union)
+    return admitted
+
+
+def json_fields(
+    where: str, value, names: Sequence[str] | Mapping[str, tuple[type, ...]], name: str = ""
+) -> list:
     """The values of ``names`` in ``value``, the JSON object at dotted ``name`` ("" for the row).
-    A ``value`` that is not an object, a missing field, or a field of ``lists``
-    that is not a list raises a ``DatasetError`` naming ``where`` and the field."""
+
+    ``names`` may map each field to the JSON value types it admits, as
+    ``json_types`` does; a bool is not an int. A ``value`` that is not an
+    object, a missing field, or a field of a type it does not admit raises a
+    ``DatasetError`` naming ``where`` and the field."""
     if not isinstance(value, dict):
         what = repr(name) if name else "row"
         raise DatasetError(f"{where}: {what} is a JSON {type(value).__name__}, not an object")
+    admitted = names if isinstance(names, Mapping) else {}
     for field_name in names:
         dotted = f"{name}.{field_name}" if name else field_name
         if field_name not in value:
             raise DatasetError(f"{where}: missing field {dotted!r}")
-        if field_name in lists and not isinstance(value[field_name], list):
-            kind = type(value[field_name]).__name__
-            raise DatasetError(f"{where}: {dotted!r} is a JSON {kind}, not a list")
+        kind = type(value[field_name])
+        if field_name in admitted and kind not in admitted[field_name]:
+            expected = " or ".join(_JSON_NAMES[t] for t in admitted[field_name] if t in _JSON_NAMES)
+            raise DatasetError(f"{where}: {dotted!r} is a JSON {kind.__name__}, not {expected}")
     return [value[field_name] for field_name in names]
 
 

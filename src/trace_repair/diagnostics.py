@@ -24,9 +24,11 @@ from .answers import ReasoningTrace
 from .equations import (
     EquationCheck,
     NumberValues,
+    OperandIndex,
     check_equations,
     naming_conflicts,
     numeric_mentions,
+    operand_index,
 )
 from .risk_graph import GraphReport, ProblemAnalysis, analyse_problem, semantic_graph_check
 
@@ -55,16 +57,17 @@ def constraint_coverage(
     trace_text: str,
     checks: list[EquationCheck],
     values: NumberValues | None = None,
+    index: OperandIndex | None = None,
 ) -> tuple[list[Fraction], float]:
     """The problem's mentions the trace never uses, sorted, and the share it uses.
 
     A mention counts as used when it appears literally in the trace or as
-    an operand of any scanned equation. An empty constraint set is fully
-    covered by definition.
+    an operand of any scanned equation, a key of the checks' ``index``. An
+    empty constraint set is fully covered by definition.
     """
     used = numeric_mentions(trace_text, values)
-    for check in checks:
-        used.update(check.operands)
+    # A set updated from a dict takes the dict's stored hashes.
+    used.update(operand_index(checks) if index is None else index)
     missing = sorted(mentions - used)
     count = len(mentions)
     return missing, (count - len(missing)) / count if count else 1.0
@@ -147,7 +150,8 @@ def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> Dia
     """Run every deterministic diagnostic for one (problem, trace) pair.
 
     Pass ``diag0.problem`` to diagnose another trace for the same problem
-    without analysing the problem again.
+    without analysing the problem again. The trace's checks are indexed by
+    operand value once, for coverage and the risk graph alike.
     """
     if isinstance(problem, str):
         problem = analyse_problem(problem)
@@ -155,9 +159,10 @@ def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> Dia
         trace = ReasoningTrace.from_text(trace)
     values = NumberValues()
     checks = check_equations(trace.text, values)
-    missing, coverage = constraint_coverage(problem.mentions, trace.text, checks, values)
+    index = operand_index(checks)
+    missing, coverage = constraint_coverage(problem.mentions, trace.text, checks, values, index)
     meta = meta_diagnose(trace, checks, coverage, values)
-    graph = semantic_graph_check(problem, trace, checks, values)
+    graph = semantic_graph_check(problem, trace, checks, values, index)
     return DiagnosisReport(
         checks=tuple(checks),
         meta=meta,

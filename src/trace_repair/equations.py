@@ -78,6 +78,13 @@ _IS_NAMING_RE = re.compile(
     re.IGNORECASE,
 )
 
+# Gates of the two scans above, which sre cannot start at a case-insensitive
+# prefix. Under IGNORECASE each keyword letter matches only its two ASCII
+# cases, so every text a scan matches holds "lcm" or "gcd", or "common", in
+# letters these classes admit; the lcm/gcd gate admits "lcd" and "gcm" too.
+_LCM_GCD_GATE = re.compile("[LlGg][Cc][MmDd]")
+_IS_NAMING_GATE = re.compile("[Cc][Oo][Mm][Mm][Oo][Nn]")
+
 # Numeric mentions counted for coverage: digit-based forms only. Number
 # words belong to the risk-graph mention extractor, not to coverage.
 _MENTION_RE = re.compile(rf"{_NUMBER_START}[-+]?{_NUM}")
@@ -146,6 +153,19 @@ def numeric_mentions(text: str, values: NumberValues | None = None) -> set[Fract
     return mentions
 
 
+OperandIndex = dict[Fraction, list[EquationCheck]]
+
+
+def operand_index(checks: list[EquationCheck]) -> OperandIndex:
+    """Each operand value of ``checks`` with the checks that use it, in check
+    order; every operand is hashed once."""
+    index: OperandIndex = {}
+    for check in checks:
+        for operand in check.operands:
+            index.setdefault(operand, []).append(check)
+    return index
+
+
 def _verify(operator: str, a: Fraction, b: Fraction, claimed: Fraction) -> bool:
     """Whether ``a operator b`` equals ``claimed``, exactly.
 
@@ -184,7 +204,8 @@ def check_equations(trace_text: str, values: NumberValues | None = None) -> list
         values = NumberValues()
     checks: list[EquationCheck] = []
     # An lcm/gcd left-hand side keeps one character past its second operand.
-    for pattern, lhs_overhang in ((_EQUATION_RE, 0), (_LCM_GCD_RE, 1)):
+    lcm_gcd = ((_LCM_GCD_RE, 1),) if _LCM_GCD_GATE.search(trace_text) else ()
+    for pattern, lhs_overhang in ((_EQUATION_RE, 0), *lcm_gcd):
         for match in pattern.finditer(trace_text):
             a, b, c = values[match["a"]], values[match["b"]], values[match["c"]]
             if a is None or b is None or c is None:
@@ -240,12 +261,13 @@ def naming_statements(text: str, values: NumberValues | None = None) -> list[Nam
         if not name:
             continue
         statements.append(NamingStatement(name=name, value=value, position=match.start()))
-    for match in _IS_NAMING_RE.finditer(text):
-        value = values[match.group("value")]
-        if value is None:
-            continue
-        name = " ".join(match.group(0)[: match.start("value") - match.start()].lower().split())
-        statements.append(NamingStatement(name=name, value=value, position=match.start()))
+    if _IS_NAMING_GATE.search(text):
+        for match in _IS_NAMING_RE.finditer(text):
+            value = values[match.group("value")]
+            if value is None:
+                continue
+            name = " ".join(match.group(0)[: match.start("value") - match.start()].lower().split())
+            statements.append(NamingStatement(name=name, value=value, position=match.start()))
     statements.sort(key=lambda statement: statement.position)
     return statements
 

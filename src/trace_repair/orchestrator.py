@@ -13,12 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Protocol
 
 from .answers import NUMERIC_KINDS, ReasoningTrace, answers_equivalent, normalize_answer
-from .datasets import json_fields
+from .datasets import json_fields, json_types
 from .diagnostics import CATEGORY_CLEAN, DiagnosisReport, diagnose
 from .policy import (
     REJECT_UNCLEAN,
@@ -263,18 +263,17 @@ class CandidateRecord:
 
     @classmethod
     def from_json_dict(cls, where: str, row, name: str = "") -> "CandidateRecord":
-        record = cls(*json_fields(where, row, [item.name for item in fields(cls)], name))
+        record = cls(*json_fields(where, row, json_types(cls), name))
         prefix = f"{name}." if name else ""
         parsed, verdict = record.parsed, record.verdict
         if parsed is not None:
             steps, answer = json_fields(
-                where, parsed, ("steps", "final_answer"), prefix + "parsed", lists=("steps",)
+                where, parsed, json_types(ParsedCandidate), prefix + "parsed"
             )
             parsed = ParsedCandidate(tuple(steps), answer)
         if verdict is not None:
             accepted, path, reasons = json_fields(
-                where, verdict, ("accepted", "path", "rejection_reasons"), prefix + "verdict",
-                lists=("rejection_reasons",),
+                where, verdict, json_types(AcceptanceVerdict), prefix + "verdict"
             )
             verdict = AcceptanceVerdict(accepted, path, tuple(reasons))
         return replace(record, parsed=parsed, verdict=verdict)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import closing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -40,6 +40,7 @@ from .datasets import (
     DatasetRecord,
     filter_numeric,
     json_fields,
+    json_types,
     jsonl_line,
     load_dataset,
     read_jsonl,
@@ -116,7 +117,13 @@ class Prediction:
 
     @classmethod
     def from_json_dict(cls, where: str, row, name: str = "") -> "Prediction":
-        return cls(*json_fields(where, row, [item.name for item in fields(cls)], name))
+        return cls(*json_fields(where, row, json_types(cls), name))
+
+
+# The fields of a progress.jsonl row, with the JSON value types they admit.
+_PROGRESS_FIELDS = {
+    "example_id": (str,), "prediction": (dict,), "candidates": (list,), "risk": (dict,)
+}
 
 
 @dataclass(frozen=True)
@@ -137,9 +144,7 @@ class ExampleResult:
 
     @classmethod
     def from_json_dict(cls, where: str, row) -> "ExampleResult":
-        example_id, prediction, candidates, risk = json_fields(
-            where, row, ("example_id", "prediction", "candidates", "risk"), lists=("candidates",)
-        )
+        example_id, prediction, candidates, risk = json_fields(where, row, _PROGRESS_FIELDS)
         prediction = Prediction.from_json_dict(where, prediction, "prediction")
         if example_id != prediction.example_id:
             raise DatasetError(f"{where}: example_id {example_id!r} is not prediction.example_id")
@@ -148,6 +153,10 @@ class ExampleResult:
             for index, item in enumerate(candidates)
         )
         json_fields(where, risk, _RISK_FIELDS, "risk")
+        patterns = [_risk_pattern(record) for record in records]
+        # The copy is written to risk_log.jsonl as it is, so it must match byte for byte.
+        if json.dumps(risk["candidates"]) != json.dumps(patterns):
+            raise DatasetError(f"{where}: 'risk.candidates' does not match 'candidates'")
         return cls(prediction, records, risk)
 
 
@@ -237,17 +246,19 @@ def _risk_log_entry(
         "meta_category": diag0.meta.category,
         "triggered": triggered,
         "accepted_attempt": accepted_index,
-        "candidates": [
-            {
-                "attempt_index": item.attempt_index,
-                "clean": item.clean,
-                "graph_clean": item.graph_clean,
-                "answer_changed": item.answer_changed,
-                "accepted": bool(item.verdict and item.verdict.accepted),
-                "rejection_reasons": list(item.verdict.rejection_reasons) if item.verdict else [],
-            }
-            for item in records
-        ],
+        "candidates": [_risk_pattern(item) for item in records],
+    }
+
+
+def _risk_pattern(item: CandidateRecord) -> dict:
+    """One candidate's acceptance pattern, as its example's risk_log.jsonl row holds it."""
+    return {
+        "attempt_index": item.attempt_index,
+        "clean": item.clean,
+        "graph_clean": item.graph_clean,
+        "answer_changed": item.answer_changed,
+        "accepted": bool(item.verdict and item.verdict.accepted),
+        "rejection_reasons": list(item.verdict.rejection_reasons) if item.verdict else [],
     }
 
 

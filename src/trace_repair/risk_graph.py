@@ -27,10 +27,13 @@ token columns and each number's ``(token index, value)``, in token order.
 the numbers' positions by stopping at the first. ``_check_quantity_binding``
 looks up the problem's binding once per distinct number token, builds the
 unit and entity columns at the first bound number, and reads a window only
-at a bound number whose value it has not yet flagged. ``_unit_and_entity``
-is the one definition of a number's window for the problem's nodes and the
-trace's bound numbers alike. Nodes are in token order, so each nearest-node
-lookup reads two list neighbours and the graph is linear in text length.
+at a bound number whose value it has not yet flagged and that is a ``$``
+token or has a unit or entity word in reach: no other window can bind. The
+operand checks read the trace's ``equations.operand_index``.
+``_unit_and_entity`` is the one definition of a number's window for the
+problem's nodes and the trace's bound numbers alike. Nodes are in token
+order, so each nearest-node lookup reads two list neighbours and the graph
+is linear in text length.
 
 A problem is analysed once per example (``ProblemAnalysis``) and shared by
 the diagnosis of every trace for it. The analysis holds everything the
@@ -60,8 +63,10 @@ from .equations import (
     OP_SUB,
     EquationCheck,
     NumberValues,
+    OperandIndex,
     check_equations,
     numeric_mentions,
+    operand_index,
 )
 
 RISK_QUANTITY_BINDING = "quantity_binding_error"
@@ -270,9 +275,9 @@ def _tokenize(text: str) -> TokenColumns:
     initial: list[bool] = []
     sentence = 0
     at_start = True
-    for match in _TOKEN_OR_BREAK_RE.finditer(text):
-        word = match.group(1)
-        if word is None:
+    # A break is "", and no token is empty.
+    for word in _TOKEN_OR_BREAK_RE.findall(text):
+        if not word:
             sentence += 1
             at_start = True
             continue
@@ -480,9 +485,12 @@ def _check_quantity_binding(
     """Same number bound to a different entity/unit than in the problem.
 
     Reads the trace's token columns and its numbers' ``(token index,
-    value)``. Each distinct token's binding is looked up once, the unit and
-    entity columns are built at the first bound number, and a window is
-    read only at a bound number whose value is not yet flagged.
+    value)``. Each distinct token's binding is looked up once. The unit and
+    entity columns are built at the first bound number, with the positions
+    of the tokens that have a unit or entity word. A window is read only at
+    a bound number whose value is not yet flagged, and only at a ``$`` token
+    or one with such a position within ``WINDOW_TOKENS``: any other
+    window's binding is empty, which never flags.
     """
     words, lowered, _, _ = tokens
     signals: list[RiskSignal] = []
@@ -491,7 +499,7 @@ def _check_quantity_binding(
     # once, so no value is hashed more than once per distinct token.
     bound: dict[str, tuple[Fraction, frozenset[str]] | None] = {}
     flagged: set[Fraction] = set()
-    features = None
+    features = worded = None
     for index, value in numbers:
         word = lowered[index]
         if word in bound:
@@ -505,6 +513,11 @@ def _check_quantity_binding(
             continue
         if features is None:
             features = _token_features(tokens)
+            worded = [position for position, pair in enumerate(zip(*features)) if any(pair)]
+        if word[0] != "$":
+            nearest = bisect_left(worded, index - WINDOW_TOKENS)
+            if nearest == len(worded) or worded[nearest] > index + WINDOW_TOKENS:
+                continue
         unit, entity = _unit_and_entity(features, index, word)
         trace_binding = _binding_tokens(unit, entity)
         same_binding = entry[1]
@@ -538,20 +551,19 @@ _EQUAL_SPLIT_RE = re.compile(
 )
 
 
+def _operand_of(index: OperandIndex, value: Fraction, operators: tuple[str, ...]) -> bool:
+    """Whether ``value`` is an operand of a trace check with one of ``operators``."""
+    return any(check.operator in operators for check in index.get(value, ()))
+
+
 def _check_comparisons(
-    problem: ProblemAnalysis,
-    trace_has_comparison: bool,
-    trace_checks: list[EquationCheck],
+    problem: ProblemAnalysis, trace_has_comparison: bool, index: OperandIndex
 ) -> list[RiskSignal]:
     signals: list[RiskSignal] = []
-
-    addsub_operands: set[Fraction] = set()
-    for check in trace_checks:
-        if check.operator in (OP_ADD, OP_SUB):
-            addsub_operands.update(check.operands)
-
     deltas = [edge.node for edge in problem.graph.edges if edge.kind == EDGE_COMPARISON]
-    unapplied = [delta for delta in deltas if delta.value not in addsub_operands]
+    unapplied = [
+        delta for delta in deltas if not _operand_of(index, delta.value, (OP_ADD, OP_SUB))
+    ]
     if unapplied and not trace_has_comparison:
         signals.append(
             RiskSignal(
@@ -563,13 +575,7 @@ def _check_comparisons(
 
     if problem.times_more is not None:
         phrase, multiplier = problem.times_more
-        multiplied = {
-            operand
-            for check in trace_checks
-            if check.operator == OP_MUL
-            for operand in check.operands
-        }
-        if multiplier not in multiplied and multiplier + 1 not in multiplied:
+        if not any(_operand_of(index, value, (OP_MUL,)) for value in (multiplier, multiplier + 1)):
             signals.append(
                 RiskSignal(
                     category=RISK_TIMES_MORE,
@@ -581,16 +587,11 @@ def _check_comparisons(
 
 
 def _check_rate_usage(
-    problem: ProblemAnalysis, trace_checks: list[EquationCheck]
+    problem: ProblemAnalysis, trace_checks: list[EquationCheck], index: OperandIndex
 ) -> list[RiskSignal]:
     signals: list[RiskSignal] = []
-    muldiv_operands: set[Fraction] = set()
-    for check in trace_checks:
-        if check.operator in (OP_MUL, OP_DIV):
-            muldiv_operands.update(check.operands)
-
     for edge in problem.graph.edges:
-        if edge.kind != EDGE_RATE or edge.node.value in muldiv_operands:
+        if edge.kind != EDGE_RATE or _operand_of(index, edge.node.value, (OP_MUL, OP_DIV)):
             continue
         signals.append(
             RiskSignal(
@@ -616,17 +617,16 @@ def _check_rate_usage(
     return signals
 
 
-def _check_change_events(
-    problem_graph: QuantityGraph, trace_checks: list[EquationCheck]
-) -> list[RiskSignal]:
+def _check_change_events(problem_graph: QuantityGraph, index: OperandIndex) -> list[RiskSignal]:
     signals: list[RiskSignal] = []
     for edge in problem_graph.edges:
         if edge.kind != EDGE_CHANGE_EVENT:
             continue
         # The two values differ, so a check over them has them in one of two
-        # orders; comparing tuples hashes no value.
+        # orders and is in both values' lists; the shorter list is read.
         orders = ((edge.node.value, edge.base), (edge.base, edge.node.value))
-        operators = {check.operator for check in trace_checks if check.operands in orders}
+        shorter = min(index.get(edge.node.value, ()), index.get(edge.base, ()), key=len)
+        operators = {check.operator for check in shorter if check.operands in orders}
         if edge.decrease and operators & {OP_ADD, OP_SUB} == {OP_ADD}:
             wrong, right = "added", "removed"
         elif not edge.decrease and operators & {OP_ADD, OP_SUB} == {OP_SUB}:
@@ -706,13 +706,14 @@ def semantic_graph_check(
     trace: ReasoningTrace | str,
     trace_checks: list[EquationCheck] | None = None,
     values: NumberValues | None = None,
+    index: OperandIndex | None = None,
 ) -> GraphReport:
     """Run the five risk checks and produce the clipped score.
 
     Takes the problem's analysis and the parsed trace (or their texts),
-    and the trace's equation checks and ``NumberValues`` table when the
-    caller already has them. An empty or answerless trace is a generation
-    failure with score 0.
+    and the trace's equation checks, ``NumberValues`` table and
+    ``equations.operand_index`` of the checks when the caller already has
+    them. An empty or answerless trace is a generation failure with score 0.
     """
     if isinstance(problem, str):
         problem = analyse_problem(problem)
@@ -739,12 +740,14 @@ def semantic_graph_check(
     trace_has_comparison = next(deltas, None) is not None
     if trace_checks is None:
         trace_checks = check_equations(trace.text, values)
+    if index is None:
+        index = operand_index(trace_checks)
 
     risks: list[RiskSignal] = []
     risks.extend(_check_quantity_binding(problem, tokens, numbers))
-    risks.extend(_check_comparisons(problem, trace_has_comparison, trace_checks))
-    risks.extend(_check_rate_usage(problem, trace_checks))
-    risks.extend(_check_change_events(problem.graph, trace_checks))
+    risks.extend(_check_comparisons(problem, trace_has_comparison, index))
+    risks.extend(_check_rate_usage(problem, trace_checks, index))
+    risks.extend(_check_change_events(problem.graph, index))
     risks.extend(_check_answer_format(problem.requested, trace, trace_checks, values))
 
     deduped: list[RiskSignal] = []

@@ -11,6 +11,7 @@ of the diagnosis layer must keep both.
 """
 
 import hashlib
+import math
 import operator
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from trace_repair.diagnostics import (
     CATEGORY_MISSING_CONSTRAINT,
     diagnose,
 )
+from trace_repair.equations import OP_GCD, OP_LCM
 from trace_repair.orchestrator import render_hint
 from trace_repair.risk_graph import (
     RISK_CATEGORIES,
@@ -246,3 +248,95 @@ def test_long_trace_sample_matches_the_recorded_digest():
     risks = {risk.category for _, _, report in pairs for risk in report.graph.risks}
     assert RISK_QUANTITY_BINDING in risks
     assert digest(report for _, _, report in pairs) == LONG_DIGEST
+
+
+# Window edges: the shapes the trace side's fast paths take. Each trace is
+# an arithmetic chain over the problem's numbers. A unit or entity word
+# stands 4 to 7 tokens before or after a bound number, on both sides of the
+# five-token window's edge. Among the chain lines are money tokens,
+# lcm/gcd lines in mixed case, "the greatest common divisor is" lines and
+# decimals before sentence breaks. Half the traces hold no lcm, gcd or
+# "common" at all.
+EDGE_SEED = 20261020
+EDGE_PAIRS = 30
+EDGE_LINES = (25, 400)
+EDGE_DIGEST = "963ab42e40997d2241ed669f9f4f8c02c33ec759140f00e98015ffb83fa6f2ff"
+FILLER = ("so", "then", "it", "is", "the", "and", "of", "we", "now", "that")
+KEYWORD_LINES = (
+    "LCM({a}, {b}) = {lcm}",
+    "Gcd ({a}, {b}) = {gcd}",
+    "lcm( {a} ,{b} ) = {gcd}",
+    "The Greatest Common Divisor is {gcd}.",
+    "the least common multiple is {lcm}",
+    "THE GREATEST COMMON DIVISOR IS {b}!",
+    "a common {a} and lcm {b}",
+)
+
+
+def _edge_line(rng, bound):
+    """A bound number with a unit or entity word 4 to 7 tokens from it."""
+    number = rng.choice(bound)
+    word = rng.choice(UNITS + NAMES)
+    gap = " ".join(rng.choices(FILLER, k=rng.randint(4, 7) - 1))
+    if rng.random() < 0.5:
+        return f"{number} {gap} {word}"
+    return f"{rng.choice(FILLER)} {word} {gap} {number}"
+
+
+def _edge_trace(rng, problem, keywords):
+    pick = rng.choice
+    pool = [number for number in _numbers_of(problem) if "/" not in number] or ["3"]
+    total = Fraction(pick(pool))
+    lines = []
+    for _ in range(rng.randint(*EDGE_LINES)):
+        kind = rng.random()
+        if kind < 0.45:
+            step = pick(pool)
+            result = total + Fraction(step)
+            lines.append(f"{_result_text(rng, total)} + {step} = {_result_text(rng, result)}")
+            total = result
+        elif kind < 0.6:
+            a, b, op = pick(pool), pick(pool), pick(("-", "*", "/"))
+            value = APPLY[op](Fraction(a), Fraction(b))
+            lines.append(f"{a} {op} {b} = {_result_text(rng, value)}")
+        elif kind < 0.75:
+            lines.append(_edge_line(rng, pool))
+        elif kind < 0.82:
+            lines.append(f"It costs ${pick(pool)} {pick(('in all', 'so far', 'each'))}")
+        elif kind < 0.9 and keywords:
+            a, b = rng.randint(2, 30), rng.randint(2, 30)
+            lines.append(
+                pick(KEYWORD_LINES).format(a=a, b=b, lcm=math.lcm(a, b), gcd=math.gcd(a, b))
+            )
+        else:
+            decimal = pick((f"{rng.randint(1, 99)}.{rng.randint(0, 99)}", f"{rng.randint(1, 99)}."))
+            lines.append(f"So it is {decimal}{pick(('.', '!', '?', ''))} {pick(pool)}")
+    lines.append(f"Final Answer: {_result_text(rng, total)}")
+    return "\n".join(lines)
+
+
+def edge_sample(seed=EDGE_SEED, count=EDGE_PAIRS):
+    """Yield ``(problem, trace, report)`` for ``count`` seeded window-edge traces."""
+    rng = random.Random(seed)
+    for index in range(count):
+        problem = _problem(rng)
+        trace = _edge_trace(rng, problem, keywords=index % 2 == 0)
+        yield problem, trace, diagnose(problem, trace)
+
+
+def test_window_edge_sample_matches_the_recorded_digest():
+    pairs = list(edge_sample())
+    lengths = [trace.count("\n") + 1 for _, trace, _ in pairs]
+    assert min(lengths) >= EDGE_LINES[0] and max(lengths) <= EDGE_LINES[1] + 1
+    reports = [report for _, _, report in pairs]
+    severities = {
+        risk.severity
+        for report in reports
+        for risk in report.graph.risks
+        if risk.category == RISK_QUANTITY_BINDING
+    }
+    assert severities == {SEVERITY_HIGH, SEVERITY_WARNING}
+    operators = {check.operator for report in reports for check in report.checks}
+    assert {OP_LCM, OP_GCD} <= operators
+    assert CATEGORY_LOGICAL_CONTRADICTION in {report.meta.category for report in reports}
+    assert digest(reports) == EDGE_DIGEST

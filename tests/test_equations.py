@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -13,6 +14,10 @@ from trace_repair.equations import (
     OP_LCM,
     OP_MUL,
     OP_SUB,
+    _IS_NAMING_GATE,
+    _IS_NAMING_RE,
+    _LCM_GCD_GATE,
+    _LCM_GCD_RE,
     _verify,
     check_equations,
     naming_conflicts,
@@ -220,3 +225,67 @@ class TestNamingStatements:
 
     def test_consistent_names_do_not_conflict(self):
         assert naming_conflicts("Total = 7. Total = 7.") == []
+
+
+# Pieces of lcm/gcd equations and "the ... common ... is" statements, in
+# every case, with non-ASCII letters that case-fold near the keyword letters.
+_GATE_PIECES = (
+    "lcm", "LCM", "Lcm", "gcd", "GCD", "gCd", "common", "COMMON", "Common", "the ", "The ",
+    "greatest ", "least ", "divisor ", "multiple ", "is ", "(", ")", ",", " = ", " ", "4",
+    "12", "-3", "\u0130", "\u0131", "\u212a", "\u017f", "\u0261", "\u217c", "\u216c",
+    "\u0421", "\u041c", "\u03bf", "\u1d0d", "\uff4c", "\u00f1", "\u0144",
+)
+_ALL_CHARACTERS = "".join(map(chr, range(sys.maxunicode + 1)))
+# Each case-insensitive scan with its gate.
+_GATES = {"lcm_gcd": (_LCM_GCD_RE, _LCM_GCD_GATE), "is_naming": (_IS_NAMING_RE, _IS_NAMING_GATE)}
+_SPACE = st.sampled_from(("", " ", "  ", "\t", "\u00a0", "\u2003"))
+_INTEGER = st.sampled_from(("4", "12", "-3", "+6", "\u0663"))
+_NUMBER = _INTEGER | st.sampled_from(("1,200", "2.5", "3/4"))
+
+
+def _recased(words):
+    """Each of ``words`` with every letter in a drawn case."""
+    return st.sampled_from(words).flatmap(
+        lambda word: st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+            lambda upper: "".join(c.upper() if up else c for c, up in zip(word, upper))
+        )
+    )
+
+
+def _joined(*parts):
+    return st.tuples(st.text(max_size=4), st.just(" "), *parts, st.text(max_size=4)).map("".join)
+
+
+# Texts the two scans match, with drawn case, spacing and surrounding text,
+# and texts of loose pieces that mostly do not match.
+_GATE_TEXTS = {
+    "lcm_gcd": _joined(
+        _recased(("lcm", "gcd")), _SPACE, st.just("("), _SPACE, _INTEGER, _SPACE, st.just(","),
+        _SPACE, _INTEGER, _SPACE, st.just(")"), _SPACE, st.just("="), _SPACE, _NUMBER,
+    ),
+    "is_naming": _joined(
+        _recased(("the",)), st.just(" "),
+        _recased(("greatest common divisor", "least  common\tmultiple")), st.just(" "),
+        _recased(("is",)), st.just(" "), _NUMBER,
+    ),
+}
+_LOOSE_TEXT = st.lists(st.sampled_from(_GATE_PIECES) | st.text(max_size=3)).map("".join)
+
+
+class TestKeywordGates:
+    """A case-insensitive scan runs only on a text its gate admits, and the
+    gate admits every text the scan matches."""
+
+    @pytest.mark.parametrize("letter", sorted(set("lcmgdcommon")))
+    def test_a_keyword_letter_matches_only_its_two_ascii_cases(self, letter):
+        assert set(re.findall(letter, _ALL_CHARACTERS, re.IGNORECASE)) == {letter, letter.upper()}
+
+    @pytest.mark.parametrize("name", sorted(_GATES))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_the_gate_admits_every_text_the_scan_matches(self, name, data):
+        pattern, gate = _GATES[name]
+        matching = data.draw(_GATE_TEXTS[name])
+        assert pattern.search(matching) and gate.search(matching)
+        loose = data.draw(_LOOSE_TEXT)
+        assert pattern.search(loose) is None or gate.search(loose)

@@ -79,6 +79,27 @@ _RISK_FIELDS = (
     "example_id", "initial_risks", "initial_score", "initial_diagnosis", "meta_category",
     "triggered", "accepted_attempt", "candidates",
 )
+# Scalar fields of a mistyped JSON type, as a dotted field under a row, the
+# value put there and the type the field's dataclass admits. A bool is not
+# an int, and null is admitted only where the dataclass allows None.
+_SCALAR_FAULTS = (
+    ("{prediction}accepted", "false", "a bool"),
+    ("{prediction}triggered", 1, "a bool"),
+    ("{prediction}accepted_attempt", True, "an int"),
+    ("{prediction}accepted_attempt", "0", "an int"),
+    ("{prediction}gold_answer", None, "a string"),
+    ("{prediction}final_answer", 12, "a string"),
+    ("{candidate}attempt_index", 0.0, "an int"),
+    ("{candidate}attempt_index", False, "an int"),
+    ("{candidate}prompt_hash", None, "a string"),
+    ("{candidate}clean", "true", "a bool"),
+    ("{candidate}graph_clean", 0, "a bool"),
+    ("{candidate}error", [], "a string"),
+    ("{candidate}parsed.final_answer", 12, "a string"),
+    ("{candidate}parsed.final_answer", None, "a string"),
+    ("{candidate}verdict.accepted", "false", "a bool"),
+    ("{candidate}verdict.path", None, "a string"),
+)
 # Each case edits the progress row of GROUP_SAFE_FIX[0], whose first candidate
 # holds a parsed output and a verdict.
 _PROGRESS_ROW_FAULTS = [
@@ -94,6 +115,24 @@ _PROGRESS_ROW_FAULTS = [
     _field_case("candidates[0].verdict", value=1, expected="an object"),
     _field_case("candidates[0].parsed.steps", value="1 + 2 = 3", expected="a list"),
     _field_case("candidates[0].verdict.rejection_reasons", value="no_op", expected="a list"),
+    _field_case("example_id", value=20, expected="a string"),
+    *(
+        _field_case(
+            name.format(prediction="prediction.", candidate="candidates[0]."),
+            value=value,
+            expected=expected,
+        )
+        for name, value, expected in _SCALAR_FAULTS
+    ),
+    # The risk row's copy of the candidates' patterns must match them as written.
+    *(
+        pytest.param(name, value, "'risk.candidates' does not match 'candidates'", id=case)
+        for name, value, case in (
+            ("risk.candidates", [], "risk.candidates-emptied"),
+            ("risk.candidates[0].accepted", 1, "risk.candidates-accepted=int"),
+            ("risk.candidates[0].rejection_reasons", ["no_op"], "risk.candidates-reasons"),
+        )
+    ),
 ]
 # Each case edits line 3 of predictions.jsonl or candidates.jsonl; that
 # candidate holds a parsed output and a verdict.
@@ -104,6 +143,15 @@ _REPORT_ROW_FAULTS = [
     _field_case("candidates", "verdict", value=[], expected="an object"),
     _field_case("candidates", "parsed.steps", value={}, expected="a list"),
     _field_case("candidates", "verdict.rejection_reasons", value="no_op", expected="a list"),
+    *(
+        _field_case(
+            "predictions" if name.startswith("{prediction}") else "candidates",
+            name.format(prediction="", candidate=""),
+            value=value,
+            expected=expected,
+        )
+        for name, value, expected in _SCALAR_FAULTS
+    ),
 ]
 
 
