@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equations import _NUM, _NUMBER_START, NumberValues, parse_number
+from .equations import _NUM, _NUMBER_START, parse_number
 
 log = logging.getLogger(__name__)
 
@@ -164,14 +164,11 @@ def extract_answer(trace_text: str) -> ExtractionResult:
     return ExtractionResult(value=value, answer_line_count=answer_line_count)
 
 
-def as_fraction(value: AnswerValue, values: NumberValues | None = None) -> Fraction | None:
-    """Exact rational value for numeric kinds, None otherwise.
-
-    Read from ``values``, the trace's number table, when given.
-    """
+def as_fraction(value: AnswerValue) -> Fraction | None:
+    """Exact rational value for numeric kinds, None otherwise."""
     if value.kind not in NUMERIC_KINDS:
         return None
-    return parse_number(value.canonical) if values is None else values[value.canonical]
+    return parse_number(value.canonical)
 
 
 def _ratio_components(value: AnswerValue) -> tuple[Fraction, Fraction] | None:

@@ -9,10 +9,10 @@ The meta score is a convex combination on [0, 1]:
 with generation failures forced to zero. The weights live here as module
 constants so alternate tunings stay in one place.
 
-``diagnose`` builds one ``equations.NumberValues`` table for the trace
-text and hands it to every scan of that text (the equation scan, the
-coverage mentions, the naming statements and the risk graph's quantities),
-so each distinct number token of the trace is parsed once per diagnosis.
+Every scan of a trace (the equation scan, the coverage mentions, the
+naming statements and the risk graph's quantities) reads its numbers
+through ``equations.parse_number``, which keeps the values it has parsed,
+so each distinct number token is parsed once however many scans read it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from fractions import Fraction
 from .answers import ReasoningTrace
 from .equations import (
     EquationCheck,
-    NumberValues,
     OperandIndex,
     check_equations,
     naming_conflicts,
@@ -56,7 +55,6 @@ def constraint_coverage(
     mentions: frozenset[Fraction],
     trace_text: str,
     checks: list[EquationCheck],
-    values: NumberValues | None = None,
     index: OperandIndex | None = None,
 ) -> tuple[list[Fraction], float]:
     """The problem's mentions the trace never uses, sorted, and the share it uses.
@@ -65,7 +63,7 @@ def constraint_coverage(
     an operand of any scanned equation, a key of the checks' ``index``. An
     empty constraint set is fully covered by definition.
     """
-    used = numeric_mentions(trace_text, values)
+    used = numeric_mentions(trace_text)
     # A set updated from a dict takes the dict's stored hashes.
     used.update(operand_index(checks) if index is None else index)
     missing = sorted(mentions - used)
@@ -87,7 +85,6 @@ def meta_diagnose(
     trace: ReasoningTrace,
     checks: list[EquationCheck],
     coverage: float,
-    values: NumberValues | None = None,
 ) -> MetaDiagnosis:
     """Assign the meta category and score for one trace.
 
@@ -115,7 +112,7 @@ def meta_diagnose(
 
     if any(not check.verified for check in checks):
         category = CATEGORY_ARITHMETIC_ERROR
-    elif naming_conflicts(trace.text, values):
+    elif naming_conflicts(trace.text):
         category = CATEGORY_LOGICAL_CONTRADICTION
     elif coverage < 1.0:
         category = CATEGORY_MISSING_CONSTRAINT
@@ -157,12 +154,11 @@ def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> Dia
         problem = analyse_problem(problem)
     if isinstance(trace, str):
         trace = ReasoningTrace.from_text(trace)
-    values = NumberValues()
-    checks = check_equations(trace.text, values)
+    checks = check_equations(trace.text)
     index = operand_index(checks)
-    missing, coverage = constraint_coverage(problem.mentions, trace.text, checks, values, index)
-    meta = meta_diagnose(trace, checks, coverage, values)
-    graph = semantic_graph_check(problem, trace, checks, values, index)
+    missing, coverage = constraint_coverage(problem.mentions, trace.text, checks, index)
+    meta = meta_diagnose(trace, checks, coverage)
+    graph = semantic_graph_check(problem, trace, checks, index)
     return DiagnosisReport(
         checks=tuple(checks),
         meta=meta,

@@ -9,16 +9,13 @@ contradiction checks consume.
 Owns the number grammar (``_NUM``) and ``parse_number``, the one place in
 the package where digit text becomes a value. A number as long as
 Python's int-to-string digit limit is unparseable, so every value the
-diagnostics hold can be printed in a hint or an artifact.
-
-Each diagnosed text has one ``NumberValues`` table, which every scan of
-that text reads its values from, so each distinct token is parsed once per
-text however many scans read it. The scans take the table as an optional
-last argument and build their own when called alone.
+diagnostics hold can be printed in a hint or an artifact. It keeps the
+values it has parsed, so a token that several scans read is parsed once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import sys
@@ -91,6 +88,7 @@ _MENTION_RE = re.compile(rf"{_NUMBER_START}[-+]?{_NUM}")
 
 # Python's int-to-string digit limit; 0, or no such function, means none.
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_PARSED_TOKENS = 4096  # distinct tokens whose values parse_number keeps
 
 
 @dataclass(frozen=True)
@@ -103,6 +101,7 @@ class EquationCheck:
     position: int
 
 
+@functools.lru_cache(maxsize=_PARSED_TOKENS)
 def parse_number(token: str) -> Fraction | None:
     """Exact rational value of a numeric token; None if unparseable.
 
@@ -110,6 +109,11 @@ def parse_number(token: str) -> Fraction | None:
     number as ``_NUM`` matches it, with an optional sign. One as long as
     Python's int-to-string digit limit is unparseable, so every value
     returned for such a token can be printed.
+
+    The values of the ``_PARSED_TOKENS`` tokens read last are kept, None
+    included, in a thread-safe ``lru_cache``. The digit limit is read when
+    a token is first parsed; the package never calls
+    ``sys.set_int_max_str_digits``, so a kept value never goes stale.
     """
     text = token.replace(",", "")
     limit = _digit_limit()
@@ -125,31 +129,10 @@ def parse_number(token: str) -> Fraction | None:
         return None
 
 
-class NumberValues(dict):
-    """One text's number values: ``values[token]`` is ``parse_number(token)``.
-
-    A token is parsed on its first lookup and its value kept, None included.
-    A table lives for one call that reads a text, so none is shared between
-    threads or kept across a run.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, token: str) -> Fraction | None:
-        value = self[token] = parse_number(token)
-        return value
-
-
-def numeric_mentions(text: str, values: NumberValues | None = None) -> set[Fraction]:
+def numeric_mentions(text: str) -> set[Fraction]:
     """Distinct normalized numeric mentions in a text."""
-    if values is None:
-        values = NumberValues()
-    mentions = set()
-    # Each distinct token once, in text order.
-    for token in dict.fromkeys(_MENTION_RE.findall(text)):
-        value = values[token]
-        if value is not None:
-            mentions.add(value)
+    mentions = {parse_number(token) for token in set(_MENTION_RE.findall(text))}
+    mentions.discard(None)
     return mentions
 
 
@@ -194,20 +177,18 @@ def _verify(operator: str, a: Fraction, b: Fraction, claimed: Fraction) -> bool:
     raise ValueError(f"unknown operator {operator!r}")
 
 
-def check_equations(trace_text: str, values: NumberValues | None = None) -> list[EquationCheck]:
+def check_equations(trace_text: str) -> list[EquationCheck]:
     """Scan a trace for binary arithmetic and LCM/GCD equations.
 
     Every match is verified exactly; division by zero never verifies.
     Zero matches is a valid empty result.
     """
-    if values is None:
-        values = NumberValues()
     checks: list[EquationCheck] = []
     # An lcm/gcd left-hand side keeps one character past its second operand.
     lcm_gcd = ((_LCM_GCD_RE, 1),) if _LCM_GCD_GATE.search(trace_text) else ()
     for pattern, lhs_overhang in ((_EQUATION_RE, 0), *lcm_gcd):
         for match in pattern.finditer(trace_text):
-            a, b, c = values[match["a"]], values[match["b"]], values[match["c"]]
+            a, b, c = map(parse_number, match.group("a", "b", "c"))
             if a is None or b is None or c is None:
                 continue
             operator = _OPERATORS[match.group("op").lower()]
@@ -248,13 +229,11 @@ def _trim_name(raw: str) -> str:
     return " ".join(words)
 
 
-def naming_statements(text: str, values: NumberValues | None = None) -> list[NamingStatement]:
+def naming_statements(text: str) -> list[NamingStatement]:
     """Derivational naming statements, keyed by the lowercase phrase."""
-    if values is None:
-        values = NumberValues()
     statements: list[NamingStatement] = []
     for match in _NAMING_RE.finditer(text):
-        value = values[match.group("value")]
+        value = parse_number(match.group("value"))
         if value is None:
             continue
         name = _trim_name(match.group("name"))
@@ -263,7 +242,7 @@ def naming_statements(text: str, values: NumberValues | None = None) -> list[Nam
         statements.append(NamingStatement(name=name, value=value, position=match.start()))
     if _IS_NAMING_GATE.search(text):
         for match in _IS_NAMING_RE.finditer(text):
-            value = values[match.group("value")]
+            value = parse_number(match.group("value"))
             if value is None:
                 continue
             name = " ".join(match.group(0)[: match.start("value") - match.start()].lower().split())
@@ -272,12 +251,10 @@ def naming_statements(text: str, values: NumberValues | None = None) -> list[Nam
     return statements
 
 
-def naming_conflicts(
-    text: str, values: NumberValues | None = None
-) -> list[tuple[str, tuple[Fraction, ...]]]:
+def naming_conflicts(text: str) -> list[tuple[str, tuple[Fraction, ...]]]:
     """Names asserted with two or more distinct values."""
     by_name: dict[str, list[Fraction]] = {}
-    for statement in naming_statements(text, values):
+    for statement in naming_statements(text):
         by_name.setdefault(statement.name, []).append(statement.value)
     conflicts = []
     for name, named in by_name.items():

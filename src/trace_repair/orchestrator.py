@@ -355,7 +355,6 @@ def repair_example(
     provider: CandidateProvider,
     cfg: PolicyConfig,
     include_initial: bool = True,
-    n_attempts: int | None = None,
     accept_all: bool = False,
 ) -> RepairOutcome:
     """Guarded best-of-N selection loop for one triggered example.
@@ -363,8 +362,9 @@ def repair_example(
     A transport failure on one attempt records a generation failure and
     moves on; a fully failed example preserves the cached trace. No
     further attempts are generated once a candidate is accepted.
+    ``accept_all`` makes one attempt, which any parsed output passes.
     """
-    attempts = cfg.n_candidates if n_attempts is None else n_attempts
+    attempts = 1 if accept_all else cfg.n_candidates
     spec = build_prompt(example_id, problem_text, r0.text, diag0, 0, include_initial)
     records: list[CandidateRecord] = []
     for attempt_index in range(attempts):

@@ -72,10 +72,10 @@ MODE_DIRECT_BESTOF3_GATED = "direct_bestof3_gated"
 # solve_all and solve_triggered accept every parsed output of one attempt,
 # while the gated best-of-3 baseline keeps all gates.
 MODE_REPAIR_ARGS = {
-    MODE_GUARDED: {"include_initial": True, "n_attempts": None, "accept_all": False},
-    MODE_SOLVE_ALL: {"include_initial": False, "n_attempts": 1, "accept_all": True},
-    MODE_SOLVE_TRIGGERED: {"include_initial": False, "n_attempts": 1, "accept_all": True},
-    MODE_DIRECT_BESTOF3_GATED: {"include_initial": False, "n_attempts": None, "accept_all": False},
+    MODE_GUARDED: {"include_initial": True, "accept_all": False},
+    MODE_SOLVE_ALL: {"include_initial": False, "accept_all": True},
+    MODE_SOLVE_TRIGGERED: {"include_initial": False, "accept_all": True},
+    MODE_DIRECT_BESTOF3_GATED: {"include_initial": False, "accept_all": False},
 }
 
 BASELINE_MODES = (MODE_SOLVE_ALL, MODE_SOLVE_TRIGGERED, MODE_DIRECT_BESTOF3_GATED)
@@ -112,12 +112,32 @@ class Prediction:
     accepted_attempt: int | None
     final_trace: str
 
+    def __post_init__(self) -> None:
+        """Refuse two fields that contradict each other, raising their names.
+
+        The trigger flag is set exactly when it has reasons, the acceptance
+        flag exactly when it has an attempt, and an unaccepted example keeps
+        its initial answer.
+        """
+        for first, second, agree in (
+            ("triggered", "trigger_reasons", self.triggered == bool(self.trigger_reasons)),
+            ("accepted", "accepted_attempt", self.accepted == (self.accepted_attempt is not None)),
+            ("final_answer", "initial_answer", self.accepted or self.final_answer == self.initial_answer),
+        ):
+            if not agree:
+                raise DatasetError(first, second)
+
     def to_json_dict(self) -> dict:
         return dict(vars(self))
 
     @classmethod
     def from_json_dict(cls, where: str, row, name: str = "") -> "Prediction":
-        return cls(*json_fields(where, row, json_types(cls), name))
+        values = json_fields(where, row, json_types(cls), name)
+        try:
+            return cls(*values)
+        except DatasetError as exc:
+            first, second = (f"{name}.{field}" if name else field for field in exc.args)
+            raise DatasetError(f"{where}: {first!r} does not match {second!r}") from None
 
 
 # The fields of a progress.jsonl row, with the JSON value types they admit.
@@ -153,8 +173,12 @@ class ExampleResult:
             for index, item in enumerate(candidates)
         )
         json_fields(where, risk, _RISK_FIELDS, "risk")
+        # The risk row is written to risk_log.jsonl as it is, so its copies
+        # must match byte for byte.
+        for name in ("example_id", "triggered", "accepted_attempt"):
+            if json.dumps(risk[name]) != json.dumps(getattr(prediction, name)):
+                raise DatasetError(f"{where}: 'risk.{name}' does not match 'prediction.{name}'")
         patterns = [_risk_pattern(record) for record in records]
-        # The copy is written to risk_log.jsonl as it is, so it must match byte for byte.
         if json.dumps(risk["candidates"]) != json.dumps(patterns):
             raise DatasetError(f"{where}: 'risk.candidates' does not match 'candidates'")
         return cls(prediction, records, risk)

@@ -40,11 +40,9 @@ the diagnosis of every trace for it. The analysis holds everything the
 checks read of the problem: the graph, its numeric mentions, each value's
 binding words, the first "N times more" phrase, the equal-split flag and
 the kind of quantity the question asks for. No check reads problem text.
-Digit tokens become values through one ``equations.NumberValues`` table per
-text: ``analyse_problem`` shares one between the problem's quantities, its
-numeric mentions and the "N times more" multiplier, and
-``semantic_graph_check`` reads the trace's from its caller, so each distinct
-token is parsed once per text.
+Digit tokens become values through ``equations.parse_number``, which keeps
+the values it has parsed, so a token that the quantities, the numeric
+mentions and the equation scan all read is parsed once.
 """
 
 from __future__ import annotations
@@ -62,11 +60,11 @@ from .equations import (
     OP_MUL,
     OP_SUB,
     EquationCheck,
-    NumberValues,
     OperandIndex,
     check_equations,
     numeric_mentions,
     operand_index,
+    parse_number,
 )
 
 RISK_QUANTITY_BINDING = "quantity_binding_error"
@@ -217,18 +215,17 @@ class ProblemAnalysis:
 
 def analyse_problem(text: str) -> ProblemAnalysis:
     """Parse a problem once; every trace diagnosed against it shares this."""
-    values = NumberValues()
-    graph = build_relation_graph(*extract_quantities(text, values))
+    graph = build_relation_graph(*extract_quantities(text))
     bindings: dict[Fraction, frozenset[str]] = {}
     for node in graph.nodes:
         bindings[node.value] = bindings.get(node.value, frozenset()) | _binding_tokens(
             node.unit_phrase, node.entity_mention
         )
     match = _TIMES_MORE_RE.search(text)
-    multiplier = _number_value(match.group(1).lower(), values) if match else None
+    multiplier = _number_value(match.group(1).lower()) if match else None
     return ProblemAnalysis(
         graph=graph,
-        mentions=frozenset(numeric_mentions(text, values)),
+        mentions=frozenset(numeric_mentions(text)),
         bindings=bindings,
         times_more=None if multiplier is None else (match.group(0), multiplier),
         equal_split=_EQUAL_SPLIT_RE.search(text) is not None,
@@ -289,22 +286,22 @@ def _tokenize(text: str) -> TokenColumns:
     return words, [word.lower() for word in words], sentences, initial
 
 
-def _number_value(word: str, values: NumberValues) -> Fraction | None:
-    """A lowered token's value: a number word's, or a digit string's
-    from the text's ``values``; None for any other word.
+def _number_value(word: str) -> Fraction | None:
+    """A lowered token's value: a number word's or a digit string's; None
+    for any other word.
 
     A digit string is a token that starts with ``$`` or a digit.
     """
     if word[0] == "$" or word[0].isdigit():
-        return values[word.lstrip("$")]
+        return parse_number(word.lstrip("$"))
     return _NUMBER_WORD_VALUES.get(word)
 
 
-def _numbers(lowered: list[str], values: NumberValues) -> list[tuple[int, Fraction]]:
+def _numbers(lowered: list[str]) -> list[tuple[int, Fraction]]:
     """Each numeric mention's token index and value, in token order."""
     numbers = []
     for index, word in enumerate(lowered):
-        value = _number_value(word, values)
+        value = _number_value(word)
         if value is not None:
             numbers.append((index, value))
     return numbers
@@ -356,9 +353,7 @@ def _unit_and_entity(
     return unit, ""
 
 
-def extract_quantities(
-    text: str, values: NumberValues | None = None
-) -> tuple[TokenColumns, list[QuantityNode]]:
+def extract_quantities(text: str) -> tuple[TokenColumns, list[QuantityNode]]:
     """Tokenise a text and turn every numeric mention into a quantity node.
 
     Digit strings, number words, fractions, and money expressions all
@@ -368,13 +363,11 @@ def extract_quantities(
     once, and every window reads them from there. Returns the token columns
     with the nodes, so that nothing tokenises the text again.
     """
-    if values is None:
-        values = NumberValues()
     tokens = _tokenize(text)
     words, lowered, _, _ = tokens
     features = _token_features(tokens)
     nodes: list[QuantityNode] = []
-    for index, value in _numbers(lowered, values):
+    for index, value in _numbers(lowered):
         unit, entity = _unit_and_entity(features, index, lowered[index])
         window = lowered[max(0, index - WINDOW_TOKENS) : index + WINDOW_TOKENS + 1]
         nodes.append(
@@ -674,12 +667,11 @@ def _check_answer_format(
     requested: str | None,
     trace: ReasoningTrace,
     trace_checks: list[EquationCheck],
-    values: NumberValues,
 ) -> list[RiskSignal]:
     if requested is None:
         return []
 
-    final_value = as_fraction(trace.answer, values)
+    final_value = as_fraction(trace.answer)
     if final_value is None:
         return []
     derivations = [check for check in trace_checks if check.claimed_result == final_value]
@@ -705,15 +697,13 @@ def semantic_graph_check(
     problem: ProblemAnalysis | str,
     trace: ReasoningTrace | str,
     trace_checks: list[EquationCheck] | None = None,
-    values: NumberValues | None = None,
     index: OperandIndex | None = None,
 ) -> GraphReport:
     """Run the five risk checks and produce the clipped score.
 
     Takes the problem's analysis and the parsed trace (or their texts),
-    and the trace's equation checks, ``NumberValues`` table and
-    ``equations.operand_index`` of the checks when the caller already has
-    them. An empty or answerless trace is a generation failure with score 0.
+    and the trace's equation checks and ``equations.operand_index`` of the
+    checks when the caller already has them. An empty or answerless trace is a generation failure with score 0.
     """
     if isinstance(problem, str):
         problem = analyse_problem(problem)
@@ -732,14 +722,12 @@ def semantic_graph_check(
             diagnosis=DIAGNOSIS_GENERATION_FAILURE,
         )
 
-    if values is None:
-        values = NumberValues()
     tokens = _tokenize(trace.text)
-    numbers = _numbers(tokens[1], values)
+    numbers = _numbers(tokens[1])
     deltas = _comparison_deltas(tokens[1], [index for index, _ in numbers])
     trace_has_comparison = next(deltas, None) is not None
     if trace_checks is None:
-        trace_checks = check_equations(trace.text, values)
+        trace_checks = check_equations(trace.text)
     if index is None:
         index = operand_index(trace_checks)
 
@@ -748,7 +736,7 @@ def semantic_graph_check(
     risks.extend(_check_comparisons(problem, trace_has_comparison, index))
     risks.extend(_check_rate_usage(problem, trace_checks, index))
     risks.extend(_check_change_events(problem.graph, index))
-    risks.extend(_check_answer_format(problem.requested, trace, trace_checks, values))
+    risks.extend(_check_answer_format(problem.requested, trace, trace_checks))
 
     deduped: list[RiskSignal] = []
     seen: set[tuple[str, tuple[str, ...]]] = set()

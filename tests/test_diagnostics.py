@@ -1,5 +1,7 @@
+import random
 import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from trace_repair.diagnostics import (
     diagnose,
     meta_diagnose,
 )
-from trace_repair.equations import NumberValues, check_equations, numeric_mentions, parse_number
+from trace_repair.equations import check_equations, naming_statements, numeric_mentions, parse_number
 from trace_repair.risk_graph import analyse_problem, extract_quantities, semantic_graph_check
 
 # Python 3.10 has no digit limit; its runs still test long numbers.
@@ -176,7 +178,7 @@ class TestAnalysedOnce:
         assert coverage == share == 2 / 3
         assert missing == [Fraction(99)]
 
-    def test_each_number_is_parsed_once_per_text(self, count_calls):
+    def test_each_number_is_parsed_once_per_text(self):
         # Every number here is a plain integer, so a text's distinct number
         # tokens are its distinct digit runs. The trace is built first, as
         # the pipeline does, so only the diagnosis is counted.
@@ -187,33 +189,37 @@ class TestAnalysedOnce:
         trace = ReasoningTrace.from_text(
             "3 * 4 = 12\n12 - 2 = 10\nCandies left = 10\nFinal Answer: 10"
         )
-        parsed = count_calls("equations", "parse_number")
+        parse_number.cache_clear()
         diagnose(problem, trace)
-        assert len(parsed) <= len(_digit_runs(problem)) + len(_digit_runs(trace.text))
+        misses = parse_number.cache_info().misses
+        assert misses <= len(_digit_runs(problem) | _digit_runs(trace.text))
+        diagnose(problem, trace)
+        assert parse_number.cache_info().misses == misses
 
-    def test_candidate_diagnosis_parses_only_candidate_numbers(self, count_calls):
+    def test_candidate_diagnosis_parses_only_candidate_numbers(self):
         diag0 = diagnose(self.PROBLEM, "3 + 4 = 7\nFinal Answer: 7")
         candidate = ReasoningTrace.from_text("3 * 4 = 12\n12 - 5 = 7\nFinal Answer: 7")
-        parsed = count_calls("equations", "parse_number")
+        parse_number.cache_clear()
         diagnose(diag0.problem, candidate)
-        tokens = [args[0] for args in parsed]
-        assert len(tokens) == len(set(tokens))
-        assert set(tokens) <= _digit_runs(candidate.text)
+        misses = parse_number.cache_info().misses
+        assert misses <= len(_digit_runs(candidate.text))
+        # "2" is the problem's alone, so the candidate's diagnosis never read it.
+        assert "2" in _digit_runs(self.PROBLEM) - _digit_runs(candidate.text)
+        parse_number("2")
+        assert parse_number.cache_info().misses == misses + 1
 
 
 def _digit_runs(text):
     return set(re.findall(r"\d+", text))
 
 
-class TestNumberValues:
-    def test_a_cached_none_stays_none(self, count_calls):
-        parsed = count_calls("equations", "parse_number")
-        values = NumberValues()
-        assert values["9" * LIMIT] is None
-        assert values["9" * LIMIT] is None
-        assert values["1/0"] is None
-        assert values["1/0"] is None
-        assert len(parsed) == 2
+class TestParsedTokens:
+    def test_a_cached_none_stays_none(self):
+        parse_number.cache_clear()
+        for token in ("9" * LIMIT, "9" * LIMIT, "1/0", "1/0"):
+            assert parse_number(token) is None
+        info = parse_number.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -248,20 +254,47 @@ class TestNumberValues:
             max_size=8,
         ).map(" ".join),
     )
-    def test_a_shared_table_reads_as_separate_calls(self, text, problem):
-        """Each scan gives the same result alone and with one table shared by all."""
-        values = NumberValues()
-        checks = check_equations(text)
-        assert check_equations(text, values) == checks
-        assert numeric_mentions(text, values) == numeric_mentions(text)
-        assert extract_quantities(text, values) == extract_quantities(text)
+    def test_every_scan_reads_the_same_on_a_cold_and_a_warm_cache(self, text, problem):
+        """Each scan gives the same result with the cache cleared before it and
+        once a diagnosis has filled the cache."""
         analysis = analyse_problem(problem)
-        assert constraint_coverage(analysis.mentions, text, checks, values) == constraint_coverage(
-            analysis.mentions, text, checks
-        )
+        checks = check_equations(text)
         trace = ReasoningTrace.from_text(text)
-        assert semantic_graph_check(analysis, trace, checks, values) == semantic_graph_check(
-            problem, text
+        scans = (
+            lambda: analyse_problem(problem),
+            lambda: check_equations(text),
+            lambda: numeric_mentions(text),
+            lambda: extract_quantities(text),
+            lambda: naming_statements(text),
+            lambda: ReasoningTrace.from_text(text),
+            lambda: constraint_coverage(analysis.mentions, text, checks),
+            lambda: semantic_graph_check(analysis, trace, checks),
+            lambda: diagnose(problem, text),
         )
-        assert diagnose(problem, text).graph == semantic_graph_check(problem, text)
-        assert all(value == parse_number(token) for token, value in values.items())
+        cold = []
+        for scan in scans:
+            parse_number.cache_clear()
+            cold.append(scan())
+        diagnose(problem, text)
+        assert [scan() for scan in scans] == cold
+
+    def test_threads_diagnose_as_a_serial_run_does(self):
+        rng = random.Random(20261019)
+        pairs = []
+        for _ in range(40):
+            a, b = rng.randint(1, 999), rng.randint(1, 999)
+            claimed = a * b + rng.choice((0, 0, 1))
+            problem = f"Tom has {a} bags with {b} candies each and {rng.randint(1, 99)} more than Ann."
+            trace = f"{a} * {b} = {claimed}\nTotal candies = {claimed}\nFinal Answer: {claimed}"
+            pairs.append((problem, trace))
+        parse_number.cache_clear()
+        serial = [diagnose(problem, trace) for problem, trace in pairs]
+        parse_number.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(lambda pair: diagnose(*pair), pairs * 4, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 4

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -79,8 +80,6 @@ class TestPrompts:
         assert "Meta error:" not in rendered
 
     def test_retry_prompt_embeds_malformed_output(self):
-        import dataclasses
-
         r0, diag0, _ = _context()
         spec = build_prompt("ex1", PROBLEM, r0.text, diag0, 0)
         retry = dataclasses.replace(spec, retry_of=MALFORMED)
@@ -445,7 +444,7 @@ def test_every_shape_an_attempt_can_end_in(first, retry, fields):
             return reply
 
     outcome = repair_example(
-        "ex1", PROBLEM, r0, diag0, decision, ScriptedProvider(), CFG, n_attempts=1
+        "ex1", PROBLEM, r0, diag0, decision, ScriptedProvider(), dataclasses.replace(CFG, n_candidates=1)
     )
     row = {
         "example_id": "ex1",
@@ -506,4 +505,4 @@ def test_each_attempt_hashes_its_prompt_once(monkeypatch):
 
     stale = ReplayProvider({("ex1", 0): ReplayEntry(MALFORMED, NOOP, "0" * 64)})
     with pytest.raises(ReplayCacheMiss, match="another prompt"):
-        repair_example("ex1", PROBLEM, r0, diag0, decision, stale, CFG, n_attempts=1)
+        repair_example("ex1", PROBLEM, r0, diag0, decision, stale, dataclasses.replace(CFG, n_candidates=1))

@@ -133,6 +133,21 @@ _PROGRESS_ROW_FAULTS = [
             ("risk.candidates[0].rejection_reasons", ["no_op"], "risk.candidates-reasons"),
         )
     ),
+    # A prediction's flags must agree with what they flag, and the risk row's
+    # copies of them must match.
+    *(
+        pytest.param(name, value, f"'{first}' does not match '{second}'", id=f"{name}={json.dumps(value)}")
+        for name, value, first, second in (
+            ("prediction.triggered", False, "prediction.triggered", "prediction.trigger_reasons"),
+            ("prediction.trigger_reasons", [], "prediction.triggered", "prediction.trigger_reasons"),
+            ("prediction.accepted", False, "prediction.accepted", "prediction.accepted_attempt"),
+            ("prediction.accepted_attempt", None, "prediction.accepted", "prediction.accepted_attempt"),
+            ("risk.example_id", "zzz", "risk.example_id", "prediction.example_id"),
+            ("risk.triggered", False, "risk.triggered", "prediction.triggered"),
+            ("risk.accepted_attempt", 2, "risk.accepted_attempt", "prediction.accepted_attempt"),
+            ("risk.accepted_attempt", False, "risk.accepted_attempt", "prediction.accepted_attempt"),
+        )
+    ),
 ]
 # Each case edits line 3 of predictions.jsonl or candidates.jsonl; that
 # candidate holds a parsed output and a verdict.
@@ -151,6 +166,24 @@ _REPORT_ROW_FAULTS = [
             expected=expected,
         )
         for name, value, expected in _SCALAR_FAULTS
+    ),
+    # Line 3 is an untriggered example, which keeps its initial answer.
+    *(
+        pytest.param(
+            "predictions",
+            name,
+            value,
+            f"'{first}' does not match '{second}'",
+            id=f"predictions-{name}={json.dumps(value)}",
+        )
+        for name, value, first, second in (
+            ("triggered", True, "triggered", "trigger_reasons"),
+            ("trigger_reasons", ["low_meta_score"], "triggered", "trigger_reasons"),
+            ("accepted", True, "accepted", "accepted_attempt"),
+            ("accepted_attempt", 0, "accepted", "accepted_attempt"),
+            ("final_answer", "999", "final_answer", "initial_answer"),
+            ("initial_answer", "999", "final_answer", "initial_answer"),
+        )
     ),
 ]
 
@@ -333,6 +366,21 @@ class TestReplayRun:
         lines[number - 1] = json.dumps(row) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{PROGRESS_FILE}:{number}: {error}")):
+            run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
+
+    def test_resume_refuses_an_unaccepted_row_whose_answer_changed(self, synthetic, tmp_path):
+        directory, dataset_path, cache_path = synthetic
+        run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = tmp_path / "run" / PROGRESS_FILE
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        number = 1 + next(i for i, line in enumerate(lines) if GROUP_NOOP[0] in line)
+        row = json.loads(lines[number - 1])
+        assert not row["prediction"]["accepted"]
+        row["prediction"]["final_answer"] += "0"
+        lines[number - 1] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        error = f"{PROGRESS_FILE}:{number}: 'prediction.final_answer' does not match 'prediction.initial_answer'"
+        with pytest.raises(ValueError, match=re.escape(error)):
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
 
     def test_resume_refuses_a_row_whose_ids_differ(self, synthetic, tmp_path):

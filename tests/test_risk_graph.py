@@ -226,7 +226,7 @@ class TestTraceSide:
         assert len(windows) == 1
 
 
-class TestNumberValues:
+class TestNodeValues:
     """Every digit string becomes a value through ``parse_number``."""
 
     @pytest.mark.parametrize("token", ["3.50", "$3.50", "1,200", "3/4", "007", "٣"])

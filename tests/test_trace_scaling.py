@@ -8,7 +8,8 @@ fast one cannot hide a regression:
 
 - no binding window is read on the trace side, since no window could bind;
 - ``Fraction.__hash__`` calls grow at most linearly with the trace;
-- a text without "lcm", "gcd" or "common" gets no case-insensitive scan.
+- a text without "lcm", "gcd" or "common" gets no case-insensitive scan;
+- the longest trace's distinct numbers fit ``parse_number``'s cache.
 """
 
 import math
@@ -98,3 +99,11 @@ def test_a_text_without_the_keywords_gets_no_case_insensitive_scan(chains, monke
         # Every equation verifies, so the naming statements are read too.
         assert report.meta.category == "clean"
     assert scans == []
+
+
+def test_the_longest_trace_fits_the_parsed_token_cache(chains):
+    lines, problem, trace = chains[-1]
+    assert lines == 400
+    equations.parse_number.cache_clear()
+    diagnose(problem, trace)
+    assert equations.parse_number.cache_info().misses < equations._PARSED_TOKENS
