@@ -101,7 +101,6 @@ class EquationCheck:
     position: int
 
 
-@functools.lru_cache(maxsize=_PARSED_TOKENS)
 def parse_number(token: str) -> Fraction | None:
     """Exact rational value of a numeric token; None if unparseable.
 
@@ -110,15 +109,28 @@ def parse_number(token: str) -> Fraction | None:
     Python's int-to-string digit limit is unparseable, so every value
     returned for such a token can be printed.
 
-    The values of the ``_PARSED_TOKENS`` tokens read last are kept, None
-    included, in a thread-safe ``lru_cache``. The digit limit is read when
-    a token is first parsed; the package never calls
-    ``sys.set_int_max_str_digits``, so a kept value never goes stale.
+    The digit limit is read on every call, and a token at or over it is
+    refused before the cache. The values of the ``_PARSED_TOKENS`` tokens
+    read last are kept, None included, in a thread-safe ``lru_cache``, so
+    the cache holds no token as long as the limit, and a kept value does
+    not depend on the limit (the package never calls
+    ``sys.set_int_max_str_digits``). The memo pays off only on a token read
+    again: by several scans of one text, or in another text.
     """
-    text = token.replace(",", "")
     limit = _digit_limit()
-    if limit and len(text) >= limit:
-        return None
+    if limit and len(token) >= limit:
+        # A long token may be under the limit once its commas go; it is
+        # kept by its digits, so no key is as long as the limit.
+        token = token.replace(",", "")
+        if len(token) >= limit:
+            return None
+    return _parse_short(token)
+
+
+@functools.lru_cache(maxsize=_PARSED_TOKENS)
+def _parse_short(token: str) -> Fraction | None:
+    """``parse_number``'s value of a token shorter than the digit limit."""
+    text = token.replace(",", "")
     # Most tokens are plain integers, which int() reads several times faster
     # than Fraction's string parser; isdigit() alone would admit "²".
     if text.isascii() and text.isdigit():
@@ -127,6 +139,10 @@ def parse_number(token: str) -> Fraction | None:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         return None
+
+
+parse_number.cache_info = _parse_short.cache_info
+parse_number.cache_clear = _parse_short.cache_clear
 
 
 def numeric_mentions(text: str) -> set[Fraction]:

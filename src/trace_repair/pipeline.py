@@ -112,20 +112,29 @@ class Prediction:
     accepted_attempt: int | None
     final_trace: str
 
-    def __post_init__(self) -> None:
-        """Refuse two fields that contradict each other, raising their names.
+    @staticmethod
+    def _contradiction(
+        triggered, trigger_reasons, accepted, accepted_attempt, final_answer, initial_answer, **_
+    ) -> tuple[str, str] | None:
+        """The first two of a prediction's fields that contradict each other,
+        or None.
 
         The trigger flag is set exactly when it has reasons, the acceptance
         flag exactly when it has an attempt, and an unaccepted example keeps
         its initial answer.
         """
-        for first, second, agree in (
-            ("triggered", "trigger_reasons", self.triggered == bool(self.trigger_reasons)),
-            ("accepted", "accepted_attempt", self.accepted == (self.accepted_attempt is not None)),
-            ("final_answer", "initial_answer", self.accepted or self.final_answer == self.initial_answer),
-        ):
-            if not agree:
-                raise DatasetError(first, second)
+        if triggered != bool(trigger_reasons):
+            return "triggered", "trigger_reasons"
+        if accepted != (accepted_attempt is not None):
+            return "accepted", "accepted_attempt"
+        if not accepted and final_answer != initial_answer:
+            return "final_answer", "initial_answer"
+        return None
+
+    def __post_init__(self) -> None:
+        pair = self._contradiction(**vars(self))
+        if pair:
+            raise ValueError(f"Prediction {self.example_id!r}: {pair[0]!r} does not match {pair[1]!r}")
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))
@@ -133,11 +142,11 @@ class Prediction:
     @classmethod
     def from_json_dict(cls, where: str, row, name: str = "") -> "Prediction":
         values = json_fields(where, row, json_types(cls), name)
-        try:
-            return cls(*values)
-        except DatasetError as exc:
-            first, second = (f"{name}.{field}" if name else field for field in exc.args)
-            raise DatasetError(f"{where}: {first!r} does not match {second!r}") from None
+        pair = cls._contradiction(**row)
+        if pair:
+            first, second = (f"{name}.{field}" if name else field for field in pair)
+            raise DatasetError(f"{where}: {first!r} does not match {second!r}")
+        return cls(*values)
 
 
 # The fields of a progress.jsonl row, with the JSON value types they admit.

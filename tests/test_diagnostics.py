@@ -24,7 +24,8 @@ from trace_repair.equations import check_equations, naming_statements, numeric_m
 from trace_repair.risk_graph import analyse_problem, extract_quantities, semantic_graph_check
 
 # Python 3.10 has no digit limit; its runs still test long numbers.
-LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+SYS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LIMIT = SYS_LIMIT or 4300
 
 
 def _meta(problem, trace_text):
@@ -216,10 +217,20 @@ def _digit_runs(text):
 class TestParsedTokens:
     def test_a_cached_none_stays_none(self):
         parse_number.cache_clear()
-        for token in ("9" * LIMIT, "9" * LIMIT, "1/0", "1/0"):
+        for token in ("1/0", "1/0"):
             assert parse_number(token) is None
         info = parse_number.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.skipif(not SYS_LIMIT, reason="no int-to-string digit limit")
+    def test_a_token_over_the_limit_is_not_kept(self):
+        parse_number.cache_clear()
+        for token in ("9" * LIMIT, "9" * LIMIT, "9" * 10 * LIMIT, "1," * LIMIT):
+            assert parse_number(token) is None
+        assert parse_number.cache_info().currsize == 0
+        # Under the limit once its commas go: kept by its digits.
+        assert parse_number("1" + ",1" * (LIMIT // 2)) == int("1" * (LIMIT // 2 + 1))
+        assert parse_number.cache_info().currsize == 1
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -277,6 +288,9 @@ class TestParsedTokens:
             cold.append(scan())
         diagnose(problem, text)
         assert [scan() for scan in scans] == cold
+        # The shared forms diagnose() uses read as the stand-alone ones.
+        assert diagnose(problem, text).graph == semantic_graph_check(problem, text)
+        assert semantic_graph_check(analysis, trace, checks) == semantic_graph_check(problem, text)
 
     def test_threads_diagnose_as_a_serial_run_does(self):
         rng = random.Random(20261019)

@@ -383,6 +383,21 @@ class TestReplayRun:
         with pytest.raises(ValueError, match=re.escape(error)):
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
 
+    def test_a_contradictory_prediction_is_refused_by_name(self):
+        fields = dict(
+            example_id="ex001", initial_answer="7", final_answer="7", gold_answer="7",
+            triggered=False, trigger_reasons=[], accepted=False, accepted_attempt=None, final_trace="",
+        )
+        pipeline.Prediction(**fields)
+        for changed, first, second in (
+            ({"triggered": True}, "triggered", "trigger_reasons"),
+            ({"accepted_attempt": 1}, "accepted", "accepted_attempt"),
+            ({"final_answer": "8"}, "final_answer", "initial_answer"),
+        ):
+            error = f"Prediction 'ex001': {first!r} does not match {second!r}"
+            with pytest.raises(ValueError, match=re.escape(error)):
+                pipeline.Prediction(**{**fields, **changed})
+
     def test_resume_refuses_a_row_whose_ids_differ(self, synthetic, tmp_path):
         directory, dataset_path, cache_path = synthetic
         run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
