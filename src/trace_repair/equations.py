@@ -109,28 +109,23 @@ def parse_number(token: str) -> Fraction | None:
     Python's int-to-string digit limit is unparseable, so every value
     returned for such a token can be printed.
 
-    The digit limit is read on every call, and a token at or over it is
-    refused before the cache. The values of the ``_PARSED_TOKENS`` tokens
-    read last are kept, None included, in a thread-safe ``lru_cache``, so
-    the cache holds no token as long as the limit, and a kept value does
-    not depend on the limit (the package never calls
-    ``sys.set_int_max_str_digits``). The memo pays off only on a token read
-    again: by several scans of one text, or in another text.
+    The limit is read on every call and a token at or over it is refused
+    before a thread-safe ``lru_cache`` that keeps the values of the
+    ``_PARSED_TOKENS`` tokens read last, None included; so no kept token is
+    that long, and no kept value depends on the limit (the package never
+    calls ``sys.set_int_max_str_digits``). The memo pays off only on a
+    token read again, by another scan or in another text.
     """
+    text = token.replace(",", "")
     limit = _digit_limit()
-    if limit and len(token) >= limit:
-        # A long token may be under the limit once its commas go; it is
-        # kept by its digits, so no key is as long as the limit.
-        token = token.replace(",", "")
-        if len(token) >= limit:
-            return None
-    return _parse_short(token)
+    if limit and len(text) >= limit:
+        return None
+    return _parse_digits(text)
 
 
 @functools.lru_cache(maxsize=_PARSED_TOKENS)
-def _parse_short(token: str) -> Fraction | None:
-    """``parse_number``'s value of a token shorter than the digit limit."""
-    text = token.replace(",", "")
+def _parse_digits(text: str) -> Fraction | None:
+    """``parse_number``'s value of a comma-free token under the digit limit."""
     # Most tokens are plain integers, which int() reads several times faster
     # than Fraction's string parser; isdigit() alone would admit "²".
     if text.isascii() and text.isdigit():
@@ -141,8 +136,8 @@ def _parse_short(token: str) -> Fraction | None:
         return None
 
 
-parse_number.cache_info = _parse_short.cache_info
-parse_number.cache_clear = _parse_short.cache_clear
+parse_number.cache_info = _parse_digits.cache_info
+parse_number.cache_clear = _parse_digits.cache_clear
 
 
 def numeric_mentions(text: str) -> set[Fraction]:
