@@ -59,14 +59,14 @@ def constraint_coverage(
 ) -> tuple[list[Fraction], float]:
     """The problem's mentions the trace never uses, sorted, and the share it uses.
 
-    A mention counts as used when it appears literally in the trace or as
-    an operand of any scanned equation, a key of the checks' ``index``. An
+    A mention counts as used when it is an operand of any scanned equation,
+    a key of the checks' ``index``, or appears literally in the trace. The
+    trace's mentions are scanned only when some mention is no operand. An
     empty constraint set is fully covered by definition.
     """
-    used = numeric_mentions(trace_text)
-    # A set updated from a dict takes the dict's stored hashes.
-    used.update(operand_index(checks) if index is None else index)
-    missing = sorted(mentions - used)
+    # A set's difference with a dict reads the set's stored hashes.
+    unmatched = mentions.difference(operand_index(checks) if index is None else index)
+    missing = sorted(unmatched - numeric_mentions(trace_text)) if unmatched else []
     count = len(mentions)
     return missing, (count - len(missing)) / count if count else 1.0
 

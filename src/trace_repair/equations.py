@@ -21,6 +21,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 OP_ADD = "add"
 OP_SUB = "sub"
@@ -91,8 +92,10 @@ _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 _PARSED_TOKENS = 4096  # distinct tokens whose values parse_number keeps
 
 
-@dataclass(frozen=True)
-class EquationCheck:
+class EquationCheck(NamedTuple):
+    """One scanned equation and whether it holds: an immutable named tuple
+    whose ``repr`` names each field, compared and hashed by field values."""
+
     lhs_text: str
     operands: tuple[Fraction, ...]
     operator: str
@@ -192,7 +195,9 @@ def check_equations(trace_text: str) -> list[EquationCheck]:
     """Scan a trace for binary arithmetic and LCM/GCD equations.
 
     Every match is verified exactly; division by zero never verifies.
-    Zero matches is a valid empty result.
+    Zero matches is a valid empty result. Each scan yields its matches in
+    text order, so the checks are sorted by position only when the lcm/gcd
+    scan ran too.
     """
     checks: list[EquationCheck] = []
     # An lcm/gcd left-hand side keeps one character past its second operand.
@@ -214,7 +219,8 @@ def check_equations(trace_text: str) -> list[EquationCheck]:
                 )
             )
 
-    checks.sort(key=lambda check: check.position)
+    if lcm_gcd:
+        checks.sort(key=lambda check: check.position)
     return checks
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .answers import ReasoningTrace
+from .answers import ReasoningTrace, normalize_answer
 from .datasets import (
     DatasetError,
     DatasetRecord,
@@ -410,15 +410,16 @@ def _write_report(
     harm_budget: float | None,
 ) -> PipelineResult:
     """Compute the report of a run's predictions and write report.json/.txt."""
+    golds = [normalize_answer(row.gold_answer) for row in predictions]
     labels = label_transitions(
         [row.initial_answer for row in predictions],
         [row.final_answer for row in predictions],
-        [row.gold_answer for row in predictions],
+        golds,
         example_ids=[row.example_id for row in predictions],
         triggered=[row.triggered for row in predictions],
         accepted=[row.accepted for row in predictions],
     )
-    gold_by_id = {row.example_id: row.gold_answer for row in predictions}
+    gold_by_id = {row.example_id: gold for row, gold in zip(predictions, golds)}
     report = compute_report(labels, records, gold_by_id, harm_budget=harm_budget)
     paths = {
         "report_json": output_dir / REPORT_JSON_FILE,

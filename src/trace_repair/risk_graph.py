@@ -9,8 +9,8 @@ most warnings are benign and the acceptance policy filters them.
 Each text is read by one regex pass that yields its tokens and its
 sentence breaks. The tokens come out as columns (text, lowered text,
 sentence index, sentence-initial flag), and each token's unit word and
-entity word are computed once, so every node reads its five-token window
-from list slots. The problem's graph has one edge per relation a check
+entity word are computed once, the entity word only for a capitalised
+token, so every node reads its five-token window from list slots. The problem's graph has one edge per relation a check
 tests, filtered and deduplicated once, and each edge carries its node:
 
 - comparison ("more/fewer/less than"): ``_check_comparisons`` takes the
@@ -23,8 +23,8 @@ tests, filtered and deduplicated once, and each edge carries its node:
 
 The trace gets no graph and no nodes, only what the checks read of it: its
 token columns and each number's ``(token index, value)``, in token order.
-``_check_comparisons`` reads whether the trace has a comparison, found from
-the numbers' positions by stopping at the first. ``_check_quantity_binding``
+``_check_comparisons`` looks for a comparison in the trace only when a
+problem delta is neither added nor subtracted there, and stops at the first. ``_check_quantity_binding``
 looks up the problem's binding once per distinct number token, builds the
 unit and entity columns at the first bound number, and reads a window only
 at a bound number whose value it has not yet flagged and that is a ``$``
@@ -298,10 +298,13 @@ def _number_value(word: str) -> Fraction | None:
 
 
 def _numbers(lowered: list[str]) -> list[tuple[int, Fraction]]:
-    """Each numeric mention's token index and value, in token order."""
+    """Each numeric mention's token index and value (``_number_value``), in token order."""
     numbers = []
     for index, word in enumerate(lowered):
-        value = _number_value(word)
+        if word[0] == "$" or word[0].isdigit():
+            value = parse_number(word.lstrip("$"))
+        else:
+            value = _NUMBER_WORD_VALUES.get(word)
         if value is not None:
             numbers.append((index, value))
     return numbers
@@ -320,13 +323,16 @@ def _entity_word(text: str, sentence_initial: bool) -> str:
 
 
 def _token_features(tokens: TokenColumns) -> tuple[list[str], list[str]]:
-    """Each token's unit word and entity word, "" where it has none."""
+    """Each token's unit word and entity word, "" where it has none; only a
+    capitalised token is read for an entity word."""
     words, lowered, _, initial = tokens
     units = [
         word if word.isalpha() and len(word) > 1 and word not in _UNIT_EXCLUSIONS else ""
         for word in lowered
     ]
-    return units, list(map(_entity_word, words, initial))
+    return units, [
+        _entity_word(w, first) if w[0].isupper() else "" for w, first in zip(words, initial)
+    ]
 
 
 def _unit_and_entity(
@@ -506,7 +512,7 @@ def _check_quantity_binding(
             continue
         if features is None:
             features = _token_features(tokens)
-            worded = [position for position, pair in enumerate(zip(*features)) if any(pair)]
+            worded = [at for at, (unit, entity) in enumerate(zip(*features)) if unit or entity]
         if word[0] != "$":
             nearest = bisect_left(worded, index - WINDOW_TOKENS)
             if nearest == len(worded) or worded[nearest] > index + WINDOW_TOKENS:
@@ -550,14 +556,20 @@ def _operand_of(index: OperandIndex, value: Fraction, operators: tuple[str, ...]
 
 
 def _check_comparisons(
-    problem: ProblemAnalysis, trace_has_comparison: bool, index: OperandIndex
+    problem: ProblemAnalysis,
+    lowered: list[str],
+    numbers: list[tuple[int, Fraction]],
+    index: OperandIndex,
 ) -> list[RiskSignal]:
+    """A comparison delta the trace neither adds, subtracts nor states, and an
+    "N times more" it never multiplies. The trace's tokens are searched for a
+    comparison only when some delta is unapplied, and only up to the first."""
     signals: list[RiskSignal] = []
     deltas = [edge.node for edge in problem.graph.edges if edge.kind == EDGE_COMPARISON]
     unapplied = [
         delta for delta in deltas if not _operand_of(index, delta.value, (OP_ADD, OP_SUB))
     ]
-    if unapplied and not trace_has_comparison:
+    if unapplied and next(_comparison_deltas(lowered, [at for at, _ in numbers]), None) is None:
         signals.append(
             RiskSignal(
                 category=RISK_COMPARISON,
@@ -724,8 +736,6 @@ def semantic_graph_check(
 
     tokens = _tokenize(trace.text)
     numbers = _numbers(tokens[1])
-    deltas = _comparison_deltas(tokens[1], [index for index, _ in numbers])
-    trace_has_comparison = next(deltas, None) is not None
     if trace_checks is None:
         trace_checks = check_equations(trace.text)
     if index is None:
@@ -733,7 +743,7 @@ def semantic_graph_check(
 
     risks: list[RiskSignal] = []
     risks.extend(_check_quantity_binding(problem, tokens, numbers))
-    risks.extend(_check_comparisons(problem, trace_has_comparison, index))
+    risks.extend(_check_comparisons(problem, tokens[1], numbers, index))
     risks.extend(_check_rate_usage(problem, trace_checks, index))
     risks.extend(_check_change_events(problem.graph, index))
     risks.extend(_check_answer_format(problem.requested, trace, trace_checks))

@@ -1,4 +1,4 @@
-"""The diagnosis layer's output, pinned by two digests over seeded samples.
+"""The diagnosis layer's output, pinned by four digests over seeded samples.
 
 ``diagnose`` and ``render_hint`` run on 2,000 random problem/trace pairs
 drawn from a vocabulary of numbers, number words, rate, comparison, change,
@@ -6,8 +6,9 @@ split and total words, "N times more" phrases, arithmetic lines and naming
 lines. The sample holds every risk category, both quantity-binding
 severities and every meta category, so a change to any check's result
 changes the digest. A second digest pins 40 traces of 50 to 400 lines,
-the shape on which the trace side of the risk graph costs most. A refactor
-of the diagnosis layer must keep both.
+the shape on which the trace side of the risk graph costs most; a third and
+a fourth pin the shapes on which its fast paths and skipped scans turn. A
+refactor of the diagnosis layer must keep all four.
 """
 
 import hashlib
@@ -28,10 +29,13 @@ from trace_repair.diagnostics import (
 from trace_repair.equations import OP_GCD, OP_LCM
 from trace_repair.orchestrator import render_hint
 from trace_repair.risk_graph import (
+    EDGE_COMPARISON,
     RISK_CATEGORIES,
+    RISK_COMPARISON,
     RISK_QUANTITY_BINDING,
     SEVERITY_HIGH,
     SEVERITY_WARNING,
+    risk_categories,
 )
 
 SEED = 20261018
@@ -340,3 +344,114 @@ def test_window_edge_sample_matches_the_recorded_digest():
     assert {OP_LCM, OP_GCD} <= operators
     assert CATEGORY_LOGICAL_CONTRADICTION in {report.meta.category for report in reports}
     assert digest(reports) == EDGE_DIGEST
+
+
+# Skipped-work paths: the shapes on which the trace side may skip a scan.
+# Each problem writes its numbers as digits, as "1,000" or "$5" and as
+# number words. It may state "more than" comparisons, one with an
+# unparseable "1/0" in its window, and it puts capitalised words at
+# sentence starts, after ".", "!" and "?", and as "Tom's". Each trace uses
+# some problem numbers as operands, mentions others in their problem form
+# or another and leaves the rest out. It states a comparison or not, and it
+# may open with lcm/gcd lines before its ordinary equations.
+PATH_SEED = 20261022
+PATH_PAIRS = 600
+PATH_DIGEST = "45e3245d5b89e94adb43ac470b9387db00bd7af74fd158bf06e2560f931e2806"
+PATH_VALUES = (3, 4, 5, 7, 12, 25, 40, 1000, 2500, 12000)
+NUMBER_WORD_FORMS = ("three", "twelve", "dozen", "five", "forty")
+
+
+def _written(rng, value):
+    """``value`` as plain digits, with thousands commas, or as money."""
+    return rng.choice((str(value), f"{value:,}", f"${value:,}", f"${value}"))
+
+
+def _path_problem(rng):
+    pick = rng.choice
+    values = rng.sample(PATH_VALUES, rng.randint(1, 4))
+    sentences = []
+    for value in values:
+        number, name, unit = _written(rng, value), pick(NAMES), pick(UNITS)
+        sentences.append(
+            pick((
+                f"{name} has {number} {unit}.",
+                f"Wow! {name}'s {unit} cost {number}.",
+                f"Did {name} buy {number} {unit}? {pick(NAMES)} did.",
+                f"{name} has {number} {pick(COMPARE)} than {pick(NAMES)}.",
+                f"{name} has 1/0 {pick(COMPARE)} than the {number} {unit}!",
+            ))
+        )
+    if rng.random() < 0.5:
+        sentences.append(f"{pick(NAMES)} sees {pick(NUMBER_WORD_FORMS)} {pick(UNITS)}.")
+    sentences.append(pick(("How many are there in total?", "How many are left?", "")))
+    return " ".join(sentences), values
+
+
+def _path_trace(rng, values):
+    pick = rng.choice
+    lines = []
+    if rng.random() < 0.4:
+        a, b = rng.randint(2, 30), rng.randint(2, 30)
+        lines.append(pick(("LCM({a}, {b}) = {lcm}", "gcd ({a}, {b}) = {gcd}")).format(
+            a=a, b=b, lcm=math.lcm(a, b), gcd=math.gcd(a, b)
+        ))
+    total = 0
+    for value in values:
+        use = rng.random()
+        if use < 0.5:
+            left = total or pick(PATH_VALUES)
+            lines.append(f"{_written(rng, left)} + {_written(rng, value)} = {left + value}")
+            total = left + value
+        elif use < 0.8:
+            lines.append(
+                pick((
+                    f"{pick(NAMES)} has {_written(rng, value)} {pick(UNITS)}.",
+                    f"So {pick(NAMES)}'s {pick(UNITS)}! It is {_written(rng, value)} now?",
+                ))
+            )
+    if rng.random() < 0.5:
+        lines.append(
+            pick((
+                f"That is {pick(values)} {pick(COMPARE)} than {pick(NAMES)}.",
+                f"That is 1/0 {pick(COMPARE)} than it.",
+                f"{pick(NUMBER_WORD_FORMS)} {pick(COMPARE)} than before.",
+            ))
+        )
+    lines.append(f"Final Answer: {total or pick(values)}")
+    return "\n".join(lines)
+
+
+def path_sample(seed=PATH_SEED, count=PATH_PAIRS):
+    """Yield ``(problem, trace, report)`` for ``count`` seeded skipped-work pairs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        problem, values = _path_problem(rng)
+        trace = _path_trace(rng, values)
+        yield problem, trace, diagnose(problem, trace)
+
+
+def test_skipped_work_sample_matches_the_recorded_digest():
+    pairs = list(path_sample())
+    reports = [report for _, _, report in pairs]
+    operands = [
+        {value for check in report.checks for value in check.operands} for report in reports
+    ]
+    # Some diagnoses have every problem number as an operand and some do
+    # not; of those, some leave a number out and some mention them all.
+    assert any(report.problem.mentions <= used for report, used in zip(reports, operands))
+    assert any(report.missing_quantities for report in reports)
+    assert any(
+        not report.missing_quantities and not report.problem.mentions <= used
+        for report, used in zip(reports, operands)
+    )
+    compared = [
+        report
+        for report in reports
+        if any(edge.kind == EDGE_COMPARISON for edge in report.problem.graph.edges)
+    ]
+    flagged = [RISK_COMPARISON in risk_categories(report.graph) for report in compared]
+    assert any(flagged) and not all(flagged)
+    assert {OP_LCM, OP_GCD} <= {check.operator for report in reports for check in report.checks}
+    risks = {risk.category for report in reports for risk in report.graph.risks}
+    assert RISK_QUANTITY_BINDING in risks
+    assert digest(reports) == PATH_DIGEST

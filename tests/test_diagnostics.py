@@ -20,7 +20,13 @@ from trace_repair.diagnostics import (
     diagnose,
     meta_diagnose,
 )
-from trace_repair.equations import check_equations, naming_statements, numeric_mentions, parse_number
+from trace_repair.equations import (
+    check_equations,
+    naming_statements,
+    numeric_mentions,
+    operand_index,
+    parse_number,
+)
 from trace_repair.risk_graph import analyse_problem, extract_quantities, semantic_graph_check
 
 # Python 3.10 has no digit limit; its runs still test long numbers.
@@ -163,11 +169,18 @@ class TestAnalysedOnce:
         diagnose(diag0.problem, "3 * 4 = 12\n12 - 2 = 10\nFinal Answer: 10")
         assert questions == []
 
-    def test_one_mention_scan_per_candidate_diagnosis(self, count_calls):
+    def test_no_mention_scan_when_every_problem_number_is_an_operand(self, count_calls):
         diag0 = diagnose(self.PROBLEM, "3 + 4 = 7\nFinal Answer: 7")
         scans = count_calls("equations", "numeric_mentions")
         candidate = "3 * 4 = 12\n12 - 2 = 10\nFinal Answer: 10"
         diagnose(diag0.problem, candidate)
+        assert scans == []
+
+    def test_one_mention_scan_of_a_candidate_that_leaves_a_number_unused(self, count_calls):
+        diag0 = diagnose(self.PROBLEM, "3 + 4 = 7\nFinal Answer: 7")
+        scans = count_calls("equations", "numeric_mentions")
+        candidate = "3 * 4 = 12\nHe gives away 2.\nFinal Answer: 10"
+        assert diagnose(diag0.problem, candidate).missing_quantities == ()
         assert [args[0] for args in scans] == [candidate]
 
     def test_coverage_is_the_used_share(self):
@@ -312,3 +325,26 @@ class TestParsedTokens:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial * 4
+
+
+_COVERAGE_WORDS = (
+    "3", "4", "5", "12", "1000", "1,000", "$5", "$1,000", "0.5", "1/2", "-3", "1/0", "twelve",
+    "3 + 4 = 7", "1,000 - 5 = 995", "$5 * 2 = 10", "12 / 4 = 3", "lcm(4, 6) = 12", "Tom", ".",
+)
+_coverage_texts = st.lists(
+    st.sampled_from(_COVERAGE_WORDS) | st.text(alphabet="0123456789$,./+-= ", max_size=8),
+    max_size=12,
+).map(" ".join)
+
+
+class TestCoverageOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_coverage_texts, _coverage_texts)
+    def test_coverage_matches_scanning_every_trace(self, problem, trace):
+        mentions = analyse_problem(problem).mentions
+        checks = check_equations(trace)
+        index = operand_index(checks)
+        missing = sorted(mentions - (numeric_mentions(trace) | set(index)))
+        share = (len(mentions) - len(missing)) / len(mentions) if mentions else 1.0
+        assert constraint_coverage(mentions, trace, checks, index) == (missing, share)
+        assert constraint_coverage(mentions, trace, checks) == (missing, share)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -14,6 +15,7 @@ from trace_repair.equations import (
     OP_LCM,
     OP_MUL,
     OP_SUB,
+    EquationCheck,
     _IS_NAMING_GATE,
     _IS_NAMING_RE,
     _LCM_GCD_GATE,
@@ -289,3 +291,38 @@ class TestKeywordGates:
         assert pattern.search(matching) and gate.search(matching)
         loose = data.draw(_LOOSE_TEXT)
         assert pattern.search(loose) is None or gate.search(loose)
+
+
+# EquationCheck as a frozen dataclass with the same name and fields: the
+# oracle for its repr, equality and hash, which artifacts and digests read.
+FrozenCheck = dataclasses.make_dataclass(
+    "EquationCheck", list(EquationCheck.__annotations__.items()), frozen=True
+)
+_fractions = st.fractions(max_denominator=50)
+_check_fields = st.tuples(
+    st.text(max_size=12),
+    st.tuples(_fractions, _fractions),
+    st.sampled_from((OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_LCM, OP_GCD)),
+    _fractions,
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+
+
+class TestEquationCheckAsFrozenDataclass:
+    @settings(max_examples=200, deadline=None)
+    @given(_check_fields, _check_fields)
+    def test_repr_equality_and_hash_match(self, fields, other):
+        check, frozen = EquationCheck(*fields), FrozenCheck(*fields)
+        assert repr(check) == repr(frozen)
+        assert hash(check) == hash(frozen)
+        assert check == EquationCheck(*fields)
+        assert (check == EquationCheck(*other)) == (frozen == FrozenCheck(*other))
+        assert [getattr(check, name) for name in check._fields] == list(fields)
+
+    def test_fields_cannot_be_set(self):
+        check = check_equations("3 + 4 = 7")[0]
+        with pytest.raises(AttributeError):
+            check.verified = False
+        operands = (Fraction(3), Fraction(4))
+        assert check == EquationCheck("3 + 4", operands, OP_ADD, Fraction(7), True, 0)

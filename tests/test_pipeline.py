@@ -730,6 +730,30 @@ class TestReportMode:
         recomputed = recompute_report(run.paths["predictions"], tmp_path / "report")
         assert recomputed.report.to_json_dict() == run.report.to_json_dict()
 
+    def test_each_gold_answer_is_normalized_once(self, synthetic, tmp_path, count_calls):
+        directory, dataset_path, cache_path = synthetic
+        run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        predictions = [
+            pipeline.Prediction.from_json_dict(*line)
+            for line in pipeline.read_jsonl(run.paths["predictions"])
+        ]
+        records = [
+            pipeline.CandidateRecord.from_json_dict(*line)
+            for line in pipeline.read_jsonl(run.paths["candidates"])
+        ]
+        parsed = sum(1 for record in records if record.parsed is not None)
+        assert parsed
+        (tmp_path / "report").mkdir()
+        normalized = count_calls("answers", "normalize_answer")
+        pipeline._write_report(tmp_path / "report", predictions, records, None)
+        # The initial, final and gold answer of each prediction, and the
+        # final answer of each parsed candidate.
+        assert len(normalized) == 3 * len(predictions) + parsed
+        recompute_report(run.paths["predictions"], tmp_path / "recomputed")
+        for directory in ("report", "recomputed"):
+            report = (tmp_path / directory / pipeline.REPORT_JSON_FILE).read_bytes()
+            assert report == run.paths["report_json"].read_bytes()
+
     @pytest.mark.parametrize("key", ["predictions", "candidates"])
     @pytest.mark.parametrize(
         "bad, error",

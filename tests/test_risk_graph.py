@@ -1,11 +1,14 @@
+import bisect
 import dataclasses
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trace_repair import risk_graph
 from trace_repair.equations import parse_number
 from trace_repair.risk_graph import (
     CHANGE_VERBS,
@@ -35,6 +38,11 @@ from trace_repair.risk_graph import (
     GraphReport,
     RiskSignal,
     _binding_tokens,
+    _check_quantity_binding,
+    _entity_word,
+    _numbers,
+    _token_features,
+    _tokenize,
     analyse_problem,
     build_relation_graph,
     extract_quantities,
@@ -532,3 +540,79 @@ class TestGraphGuard:
         candidate = semantic_graph_check("5 and 6", "")
         assert candidate.score == 0.0
         assert not graph_guard(initial, candidate, 0.60, 0.05)
+
+
+def _features_of_every_token(tokens):
+    """``_token_features`` as a reading of every token: the oracle."""
+    words, lowered, _, initial = tokens
+    units = [
+        word if word.isalpha() and len(word) > 1 and word not in _UNIT_EXCLUSIONS else ""
+        for word in lowered
+    ]
+    return units, list(map(_entity_word, words, initial))
+
+
+_FEATURE_WORDS = (
+    "Tom", "Tom's", "tom", "Ann", "The", "I", "A", "x", "apples", "Apples", "each", "per",
+    "3", "4", "12", "$5", "1,000", "1/0", "twelve", "Twelve", ".", "!", "?", "\n",
+    "Élan", "Ünal", "ÜBER", "ǅemal", "Σ", "é",
+)
+_feature_texts = st.lists(
+    st.sampled_from(_FEATURE_WORDS) | st.text(min_size=1, max_size=5), max_size=40
+).map(" ".join)
+
+
+def _columns(rows):
+    words = [word for word, _ in rows]
+    return words, [word.lower() for word in words], [0] * len(rows), [first for _, first in rows]
+
+
+# Columns outside the tokeniser's alphabet: non-ASCII capitals and marks.
+_feature_columns = st.lists(
+    st.tuples(st.text(min_size=1, max_size=5), st.booleans()), max_size=30
+).map(_columns)
+_BINDING_PROBLEM = analyse_problem(
+    "Tom has 3 apples, 4 bags and $5. Ann has 1,000 pens and twelve kids for 12 days."
+)
+
+
+def _worded_positions(problem, text):
+    """Every ``worded`` list ``_check_quantity_binding`` searches for ``text``."""
+    tokens = _tokenize(text)
+    searched = []
+
+    def spy(positions, *args):
+        searched.append(list(positions))
+        return bisect.bisect_left(positions, *args)
+
+    with mock.patch.object(risk_graph, "bisect_left", spy):
+        _check_quantity_binding(problem, tokens, _numbers(tokens[1]))
+    return tokens, searched
+
+
+class TestTokenFeaturesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_feature_texts)
+    def test_features_of_a_text_match_reading_every_token(self, text):
+        tokens = _tokenize(text)
+        assert _token_features(tokens) == _features_of_every_token(tokens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_feature_columns)
+    def test_features_of_any_columns_match_reading_every_token(self, tokens):
+        assert _token_features(tokens) == _features_of_every_token(tokens)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_feature_texts)
+    def test_worded_positions_match_the_any_comprehension(self, text):
+        tokens, searched = _worded_positions(_BINDING_PROBLEM, text)
+        expected = [
+            position
+            for position, pair in enumerate(zip(*_features_of_every_token(tokens)))
+            if any(pair)
+        ]
+        assert all(worded == expected for worded in searched)
+
+    def test_worded_positions_are_searched(self):
+        _, searched = _worded_positions(_BINDING_PROBLEM, "So Tom has 3 now. Then 4 Apples!")
+        assert searched and searched[0] == [1, 7]

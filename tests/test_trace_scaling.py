@@ -7,6 +7,9 @@ word. The guard counts work, not time, so a slow host cannot fail it and a
 fast one cannot hide a regression:
 
 - no binding window is read on the trace side, since no window could bind;
+- the trace's numeric mentions are not scanned, since every problem number
+  is an operand, nor its comparisons, since the problem states none; only
+  its capitalised tokens are read for an entity word;
 - ``Fraction.__hash__`` calls grow at most linearly with the trace;
 - a text without "lcm", "gcd" or "common" gets no case-insensitive scan;
 - the longest trace's distinct numbers fit ``parse_number``'s cache.
@@ -55,6 +58,23 @@ def test_no_binding_window_is_read_on_the_trace_side(chains, count_calls):
         windows = count_calls("risk_graph", "_unit_and_entity")
         diagnose(analysis, trace)
         assert windows == [], len(windows)
+
+
+# "Final" and "Answer" are each trace's only capitalised tokens.
+@pytest.mark.parametrize(
+    ("module", "function", "most"),
+    [
+        ("equations", "numeric_mentions", 0),
+        ("risk_graph", "_comparison_deltas", 0),
+        ("risk_graph", "_entity_word", 2),
+    ],
+)
+def test_the_trace_side_skips_work_no_check_reads(chains, count_calls, module, function, most):
+    for _, problem, trace in chains:
+        analysis = analyse_problem(problem)
+        calls = count_calls(module, function)
+        assert diagnose(analysis, trace).meta.category == "clean"
+        assert len(calls) <= most, len(calls)
 
 
 def test_value_hashes_grow_at_most_linearly(chains, monkeypatch):
