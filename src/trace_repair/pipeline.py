@@ -12,12 +12,13 @@ Every run writes the same artifact set into its output directory:
 Guarded repair and the direct-regeneration baselines share one
 per-example path; a mode only picks which examples are repaired and the
 repair_example arguments. Final artifacts are serialized once, in
-example-id order, each through a temp file, so interrupted runs can resume
-from progress.jsonl and still produce byte-identical output. A resume drops
-the torn last line a kill mid-append leaves and runs that example again.
-Rows are typed (``ExampleResult``, ``Prediction``, ``CandidateRecord``): a bad
-line, a missing field, or a nested value that is not the object or list it
-should be stops the run naming ``path:line`` and the dotted field.
+example-id order, each through a temp file. A resume reruns every example,
+served first by the outputs and errors progress.jsonl recorded, so its
+output is byte-identical to an uninterrupted run's. It drops the torn last
+line a kill mid-append leaves and runs that example again. Rows are typed
+(``Prediction``, ``CandidateRecord``): a bad line, a missing field, or a
+nested value that is not the object or list it should be stops the run
+naming ``path:line`` and the dotted field.
 
 A remote provider keeps up to its ``concurrency`` examples in flight at
 once: each pool thread takes the next pending example as soon as its last
@@ -53,7 +54,7 @@ from .datasets import (
 from .diagnostics import diagnose
 from .orchestrator import CandidateRecord, repair_example
 from .policy import PolicyConfig, trigger
-from .providers import RemoteProvider, ReplayProvider
+from .providers import RemoteProvider, ReplayEntry, ReplayProvider
 from .reporting import RunReport, compute_report, label_transitions, render_report
 from .risk_graph import risk_categories
 
@@ -140,24 +141,21 @@ class Prediction:
         return dict(vars(self))
 
     @classmethod
-    def from_json_dict(cls, where: str, row, name: str = "") -> "Prediction":
-        values = json_fields(where, row, json_types(cls), name)
+    def from_json_dict(cls, where: str, row) -> "Prediction":
+        values = json_fields(where, row, json_types(cls))
         pair = cls._contradiction(**row)
         if pair:
-            first, second = (f"{name}.{field}" if name else field for field in pair)
-            raise DatasetError(f"{where}: {first!r} does not match {second!r}")
+            raise DatasetError(f"{where}: {pair[0]!r} does not match {pair[1]!r}")
         return cls(*values)
 
 
 # The fields of a progress.jsonl row, with the JSON value types they admit.
-_PROGRESS_FIELDS = {
-    "example_id": (str,), "prediction": (dict,), "candidates": (list,), "risk": (dict,)
-}
+_PROGRESS_FIELDS = {"example_id": (str,), "candidates": (list,)}
 
 
 @dataclass(frozen=True)
 class ExampleResult:
-    """One example's outcome, as its progress.jsonl row holds it; ``risk`` is its risk_log row."""
+    """One example's outcome; ``risk`` is its risk_log row, ``records`` its progress.jsonl row."""
 
     prediction: Prediction
     records: tuple[CandidateRecord, ...]
@@ -166,31 +164,8 @@ class ExampleResult:
     def to_json_dict(self) -> dict:
         return {
             "example_id": self.prediction.example_id,
-            "prediction": self.prediction.to_json_dict(),
             "candidates": [record.to_json_dict() for record in self.records],
-            "risk": self.risk,
         }
-
-    @classmethod
-    def from_json_dict(cls, where: str, row) -> "ExampleResult":
-        example_id, prediction, candidates, risk = json_fields(where, row, _PROGRESS_FIELDS)
-        prediction = Prediction.from_json_dict(where, prediction, "prediction")
-        if example_id != prediction.example_id:
-            raise DatasetError(f"{where}: example_id {example_id!r} is not prediction.example_id")
-        records = tuple(
-            CandidateRecord.from_json_dict(where, item, f"candidates[{index}]")
-            for index, item in enumerate(candidates)
-        )
-        json_fields(where, risk, _RISK_FIELDS, "risk")
-        # The risk row is written to risk_log.jsonl as it is, so its copies
-        # must match byte for byte.
-        for name in ("example_id", "triggered", "accepted_attempt"):
-            if json.dumps(risk[name]) != json.dumps(getattr(prediction, name)):
-                raise DatasetError(f"{where}: 'risk.{name}' does not match 'prediction.{name}'")
-        patterns = [_risk_pattern(record) for record in records]
-        if json.dumps(risk["candidates"]) != json.dumps(patterns):
-            raise DatasetError(f"{where}: 'risk.candidates' does not match 'candidates'")
-        return cls(prediction, records, risk)
 
 
 @dataclass
@@ -255,13 +230,6 @@ def _load_triggered_ids(path: Path | None, dataset_ids: set[str]) -> set[str] | 
             f"e.g. {min(unknown)!r}"
         )
     return ids
-
-
-# The fields of a risk_log.jsonl row, as _risk_log_entry writes them.
-_RISK_FIELDS = (
-    "example_id", "initial_risks", "initial_score", "initial_diagnosis", "meta_category",
-    "triggered", "accepted_attempt", "candidates",
-)
 
 
 def _risk_log_entry(
@@ -349,8 +317,8 @@ def _process_example(
     return ExampleResult(prediction, records, risk)
 
 
-def _read_progress(path: Path) -> list[ExampleResult]:
-    """The checkpoint's rows, once a torn last line is cut off the file.
+def _read_progress(path: Path) -> tuple[set[str], dict[tuple[str, int], ReplayEntry]]:
+    """The checkpoint's example ids and its replay entries, once a torn last line is cut off.
 
     Every row is appended whole, newline included, so a last line without
     its newline is what a kill mid-append leaves. It is truncated away, so
@@ -363,7 +331,16 @@ def _read_progress(path: Path) -> list[ExampleResult]:
         if whole < len(data):
             log.warning("%s: dropping a torn last line of %d bytes", path, len(data) - whole)
             handle.truncate(whole)
-    return [ExampleResult.from_json_dict(where, row) for where, row in read_jsonl(path)]
+    done, entries = set(), {}
+    for where, row in read_jsonl(path):
+        example_id, candidates = json_fields(where, row, _PROGRESS_FIELDS)
+        done.add(example_id)
+        for index, item in enumerate(candidates):
+            record = CandidateRecord.from_json_dict(where, item, f"candidates[{index}]")
+            entries[record.example_id, record.attempt_index] = ReplayEntry(
+                record.raw_output, record.retry_output, record.prompt_hash, record.error
+            )
+    return done, entries
 
 
 def risk_log_summary(records: list[CandidateRecord]) -> dict:
@@ -479,32 +456,34 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
     progress_path = manifest.output_dir / PROGRESS_FILE
 
-    completed: dict[str, ExampleResult] = {}
+    done: set[str] = set()
     if manifest.resume and progress_path.exists():
-        completed = {item.prediction.example_id: item for item in _read_progress(progress_path)}
-        unknown = completed.keys() - dataset_ids
+        done, entries = _read_progress(progress_path)
+        unknown = done - dataset_ids
         if unknown:
             raise ValueError(
                 f"{progress_path} holds {len(unknown)} example ids that are not in "
                 f"{manifest.dataset_path}, e.g. {min(unknown)!r}; resume only "
                 f"with the dataset the run started on"
             )
-        log.info("resuming: %d examples already complete", len(completed))
+        log.info("resuming: %d examples already complete", len(done))
+        # Every example runs again; the checkpoint serves what it recorded.
+        provider = ReplayProvider(entries, fallback=provider)
     elif progress_path.exists():
         progress_path.unlink()
 
     process = partial(
         _process_example, manifest=manifest, provider=provider, triggered_ids=triggered_ids
     )
-    pending = [record for record in dataset if record.example_id not in completed]
-    results = list(completed.values())
+    results = []
     outage_streak = 0
     with (
         closing(provider),
         open(progress_path, "a", encoding="utf-8") as progress,
-        closing(_in_order(process, pending, provider.concurrency)) as outcomes,
+        closing(_in_order(process, dataset, provider.concurrency)) as outcomes,
     ):
         for result in outcomes:
+            results.append(result)
             transport_dead = bool(result.records) and all(
                 record.error is not None and record.error.startswith("transport")
                 for record in result.records
@@ -513,7 +492,6 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
                 # Keep the example out of the durable checkpoint so a resume
                 # regenerates it once the provider is back.
                 outage_streak += 1
-                results.append(result)
                 if outage_streak >= OUTAGE_EXAMPLE_LIMIT:
                     raise ProviderOutageError(
                         f"{outage_streak} consecutive examples lost every "
@@ -522,9 +500,9 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
                     )
                 continue
             outage_streak = 0
-            results.append(result)
-            progress.write(jsonl_line(result.to_json_dict()))
-            progress.flush()
+            if result.prediction.example_id not in done:
+                progress.write(jsonl_line(result.to_json_dict()))
+                progress.flush()
     return _finalize_run(manifest, results)
 
 
@@ -563,6 +541,22 @@ def filter_dataset(
     return paths, counts
 
 
+def _check_same_run(
+    predictions_path: Path, predictions: list[Prediction], candidates_path: Path, records
+) -> None:
+    """Refuse, naming both files, a candidate of an example with no
+    prediction or an accepted attempt with no candidate."""
+    attempts = {(record.example_id, record.attempt_index) for record in records}
+    stray = {example_id for example_id, _ in attempts} - {row.example_id for row in predictions}
+    faults = [f"example {example_id!r} has no prediction" for example_id in sorted(stray)] + [
+        f"example {row.example_id!r} has no candidate at its accepted attempt"
+        for row in predictions
+        if row.accepted and (row.example_id, row.accepted_attempt) not in attempts
+    ]
+    if faults:
+        raise DatasetError(f"{candidates_path} is not the run of {predictions_path}: {faults[0]}")
+
+
 def recompute_report(
     predictions_path: Path, output_dir: Path, harm_budget: float | None = None
 ) -> PipelineResult:
@@ -577,6 +571,7 @@ def recompute_report(
     records = None
     if candidates_path.exists():
         records = [CandidateRecord.from_json_dict(*line) for line in read_jsonl(candidates_path)]
+        _check_same_run(predictions_path, predictions, candidates_path, records)
     output_dir.mkdir(parents=True, exist_ok=True)
     return _write_report(output_dir, predictions, records, harm_budget)
 

@@ -1,10 +1,10 @@
 """Candidate providers: deterministic replay and a generic remote client.
 
-The replay provider serves recorded outputs keyed by (example id, attempt
-index), the id read as text. It refuses a cache row that is incomplete,
-mistyped or a duplicate, naming ``path:line``, and fails loudly on a cache
-miss or on a row recorded under another prompt, which keeps experiment
-replays honest. The remote provider talks to any
+The replay provider serves recorded outputs and errors keyed by (example
+id, attempt index), the id read as text. It refuses a cache row that is
+incomplete, mistyped or a duplicate, naming ``path:line``, and fails loudly
+on a row recorded under another prompt and on a miss, which a resume's
+checkpoint layer sends to its fallback provider instead. The remote provider talks to any
 chat-completions style endpoint over the standard library's ``http.client``,
 with temperature 0 and the configured token budgets; connection reuse,
 retries and backoff live here, outside the policy logic. A reply without
@@ -47,25 +47,42 @@ class ReplayCacheMiss(RuntimeError):
     """A replay lookup had no recorded output. Always fatal."""
 
 
+# The error prefix ``orchestrator._generate`` records for each provider error.
+_RECORDED_ERRORS = {"transport": ProviderTransportError, "parse_failure": ProviderResponseError}
+
+
 @dataclass(frozen=True)
 class ReplayEntry:
     raw_output: str
     retry_output: str | None = None
     prompt_hash: str | None = None
+    # The attempt's recorded error; a provider error is raised again at the call it names.
+    error: str | None = None
+
+    def raise_error(self, is_retry: bool) -> None:
+        """Raise the provider error recorded for this call, its prefix stripped,
+        so the attempt records the same string again."""
+        kind, named, message = (self.error or "").partition(" on retry: " if is_retry else ": ")
+        if named and kind in _RECORDED_ERRORS:
+            raise _RECORDED_ERRORS[kind](message)
 
 
 class ReplayProvider:
     """Serves recorded candidate outputs for deterministic reruns.
 
     A lookup is an in-process dict read, so a run serves its examples one
-    at a time: threads would only contend for the interpreter.
+    at a time: threads would only contend for the interpreter. A miss goes
+    to the ``fallback`` provider, if any, whose concurrency and identity the run takes.
     """
 
     identity = "replay"
     concurrency = 1
 
-    def __init__(self, entries: Mapping[tuple[str, int], ReplayEntry]):
+    def __init__(self, entries: Mapping[tuple[str, int], ReplayEntry], fallback=None):
         self._entries = dict(entries)
+        self._fallback = fallback
+        if fallback is not None:
+            self.identity, self.concurrency = fallback.identity, fallback.concurrency
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ReplayProvider":
@@ -74,8 +91,8 @@ class ReplayProvider:
         A line that is not a JSON object, a row without ``example_id``,
         ``attempt_index`` or a string ``raw_output``, an ``attempt_index``
         that is neither an integer nor a string ``int()`` reads, a
-        ``retry_output`` or ``prompt_hash`` that is neither a string nor
-        null, or a second row for the same attempt aborts with a
+        ``retry_output``, ``prompt_hash`` or ``error`` that is neither a
+        string nor null, or a second row for the same attempt aborts with a
         ``DatasetError`` that names the line. Ids are read as text, so ``7``
         and ``"7"`` name the same example, as in the dataset.
         """
@@ -91,7 +108,8 @@ class ReplayProvider:
                     pass
             if type(index) is not int:
                 raise DatasetError(f"{where}: attempt_index {index!r} is not an integer")
-            entry = ReplayEntry(row["raw_output"], row.get("retry_output"), row.get("prompt_hash"))
+            optional = (row.get(name) for name in ("retry_output", "prompt_hash", "error"))
+            entry = ReplayEntry(row["raw_output"], *optional)
             for name, value in vars(entry).items():
                 if not (isinstance(value, str) or value is None and name != "raw_output"):
                     raise DatasetError(f"{where}: {name} {value!r} is not a string")
@@ -104,6 +122,8 @@ class ReplayProvider:
     def generate(self, prompt: PromptSpec, max_tokens: int, temperature: float) -> str:
         key = (prompt.example_id, prompt.attempt_index)
         entry = self._entries.get(key)
+        if entry is None and self._fallback is not None:
+            return self._fallback.generate(prompt, max_tokens, temperature)
         if entry is None:
             raise ReplayCacheMiss(
                 f"no cached output for example {prompt.example_id!r} "
@@ -116,6 +136,7 @@ class ReplayProvider:
                 f"cached output for example {prompt.example_id!r} attempt "
                 f"{prompt.attempt_index} was recorded under another prompt"
             )
+        entry.raise_error(prompt.is_retry)
         if prompt.is_retry:
             if entry.retry_output is None:
                 raise ReplayCacheMiss(
@@ -126,7 +147,9 @@ class ReplayProvider:
         return entry.raw_output
 
     def close(self) -> None:
-        """Nothing to release."""
+        """Close the fallback provider, if any."""
+        if self._fallback is not None:
+            self._fallback.close()
 
 
 class RemoteProvider:

@@ -257,7 +257,8 @@ def compute_report(
         candidate_flow=flow,
         outcome_counts=outcome_counts,
         harm_budget=harm_budget,
-        harm_budget_exceeded=(harm_rate > harm_budget) if harm_budget is not None else None,
+        # The budget is a share, as broken / total is; harm_rate is a percentage.
+        harm_budget_exceeded=(broken / total > harm_budget) if harm_budget is not None else None,
     )
 
 
@@ -349,5 +350,6 @@ def render_report(report: RunReport) -> str:
         )
     if report.harm_budget is not None:
         status = "EXCEEDED" if report.harm_budget_exceeded else "within budget"
-        lines.append(f"harm budget         {fmt2(report.harm_budget):>10} ({status})")
+        # In percent, as the harm rate above it.
+        lines.append(f"harm budget         {fmt2(100.0 * report.harm_budget):>10} ({status})")
     return "\n".join(lines) + "\n"

@@ -76,6 +76,9 @@ def clear_proxies(monkeypatch) -> None:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; without TCP_NODELAY the second
+    # waits for the client's delayed ACK of the first.
+    disable_nagle_algorithm = True
 
     def setup(self):
         super().setup()

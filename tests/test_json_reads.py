@@ -5,9 +5,10 @@ blank lines and names ``path:line`` for a bad row. The other three parse
 one document each: a model's candidate, a provider's reply body and the
 ``--config`` file.
 
-``pipeline.py`` reads a prediction, candidate or risk row by a string key
-only inside a ``from_json_dict``, which names ``path:line`` and the dotted
-field when one is missing; elsewhere it reads attributes. Its only other
+``pipeline.py`` reads a prediction or candidate row by a string key only
+inside a ``from_json_dict``, which names ``path:line`` and the dotted field
+when one is missing, and a progress row only through ``json_fields``;
+elsewhere it reads attributes. It reads no risk row. Its only other
 string-key reads are of its own ``paths`` dicts.
 """
 

@@ -5,6 +5,7 @@ latency and content-keyed faults, through ``RemoteProvider`` and its
 connections, at one, four and eight examples in flight.
 """
 
+import json
 import subprocess
 import sys
 import threading
@@ -114,6 +115,48 @@ def test_outage_aborts_at_the_same_example_and_resumes(synthetic, endpoint, tmp_
     resumed, _ = _run(synthetic, tmp_path / "k4", 4, resume=True)
     fresh, _ = _run(synthetic, tmp_path / "fresh", 4)
     assert _bytes(resumed, tmp_path / "k4") == _bytes(fresh, tmp_path / "fresh")
+
+
+def test_resume_after_a_cut_at_every_line_asks_only_for_what_it_lacks(
+    synthetic, endpoint, tmp_path
+):
+    """A resume serves each checkpointed example's outputs and recorded errors
+    itself, so it matches the uninterrupted run even once the faults are gone."""
+    endpoint.latency_s = 0.0
+    fresh, _ = _run(synthetic, tmp_path / "fresh", 4)
+    expected = _bytes(fresh, tmp_path / "fresh")
+    lines = expected["progress"].splitlines(keepends=True)
+    assert len(lines) == 50
+    (failing,) = endpoint.failing
+    failed_line = next(i for i, line in enumerate(lines) if f'"{failing[0]}"'.encode() in line)
+    endpoint.transient = set()
+    for cut in range(len(lines) + 1):
+        # The recorded transport error replays from the checkpoint; an example
+        # not yet checkpointed meets the same fault again.
+        endpoint.failing = set() if cut > failed_line else {failing}
+        endpoint.requests.clear()
+        output_dir = tmp_path / f"cut{cut}"
+        output_dir.mkdir()
+        (output_dir / PROGRESS_FILE).write_bytes(b"".join(lines[:cut]))
+        resumed, _ = _run(synthetic, output_dir, 4, resume=True)
+        assert _bytes(resumed, output_dir) == expected, cut
+        checkpointed = {json.loads(row)["example_id"] for row in lines[:cut]}
+        assert not checkpointed & {key[0] for key in endpoint.requests}, cut
+
+
+def test_a_recorded_transport_error_replays_from_the_cache(synthetic, endpoint, tmp_path):
+    serial, _ = _run(synthetic, tmp_path / "k1", 1)
+    candidates = serial.paths["candidates"]
+    assert '"error": "transport: 503 Server Error' in candidates.read_text()
+    replayed = run_pipeline(
+        RunManifest(
+            mode=MODE_REPLAY,
+            dataset_path=Path(synthetic[0]),
+            output_dir=tmp_path / "replay",
+            cache_path=candidates,
+        )
+    )
+    assert _bytes(replayed, tmp_path / "replay") == _bytes(serial, tmp_path / "k1")
 
 
 def test_malformed_body_is_one_parse_failure_not_an_outage(synthetic, endpoint, tmp_path):

@@ -155,6 +155,56 @@ class TestReplayProvider:
         with pytest.raises(ReplayCacheMiss, match="another prompt"):
             provider.generate(other, 512, 0.0)
 
+    @pytest.mark.parametrize(
+        "error, first, retry",
+        [
+            ("transport: 503 Server Error", ProviderTransportError, None),
+            ("parse_failure: malformed response body", ProviderResponseError, None),
+            ("transport on retry: timed out", None, ProviderTransportError),
+            ("parse_failure on retry: malformed response body", None, ProviderResponseError),
+            ("parse_failure", None, None),
+        ],
+    )
+    def test_a_recorded_error_is_raised_again_at_its_call(self, error, first, retry):
+        import dataclasses
+
+        from trace_repair.orchestrator import _generate
+
+        provider = ReplayProvider({("ex1", 0): ReplayEntry("bad", "worse", error=error)})
+        retry_spec = dataclasses.replace(SPEC, retry_of="bad")
+        for spec, expected, output in ((SPEC, first, "bad"), (retry_spec, retry, "worse")):
+            if expected is None:
+                assert provider.generate(spec, 512, 0.0) == output
+            else:
+                with pytest.raises(expected):
+                    provider.generate(spec, 512, 0.0)
+                # The attempt records the same string again.
+                assert _generate(provider, spec, 512, 0.0) == (None, error)
+
+    def test_a_fallback_serves_the_misses(self):
+        closed = []
+
+        class Fallback:
+            identity, concurrency = "remote:fake", 4
+
+            def generate(self, prompt, max_tokens, temperature):
+                return f"asked for attempt {prompt.attempt_index}"
+
+            def close(self):
+                closed.append(True)
+
+        import dataclasses
+
+        layer = ReplayProvider({("ex1", 0): ReplayEntry("recorded")}, fallback=Fallback())
+        assert (layer.identity, layer.concurrency) == ("remote:fake", 4)
+        assert layer.generate(SPEC, 512, 0.0) == "recorded"
+        assert layer.generate(dataclasses.replace(SPEC, attempt_index=1), 512, 0.0) == (
+            "asked for attempt 1"
+        )
+        layer.close()
+        assert closed == [True]
+        assert (ReplayProvider.identity, ReplayProvider.concurrency) == ("replay", 1)
+
 
 COMPLETION = '{"steps": [], "final_answer": "4"}'
 URL = "http://llm.local/v1"

@@ -149,6 +149,17 @@ class TestComputeReport:
         report = compute_report(labels, harm_budget=0.5)
         assert report.harm_budget_exceeded is True
 
+    @pytest.mark.parametrize("broken, status", [(1, "within budget"), (2, "within budget"), (3, "EXCEEDED")])
+    def test_harm_budget_is_a_share_of_the_examples(self, broken, status):
+        # 0.5%, 1% and 1.5% of 200 examples broken, against a budget of 0.01.
+        final = ["5"] * broken + ["7"] * (200 - broken)
+        accepted = [True] * broken + [False] * (200 - broken)
+        labels = label_transitions(["7"] * 200, final, ["7"] * 200, accepted=accepted)
+        report = compute_report(labels, harm_budget=0.01)
+        assert report.harm_budget_exceeded is (status == "EXCEEDED")
+        # Printed in percent, as the harm rate is.
+        assert f"harm budget         {'1.00':>10} ({status})" in render_report(report)
+
     def test_no_flow_without_records(self):
         labels = label_transitions(["7"], ["7"], ["7"])
         report = compute_report(labels)
