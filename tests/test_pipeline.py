@@ -114,6 +114,72 @@ _PROGRESS_ROW_FAULTS = [
         if name.startswith("{candidate}")
     ),
 ]
+_RISK_FIELDS = (
+    "example_id", "initial_risks", "initial_score", "initial_diagnosis", "meta_category",
+    "triggered", "accepted_attempt", "candidates",
+)
+
+
+def _copy_edit(dotted, value=_DELETE, case=None):
+    """A test case: a dotted field of an older checkpoint row's prediction or
+    risk copy, and the value that replaces it, ``_DELETE`` to drop it."""
+    if case is None:
+        case = dotted if value is _DELETE else f"{dotted}={type(value).__name__}"
+    return pytest.param(dotted, value, id=case)
+
+
+# Each case edits the copies in the older-layout row of GROUP_SAFE_FIX[0]: a
+# missing or mistyped field, or one that contradicts another field or the
+# row's candidates. No field of the copies is read on a resume.
+_OLDER_ROW_COPY_EDITS = [
+    _copy_edit("prediction"),
+    _copy_edit("risk"),
+    *(_copy_edit(f"prediction.{name}") for name in _PREDICTION_FIELDS),
+    *(_copy_edit(f"risk.{name}") for name in _RISK_FIELDS),
+    _copy_edit("prediction", []),
+    _copy_edit("risk", "ex020"),
+    *(
+        _copy_edit(name.format(prediction="prediction."), value)
+        for name, value, expected in _SCALAR_FAULTS
+        if name.startswith("{prediction}")
+    ),
+    _copy_edit("risk.candidates", [], "risk.candidates-emptied"),
+    _copy_edit("risk.candidates[0].accepted", 1, "risk.candidates-accepted=int"),
+    _copy_edit("risk.candidates[0].rejection_reasons", ["no_op"], "risk.candidates-reasons"),
+    *(
+        _copy_edit(name, value, f"{name}={json.dumps(value)}")
+        for name, value in (
+            ("prediction.triggered", False),
+            ("prediction.trigger_reasons", []),
+            ("prediction.accepted", False),
+            ("prediction.accepted_attempt", None),
+            ("risk.example_id", "zzz"),
+            ("risk.triggered", False),
+            ("risk.accepted_attempt", 2),
+            ("risk.accepted_attempt", False),
+        )
+    ),
+]
+# Fields of a checkpoint's candidate rows that a resume derives again from the
+# recorded outputs, and the edit made to every candidate that holds the field.
+_DERIVED_CANDIDATE_EDITS = [
+    pytest.param("parsed", lambda value: None, id="parsed=null"),
+    pytest.param("parsed.steps", lambda value: [], id="parsed.steps=[]"),
+    pytest.param("parsed.final_answer", lambda value: value + "0", id="parsed.final_answer"),
+    pytest.param("verdict", lambda value: None, id="verdict=null"),
+    pytest.param("verdict.accepted", lambda value: not value, id="verdict.accepted"),
+    pytest.param("verdict.path", lambda value: "edited", id="verdict.path"),
+    pytest.param(
+        "verdict.rejection_reasons",
+        lambda value: [] if value else ["no_op"],
+        id="verdict.rejection_reasons",
+    ),
+    pytest.param("retried", lambda value: not value, id="retried"),
+    pytest.param("clean", lambda value: not value, id="clean"),
+    pytest.param("clean_reason", lambda value: "edited", id="clean_reason"),
+    pytest.param("graph_clean", lambda value: value is not True, id="graph_clean"),
+    pytest.param("answer_changed", lambda value: value is not True, id="answer_changed"),
+]
 # Each case edits line 3 of predictions.jsonl or candidates.jsonl; that
 # candidate holds a parsed output and a verdict.
 _REPORT_ROW_FAULTS = [
@@ -395,6 +461,98 @@ class TestReplayRun:
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{PROGRESS_FILE}:{number}: {error}")):
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
+
+    @pytest.mark.parametrize("field, value", _OLDER_ROW_COPY_EDITS)
+    def test_resume_reads_no_field_of_an_older_row_copy(
+        self, synthetic, tmp_path, field, value
+    ):
+        directory, dataset_path, cache_path = synthetic
+        fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
+        rows = _rows_with_copies(tmp_path / "fresh")
+        number = next(i for i, line in enumerate(rows) if GROUP_SAFE_FIX[0] in line)
+        row = json.loads(rows[number])
+        _edit_field(row, field, value)
+        rows[number] = json.dumps(row) + "\n"
+        crash_dir = tmp_path / "crash"
+        crash_dir.mkdir()
+        (crash_dir / PROGRESS_FILE).write_text("".join(rows), encoding="utf-8")
+        resumed = run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
+        assert _digests(resumed) == _digests(fresh)
+
+    @pytest.mark.parametrize("field, edit", _DERIVED_CANDIDATE_EDITS)
+    def test_resume_derives_each_candidate_field_again(self, synthetic, tmp_path, field, edit):
+        """A checkpoint's parsed outputs, verdicts and flags are not trusted:
+        every candidate goes through the guards again."""
+        directory, dataset_path, cache_path = synthetic
+        fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
+        *parents, last = field.split(".")
+        edited = []
+        for line in open(tmp_path / "fresh" / PROGRESS_FILE, encoding="utf-8"):
+            row = json.loads(line)
+            for candidate in row["candidates"]:
+                for key in parents:
+                    candidate = candidate[key]
+                if candidate is not None:
+                    candidate[last] = edit(candidate[last])
+            edited.append(json.dumps(row) + "\n")
+        assert edited != open(tmp_path / "fresh" / PROGRESS_FILE, encoding="utf-8").readlines()
+        crash_dir = tmp_path / "crash"
+        crash_dir.mkdir()
+        (crash_dir / PROGRESS_FILE).write_text("".join(edited), encoding="utf-8")
+        resumed = run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
+        assert resumed.report.accepted == fresh.report.accepted == EXPECTED_ACCEPTED
+        assert _digests(resumed) == _digests(fresh)
+
+    def test_resume_puts_a_recorded_output_through_the_guards(self, synthetic, tmp_path):
+        """Recorded outputs are served to the guards again, whatever verdict the
+        row records for them: a wrong sum marked accepted is rejected, and a
+        right one marked rejected is accepted."""
+        directory, dataset_path, cache_path = synthetic
+        run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = tmp_path / "run" / PROGRESS_FILE
+        rows = [json.loads(line) for line in open(path, encoding="utf-8")]
+        row = next(row for row in rows if row["example_id"] == GROUP_NOOP[0])
+        first, second = row["candidates"][:2]
+        # GROUP_NOOP[0] asks for 21 + 9; its recorded outputs keep the wrong 32.
+        first["raw_output"] = json.dumps({"steps": ["21 + 9 = 35"], "final_answer": "35"})
+        first["verdict"] = first["verdict"] | {"accepted": True, "rejection_reasons": []}
+        second["raw_output"] = json.dumps({"steps": ["21 + 9 = 30"], "final_answer": "30"})
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        resumed = run_pipeline(
+            _replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True)
+        )
+        predictions = {
+            row["example_id"]: row for row in map(json.loads, open(resumed.paths["predictions"]))
+        }
+        assert predictions[GROUP_NOOP[0]]["accepted_attempt"] == 1
+        assert predictions[GROUP_NOOP[0]]["final_answer"] == "30"
+        assert resumed.report.accepted == EXPECTED_ACCEPTED + 1
+
+    def test_resume_refuses_a_candidate_recorded_under_another_prompt(self, synthetic, tmp_path):
+        directory, dataset_path, cache_path = synthetic
+        run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = tmp_path / "run" / PROGRESS_FILE
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        number = next(i for i, line in enumerate(lines) if GROUP_SAFE_FIX[0] in line)
+        row = json.loads(lines[number])
+        row["candidates"][0]["prompt_hash"] = "0" * 64
+        lines[number] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ReplayCacheMiss, match="recorded under another prompt"):
+            run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
+
+    def test_resume_sends_an_attempt_the_checkpoint_lacks_to_the_provider(
+        self, synthetic, tmp_path
+    ):
+        directory, dataset_path, cache_path = synthetic
+        fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
+        lines = (tmp_path / "fresh" / PROGRESS_FILE).read_text(encoding="utf-8").splitlines()
+        emptied = [json.dumps({**json.loads(line), "candidates": []}) + "\n" for line in lines]
+        crash_dir = tmp_path / "crash"
+        crash_dir.mkdir()
+        (crash_dir / PROGRESS_FILE).write_text("".join(emptied), encoding="utf-8")
+        resumed = run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
+        assert _digests(resumed) == _digests(fresh)
 
     def test_a_contradictory_prediction_is_refused_by_name(self):
         fields = dict(
