@@ -1,7 +1,6 @@
 """Every name a source module imports is read somewhere in that module,
 and every module-level private name is read somewhere in the package.
 
-``__init__.py`` re-exports names, so it is left out of the import check;
 ``from __future__`` imports bind nothing to read.
 """
 
@@ -11,7 +10,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trace_repair"
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
