@@ -2,7 +2,9 @@
 
 Verbs: run (alias replay), baseline, filter, sample, report. Configuration
 precedence: built-in defaults < --config JSON file < environment
-variables < explicit flags.
+variables < explicit flags. ``run`` and ``baseline`` build their config
+flags from ``policy.SOURCES``; only ``--config`` and the inverted
+``--[no-]equation-support`` are written here.
 """
 
 from __future__ import annotations
@@ -22,48 +24,30 @@ from .pipeline import (
     recompute_report,
     run_pipeline,
 )
-from .policy import PolicyConfig, config_from_env, config_from_mapping
+from .policy import SOURCES, PolicyConfig, config_from_env, config_from_mapping
 from .providers import RemoteProvider
 from .reporting import render_report
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """``--config`` and each ``SOURCES`` flag, typed by its field's default."""
     parser.add_argument("--config", type=Path, help="JSON file of config overrides")
-    parser.add_argument("--n-candidates", type=int, dest="n_candidates")
-    parser.add_argument("--graph-min-score", type=float, dest="graph_min_score")
-    parser.add_argument("--graph-drop-tolerance", type=float, dest="graph_drop_tolerance")
-    parser.add_argument("--meta-trigger-threshold", type=float, dest="meta_trigger_threshold")
-    parser.add_argument(
-        "--missing-constraint-trigger-threshold",
-        type=float,
-        dest="missing_constraint_trigger_threshold",
-    )
-    parser.add_argument("--min-repair-chars", type=int, dest="min_repair_chars")
-    parser.add_argument(
-        "--graph-guard",
-        action=argparse.BooleanOptionalAction,
-        dest="enable_graph_guard",
-        default=None,
-    )
-    parser.add_argument(
-        "--equation-support",
-        action=argparse.BooleanOptionalAction,
-        dest="equation_support",
-        default=None,
-        help="require equation support (disable for the ablation)",
-    )
-    parser.add_argument(
-        "--relax-missing-constraint",
-        action=argparse.BooleanOptionalAction,
-        dest="relax_missing_constraint",
-        default=None,
-    )
-    parser.add_argument(
-        "--weak-reasoner-mode",
-        action=argparse.BooleanOptionalAction,
-        dest="weak_reasoner_mode",
-        default=None,
-    )
+    defaults = PolicyConfig()
+    for name, (_, flag) in SOURCES.items():
+        kind = type(getattr(defaults, name))
+        if name == "disable_equation_support":
+            # The one inverted flag: --no-equation-support sets the field to true.
+            parser.add_argument(
+                "--equation-support",
+                action=argparse.BooleanOptionalAction,
+                dest="equation_support",
+                default=None,
+                help="require equation support (disable for the ablation)",
+            )
+        elif flag is not None and kind is bool:
+            parser.add_argument(flag, action=argparse.BooleanOptionalAction, dest=name, default=None)
+        elif flag is not None:
+            parser.add_argument(flag, type=kind, dest=name)
 
 
 def _build_config(args: argparse.Namespace) -> PolicyConfig:
@@ -160,6 +144,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "concurrency", None) is not None and args.provider != "remote":
         parser.error("--concurrency applies only to --provider remote")
+    if getattr(args, "cache", None) is not None and args.provider != "replay":
+        parser.error("--cache applies only to --provider replay")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

@@ -252,6 +252,11 @@ class CandidateRecord:
     verdict: AcceptanceVerdict | None = None
     error: str | None = None
 
+    @property
+    def transport_failed(self) -> bool:
+        """The attempt lost its call or its format retry to a transport failure."""
+        return self.error is not None and self.error.startswith("transport")
+
     def to_json_dict(self) -> dict:
         parsed, verdict = self.parsed, self.verdict
         return {
@@ -290,6 +295,10 @@ class RepairOutcome:
         return self.accepted_index is not None
 
 
+# The prefix ``_generate`` records for each provider error.
+_RECORDED_ERRORS = {"transport": ProviderTransportError, "parse_failure": ProviderResponseError}
+
+
 def _generate(
     provider: CandidateProvider, spec: PromptSpec, max_tokens: int, temperature: float
 ) -> tuple[str | None, str | None]:
@@ -301,6 +310,15 @@ def _generate(
         return None, f"transport{suffix}: {exc}"
     except ProviderResponseError as exc:
         return None, f"parse_failure{suffix}: {exc}"
+
+
+def raise_recorded_error(error: str | None, is_retry: bool) -> None:
+    """Raise the provider error that ``_generate`` recorded as ``error`` for
+    this call, its prefix stripped, so the attempt records the same string
+    again; a record of another call, or of no provider error, raises nothing."""
+    kind, named, message = (error or "").partition(" on retry: " if is_retry else ": ")
+    if named and kind in _RECORDED_ERRORS:
+        raise _RECORDED_ERRORS[kind](message)
 
 
 def _attempt(

@@ -191,6 +191,8 @@ class RunManifest:
             )
         if self.provider == "replay" and self.cache_path is None:
             raise ValueError("replay provider requires a candidate cache path")
+        if self.cache_path is not None and self.provider != "replay":
+            raise ValueError("a candidate cache applies only to the replay provider")
         if self.concurrency is not None and self.provider != "remote":
             raise ValueError("concurrency applies only to the remote provider")
         _check_harm_budget(self.harm_budget)
@@ -484,11 +486,7 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
     ):
         for result in outcomes:
             results.append(result)
-            transport_dead = bool(result.records) and all(
-                record.error is not None and record.error.startswith("transport")
-                for record in result.records
-            )
-            if transport_dead:
+            if result.records and all(record.transport_failed for record in result.records):
                 # Keep the example out of the durable checkpoint so a resume
                 # regenerates it once the provider is back.
                 outage_streak += 1

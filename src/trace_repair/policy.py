@@ -4,6 +4,9 @@ Pure decision functions over immutable diagnostics. The default action is
 always to preserve the cached trace; an answer-changing candidate replaces
 it only when one of the acceptance paths matches and every enabled guard
 passes. No learned verifier or model judge anywhere.
+
+``SOURCES`` names the environment variable and CLI flag of each
+``PolicyConfig`` field; ``ENV_KEYS`` and the CLI's config flags come from it.
 """
 
 from __future__ import annotations
@@ -139,22 +142,30 @@ class PolicyConfig:
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
-# Environment variable names for every tunable.
-ENV_KEYS: dict[str, str] = {
-    "LLM_REPAIR_NUM_CANDIDATES": "n_candidates",
-    "ENABLE_GRAPH_GUARD": "enable_graph_guard",
-    "DISABLE_EQUATION_SUPPORT_GUARD": "disable_equation_support",
-    "RELAX_MISSING_CONSTRAINT_ACCEPT": "relax_missing_constraint",
-    "WEAK_REASONER_MODE": "weak_reasoner_mode",
-    "GRAPH_ACCEPT_MIN_SCORE": "graph_min_score",
-    "GRAPH_SCORE_DROP_TOLERANCE": "graph_drop_tolerance",
-    "MEDIUM_TRIGGER_META_SCORE": "meta_trigger_threshold",
-    "MISSING_CONSTRAINT_TRIGGER_SCORE": "missing_constraint_trigger_threshold",
-    "MIN_REPAIR_LENGTH": "min_repair_chars",
-    "REPAIR_MAX_TOKENS": "repair_max_tokens",
-    "FORMAT_RETRY_MAX_TOKENS": "retry_max_tokens",
-    "REPAIR_TEMPERATURE": "temperature",
+# Each field's environment variable and CLI flag (None: no flag), in the
+# README's row order; a field missing here is set only through --config. The
+# CLI adds disable_equation_support's inverted --[no-]equation-support itself.
+SOURCES: dict[str, tuple[str, str | None]] = {
+    "n_candidates": ("LLM_REPAIR_NUM_CANDIDATES", "--n-candidates"),
+    "graph_min_score": ("GRAPH_ACCEPT_MIN_SCORE", "--graph-min-score"),
+    "graph_drop_tolerance": ("GRAPH_SCORE_DROP_TOLERANCE", "--graph-drop-tolerance"),
+    "meta_trigger_threshold": ("MEDIUM_TRIGGER_META_SCORE", "--meta-trigger-threshold"),
+    "missing_constraint_trigger_threshold": (
+        "MISSING_CONSTRAINT_TRIGGER_SCORE",
+        "--missing-constraint-trigger-threshold",
+    ),
+    "min_repair_chars": ("MIN_REPAIR_LENGTH", "--min-repair-chars"),
+    "enable_graph_guard": ("ENABLE_GRAPH_GUARD", "--graph-guard"),
+    "disable_equation_support": ("DISABLE_EQUATION_SUPPORT_GUARD", None),
+    "relax_missing_constraint": ("RELAX_MISSING_CONSTRAINT_ACCEPT", "--relax-missing-constraint"),
+    "weak_reasoner_mode": ("WEAK_REASONER_MODE", "--weak-reasoner-mode"),
+    "repair_max_tokens": ("REPAIR_MAX_TOKENS", None),
+    "retry_max_tokens": ("FORMAT_RETRY_MAX_TOKENS", None),
+    "temperature": ("REPAIR_TEMPERATURE", None),
 }
+
+# Environment variable names for every tunable, each to its field.
+ENV_KEYS: dict[str, str] = {env: name for name, (env, _) in SOURCES.items()}
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}

@@ -34,6 +34,7 @@ from .orchestrator import (
     PromptSpec,
     ProviderResponseError,
     ProviderTransportError,
+    raise_recorded_error,
 )
 
 log = logging.getLogger(__name__)
@@ -47,10 +48,6 @@ class ReplayCacheMiss(RuntimeError):
     """A replay lookup had no recorded output. Always fatal."""
 
 
-# The error prefix ``orchestrator._generate`` records for each provider error.
-_RECORDED_ERRORS = {"transport": ProviderTransportError, "parse_failure": ProviderResponseError}
-
-
 @dataclass(frozen=True)
 class ReplayEntry:
     raw_output: str
@@ -58,13 +55,6 @@ class ReplayEntry:
     prompt_hash: str | None = None
     # The attempt's recorded error; a provider error is raised again at the call it names.
     error: str | None = None
-
-    def raise_error(self, is_retry: bool) -> None:
-        """Raise the provider error recorded for this call, its prefix stripped,
-        so the attempt records the same string again."""
-        kind, named, message = (self.error or "").partition(" on retry: " if is_retry else ": ")
-        if named and kind in _RECORDED_ERRORS:
-            raise _RECORDED_ERRORS[kind](message)
 
 
 class ReplayProvider:
@@ -136,7 +126,7 @@ class ReplayProvider:
                 f"cached output for example {prompt.example_id!r} attempt "
                 f"{prompt.attempt_index} was recorded under another prompt"
             )
-        entry.raise_error(prompt.is_retry)
+        raise_recorded_error(entry.error, prompt.is_retry)
         if prompt.is_retry:
             if entry.retry_output is None:
                 raise ReplayCacheMiss(

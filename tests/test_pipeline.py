@@ -1029,6 +1029,29 @@ class TestHarmBudget:
         assert json.loads((tmp_path / "run" / "report.json").read_text())["harm_budget"] == budget
 
 
+class TestCacheNeedsReplay:
+    """Only the replay provider reads a candidate cache, so the remote provider refuses one."""
+
+    def test_the_manifest_refuses_it(self, synthetic, tmp_path):
+        directory, dataset_path, cache_path = synthetic
+        manifest = _replay_manifest(
+            tmp_path / "run", dataset_path, cache_path, mode=MODE_GUARDED, provider="remote"
+        )
+        with pytest.raises(ValueError, match="candidate cache applies only to the replay provider"):
+            manifest.validate()
+
+    def test_the_cli_refuses_it(self, synthetic, tmp_path, monkeypatch, capsys):
+        from trace_repair import cli
+
+        directory, dataset_path, cache_path = synthetic
+        monkeypatch.setattr(cli, "run_pipeline", lambda manifest: pytest.fail("run started"))
+        argv = ["run", "--provider", "remote", "--cache", str(cache_path)]
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, "--dataset", str(dataset_path), "--output-dir", str(tmp_path / "run")])
+        assert raised.value.code == 2
+        assert "--cache applies only to --provider replay" in capsys.readouterr().err
+
+
 class TestFilterMode:
     def test_filter_and_sample(self, tmp_path):
         records = [
