@@ -267,18 +267,15 @@ class CandidateRecord:
         }
 
     @classmethod
-    def from_json_dict(cls, where: str, row, name: str = "") -> "CandidateRecord":
-        record = cls(*json_fields(where, row, json_types(cls), name))
-        prefix = f"{name}." if name else ""
+    def from_json_dict(cls, where: str, row) -> "CandidateRecord":
+        record = cls(*json_fields(where, row, json_types(cls)))
         parsed, verdict = record.parsed, record.verdict
         if parsed is not None:
-            steps, answer = json_fields(
-                where, parsed, json_types(ParsedCandidate), prefix + "parsed"
-            )
+            steps, answer = json_fields(where, parsed, json_types(ParsedCandidate), "parsed")
             parsed = ParsedCandidate(tuple(steps), answer)
         if verdict is not None:
             accepted, path, reasons = json_fields(
-                where, verdict, json_types(AcceptanceVerdict), prefix + "verdict"
+                where, verdict, json_types(AcceptanceVerdict), "verdict"
             )
             verdict = AcceptanceVerdict(accepted, path, tuple(reasons))
         return replace(record, parsed=parsed, verdict=verdict)

@@ -7,17 +7,17 @@ Every run writes the same artifact set into its output directory:
     risk_log.jsonl      initial risk categories + candidate acceptance pattern
     report.json         the structured run report
     report.txt          the same report as a plain table
-    progress.jsonl      per-example checkpoint, appended as examples finish
+    progress.jsonl      the checkpoint: candidates.jsonl rows, appended as examples finish
 
 Guarded repair and the direct-regeneration baselines share one
 per-example path; a mode only picks which examples are repaired and the
 repair_example arguments. Final artifacts are serialized once, in
-example-id order, each through a temp file. A resume reruns every example,
-served first by the outputs and errors progress.jsonl recorded, so its
-output is byte-identical to an uninterrupted run's. It drops the torn last
-line a kill mid-append leaves and runs that example again. Rows are typed
+example-id order, each through a temp file. The checkpoint is a replay
+cache: a resume reruns every example through it, in front of the run's
+provider, so its output is byte-identical to an uninterrupted run's, and
+appends only the attempts the checkpoint lacks. Report rows are typed
 (``Prediction``, ``CandidateRecord``): a bad line, a missing field, or a
-nested value that is not the object or list it should be stops the run
+nested value that is not the object or list it should be stops the report
 naming ``path:line`` and the dotted field.
 
 A remote provider keeps up to its ``concurrency`` examples in flight at
@@ -54,7 +54,7 @@ from .datasets import (
 from .diagnostics import diagnose
 from .orchestrator import CandidateRecord, repair_example
 from .policy import PolicyConfig, trigger
-from .providers import RemoteProvider, ReplayEntry, ReplayProvider
+from .providers import RemoteProvider, ReplayProvider
 from .reporting import RunReport, compute_report, label_transitions, render_report
 from .risk_graph import risk_categories
 
@@ -149,23 +149,14 @@ class Prediction:
         return cls(*values)
 
 
-# The fields of a progress.jsonl row, with the JSON value types they admit.
-_PROGRESS_FIELDS = {"example_id": (str,), "candidates": (list,)}
-
-
 @dataclass(frozen=True)
 class ExampleResult:
-    """One example's outcome; ``risk`` is its risk_log row, ``records`` its progress.jsonl row."""
+    """One example's outcome: ``risk`` is its risk_log.jsonl row, and
+    ``records`` its candidates.jsonl rows, which progress.jsonl also holds."""
 
     prediction: Prediction
     records: tuple[CandidateRecord, ...]
     risk: dict
-
-    def to_json_dict(self) -> dict:
-        return {
-            "example_id": self.prediction.example_id,
-            "candidates": [record.to_json_dict() for record in self.records],
-        }
 
 
 @dataclass
@@ -319,13 +310,12 @@ def _process_example(
     return ExampleResult(prediction, records, risk)
 
 
-def _read_progress(path: Path) -> tuple[set[str], dict[tuple[str, int], ReplayEntry]]:
-    """The checkpoint's example ids and its replay entries, once a torn last line is cut off.
+def _read_checkpoint(path: Path, provider) -> ReplayProvider:
+    """The checkpoint as a replay cache in front of ``provider``.
 
-    Every row is appended whole, newline included, so a last line without
-    its newline is what a kill mid-append leaves. It is truncated away, so
-    its example runs again and the next append starts a line of its own. A
-    bad line anywhere else, or a bad field, raises a ``DatasetError`` naming it.
+    A last line without its newline is what a kill mid-append leaves: it is
+    cut off, so its attempt runs again and the next append starts a line of
+    its own. A bad line anywhere else raises a ``DatasetError`` naming it.
     """
     with open(path, "r+b") as handle:
         data = handle.read()
@@ -333,16 +323,7 @@ def _read_progress(path: Path) -> tuple[set[str], dict[tuple[str, int], ReplayEn
         if whole < len(data):
             log.warning("%s: dropping a torn last line of %d bytes", path, len(data) - whole)
             handle.truncate(whole)
-    done, entries = set(), {}
-    for where, row in read_jsonl(path):
-        example_id, candidates = json_fields(where, row, _PROGRESS_FIELDS)
-        done.add(example_id)
-        for index, item in enumerate(candidates):
-            record = CandidateRecord.from_json_dict(where, item, f"candidates[{index}]")
-            entries[record.example_id, record.attempt_index] = ReplayEntry(
-                record.raw_output, record.retry_output, record.prompt_hash, record.error
-            )
-    return done, entries
+    return ReplayProvider.from_jsonl(path, fallback=provider)
 
 
 def risk_log_summary(records: list[CandidateRecord]) -> dict:
@@ -458,21 +439,19 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
     manifest.output_dir.mkdir(parents=True, exist_ok=True)
     progress_path = manifest.output_dir / PROGRESS_FILE
 
-    done: set[str] = set()
+    checkpointed = {}
     if manifest.resume and progress_path.exists():
-        done, entries = _read_progress(progress_path)
-        unknown = done - dataset_ids
+        # Every example runs again; the checkpoint serves what it recorded.
+        provider = _read_checkpoint(progress_path, provider)
+        checkpointed = provider.entries
+        unknown = {example_id for example_id, _ in checkpointed} - dataset_ids
         if unknown:
             raise ValueError(
                 f"{progress_path} holds {len(unknown)} example ids that are not in "
                 f"{manifest.dataset_path}, e.g. {min(unknown)!r}; resume only "
                 f"with the dataset the run started on"
             )
-        log.info("resuming: %d examples already complete", len(done))
-        # Every example runs again; the checkpoint serves what it recorded.
-        provider = ReplayProvider(entries, fallback=provider)
-    elif progress_path.exists():
-        progress_path.unlink()
+        log.info("resuming: %d attempts already recorded", len(checkpointed))
 
     process = partial(
         _process_example, manifest=manifest, provider=provider, triggered_ids=triggered_ids
@@ -481,7 +460,7 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
     outage_streak = 0
     with (
         closing(provider),
-        open(progress_path, "a", encoding="utf-8") as progress,
+        open(progress_path, "a" if manifest.resume else "w", encoding="utf-8") as progress,
         closing(_in_order(process, dataset, provider.concurrency)) as outcomes,
     ):
         for result in outcomes:
@@ -498,9 +477,13 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
                     )
                 continue
             outage_streak = 0
-            if result.prediction.example_id not in done:
-                progress.write(jsonl_line(result.to_json_dict()))
-                progress.flush()
+            lacking = [
+                jsonl_line(record.to_json_dict())
+                for record in result.records
+                if (record.example_id, record.attempt_index) not in checkpointed
+            ]
+            progress.write("".join(lacking))
+            progress.flush()
     return _finalize_run(manifest, results)
 
 
@@ -539,6 +522,19 @@ def filter_dataset(
     return paths, counts
 
 
+def _read_rows(path: Path, row_type, name) -> list:
+    """``row_type.from_json_dict`` of each line of ``path``; a row that ``name``
+    names as an earlier one did raises a ``DatasetError`` naming its line."""
+    rows = {}
+    for where, row in read_jsonl(path):
+        item = row_type.from_json_dict(where, row)
+        key = name(item)
+        if key in rows:
+            raise DatasetError(f"{where}: duplicate row for {key}")
+        rows[key] = item
+    return list(rows.values())
+
+
 def _check_same_run(
     predictions_path: Path, predictions: list[Prediction], candidates_path: Path, records
 ) -> None:
@@ -561,14 +557,19 @@ def recompute_report(
     """Recompute report.json/.txt from a run's saved predictions, without a provider.
 
     The candidate-flow block needs the run's candidates.jsonl, read from
-    beside the predictions file when it is there.
+    beside the predictions file when it is there. A second prediction of an
+    example, or a second candidate of an attempt, is refused.
     """
     _check_harm_budget(harm_budget)
-    predictions = [Prediction.from_json_dict(*line) for line in read_jsonl(predictions_path)]
+    predictions = _read_rows(predictions_path, Prediction, lambda row: f"example {row.example_id!r}")
     candidates_path = predictions_path.parent / CANDIDATES_FILE
     records = None
     if candidates_path.exists():
-        records = [CandidateRecord.from_json_dict(*line) for line in read_jsonl(candidates_path)]
+        records = _read_rows(
+            candidates_path,
+            CandidateRecord,
+            lambda record: f"example {record.example_id!r} attempt {record.attempt_index}",
+        )
         _check_same_run(predictions_path, predictions, candidates_path, records)
     output_dir.mkdir(parents=True, exist_ok=True)
     return _write_report(output_dir, predictions, records, harm_budget)

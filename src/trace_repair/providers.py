@@ -3,8 +3,8 @@
 The replay provider serves recorded outputs and errors keyed by (example
 id, attempt index), the id read as text. It refuses a cache row that is
 incomplete, mistyped or a duplicate, naming ``path:line``, and fails loudly
-on a row recorded under another prompt and on a miss, which a resume's
-checkpoint layer sends to its fallback provider instead. The remote provider talks to any
+on a row recorded under another prompt and on a miss, which a cache with a
+fallback provider, such as a resume's checkpoint, sends there instead. The remote provider talks to any
 chat-completions style endpoint over the standard library's ``http.client``,
 with temperature 0 and the configured token budgets; connection reuse,
 retries and backoff live here, outside the policy logic. A reply without
@@ -69,14 +69,14 @@ class ReplayProvider:
     concurrency = 1
 
     def __init__(self, entries: Mapping[tuple[str, int], ReplayEntry], fallback=None):
-        self._entries = dict(entries)
+        self.entries = dict(entries)
         self._fallback = fallback
         if fallback is not None:
             self.identity, self.concurrency = fallback.identity, fallback.concurrency
 
     @classmethod
-    def from_jsonl(cls, path: str | Path) -> "ReplayProvider":
-        """Load a candidate cache file (one JSON record per line).
+    def from_jsonl(cls, path: str | Path, fallback=None) -> "ReplayProvider":
+        """Load a candidate cache file (one JSON record per line), in front of ``fallback``.
 
         A line that is not a JSON object, a row without ``example_id``,
         ``attempt_index`` or a string ``raw_output``, an ``attempt_index``
@@ -107,11 +107,11 @@ class ReplayProvider:
             if key in entries:
                 raise DatasetError(f"{where}: duplicate row for example {key[0]!r} attempt {index}")
             entries[key] = entry
-        return cls(entries)
+        return cls(entries, fallback)
 
     def generate(self, prompt: PromptSpec, max_tokens: int, temperature: float) -> str:
         key = (prompt.example_id, prompt.attempt_index)
-        entry = self._entries.get(key)
+        entry = self.entries.get(key)
         if entry is None and self._fallback is not None:
             return self._fallback.generate(prompt, max_tokens, temperature)
         if entry is None:

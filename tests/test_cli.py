@@ -81,6 +81,8 @@ def test_concurrency_reaches_the_manifest(monkeypatch):
     [
         ["--provider", "remote", "--concurrency", "0"],
         ["--provider", "remote", "--concurrency", "-2"],
+        ["--provider", "remote", "--concurrency", "abc"],
+        ["--provider", "remote", "--concurrency", "1.5"],
         ["--cache", "c.jsonl", "--concurrency", "2"],
         ["--provider", "replay", "--cache", "c.jsonl", "--concurrency", "1"],
     ],
@@ -92,7 +94,10 @@ def test_bad_concurrency_is_a_parser_error(monkeypatch, capsys, flags):
     with pytest.raises(SystemExit) as raised:
         cli.main([*RUN, *flags])
     assert raised.value.code == 2
-    assert "--concurrency" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--concurrency" in err
+    # The message names the value, not the function that read it.
+    assert "_positive_int" not in err
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,10 @@ one document each: a model's candidate, a provider's reply body and the
 
 ``pipeline.py`` reads a prediction or candidate row by a string key only
 inside a ``from_json_dict``, which names ``path:line`` and the dotted field
-when one is missing, and a progress row only through ``json_fields``;
-elsewhere it reads attributes. It reads no risk row. Its only other
-string-key reads are of its own ``paths`` dicts.
+when one is missing; elsewhere it reads attributes. It reads no risk row
+and no progress row: the checkpoint holds candidates.jsonl rows, which a
+resume reads as a replay cache through ``ReplayProvider.from_jsonl``. Its
+only other string-key reads are of its own ``paths`` dicts.
 """
 
 import ast

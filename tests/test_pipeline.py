@@ -27,7 +27,7 @@ from trace_repair.pipeline import (
     recompute_report,
     run_pipeline,
 )
-from trace_repair.datasets import DatasetRecord, write_dataset
+from trace_repair.datasets import DatasetError, DatasetRecord, write_dataset
 from trace_repair.providers import ReplayCacheMiss
 
 
@@ -96,77 +96,33 @@ _SCALAR_FAULTS = (
     ("{candidate}verdict.accepted", "false", "a bool"),
     ("{candidate}verdict.path", None, "a string"),
 )
-# Each case edits the progress row of GROUP_SAFE_FIX[0], whose first candidate
-# holds a parsed output and a verdict.
+# Each case edits the checkpoint row of GROUP_SAFE_FIX[0]'s first attempt,
+# which the replay cache reader refuses, naming its line.
 _PROGRESS_ROW_FAULTS = [
-    *(_field_case(name) for name in ("example_id", "candidates")),
-    *(_field_case(f"candidates[0].{name}") for name in _CANDIDATE_FIELDS),
-    _field_case("candidates", value={}, expected="a list"),
-    _field_case("candidates[0]", value=None, expected="an object"),
-    _field_case("candidates[0].parsed", value=[], expected="an object"),
-    _field_case("candidates[0].verdict", value=1, expected="an object"),
-    _field_case("candidates[0].parsed.steps", value="1 + 2 = 3", expected="a list"),
-    _field_case("candidates[0].verdict.rejection_reasons", value="no_op", expected="a list"),
-    _field_case("example_id", value=20, expected="a string"),
+    *(_field_case(name) for name in ("example_id", "attempt_index", "raw_output")),
     *(
-        _field_case(name.format(candidate="candidates[0]."), value=value, expected=expected)
-        for name, value, expected in _SCALAR_FAULTS
-        if name.startswith("{candidate}")
-    ),
-]
-_RISK_FIELDS = (
-    "example_id", "initial_risks", "initial_score", "initial_diagnosis", "meta_category",
-    "triggered", "accepted_attempt", "candidates",
-)
-
-
-def _copy_edit(dotted, value=_DELETE, case=None):
-    """A test case: a dotted field of an older checkpoint row's prediction or
-    risk copy, and the value that replaces it, ``_DELETE`` to drop it."""
-    if case is None:
-        case = dotted if value is _DELETE else f"{dotted}={type(value).__name__}"
-    return pytest.param(dotted, value, id=case)
-
-
-# Each case edits the copies in the older-layout row of GROUP_SAFE_FIX[0]: a
-# missing or mistyped field, or one that contradicts another field or the
-# row's candidates. No field of the copies is read on a resume.
-_OLDER_ROW_COPY_EDITS = [
-    _copy_edit("prediction"),
-    _copy_edit("risk"),
-    *(_copy_edit(f"prediction.{name}") for name in _PREDICTION_FIELDS),
-    *(_copy_edit(f"risk.{name}") for name in _RISK_FIELDS),
-    _copy_edit("prediction", []),
-    _copy_edit("risk", "ex020"),
-    *(
-        _copy_edit(name.format(prediction="prediction."), value)
-        for name, value, expected in _SCALAR_FAULTS
-        if name.startswith("{prediction}")
-    ),
-    _copy_edit("risk.candidates", [], "risk.candidates-emptied"),
-    _copy_edit("risk.candidates[0].accepted", 1, "risk.candidates-accepted=int"),
-    _copy_edit("risk.candidates[0].rejection_reasons", ["no_op"], "risk.candidates-reasons"),
-    *(
-        _copy_edit(name, value, f"{name}={json.dumps(value)}")
-        for name, value in (
-            ("prediction.triggered", False),
-            ("prediction.trigger_reasons", []),
-            ("prediction.accepted", False),
-            ("prediction.accepted_attempt", None),
-            ("risk.example_id", "zzz"),
-            ("risk.triggered", False),
-            ("risk.accepted_attempt", 2),
-            ("risk.accepted_attempt", False),
+        pytest.param(name, value, f"{name} {value!r} is not {expected}", id=f"{name}={value!r}")
+        for name, value, expected in (
+            ("attempt_index", 0.5, "an integer"),
+            ("attempt_index", False, "an integer"),
+            ("attempt_index", "first", "an integer"),
+            ("raw_output", None, "a string"),
+            ("retry_output", 5, "a string"),
+            ("prompt_hash", [], "a string"),
+            ("error", {}, "a string"),
         )
     ),
 ]
-# Fields of a checkpoint's candidate rows that a resume derives again from the
-# recorded outputs, and the edit made to every candidate that holds the field.
+# Fields of a checkpoint's rows that a resume derives again from the recorded
+# outputs, and the edit made to every row that holds the field; ``_DELETE``
+# drops it. Nothing reads these fields, so not even their types are checked.
 _DERIVED_CANDIDATE_EDITS = [
     pytest.param("parsed", lambda value: None, id="parsed=null"),
+    pytest.param("parsed", lambda value: "1 + 2 = 3", id="parsed=str"),
     pytest.param("parsed.steps", lambda value: [], id="parsed.steps=[]"),
     pytest.param("parsed.final_answer", lambda value: value + "0", id="parsed.final_answer"),
     pytest.param("verdict", lambda value: None, id="verdict=null"),
+    pytest.param("verdict", lambda value: _DELETE, id="verdict-dropped"),
     pytest.param("verdict.accepted", lambda value: not value, id="verdict.accepted"),
     pytest.param("verdict.path", lambda value: "edited", id="verdict.path"),
     pytest.param(
@@ -176,9 +132,11 @@ _DERIVED_CANDIDATE_EDITS = [
     ),
     pytest.param("retried", lambda value: not value, id="retried"),
     pytest.param("clean", lambda value: not value, id="clean"),
+    pytest.param("clean", lambda value: "yes", id="clean=str"),
     pytest.param("clean_reason", lambda value: "edited", id="clean_reason"),
     pytest.param("graph_clean", lambda value: value is not True, id="graph_clean"),
     pytest.param("answer_changed", lambda value: value is not True, id="answer_changed"),
+    pytest.param("answer_changed", lambda value: _DELETE, id="answer_changed-dropped"),
 ]
 # Each case edits line 3 of predictions.jsonl or candidates.jsonl; that
 # candidate holds a parsed output and a verdict.
@@ -379,7 +337,10 @@ class TestReplayRun:
         fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
         progress = (tmp_path / "fresh" / PROGRESS_FILE).read_bytes()
         lines = progress.splitlines(keepends=True)
-        assert len(lines) == 50
+        assert len(lines) == EXPECTED_ATTEMPTS
+        ids = [json.loads(line)["example_id"] for line in lines]
+        # Some cuts fall between two attempts of one example.
+        assert sum(first == second for first, second in zip(ids, ids[1:])) == 20
         for cut in range(len(lines) + 1):
             crash_dir = tmp_path / f"cut{cut}"
             crash_dir.mkdir()
@@ -390,38 +351,45 @@ class TestReplayRun:
             assert _digests(resumed) == _digests(fresh), cut
             assert (crash_dir / PROGRESS_FILE).read_bytes() == progress, cut
 
-    def test_resume_reads_a_checkpoint_with_prediction_and_risk_copies(self, synthetic, tmp_path):
-        """Rows that also hold the example's prediction and risk row, as older
-        checkpoints did, resume through their candidates alone."""
+    def test_a_completed_checkpoint_holds_the_candidates_rows(self, synthetic, tmp_path):
         directory, dataset_path, cache_path = synthetic
         fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
-        rows = _rows_with_copies(tmp_path / "fresh")
-        crash_dir = tmp_path / "crash"
-        crash_dir.mkdir()
-        (crash_dir / PROGRESS_FILE).write_text("".join(rows[:30]), encoding="utf-8")
-        resumed = run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
-        assert _digests(resumed) == _digests(fresh)
+        # The synthetic dataset is in id order, so the two files are one.
+        progress = (tmp_path / "fresh" / PROGRESS_FILE).read_bytes()
+        assert progress == fresh.paths["candidates"].read_bytes()
 
-    def test_resume_derives_predictions_and_risk_again(self, synthetic, tmp_path):
-        """Edited prediction and risk copies in the checkpoint change nothing."""
+    def test_a_completed_checkpoint_replays_as_the_cache(self, synthetic, tmp_path, capsys):
         directory, dataset_path, cache_path = synthetic
         fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
-        edited = []
-        for line in _rows_with_copies(tmp_path / "fresh"):
+        progress = tmp_path / "fresh" / PROGRESS_FILE
+        again = tmp_path / "again"
+        command = ["replay", "--dataset", str(dataset_path), "--cache", str(progress)]
+        assert main([*command, "--output-dir", str(again)]) == 0
+        assert _file_digests(again) == _digests(fresh)
+
+    def test_resume_refuses_an_older_checkpoint(self, synthetic, tmp_path):
+        """A checkpoint of one ``{"example_id", "candidates"}`` row per example,
+        as older runs wrote, is not a candidate cache: the run stops at its
+        first line, before any example."""
+        directory, dataset_path, cache_path = synthetic
+        fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
+        candidates = {}
+        for line in open(fresh.paths["candidates"], encoding="utf-8"):
             row = json.loads(line)
-            prediction = row["prediction"]
-            if prediction["triggered"] and not prediction["accepted"]:
-                prediction["gold_answer"] = prediction["initial_answer"]
-            if prediction["accepted"]:
-                prediction["final_answer"] += ".0"
-            row["risk"]["initial_score"] = 0.5
-            edited.append(json.dumps(row) + "\n")
+            candidates.setdefault(row["example_id"], []).append(row)
+        older = [
+            {"example_id": row["example_id"], "candidates": candidates.get(row["example_id"], [])}
+            for row in map(json.loads, open(fresh.paths["predictions"], encoding="utf-8"))
+        ]
         crash_dir = tmp_path / "crash"
         crash_dir.mkdir()
-        (crash_dir / PROGRESS_FILE).write_text("".join(edited), encoding="utf-8")
-        resumed = run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
-        assert resumed.report.final_accuracy == fresh.report.final_accuracy == 90.0
-        assert _digests(resumed) == _digests(fresh)
+        (crash_dir / PROGRESS_FILE).write_text(
+            "".join(json.dumps(row) + "\n" for row in older[:30]), encoding="utf-8"
+        )
+        error = f"{PROGRESS_FILE}:1: missing field 'attempt_index'"
+        with pytest.raises(DatasetError, match=re.escape(error)):
+            run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
+        assert sorted(path.name for path in crash_dir.iterdir()) == [PROGRESS_FILE]
 
     def test_resume_refuses_a_checkpoint_recorded_under_another_mode(self, synthetic, tmp_path):
         directory, dataset_path, cache_path = synthetic
@@ -446,6 +414,20 @@ class TestReplayRun:
         with pytest.raises(ValueError, match=rf"{PROGRESS_FILE}:5: not JSON"):
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
 
+    def test_resume_refuses_a_duplicated_attempt(self, synthetic, tmp_path):
+        directory, dataset_path, cache_path = synthetic
+        run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = tmp_path / "run" / PROGRESS_FILE
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines + lines[2:3]), encoding="utf-8")
+        row = json.loads(lines[2])
+        error = (
+            f"{PROGRESS_FILE}:{len(lines) + 1}: duplicate row for example "
+            f"{row['example_id']!r} attempt {row['attempt_index']}"
+        )
+        with pytest.raises(DatasetError, match=re.escape(error)):
+            run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
+
     @pytest.mark.parametrize("field, value, error", _PROGRESS_ROW_FAULTS)
     def test_resume_refuses_a_progress_row_without_a_field(
         self, synthetic, tmp_path, field, value, error
@@ -462,40 +444,23 @@ class TestReplayRun:
         with pytest.raises(ValueError, match=re.escape(f"{PROGRESS_FILE}:{number}: {error}")):
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
 
-    @pytest.mark.parametrize("field, value", _OLDER_ROW_COPY_EDITS)
-    def test_resume_reads_no_field_of_an_older_row_copy(
-        self, synthetic, tmp_path, field, value
-    ):
-        directory, dataset_path, cache_path = synthetic
-        fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
-        rows = _rows_with_copies(tmp_path / "fresh")
-        number = next(i for i, line in enumerate(rows) if GROUP_SAFE_FIX[0] in line)
-        row = json.loads(rows[number])
-        _edit_field(row, field, value)
-        rows[number] = json.dumps(row) + "\n"
-        crash_dir = tmp_path / "crash"
-        crash_dir.mkdir()
-        (crash_dir / PROGRESS_FILE).write_text("".join(rows), encoding="utf-8")
-        resumed = run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
-        assert _digests(resumed) == _digests(fresh)
-
     @pytest.mark.parametrize("field, edit", _DERIVED_CANDIDATE_EDITS)
     def test_resume_derives_each_candidate_field_again(self, synthetic, tmp_path, field, edit):
-        """A checkpoint's parsed outputs, verdicts and flags are not trusted:
+        """A checkpoint's parsed outputs, verdicts and flags are not read:
         every candidate goes through the guards again."""
         directory, dataset_path, cache_path = synthetic
         fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
         *parents, last = field.split(".")
+        lines = (tmp_path / "fresh" / PROGRESS_FILE).read_text(encoding="utf-8").splitlines(True)
         edited = []
-        for line in open(tmp_path / "fresh" / PROGRESS_FILE, encoding="utf-8"):
-            row = json.loads(line)
-            for candidate in row["candidates"]:
-                for key in parents:
-                    candidate = candidate[key]
-                if candidate is not None:
-                    candidate[last] = edit(candidate[last])
+        for line in lines:
+            row = target = json.loads(line)
+            for key in parents:
+                target = target[key]
+            if target is not None:
+                _edit_field(target, last, edit(target[last]))
             edited.append(json.dumps(row) + "\n")
-        assert edited != open(tmp_path / "fresh" / PROGRESS_FILE, encoding="utf-8").readlines()
+        assert edited != lines
         crash_dir = tmp_path / "crash"
         crash_dir.mkdir()
         (crash_dir / PROGRESS_FILE).write_text("".join(edited), encoding="utf-8")
@@ -511,8 +476,7 @@ class TestReplayRun:
         run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
         path = tmp_path / "run" / PROGRESS_FILE
         rows = [json.loads(line) for line in open(path, encoding="utf-8")]
-        row = next(row for row in rows if row["example_id"] == GROUP_NOOP[0])
-        first, second = row["candidates"][:2]
+        first, second = [row for row in rows if row["example_id"] == GROUP_NOOP[0]][:2]
         # GROUP_NOOP[0] asks for 21 + 9; its recorded outputs keep the wrong 32.
         first["raw_output"] = json.dumps({"steps": ["21 + 9 = 35"], "final_answer": "35"})
         first["verdict"] = first["verdict"] | {"accepted": True, "rejection_reasons": []}
@@ -535,7 +499,7 @@ class TestReplayRun:
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         number = next(i for i, line in enumerate(lines) if GROUP_SAFE_FIX[0] in line)
         row = json.loads(lines[number])
-        row["candidates"][0]["prompt_hash"] = "0" * 64
+        row["prompt_hash"] = "0" * 64
         lines[number] = json.dumps(row) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ReplayCacheMiss, match="recorded under another prompt"):
@@ -544,15 +508,18 @@ class TestReplayRun:
     def test_resume_sends_an_attempt_the_checkpoint_lacks_to_the_provider(
         self, synthetic, tmp_path
     ):
+        """Every second attempt is missing from the checkpoint: the provider
+        serves it, and the resume appends it, in dataset order."""
         directory, dataset_path, cache_path = synthetic
         fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
-        lines = (tmp_path / "fresh" / PROGRESS_FILE).read_text(encoding="utf-8").splitlines()
-        emptied = [json.dumps({**json.loads(line), "candidates": []}) + "\n" for line in lines]
+        lines = (tmp_path / "fresh" / PROGRESS_FILE).read_text(encoding="utf-8").splitlines(True)
         crash_dir = tmp_path / "crash"
         crash_dir.mkdir()
-        (crash_dir / PROGRESS_FILE).write_text("".join(emptied), encoding="utf-8")
+        (crash_dir / PROGRESS_FILE).write_text("".join(lines[::2]), encoding="utf-8")
         resumed = run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
         assert _digests(resumed) == _digests(fresh)
+        progress = (crash_dir / PROGRESS_FILE).read_text(encoding="utf-8")
+        assert progress == "".join(lines[::2] + lines[1::2])
 
     def test_a_contradictory_prediction_is_refused_by_name(self):
         fields = dict(
@@ -667,23 +634,14 @@ def _digests(result) -> tuple[str, ...]:
     return tuple(hashlib.sha256(result.paths[key].read_bytes()).hexdigest() for key in ARTIFACT_KEYS)
 
 
-def _rows_with_copies(run_dir: Path) -> list[str]:
-    """A finished run's progress.jsonl lines, each with the example's prediction
-    and risk row added, in the row layout older checkpoints wrote."""
-    predictions = {row["example_id"]: row for row in map(json.loads, open(run_dir / "predictions.jsonl"))}
-    risks = {row["example_id"]: row for row in map(json.loads, open(run_dir / "risk_log.jsonl"))}
-    rows = []
-    for line in open(run_dir / PROGRESS_FILE, encoding="utf-8"):
-        row = json.loads(line)
-        example_id = row["example_id"]
-        row = {
-            "example_id": example_id,
-            "prediction": predictions[example_id],
-            "candidates": row["candidates"],
-            "risk": risks[example_id],
-        }
-        rows.append(json.dumps(row) + "\n")
-    return rows
+def _file_digests(output_dir: Path) -> tuple[str, ...]:
+    """``_digests`` of the artifacts in ``output_dir``, by file name."""
+    import hashlib
+
+    return tuple(
+        hashlib.sha256((output_dir / name).read_bytes()).hexdigest() for name in _ARTIFACT_FILES
+    )
+
 
 # sha256 of the synthetic replay's artifacts, in ARTIFACT_KEYS order.
 _GUARDED_DIGESTS = (
@@ -753,6 +711,34 @@ def test_cli_replay_digests_under_optimize_and_hash_seed(synthetic, tmp_path, ha
     )
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in _ARTIFACT_FILES)
     assert digests == SYNTHETIC_DIGESTS[MODE_GUARDED]
+
+
+def test_cli_resume_digests_under_optimize(synthetic, tmp_path):
+    """A resume from a checkpoint cut between two attempts of one example is
+    byte-identical with asserts stripped, and completes the checkpoint."""
+    import os
+    import subprocess
+    import sys
+
+    directory, dataset_path, cache_path = synthetic
+    run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
+    progress = (tmp_path / "fresh" / PROGRESS_FILE).read_bytes()
+    lines = progress.splitlines(keepends=True)
+    ids = [json.loads(line)["example_id"] for line in lines]
+    cut = next(i for i in range(1, len(ids)) if ids[i - 1] == ids[i])
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / PROGRESS_FILE).write_bytes(b"".join(lines[:cut]))
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    subprocess.run(
+        [sys.executable, "-O", "-m", "trace_repair.cli", "run", "--dataset", str(dataset_path),
+         "--cache", str(cache_path), "--output-dir", str(run_dir), "--resume"],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        capture_output=True,
+    )
+    assert _file_digests(run_dir) == SYNTHETIC_DIGESTS[MODE_GUARDED]
+    assert (run_dir / PROGRESS_FILE).read_bytes() == progress
 
 
 class TestGuardsEndToEnd:
@@ -980,6 +966,23 @@ class TestReportMode:
         lines[2] = (lines[2][:40] if bad is None else bad) + "\n"
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=rf"{path.name}:3: {error}"):
+            recompute_report(run.paths["predictions"], tmp_path / "report")
+
+    @pytest.mark.parametrize("key", ["predictions", "candidates"])
+    def test_a_duplicated_row_names_its_line(self, synthetic, tmp_path, key):
+        """A second prediction of an example, or a second candidate of an
+        attempt, would be counted twice in the report."""
+        directory, dataset_path, cache_path = synthetic
+        run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = run.paths[key]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + lines[2:]), encoding="utf-8")
+        row = json.loads(lines[2])
+        name = f"example {row['example_id']!r}"
+        if key == "candidates":
+            name += f" attempt {row['attempt_index']}"
+        error = f"{path.name}:4: duplicate row for {name}"
+        with pytest.raises(DatasetError, match=re.escape(error)):
             recompute_report(run.paths["predictions"], tmp_path / "report")
 
     @pytest.mark.parametrize("key, name, value, error", _REPORT_ROW_FAULTS)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from fake_endpoint import FakeEndpoint
-from synthetic_run import GROUP_SAFE_FIX, GROUP_UNSAFE, write_synthetic_run
+from synthetic_run import EXPECTED_ATTEMPTS, GROUP_SAFE_FIX, GROUP_UNSAFE, write_synthetic_run
 from trace_repair.pipeline import (
     MODE_GUARDED,
     MODE_REPLAY,
@@ -74,6 +74,11 @@ def _bytes(result, output_dir: Path) -> dict:
     return out
 
 
+def _attempts(lines: list[bytes]) -> set[tuple[str, int]]:
+    """(example id, attempt index) of each checkpoint line."""
+    return {(row["example_id"], row["attempt_index"]) for row in map(json.loads, lines)}
+
+
 def test_artifacts_match_and_wait_overlaps(synthetic, endpoint, tmp_path):
     serial, serial_s = _run(synthetic, tmp_path / "k1", 1)
     endpoint.requests.clear()
@@ -109,7 +114,10 @@ def test_outage_aborts_at_the_same_example_and_resumes(synthetic, endpoint, tmp_
             _run(synthetic, tmp_path / f"k{concurrency}", concurrency)
         progress[concurrency] = (tmp_path / f"k{concurrency}" / PROGRESS_FILE).read_bytes()
     assert progress[4] == progress[1]
-    assert progress[1].count(b"\n") == FIFTH_REPAIRED
+    # The attempts of the four examples repaired before the fifth, each accepted at once.
+    assert _attempts(progress[1].splitlines()) == {
+        (f"ex{index:03d}", 0) for index in range(20, FIFTH_REPAIRED)
+    }
 
     endpoint.down_from = None
     resumed, _ = _run(synthetic, tmp_path / "k4", 4, resume=True)
@@ -120,16 +128,18 @@ def test_outage_aborts_at_the_same_example_and_resumes(synthetic, endpoint, tmp_
 def test_resume_after_a_cut_at_every_line_asks_only_for_what_it_lacks(
     synthetic, endpoint, tmp_path
 ):
-    """A resume serves each checkpointed example's outputs and recorded errors
-    itself, so it matches the uninterrupted run even once the faults are gone."""
+    """A resume serves each checkpointed attempt's outputs and recorded errors
+    itself, so it matches the uninterrupted run even once the faults are gone,
+    and asks the endpoint only for the attempts the checkpoint lacks."""
     endpoint.latency_s = 0.0
     fresh, _ = _run(synthetic, tmp_path / "fresh", 4)
     expected = _bytes(fresh, tmp_path / "fresh")
     lines = expected["progress"].splitlines(keepends=True)
-    assert len(lines) == 50
+    assert len(lines) == EXPECTED_ATTEMPTS
     (failing,) = endpoint.failing
     failed_line = next(i for i, line in enumerate(lines) if f'"{failing[0]}"'.encode() in line)
     endpoint.transient = set()
+    attempts = _attempts(lines)
     for cut in range(len(lines) + 1):
         # The recorded transport error replays from the checkpoint; an example
         # not yet checkpointed meets the same fault again.
@@ -140,8 +150,8 @@ def test_resume_after_a_cut_at_every_line_asks_only_for_what_it_lacks(
         (output_dir / PROGRESS_FILE).write_bytes(b"".join(lines[:cut]))
         resumed, _ = _run(synthetic, output_dir, 4, resume=True)
         assert _bytes(resumed, output_dir) == expected, cut
-        checkpointed = {json.loads(row)["example_id"] for row in lines[:cut]}
-        assert not checkpointed & {key[0] for key in endpoint.requests}, cut
+        asked = {key[:2] for key in endpoint.requests}
+        assert asked == attempts - _attempts(lines[:cut]), cut
 
 
 def test_a_recorded_transport_error_replays_from_the_cache(synthetic, endpoint, tmp_path):

@@ -144,7 +144,7 @@ class TestReplayProvider:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: duplicate row for example '7'")):
             ReplayProvider.from_jsonl(path)
         path.write_text(json.dumps(rows[0]) + "\n")
-        assert ReplayProvider.from_jsonl(path)._entries == {("7", 0): ReplayEntry("int")}
+        assert ReplayProvider.from_jsonl(path).entries == {("7", 0): ReplayEntry("int")}
 
     def test_retry_is_checked_against_its_base_prompt(self, remote):
         import dataclasses
