@@ -110,6 +110,57 @@ _PROGRESS_ROW_FAULTS = [
             ("retry_output", 5, "a string"),
             ("prompt_hash", [], "a string"),
             ("error", {}, "a string"),
+            ("attempt_index", None, "an integer"),
+            ("attempt_index", "1.0", "an integer"),
+            ("raw_output", 5, "a string"),
+            ("error", [], "a string"),
+        )
+    ),
+]
+_RISK_FIELDS = (
+    "example_id", "initial_risks", "initial_score", "initial_diagnosis", "meta_category",
+    "triggered", "accepted_attempt", "candidates",
+)
+
+
+def _copy_edit(dotted, value=_DELETE, case=None):
+    """A test case: a dotted field of a checkpoint row's prediction or risk
+    copy, and the value that replaces it, ``_DELETE`` to drop it."""
+    if case is None:
+        case = dotted if value is _DELETE else f"{dotted}={type(value).__name__}"
+    return pytest.param(dotted, value, id=case)
+
+
+# Each case edits the copies of its example's prediction and risk row that the
+# first checkpoint row of GROUP_SAFE_FIX[0] carries beside its candidate
+# fields: a missing or mistyped field, or one that contradicts another field
+# or the example's candidates. No field of the copies is read on a resume.
+_OLDER_ROW_COPY_EDITS = [
+    _copy_edit("prediction"),
+    _copy_edit("risk"),
+    *(_copy_edit(f"prediction.{name}") for name in _PREDICTION_FIELDS),
+    *(_copy_edit(f"risk.{name}") for name in _RISK_FIELDS),
+    _copy_edit("prediction", []),
+    _copy_edit("risk", "ex020"),
+    *(
+        _copy_edit(name.format(prediction="prediction."), value)
+        for name, value, expected in _SCALAR_FAULTS
+        if name.startswith("{prediction}")
+    ),
+    _copy_edit("risk.candidates", [], "risk.candidates-emptied"),
+    _copy_edit("risk.candidates[0].accepted", 1, "risk.candidates-accepted=int"),
+    _copy_edit("risk.candidates[0].rejection_reasons", ["no_op"], "risk.candidates-reasons"),
+    *(
+        _copy_edit(name, value, f"{name}={json.dumps(value)}")
+        for name, value in (
+            ("prediction.triggered", False),
+            ("prediction.trigger_reasons", []),
+            ("prediction.accepted", False),
+            ("prediction.accepted_attempt", None),
+            ("risk.example_id", "zzz"),
+            ("risk.triggered", False),
+            ("risk.accepted_attempt", 2),
+            ("risk.accepted_attempt", False),
         )
     ),
 ]
@@ -137,6 +188,28 @@ _DERIVED_CANDIDATE_EDITS = [
     pytest.param("graph_clean", lambda value: value is not True, id="graph_clean"),
     pytest.param("answer_changed", lambda value: value is not True, id="answer_changed"),
     pytest.param("answer_changed", lambda value: _DELETE, id="answer_changed-dropped"),
+    *(
+        pytest.param(name, lambda value: _DELETE, id=f"{name}-dropped")
+        for name in (
+            "parsed", "parsed.steps", "parsed.final_answer", "verdict.accepted",
+            "verdict.path", "verdict.rejection_reasons", "retried", "clean",
+            "clean_reason", "graph_clean",
+        )
+    ),
+    *(
+        pytest.param(name, lambda value, new=new: new, id=f"{name}={type(new).__name__}")
+        for name, new in (
+            ("parsed", []),
+            ("parsed.steps", "1 + 2 = 3"),
+            ("parsed.final_answer", 12),
+            ("verdict", 1),
+            ("verdict.accepted", "false"),
+            ("verdict.rejection_reasons", "no_op"),
+            ("graph_clean", 0),
+        )
+    ),
+    pytest.param("parsed.final_answer", lambda value: None, id="parsed.final_answer=null"),
+    pytest.param("verdict.path", lambda value: None, id="verdict.path=null"),
 ]
 # Each case edits line 3 of predictions.jsonl or candidates.jsonl; that
 # candidate holds a parsed output and a verdict.
@@ -351,6 +424,39 @@ class TestReplayRun:
             assert _digests(resumed) == _digests(fresh), cut
             assert (crash_dir / PROGRESS_FILE).read_bytes() == progress, cut
 
+    def test_resume_reads_a_checkpoint_with_prediction_and_risk_copies(self, synthetic, tmp_path):
+        """Rows that also hold their example's prediction and risk row resume
+        through their candidate fields alone."""
+        directory, dataset_path, cache_path = synthetic
+        fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
+        rows = _rows_with_copies(tmp_path / "fresh")
+        crash_dir = tmp_path / "crash"
+        crash_dir.mkdir()
+        (crash_dir / PROGRESS_FILE).write_text("".join(rows[:30]), encoding="utf-8")
+        resumed = run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
+        assert _digests(resumed) == _digests(fresh)
+
+    def test_resume_derives_predictions_and_risk_again(self, synthetic, tmp_path):
+        """Edited prediction and risk copies in the checkpoint change nothing."""
+        directory, dataset_path, cache_path = synthetic
+        fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
+        edited = []
+        for line in _rows_with_copies(tmp_path / "fresh"):
+            row = json.loads(line)
+            prediction = row["prediction"]
+            if prediction["triggered"] and not prediction["accepted"]:
+                prediction["gold_answer"] = prediction["initial_answer"]
+            if prediction["accepted"]:
+                prediction["final_answer"] += ".0"
+            row["risk"]["initial_score"] = 0.5
+            edited.append(json.dumps(row) + "\n")
+        crash_dir = tmp_path / "crash"
+        crash_dir.mkdir()
+        (crash_dir / PROGRESS_FILE).write_text("".join(edited), encoding="utf-8")
+        resumed = run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
+        assert resumed.report.final_accuracy == fresh.report.final_accuracy == 90.0
+        assert _digests(resumed) == _digests(fresh)
+
     def test_a_completed_checkpoint_holds_the_candidates_rows(self, synthetic, tmp_path):
         directory, dataset_path, cache_path = synthetic
         fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
@@ -443,6 +549,23 @@ class TestReplayRun:
         path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{PROGRESS_FILE}:{number}: {error}")):
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, resume=True))
+
+    @pytest.mark.parametrize("field, value", _OLDER_ROW_COPY_EDITS)
+    def test_resume_reads_no_field_of_an_older_row_copy(
+        self, synthetic, tmp_path, field, value
+    ):
+        directory, dataset_path, cache_path = synthetic
+        fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
+        rows = _rows_with_copies(tmp_path / "fresh")
+        number = next(i for i, line in enumerate(rows) if GROUP_SAFE_FIX[0] in line)
+        row = json.loads(rows[number])
+        _edit_field(row, field, value)
+        rows[number] = json.dumps(row) + "\n"
+        crash_dir = tmp_path / "crash"
+        crash_dir.mkdir()
+        (crash_dir / PROGRESS_FILE).write_text("".join(rows), encoding="utf-8")
+        resumed = run_pipeline(_replay_manifest(crash_dir, dataset_path, cache_path, resume=True))
+        assert _digests(resumed) == _digests(fresh)
 
     @pytest.mark.parametrize("field, edit", _DERIVED_CANDIDATE_EDITS)
     def test_resume_derives_each_candidate_field_again(self, synthetic, tmp_path, field, edit):
@@ -632,6 +755,20 @@ def _digests(result) -> tuple[str, ...]:
     import hashlib
 
     return tuple(hashlib.sha256(result.paths[key].read_bytes()).hexdigest() for key in ARTIFACT_KEYS)
+
+
+def _rows_with_copies(run_dir: Path) -> list[str]:
+    """A finished run's progress.jsonl lines, each with a copy of its example's
+    prediction and risk row added, as a writer that also kept those would."""
+    predictions = {row["example_id"]: row for row in map(json.loads, open(run_dir / "predictions.jsonl"))}
+    risks = {row["example_id"]: row for row in map(json.loads, open(run_dir / "risk_log.jsonl"))}
+    rows = []
+    for line in open(run_dir / PROGRESS_FILE, encoding="utf-8"):
+        row = json.loads(line)
+        example_id = row["example_id"]
+        row |= {"prediction": predictions[example_id], "risk": risks[example_id]}
+        rows.append(json.dumps(row) + "\n")
+    return rows
 
 
 def _file_digests(output_dir: Path) -> tuple[str, ...]:
