@@ -74,7 +74,10 @@ def _build_config(args: argparse.Namespace) -> PolicyConfig:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text) if text.isdecimal() else 0
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
     return value

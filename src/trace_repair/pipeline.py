@@ -268,10 +268,7 @@ def _process_example(
     diag0 = diagnose(record.problem_text, r0)
     decision = trigger(diag0.meta, diag0.graph, r0, cfg)
 
-    final = r0
-    records: tuple[CandidateRecord, ...] = ()
-    accepted_index = None
-
+    final, records, accepted_index = r0, (), None
     if manifest.mode == MODE_SOLVE_ALL:
         targeted = True
     elif triggered_ids is not None:
@@ -289,11 +286,7 @@ def _process_example(
             cfg,
             **MODE_REPAIR_ARGS[manifest.mode],
         )
-        final, records, accepted_index = (
-            outcome.final_trace,
-            outcome.records,
-            outcome.accepted_index,
-        )
+        final, records, accepted_index = outcome.final_trace, outcome.records, outcome.accepted_index
 
     prediction = Prediction(
         example_id=record.example_id,
@@ -315,7 +308,8 @@ def _read_checkpoint(path: Path, provider) -> ReplayProvider:
 
     A last line without its newline is what a kill mid-append leaves: it is
     cut off, so its attempt runs again and the next append starts a line of
-    its own. A bad line anywhere else raises a ``DatasetError`` naming it.
+    its own. A bad line anywhere else raises a ``DatasetError`` naming it, as does
+    a row with no prompt hash, which would be served under any mode or config.
     """
     with open(path, "r+b") as handle:
         data = handle.read()
@@ -323,7 +317,12 @@ def _read_checkpoint(path: Path, provider) -> ReplayProvider:
         if whole < len(data):
             log.warning("%s: dropping a torn last line of %d bytes", path, len(data) - whole)
             handle.truncate(whole)
-    return ReplayProvider.from_jsonl(path, fallback=provider)
+    cache = ReplayProvider.from_jsonl(path, fallback=provider)
+    if not all(entry.prompt_hash for entry in cache.entries.values()):
+        for where, row in read_jsonl(path):
+            if not json_fields(where, row, {"prompt_hash": (str,)})[0]:
+                raise DatasetError(f"{where}: 'prompt_hash' is empty")
+    return cache
 
 
 def risk_log_summary(records: list[CandidateRecord]) -> dict:
@@ -522,16 +521,17 @@ def filter_dataset(
     return paths, counts
 
 
-def _read_rows(path: Path, row_type, name) -> list:
-    """``row_type.from_json_dict`` of each line of ``path``; a row that ``name``
-    names as an earlier one did raises a ``DatasetError`` naming its line."""
+def _read_rows(path: Path, row_type, *key: str) -> list:
+    """``row_type.from_json_dict`` of each line of ``path``; a second row with
+    the same ``key`` fields raises a ``DatasetError`` naming its line."""
     rows = {}
     for where, row in read_jsonl(path):
         item = row_type.from_json_dict(where, row)
-        key = name(item)
-        if key in rows:
-            raise DatasetError(f"{where}: duplicate row for {key}")
-        rows[key] = item
+        values = tuple(getattr(item, name) for name in key)
+        if values in rows:
+            named = " ".join(f"{name.split('_')[0]} {value!r}" for name, value in zip(key, values))
+            raise DatasetError(f"{where}: duplicate row for {named}")
+        rows[values] = item
     return list(rows.values())
 
 
@@ -561,15 +561,11 @@ def recompute_report(
     example, or a second candidate of an attempt, is refused.
     """
     _check_harm_budget(harm_budget)
-    predictions = _read_rows(predictions_path, Prediction, lambda row: f"example {row.example_id!r}")
+    predictions = _read_rows(predictions_path, Prediction, "example_id")
     candidates_path = predictions_path.parent / CANDIDATES_FILE
     records = None
     if candidates_path.exists():
-        records = _read_rows(
-            candidates_path,
-            CandidateRecord,
-            lambda record: f"example {record.example_id!r} attempt {record.attempt_index}",
-        )
+        records = _read_rows(candidates_path, CandidateRecord, "example_id", "attempt_index")
         _check_same_run(predictions_path, predictions, candidates_path, records)
     output_dir.mkdir(parents=True, exist_ok=True)
     return _write_report(output_dir, predictions, records, harm_budget)

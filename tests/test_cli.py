@@ -74,6 +74,9 @@ def _manifest_of(monkeypatch, *flags):
 def test_concurrency_reaches_the_manifest(monkeypatch):
     assert _manifest_of(monkeypatch, "--provider", "remote", "--concurrency", "3").concurrency == 3
     assert _manifest_of(monkeypatch, "--provider", "remote").concurrency is None
+    # int() reads a sign and surrounding spaces.
+    assert _manifest_of(monkeypatch, "--provider", "remote", "--concurrency", "+2").concurrency == 2
+    assert _manifest_of(monkeypatch, "--provider", "remote", "--concurrency", " 2").concurrency == 2
 
 
 @pytest.mark.parametrize(

@@ -99,7 +99,10 @@ _SCALAR_FAULTS = (
 # Each case edits the checkpoint row of GROUP_SAFE_FIX[0]'s first attempt,
 # which the replay cache reader refuses, naming its line.
 _PROGRESS_ROW_FAULTS = [
-    *(_field_case(name) for name in ("example_id", "attempt_index", "raw_output")),
+    *(_field_case(name) for name in ("example_id", "attempt_index", "raw_output", "prompt_hash")),
+    # A replay cache may leave an attempt unpinned; the checkpoint may not.
+    _field_case("prompt_hash", value=None, expected="a string"),
+    pytest.param("prompt_hash", "", "'prompt_hash' is empty", id="prompt_hash=''"),
     *(
         pytest.param(name, value, f"{name} {value!r} is not {expected}", id=f"{name}={value!r}")
         for name, value, expected in (
