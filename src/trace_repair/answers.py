@@ -12,14 +12,11 @@ number it refuses (one as long as Python's digit limit) is no answer.
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .equations import _NUM, _NUMBER_START, parse_number
-
-log = logging.getLogger(__name__)
 
 KIND_INTEGER = "integer"
 KIND_DECIMAL = "decimal"
@@ -54,8 +51,7 @@ _TRAIL_PUNCT = ".,;:!?'\"*"
 _LEAD_PUNCT = ",;:!?'\"*"  # no dot: keep bare-decimal answers like ".5"
 
 
-@dataclass(frozen=True)
-class AnswerValue:
+class AnswerValue(NamedTuple):
     """A candidate answer in raw and canonical form."""
 
     raw_text: str
@@ -63,8 +59,7 @@ class AnswerValue:
     kind: str
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     value: AnswerValue
     answer_line_count: int
 
@@ -99,7 +94,10 @@ def normalize_answer(raw: str) -> AnswerValue:
     for ch in _CURRENCY_CHARS:
         text = text.replace(ch, "")
     if "%" in text:
-        log.debug("percent sign stripped during normalization: %r", raw)
+        # Imported here: a first diagnose loads no logging.
+        import logging
+
+        logging.getLogger(__name__).debug("percent sign stripped during normalization: %r", raw)
         text = text.replace("%", "")
     text = text.strip().rstrip(_TRAIL_PUNCT).lstrip(_LEAD_PUNCT).strip()
 
@@ -201,9 +199,11 @@ def answers_equivalent(a: AnswerValue, b: AnswerValue) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ReasoningTrace:
-    """A problem's cached or candidate solution text plus its final answer."""
+class ReasoningTrace(NamedTuple):
+    """A problem's cached or candidate solution text plus its final answer.
+
+    As a tuple it has length 2; ``len(trace.text)`` is the text's length.
+    """
 
     text: str
     extraction: ExtractionResult

@@ -189,9 +189,14 @@ def write_artifact(path: str | Path, chunks: Iterable[str]) -> None:
         temp.unlink(missing_ok=True)
 
 
+# ``json.dumps`` with a keyword argument builds an encoder per call; this one
+# writes the same text.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def jsonl_line(row: dict) -> str:
     """One JSONL row as written to every artifact, newline included."""
-    return json.dumps(row, ensure_ascii=False) + "\n"
+    return _encode(row) + "\n"
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:

@@ -17,8 +17,8 @@ so each distinct number token is parsed once however many scans read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .answers import ReasoningTrace
 from .equations import (
@@ -42,8 +42,8 @@ WEIGHT_EQUATIONS = 0.5
 WEIGHT_COVERAGE = 0.3
 WEIGHT_FORMAT = 0.2
 
-@dataclass(frozen=True)
-class MetaDiagnosis:
+
+class MetaDiagnosis(NamedTuple):
     category: str
     meta_score: float
     equation_verification_rate: float
@@ -132,8 +132,7 @@ def meta_diagnose(
     )
 
 
-@dataclass(frozen=True)
-class DiagnosisReport:
+class DiagnosisReport(NamedTuple):
     """The full deterministic diagnostic bundle for one trace."""
 
     checks: tuple[EquationCheck, ...]

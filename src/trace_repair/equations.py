@@ -19,7 +19,6 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -224,8 +223,7 @@ def check_equations(trace_text: str) -> list[EquationCheck]:
     return checks
 
 
-@dataclass(frozen=True)
-class NamingStatement:
+class NamingStatement(NamedTuple):
     name: str
     value: Fraction
     position: int

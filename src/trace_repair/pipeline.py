@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .answers import ReasoningTrace, normalize_answer
+from .answers import ReasoningTrace
 from .datasets import (
     DatasetError,
     DatasetRecord,
@@ -151,12 +151,14 @@ class Prediction:
 
 @dataclass(frozen=True)
 class ExampleResult:
-    """One example's outcome: ``risk`` is its risk_log.jsonl row, and
-    ``records`` its candidates.jsonl rows, which progress.jsonl also holds."""
+    """One example's outcome: ``risk`` is its risk_log.jsonl row, ``records``
+    its candidates.jsonl rows and ``lines`` those rows encoded, as both
+    candidates.jsonl and progress.jsonl hold them."""
 
     prediction: Prediction
     records: tuple[CandidateRecord, ...]
     risk: dict
+    lines: tuple[str, ...]
 
 
 @dataclass
@@ -300,7 +302,8 @@ def _process_example(
         final_trace=final.text,
     )
     risk = _risk_log_entry(record, diag0, decision.triggered, records, accepted_index)
-    return ExampleResult(prediction, records, risk)
+    lines = tuple(jsonl_line(item.to_json_dict()) for item in records)
+    return ExampleResult(prediction, records, risk, lines)
 
 
 def _read_checkpoint(path: Path, provider) -> ReplayProvider:
@@ -369,7 +372,7 @@ def _write_report(
     harm_budget: float | None,
 ) -> PipelineResult:
     """Compute the report of a run's predictions and write report.json/.txt."""
-    golds = [normalize_answer(row.gold_answer) for row in predictions]
+    golds = [row.gold_answer for row in predictions]
     labels = label_transitions(
         [row.initial_answer for row in predictions],
         [row.final_answer for row in predictions],
@@ -403,7 +406,7 @@ def _finalize_run(manifest: RunManifest, results: list[ExampleResult]) -> Pipeli
         "risk_summary": output / RISK_SUMMARY_FILE,
     }
     write_jsonl(paths["predictions"], (row.to_json_dict() for row in predictions))
-    write_jsonl(paths["candidates"], (record.to_json_dict() for record in records))
+    write_artifact(paths["candidates"], (line for result in results for line in result.lines))
     write_jsonl(paths["risk_log"], (result.risk for result in results))
     write_jsonl(paths["risk_summary"], [risk_log_summary(records)])
     return PipelineResult(report=reported.report, paths={**paths, **reported.paths})
@@ -477,8 +480,8 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
                 continue
             outage_streak = 0
             lacking = [
-                jsonl_line(record.to_json_dict())
-                for record in result.records
+                line
+                for record, line in zip(result.records, result.lines)
                 if (record.example_id, record.attempt_index) not in checkpointed
             ]
             progress.write("".join(lacking))

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .answers import AnswerValue, answers_equivalent, normalize_answer
 from .orchestrator import CandidateRecord
@@ -50,10 +50,21 @@ class TransitionLabel:
         return f"{first}->{second}"
 
 
-def _answer_value(value: AnswerValue | str) -> AnswerValue:
-    if isinstance(value, AnswerValue):
-        return value
-    return normalize_answer(str(value))
+def _answer_values() -> Callable[[AnswerValue | str], AnswerValue]:
+    """A lookup that normalizes each distinct answer string once and passes
+    an ``AnswerValue`` through; each report step keeps its own."""
+    memo: dict[str, AnswerValue] = {}
+
+    def value(answer: AnswerValue | str) -> AnswerValue:
+        if isinstance(answer, AnswerValue):
+            return answer
+        text = str(answer)
+        found = memo.get(text)
+        if found is None:
+            found = memo[text] = normalize_answer(text)
+        return found
+
+    return value
 
 
 def label_transitions(
@@ -70,11 +81,12 @@ def label_transitions(
         raise ValueError("initial, final, and gold sequences must align")
     if example_ids is None:
         example_ids = [str(index) for index in range(count)]
+    value = _answer_values()
     labels = []
     for index in range(count):
-        gold = _answer_value(gold_answers[index])
-        initially = answers_equivalent(_answer_value(initial_answers[index]), gold)
-        finally_ = answers_equivalent(_answer_value(final_answers[index]), gold)
+        gold = value(gold_answers[index])
+        initially = answers_equivalent(value(initial_answers[index]), gold)
+        finally_ = answers_equivalent(value(final_answers[index]), gold)
         labels.append(
             TransitionLabel(
                 example_id=example_ids[index],
@@ -146,10 +158,12 @@ def rule_of_three(zero_harm_total: int) -> float:
     return 300.0 / zero_harm_total
 
 
-def _candidate_matches_gold(record: CandidateRecord, gold: AnswerValue) -> bool:
+def _candidate_matches_gold(
+    record: CandidateRecord, gold: AnswerValue, value: Callable[[str], AnswerValue]
+) -> bool:
     if record.parsed is None:
         return False
-    return answers_equivalent(normalize_answer(record.parsed.final_answer), gold)
+    return answers_equivalent(value(record.parsed.final_answer), gold)
 
 
 def compute_report(
@@ -196,15 +210,14 @@ def compute_report(
     if records is not None:
         record_list = list(records)
         attempts = len(record_list)
-        gold_map = {
-            key: _answer_value(value) for key, value in (gold_by_id or {}).items()
-        }
+        value = _answer_values()
+        gold_map = {key: value(gold) for key, gold in (gold_by_id or {}).items()}
         matches_by_example: dict[str, bool] = {}
         for record in record_list:
             gold = gold_map.get(record.example_id)
             if gold is None:
                 continue
-            if _candidate_matches_gold(record, gold):
+            if _candidate_matches_gold(record, gold, value):
                 matches_by_example[record.example_id] = True
 
         trig_w = sum(1 for label in labels if not label.initially_correct and label.triggered)

@@ -50,8 +50,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .answers import ReasoningTrace, as_fraction
 from .equations import (
@@ -165,8 +165,7 @@ _TOKEN_OR_BREAK_RE = re.compile(rf"({_TOKEN_RE.pattern})|[.!?]")
 TokenColumns = tuple[list[str], list[str], list[int], list[bool]]
 
 
-@dataclass(frozen=True)
-class QuantityNode:
+class QuantityNode(NamedTuple):
     surface: str
     value: Fraction
     unit_phrase: str
@@ -175,8 +174,7 @@ class QuantityNode:
     token_index: int
 
 
-@dataclass(frozen=True)
-class RelationEdge:
+class RelationEdge(NamedTuple):
     """One relation a check tests.
 
     ``node`` is a comparison's delta, a rate's per-quantity or the changed
@@ -189,14 +187,12 @@ class RelationEdge:
     decrease: bool = False
 
 
-@dataclass(frozen=True)
-class QuantityGraph:
+class QuantityGraph(NamedTuple):
     nodes: tuple[QuantityNode, ...]
     edges: tuple[RelationEdge, ...]
 
 
-@dataclass(frozen=True)
-class ProblemAnalysis:
+class ProblemAnalysis(NamedTuple):
     """Everything the checks read of a problem text.
 
     ``bindings`` maps each node value to the union of its nodes' binding
@@ -221,27 +217,29 @@ def analyse_problem(text: str) -> ProblemAnalysis:
         bindings[node.value] = bindings.get(node.value, frozenset()) | _binding_tokens(
             node.unit_phrase, node.entity_mention
         )
-    match = _TIMES_MORE_RE.search(text)
+    # Each scan runs only on a text that holds its keyword (see the scans).
+    lowered = text.lower()
+    times = "times" in lowered or not text.isascii()
+    match = _TIMES_MORE_RE.search(text) if times else None
     multiplier = _number_value(match.group(1).lower()) if match else None
+    split = "equally" in lowered or "evenly" in lowered
     return ProblemAnalysis(
         graph=graph,
         mentions=frozenset(numeric_mentions(text)),
         bindings=bindings,
         times_more=None if multiplier is None else (match.group(0), multiplier),
-        equal_split=_EQUAL_SPLIT_RE.search(text) is not None,
+        equal_split=split and _EQUAL_SPLIT_RE.search(text) is not None,
         requested=_requested_kind(text),
     )
 
 
-@dataclass(frozen=True)
-class RiskSignal:
+class RiskSignal(NamedTuple):
     category: str
     severity: str
     evidence: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(NamedTuple):
     risks: tuple[RiskSignal, ...]
     score: float
     diagnosis: str
@@ -548,6 +546,11 @@ _EQUAL_SPLIT_RE = re.compile(
     r"|\b(?:equally|evenly)\b[^.!?]*\b(?:among|between|split|share[sd]?|divid\w*)\b",
     re.IGNORECASE,
 )
+# Under IGNORECASE each letter of "equally" and "evenly" matches only its two
+# ASCII cases, so every text ``_EQUAL_SPLIT_RE`` matches holds one of them
+# once lowered. In "times", "i" also matches "ı" and "İ" and "s" matches "ſ",
+# so a lowered text holds "times" wherever ``_TIMES_MORE_RE`` matches only
+# when the text is ASCII; ``analyse_problem`` scans every other text.
 
 
 def _operand_of(index: OperandIndex, value: Fraction, operators: tuple[str, ...]) -> bool:

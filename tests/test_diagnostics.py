@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import sys
@@ -16,6 +17,7 @@ from trace_repair.diagnostics import (
     CATEGORY_LOGICAL_CONTRADICTION,
     CATEGORY_LOW_SYMBOLIC_COVERAGE,
     CATEGORY_MISSING_CONSTRAINT,
+    MetaDiagnosis,
     constraint_coverage,
     diagnose,
     meta_diagnose,
@@ -348,3 +350,34 @@ class TestCoverageOracle:
         share = (len(mentions) - len(missing)) / len(mentions) if mentions else 1.0
         assert constraint_coverage(mentions, trace, checks, index) == (missing, share)
         assert constraint_coverage(mentions, trace, checks) == (missing, share)
+
+
+# MetaDiagnosis as a frozen dataclass with the same name and fields: the
+# oracle for its repr, equality and hash, which the diagnose digest reads.
+FrozenMeta = dataclasses.make_dataclass(
+    "MetaDiagnosis", list(MetaDiagnosis.__annotations__.items()), frozen=True
+)
+_shares = st.floats(0.0, 1.0)
+_meta_fields = st.tuples(
+    st.sampled_from((
+        CATEGORY_CLEAN, CATEGORY_GENERATION_FAILURE, CATEGORY_ARITHMETIC_ERROR,
+        CATEGORY_LOGICAL_CONTRADICTION, CATEGORY_MISSING_CONSTRAINT, CATEGORY_LOW_SYMBOLIC_COVERAGE,
+    )),
+    _shares, _shares, _shares, st.sampled_from((0.0, 0.5, 1.0)),
+)
+
+
+class TestMetaDiagnosisAsFrozenDataclass:
+    @settings(max_examples=200, deadline=None)
+    @given(_meta_fields, _meta_fields)
+    def test_repr_equality_and_hash_match(self, fields, other):
+        meta, frozen = MetaDiagnosis(*fields), FrozenMeta(*fields)
+        assert repr(meta) == repr(frozen)
+        assert hash(meta) == hash(frozen)
+        assert meta == MetaDiagnosis(*fields)
+        assert (meta == MetaDiagnosis(*other)) == (frozen == FrozenMeta(*other))
+
+    def test_fields_cannot_be_set(self):
+        meta = diagnose("Ann has 3 apples.", "3 + 4 = 7\nFinal Answer: 7").meta
+        with pytest.raises(AttributeError):
+            meta.meta_score = 1.0

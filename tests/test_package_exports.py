@@ -48,6 +48,28 @@ def test_the_readme_snippet_loads_only_the_guard_layer():
     assert stdlib == "[]"
 
 
+def test_a_first_diagnose_loads_no_dataclasses_inspect_or_logging():
+    code = (
+        "import sys\n"
+        "import trace_repair\n"
+        "trace_repair.diagnose('Ann has 3 apples and buys 4 more.', '3 + 4 = 7\\nFinal Answer: 7')\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'trace_repair'))\n"
+        "print(sorted(name for name in ('dataclasses', 'inspect', 'logging') if name in sys.modules))\n"
+    )
+    # -S keeps site's start-up imports out of ``sys.modules``.
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PYTHONPATH": str(Path(trace_repair.__file__).resolve().parents[1])},
+    )
+    *_, loaded, stdlib = done.stdout.strip().splitlines()
+    guard = ("answers", "diagnostics", "equations", "risk_graph")
+    assert loaded == str(["trace_repair"] + [f"trace_repair.{name}" for name in guard])
+    assert stdlib == "[]"
+
+
 def test_every_name_is_the_object_its_module_defines():
     for module_name, names in trace_repair._EXPORTS.items():
         module = importlib.import_module(f"trace_repair.{module_name}")

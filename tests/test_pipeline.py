@@ -714,15 +714,15 @@ class TestReplayRun:
         before = first.paths["predictions"].read_bytes()
         files = sorted(path.name for path in (tmp_path / "run").iterdir())
 
-        dumps = json.dumps
+        to_json_dict = pipeline.Prediction.to_json_dict
 
-        def failing_dumps(obj, *args, **kwargs):
+        def failing_to_json_dict(prediction):
             # Fails halfway through the predictions.jsonl rows.
-            if isinstance(obj, dict) and "final_trace" in obj and obj["example_id"] == "ex025":
+            if prediction.example_id == "ex025":
                 raise RuntimeError("serialization failed")
-            return dumps(obj, *args, **kwargs)
+            return to_json_dict(prediction)
 
-        monkeypatch.setattr(pipeline.json, "dumps", failing_dumps)
+        monkeypatch.setattr(pipeline.Prediction, "to_json_dict", failing_to_json_dict)
         with pytest.raises(RuntimeError, match="serialization failed"):
             run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
         assert first.paths["predictions"].read_bytes() == before
@@ -1039,7 +1039,7 @@ class TestReportMode:
         recomputed = recompute_report(run.paths["predictions"], tmp_path / "report")
         assert recomputed.report.to_json_dict() == run.report.to_json_dict()
 
-    def test_each_gold_answer_is_normalized_once(self, synthetic, tmp_path, count_calls):
+    def test_each_distinct_answer_is_normalized_once_per_step(self, synthetic, tmp_path, count_calls):
         directory, dataset_path, cache_path = synthetic
         run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
         predictions = [
@@ -1050,14 +1050,22 @@ class TestReportMode:
             pipeline.CandidateRecord.from_json_dict(*line)
             for line in pipeline.read_jsonl(run.paths["candidates"])
         ]
-        parsed = sum(1 for record in records if record.parsed is not None)
+        parsed = [record.parsed.final_answer for record in records if record.parsed is not None]
         assert parsed
+        golds = {row.gold_answer for row in predictions}
+        labelled = {row.initial_answer for row in predictions} | {
+            row.final_answer for row in predictions
+        }
         (tmp_path / "report").mkdir()
         normalized = count_calls("answers", "normalize_answer")
         pipeline._write_report(tmp_path / "report", predictions, records, None)
-        # The initial, final and gold answer of each prediction, and the
-        # final answer of each parsed candidate.
-        assert len(normalized) == 3 * len(predictions) + parsed
+        # Each distinct initial, final and gold answer once for the labels,
+        # and each distinct gold and parsed candidate answer once for the
+        # candidate flow.
+        assert len(labelled | golds) < 3 * len(predictions)
+        assert sorted(normalized) == sorted(
+            [(text,) for text in labelled | golds] + [(text,) for text in golds | set(parsed)]
+        )
         recompute_report(run.paths["predictions"], tmp_path / "recomputed")
         for directory in ("report", "recomputed"):
             report = (tmp_path / directory / pipeline.REPORT_JSON_FILE).read_bytes()

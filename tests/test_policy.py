@@ -390,15 +390,13 @@ class TestAcceptPolicy:
         assert verdict.path == PATH_VERY_LOW_CONFIDENCE_RESCUE
 
     def test_weak_reasoner_relaxed_path(self):
-        import dataclasses
-
         r0, cand, diag0, diag_c, decision = _setup(
             "14 + 8 = 23\nFinal Answer: 23", "14 + 8 = 22\nFinal Answer: 22"
         )
         # A candidate whose graph score sits below the acceptance minimum is
         # out of reach for the relaxed-support path; only the weak-reasoner
         # path (with the graph guard ablated) can take it.
-        diag_c = dataclasses.replace(diag_c, graph=_graph(score=0.55))
+        diag_c = diag_c._replace(graph=_graph(score=0.55))
         cfg = CFG.with_overrides(
             improvement_margin=2.0, rescue_initial_meta_max=0.0, enable_graph_guard=False
         )

@@ -1,6 +1,8 @@
 import bisect
 import dataclasses
 import random
+import re
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -21,6 +23,8 @@ from trace_repair.risk_graph import (
     RATE_MARKERS,
     WINDOW_TOKENS,
     _DECREASE_VERBS,
+    _EQUAL_SPLIT_RE,
+    _TIMES_MORE_RE,
     _TOKEN_RE,
     _UNIT_EXCLUSIONS,
     HIGH_RISK_CATEGORIES,
@@ -215,7 +219,7 @@ class TestTraceSide:
 
     def test_unbound_numbers_build_no_node_and_look_up_each_token_once(self, count_calls):
         problem = analyse_problem("Tom has 3 bags. How many in total?")
-        problem = dataclasses.replace(problem, bindings=_CountingBindings(problem.bindings))
+        problem = problem._replace(bindings=_CountingBindings(problem.bindings))
         trace = "5 + 6 = 11\n5 * 2 = 10\nFive pens and 6 pens, $5 in all.\nFinal Answer: 11"
         nodes = count_calls("risk_graph", "QuantityNode")
         windows = count_calls("risk_graph", "_unit_and_entity")
@@ -616,3 +620,153 @@ class TestTokenFeaturesOracle:
     def test_worded_positions_are_searched(self):
         _, searched = _worded_positions(_BINDING_PROBLEM, "So Tom has 3 now. Then 4 Apples!")
         assert searched and searched[0] == [1, 7]
+
+
+_ALL_CHARACTERS = "".join(map(chr, range(sys.maxunicode + 1)))
+# Every character a keyword letter matches under IGNORECASE; a letter not
+# named here matches only its two ASCII cases.
+_CASES = {"i": "iIıİ", "s": "sSſ"}
+_SCAN_WORDS = ("times", "more", "equally", "evenly", "split", "shared", "divided",
+               "distributes", "among", "between")
+_SPACE = st.sampled_from((" ", "  ", "\t", "\u00a0", "\u2003"))
+
+
+def _recased(words):
+    """Each of ``words`` with every letter drawn from the characters it matches."""
+    return st.sampled_from(words).flatmap(
+        lambda word: st.tuples(
+            *(st.sampled_from(_CASES.get(letter, letter + letter.upper())) for letter in word)
+        ).map("".join)
+    )
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map("".join)
+
+
+_PREFIX = st.sampled_from(("", "Ann has ", "Bob saw 4 cats. Ann has ", "€2. "))
+_SUFFIX = st.sampled_from(("", " apples.", " than Bob. How many?"))
+# Each scan of ``analyse_problem``, and texts it matches.
+_SCANS = {"times_more": "_TIMES_MORE_RE", "equal_split": "_EQUAL_SPLIT_RE"}
+_SCAN_TEXTS = {
+    "times_more": _joined(
+        _PREFIX, st.sampled_from(("3", "twelve", "Five", "10", "x")), _SPACE,
+        _recased(("times",)), _SPACE, _recased(("more",)), _SUFFIX,
+    ),
+    "equal_split": _joined(
+        _PREFIX, _recased(("split", "shares", "divided", "distributes")), _SPACE,
+        st.sampled_from(("", "the 12 pens ", "them, ")), _recased(("equally", "evenly")), _SUFFIX,
+    )
+    | _joined(
+        _PREFIX, _recased(("equally", "evenly")), _SPACE, st.sampled_from(("", "by 3 ", "all ")),
+        _recased(("among", "between", "split", "shared", "dividing")), _SUFFIX,
+    ),
+}
+_LOOSE_PROBLEM = st.lists(
+    _recased(_SCAN_WORDS) | st.sampled_from(("3 ", " ", ".", "?", "ſ", "ı")) | st.text(max_size=3)
+).map("".join)
+
+
+class _RecordingScan:
+    """A compiled pattern's ``search`` that records each text it is asked."""
+
+    def __init__(self, pattern):
+        self.pattern, self.searched = pattern, []
+
+    def search(self, text):
+        self.searched.append(text)
+        return self.pattern.search(text)
+
+
+def _searched(name, text):
+    """The texts ``analyse_problem(text)`` asks the ``name`` scan to search."""
+    attribute = _SCANS[name]
+    scan = _RecordingScan(getattr(risk_graph, attribute))
+    with mock.patch.object(risk_graph, attribute, scan):
+        analyse_problem(text)
+    return scan.searched
+
+
+class TestProblemScanGates:
+    """``analyse_problem`` runs its "N times more" and equal-split scans only
+    on a text that holds their keyword, and every text a scan matches does."""
+
+    @pytest.mark.parametrize("letter", sorted(set("".join(_SCAN_WORDS))))
+    def test_the_case_table_names_every_character_a_letter_matches(self, letter):
+        matched = set(re.findall(letter, _ALL_CHARACTERS, re.IGNORECASE))
+        assert matched == set(_CASES.get(letter, letter + letter.upper()))
+
+    @pytest.mark.parametrize("name", sorted(_SCANS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_the_gate_admits_every_text_the_scan_matches(self, name, data):
+        pattern = {"times_more": _TIMES_MORE_RE, "equal_split": _EQUAL_SPLIT_RE}[name]
+        matching = data.draw(_SCAN_TEXTS[name])
+        assert pattern.search(matching) and _searched(name, matching) == [matching]
+        loose = data.draw(_LOOSE_PROBLEM)
+        assert pattern.search(loose) is None or _searched(name, loose) == [loose]
+
+    @pytest.mark.parametrize("name", sorted(_SCANS))
+    def test_a_text_without_the_keyword_is_not_scanned(self, name):
+        assert _searched(name, "Ann has 3 more apples than Bob. How many in all?") == []
+
+    def test_a_non_ascii_text_is_scanned_for_times_more(self):
+        text = "Ann has 3 tımes more apples than Bob."
+        assert _searched("times_more", text) == [text]
+        assert analyse_problem(text).times_more == ("3 tımes more", Fraction(3))
+
+
+# RiskSignal, GraphReport and MetaDiagnosis as frozen dataclasses with the
+# same names and fields: the oracle for their repr, equality and hash, which
+# the diagnose digest reads.
+FrozenRisk = dataclasses.make_dataclass(
+    "RiskSignal", list(RiskSignal.__annotations__.items()), frozen=True
+)
+FrozenReport = dataclasses.make_dataclass(
+    "GraphReport", list(GraphReport.__annotations__.items()), frozen=True
+)
+_risk_fields = st.tuples(
+    st.sampled_from(RISK_CATEGORIES),
+    st.sampled_from((SEVERITY_HIGH, SEVERITY_WARNING)),
+    st.lists(st.text(max_size=8), max_size=2).map(tuple),
+)
+_report_fields = st.tuples(
+    st.lists(_risk_fields, max_size=3),
+    st.floats(0.0, 1.0),
+    st.sampled_from((DIAGNOSIS_OK, DIAGNOSIS_GENERATION_FAILURE)),
+)
+
+
+def _graph_reports(fields):
+    risks, score, diagnosis = fields
+    return (
+        GraphReport(tuple(RiskSignal(*risk) for risk in risks), score, diagnosis),
+        FrozenReport(tuple(FrozenRisk(*risk) for risk in risks), score, diagnosis),
+    )
+
+
+class TestRiskTypesAsFrozenDataclasses:
+    @settings(max_examples=200, deadline=None)
+    @given(_risk_fields, _risk_fields)
+    def test_risk_signal_repr_equality_and_hash_match(self, fields, other):
+        risk, frozen = RiskSignal(*fields), FrozenRisk(*fields)
+        assert repr(risk) == repr(frozen)
+        assert hash(risk) == hash(frozen)
+        assert risk == RiskSignal(*fields)
+        assert (risk == RiskSignal(*other)) == (frozen == FrozenRisk(*other))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_report_fields, _report_fields)
+    def test_graph_report_repr_equality_and_hash_match(self, fields, other):
+        (report, frozen), (other_report, other_frozen) = _graph_reports(fields), _graph_reports(other)
+        assert repr(report) == repr(frozen)
+        assert hash(report) == hash(frozen)
+        assert report == _graph_reports(fields)[0]
+        assert (report == other_report) == (frozen == other_frozen)
+
+    def test_fields_cannot_be_set(self):
+        report = semantic_graph_check("any problem 3", "")
+        with pytest.raises(AttributeError):
+            report.score = 1.0
+        with pytest.raises(AttributeError):
+            report.risks[0].severity = SEVERITY_HIGH
