@@ -28,43 +28,42 @@ def _library_use_snippet() -> str:
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def test_the_readme_snippet_loads_only_the_guard_layer():
-    code = (
-        _library_use_snippet()
-        + "\nimport sys\n"
-        + "print(sorted(name for name in sys.modules if name.split('.')[0] == 'trace_repair'))\n"
-        + "print(sorted(name for name in ('hashlib', 'json', 'http.client') if name in sys.modules))\n"
+def _loaded_after(code: str, stdlib: tuple[str, ...]) -> tuple[str, str]:
+    """The package's modules, and which of ``stdlib``, a fresh interpreter
+    has loaded after running ``code``; both printed as sorted lists."""
+    code += (
+        "\nimport sys\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'trace_repair'))\n"
+        f"print(sorted(name for name in {stdlib!r} if name in sys.modules))\n"
     )
-    # -S keeps site's start-up imports out of ``sys.modules``.
+    # -S keeps site's start-up imports out of ``sys.modules``; the source
+    # tree is left without .pyc files.
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         check=True,
-        env={"PYTHONPATH": str(Path(trace_repair.__file__).resolve().parents[1])},
+        env={
+            "PYTHONPATH": str(Path(trace_repair.__file__).resolve().parents[1]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
-    *_, loaded, stdlib = done.stdout.strip().splitlines()
+    *_, loaded, stdlib_loaded = done.stdout.strip().splitlines()
+    return loaded, stdlib_loaded
+
+
+def test_the_readme_snippet_loads_only_the_guard_layer():
+    loaded, stdlib = _loaded_after(_library_use_snippet(), ("hashlib", "json", "http.client"))
     assert loaded == str(sorted(["trace_repair"] + [f"trace_repair.{name}" for name in GUARD_LAYER]))
     assert stdlib == "[]"
 
 
 def test_a_first_diagnose_loads_no_dataclasses_inspect_or_logging():
     code = (
-        "import sys\n"
         "import trace_repair\n"
         "trace_repair.diagnose('Ann has 3 apples and buys 4 more.', '3 + 4 = 7\\nFinal Answer: 7')\n"
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'trace_repair'))\n"
-        "print(sorted(name for name in ('dataclasses', 'inspect', 'logging') if name in sys.modules))\n"
     )
-    # -S keeps site's start-up imports out of ``sys.modules``.
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={"PYTHONPATH": str(Path(trace_repair.__file__).resolve().parents[1])},
-    )
-    *_, loaded, stdlib = done.stdout.strip().splitlines()
+    loaded, stdlib = _loaded_after(code, ("dataclasses", "inspect", "logging"))
     guard = ("answers", "diagnostics", "equations", "risk_graph")
     assert loaded == str(["trace_repair"] + [f"trace_repair.{name}" for name in guard])
     assert stdlib == "[]"

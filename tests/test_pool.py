@@ -232,7 +232,7 @@ def test_import_loads_no_pool_and_no_http_client():
         capture_output=True,
         text=True,
         check=True,
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert out.stdout.strip() == "[]"
 

@@ -23,8 +23,6 @@ from trace_repair.risk_graph import (
     RATE_MARKERS,
     WINDOW_TOKENS,
     _DECREASE_VERBS,
-    _EQUAL_SPLIT_RE,
-    _TIMES_MORE_RE,
     _TOKEN_RE,
     _UNIT_EXCLUSIONS,
     HIGH_RISK_CATEGORIES,
@@ -700,7 +698,7 @@ class TestProblemScanGates:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_the_gate_admits_every_text_the_scan_matches(self, name, data):
-        pattern = {"times_more": _TIMES_MORE_RE, "equal_split": _EQUAL_SPLIT_RE}[name]
+        pattern = getattr(risk_graph, _SCANS[name])
         matching = data.draw(_SCAN_TEXTS[name])
         assert pattern.search(matching) and _searched(name, matching) == [matching]
         loose = data.draw(_LOOSE_PROBLEM)
