@@ -5,24 +5,28 @@ Every run writes the same artifact set into its output directory:
     predictions.jsonl   one line per example (answers + transition)
     candidates.jsonl    one line per generation attempt (the replay cache)
     risk_log.jsonl      initial risk categories + candidate acceptance pattern
+    risk_summary.json   acceptance-decision pattern counts
     report.json         the structured run report
     report.txt          the same report as a plain table
     progress.jsonl      the checkpoint: candidates.jsonl rows, appended as examples finish
 
 Guarded repair and the direct-regeneration baselines share one
 per-example path; a mode only picks which examples are repaired and the
-repair_example arguments. Final artifacts are serialized once, in
-example-id order, each through a temp file. The checkpoint is a replay
-cache: a resume reruns every example through it, in front of the run's
-provider, so its output is byte-identical to an uninterrupted run's, and
-appends only the attempts the checkpoint lacks. Report rows are typed
+repair_example arguments. Examples run in example-id order, and each
+example's rows are written to the artifacts' temp files as it finishes;
+the report is counted alongside, and the six artifacts are renamed into
+place together once the run and its report have succeeded, so a run holds
+no finished example. The checkpoint is a replay cache: a resume reruns
+every example through it, in front of the run's provider, so its output
+is byte-identical to an uninterrupted run's, and appends only the
+attempts the checkpoint lacks. Report rows are typed
 (``Prediction``, ``CandidateRecord``): a bad line, a missing field, or a
 nested value that is not the object or list it should be stops the report
 naming ``path:line`` and the dotted field.
 
 A remote provider keeps up to its ``concurrency`` examples in flight at
 once: each pool thread takes the next pending example as soon as its last
-one is done. Results are still taken in dataset order, so progress.jsonl,
+one is done. Results are still taken in example-id order, so progress.jsonl,
 the resume checkpoint and the outage abort read as in a serial run.
 """
 
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
@@ -49,13 +54,12 @@ from .datasets import (
     sample_subset,
     write_artifact,
     write_dataset,
-    write_jsonl,
 )
 from .diagnostics import diagnose
 from .orchestrator import CandidateRecord, repair_example
 from .policy import PolicyConfig, trigger
 from .providers import RemoteProvider, ReplayProvider
-from .reporting import RunReport, compute_report, label_transitions, render_report
+from .reporting import ReportTally, RunReport, compute_report, render_report
 from .risk_graph import risk_categories
 
 log = logging.getLogger(__name__)
@@ -99,6 +103,16 @@ RISK_SUMMARY_FILE = "risk_summary.json"
 REPORT_JSON_FILE = "report.json"
 REPORT_TEXT_FILE = "report.txt"
 PROGRESS_FILE = "progress.jsonl"
+
+# The run's artifacts by PipelineResult.paths key; progress.jsonl is not one.
+ARTIFACT_FILES = {
+    "predictions": PREDICTIONS_FILE,
+    "candidates": CANDIDATES_FILE,
+    "risk_log": RISK_LOG_FILE,
+    "risk_summary": RISK_SUMMARY_FILE,
+    "report_json": REPORT_JSON_FILE,
+    "report_text": REPORT_TEXT_FILE,
+}
 
 
 @dataclass(frozen=True)
@@ -151,14 +165,13 @@ class Prediction:
 
 @dataclass(frozen=True)
 class ExampleResult:
-    """One example's outcome: ``risk`` is its risk_log.jsonl row, ``records``
-    its candidates.jsonl rows and ``lines`` those rows encoded, as both
-    candidates.jsonl and progress.jsonl hold them."""
+    """One example's outcome: its predictions.jsonl row, its candidates.jsonl
+    rows and its risk_log.jsonl row. The run writes them as it takes the
+    example and keeps none of it."""
 
     prediction: Prediction
     records: tuple[CandidateRecord, ...]
     risk: dict
-    lines: tuple[str, ...]
 
 
 @dataclass
@@ -302,8 +315,7 @@ def _process_example(
         final_trace=final.text,
     )
     risk = _risk_log_entry(record, diag0, decision.triggered, records, accepted_index)
-    lines = tuple(jsonl_line(item.to_json_dict()) for item in records)
-    return ExampleResult(prediction, records, risk, lines)
+    return ExampleResult(prediction, records, risk)
 
 
 def _read_checkpoint(path: Path, provider) -> ReplayProvider:
@@ -328,88 +340,9 @@ def _read_checkpoint(path: Path, provider) -> ReplayProvider:
     return cache
 
 
-def risk_log_summary(records: list[CandidateRecord]) -> dict:
-    """Acceptance-decision pattern counts of a run's candidate records."""
-    accepted = noop = 0
-    changing = changing_accepted = 0
-    changing_accepted_graph_clean = 0
-    graph_clean = graph_risky = 0
-    for record in records:
-        verdict = record.verdict
-        if verdict and verdict.accepted:
-            accepted += 1
-        if verdict and "no_op" in verdict.rejection_reasons:
-            noop += 1
-        if record.answer_changed:
-            changing += 1
-            if verdict and verdict.accepted:
-                changing_accepted += 1
-                if record.graph_clean:
-                    changing_accepted_graph_clean += 1
-        if record.graph_clean is True:
-            graph_clean += 1
-        elif record.graph_clean is False:
-            graph_risky += 1
-    patterns = len(records)
-    return {
-        "patterns_inspected": patterns,
-        "accepted_patterns": accepted,
-        "rejected_patterns": patterns - accepted,
-        "noop_rejections": noop,
-        "answer_changing_candidates": changing,
-        "answer_changing_accepted": changing_accepted,
-        "answer_changing_rejected": changing - changing_accepted,
-        "accepted_answer_changing_graph_clean": changing_accepted_graph_clean,
-        "candidate_graph_clean_patterns": graph_clean,
-        "candidate_graph_risk_patterns": graph_risky,
-    }
-
-
-def _write_report(
-    output_dir: Path,
-    predictions: list[Prediction],
-    records: list[CandidateRecord] | None,
-    harm_budget: float | None,
-) -> PipelineResult:
-    """Compute the report of a run's predictions and write report.json/.txt."""
-    golds = [row.gold_answer for row in predictions]
-    labels = label_transitions(
-        [row.initial_answer for row in predictions],
-        [row.final_answer for row in predictions],
-        golds,
-        example_ids=[row.example_id for row in predictions],
-        triggered=[row.triggered for row in predictions],
-        accepted=[row.accepted for row in predictions],
-    )
-    gold_by_id = {row.example_id: gold for row, gold in zip(predictions, golds)}
-    report = compute_report(labels, records, gold_by_id, harm_budget=harm_budget)
-    paths = {
-        "report_json": output_dir / REPORT_JSON_FILE,
-        "report_text": output_dir / REPORT_TEXT_FILE,
-    }
-    write_jsonl(paths["report_json"], [report.to_json_dict()])
-    write_artifact(paths["report_text"], [render_report(report)])
-    return PipelineResult(report=report, paths=paths)
-
-
-def _finalize_run(manifest: RunManifest, results: list[ExampleResult]) -> PipelineResult:
-    output = manifest.output_dir
-    results = sorted(results, key=lambda result: result.prediction.example_id)
-    predictions = [result.prediction for result in results]
-    records = [record for result in results for record in result.records]
-    reported = _write_report(output, predictions, records, manifest.harm_budget)
-
-    paths = {
-        "predictions": output / PREDICTIONS_FILE,
-        "candidates": output / CANDIDATES_FILE,
-        "risk_log": output / RISK_LOG_FILE,
-        "risk_summary": output / RISK_SUMMARY_FILE,
-    }
-    write_jsonl(paths["predictions"], (row.to_json_dict() for row in predictions))
-    write_artifact(paths["candidates"], (line for result in results for line in result.lines))
-    write_jsonl(paths["risk_log"], (result.risk for result in results))
-    write_jsonl(paths["risk_summary"], [risk_log_summary(records)])
-    return PipelineResult(report=reported.report, paths={**paths, **reported.paths})
+def _report_texts(report: RunReport) -> dict[str, str]:
+    """report.json and report.txt of ``report``, by PipelineResult.paths key."""
+    return {"report_json": jsonl_line(report.to_json_dict()), "report_text": render_report(report)}
 
 
 def _in_order(process, items, concurrency: int):
@@ -433,13 +366,15 @@ def _in_order(process, items, concurrency: int):
 
 
 def _run_examples(manifest: RunManifest) -> PipelineResult:
-    dataset = load_dataset(manifest.dataset_path)
+    # In the order the artifacts list the examples, so each is written as it is taken.
+    dataset = sorted(load_dataset(manifest.dataset_path), key=lambda record: record.example_id)
     dataset_ids = {record.example_id for record in dataset}
     provider = _build_provider(manifest)
     triggered_ids = _load_triggered_ids(manifest.triggered_ids_path, dataset_ids)
 
-    manifest.output_dir.mkdir(parents=True, exist_ok=True)
-    progress_path = manifest.output_dir / PROGRESS_FILE
+    output = manifest.output_dir
+    output.mkdir(parents=True, exist_ok=True)
+    progress_path = output / PROGRESS_FILE
 
     checkpointed = {}
     if manifest.resume and progress_path.exists():
@@ -458,35 +393,55 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
     process = partial(
         _process_example, manifest=manifest, provider=provider, triggered_ids=triggered_ids
     )
-    results = []
+    paths = {key: output / name for key, name in ARTIFACT_FILES.items()}
+    temps = {key: path.with_name(path.name + ".tmp") for key, path in paths.items()}
+    tally = ReportTally()
     outage_streak = 0
-    with (
-        closing(provider),
-        open(progress_path, "a" if manifest.resume else "w", encoding="utf-8") as progress,
-        closing(_in_order(process, dataset, provider.concurrency)) as outcomes,
-    ):
-        for result in outcomes:
-            results.append(result)
-            if result.records and all(record.transport_failed for record in result.records):
-                # Keep the example out of the durable checkpoint so a resume
-                # regenerates it once the provider is back.
-                outage_streak += 1
-                if outage_streak >= OUTAGE_EXAMPLE_LIMIT:
-                    raise ProviderOutageError(
-                        f"{outage_streak} consecutive examples lost every "
-                        f"generation to transport failures; resume with "
-                        f"--resume once the provider recovers"
-                    )
-                continue
-            outage_streak = 0
-            lacking = [
-                line
-                for record, line in zip(result.records, result.lines)
-                if (record.example_id, record.attempt_index) not in checkpointed
-            ]
-            progress.write("".join(lacking))
-            progress.flush()
-    return _finalize_run(manifest, results)
+    try:
+        with (
+            closing(provider),
+            open(progress_path, "a" if manifest.resume else "w", encoding="utf-8") as progress,
+            open(temps["predictions"], "w", encoding="utf-8") as predictions,
+            open(temps["candidates"], "w", encoding="utf-8") as candidates,
+            open(temps["risk_log"], "w", encoding="utf-8") as risk_log,
+            closing(_in_order(process, dataset, provider.concurrency)) as outcomes,
+        ):
+            for result in outcomes:
+                row, records = result.prediction, result.records
+                lines = [jsonl_line(record.to_json_dict()) for record in records]
+                predictions.write(jsonl_line(row.to_json_dict()))
+                candidates.write("".join(lines))
+                risk_log.write(jsonl_line(result.risk))
+                tally.add(row, records)
+                if records and all(record.transport_failed for record in records):
+                    # Keep the example out of the durable checkpoint so a resume
+                    # regenerates it once the provider is back.
+                    outage_streak += 1
+                    if outage_streak >= OUTAGE_EXAMPLE_LIMIT:
+                        raise ProviderOutageError(
+                            f"{outage_streak} consecutive examples lost every "
+                            f"generation to transport failures; resume with "
+                            f"--resume once the provider recovers"
+                        )
+                    continue
+                outage_streak = 0
+                lacking = [
+                    line
+                    for record, line in zip(records, lines)
+                    if (record.example_id, record.attempt_index) not in checkpointed
+                ]
+                progress.write("".join(lacking))
+                progress.flush()
+        report = compute_report(tally, harm_budget=manifest.harm_budget)
+        texts = {"risk_summary": jsonl_line(tally.risk_summary()), **_report_texts(report)}
+        for key, text in texts.items():
+            temps[key].write_text(text, encoding="utf-8")
+        for key, path in paths.items():
+            os.replace(temps[key], path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+    return PipelineResult(report=report, paths=paths)
 
 
 def filter_dataset(
@@ -566,12 +521,21 @@ def recompute_report(
     _check_harm_budget(harm_budget)
     predictions = _read_rows(predictions_path, Prediction, "example_id")
     candidates_path = predictions_path.parent / CANDIDATES_FILE
-    records = None
-    if candidates_path.exists():
+    records_by_id: dict[str, list[CandidateRecord]] = {}
+    tally = ReportTally(with_flow=candidates_path.exists())
+    if tally.with_flow:
         records = _read_rows(candidates_path, CandidateRecord, "example_id", "attempt_index")
         _check_same_run(predictions_path, predictions, candidates_path, records)
+        for record in records:
+            records_by_id.setdefault(record.example_id, []).append(record)
+    for row in predictions:
+        tally.add(row, records_by_id.get(row.example_id, ()))
+    report = compute_report(tally, harm_budget=harm_budget)
     output_dir.mkdir(parents=True, exist_ok=True)
-    return _write_report(output_dir, predictions, records, harm_budget)
+    paths = {key: output_dir / ARTIFACT_FILES[key] for key in ("report_json", "report_text")}
+    for key, text in _report_texts(report).items():
+        write_artifact(paths[key], [text])
+    return PipelineResult(report=report, paths=paths)
 
 
 def run_pipeline(manifest: RunManifest) -> PipelineResult:

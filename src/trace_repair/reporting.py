@@ -4,6 +4,8 @@ Gold answers enter the system only here. Transition accounting, harm
 rate, accepted precision, the exact paired sign test, the rule-of-three
 bound, the candidate-flow decomposition, and multi-run aggregation all
 live in this module, with the flow identities checked on every report.
+Every report is counted by one ``ReportTally``, fed one example at a time,
+so a run's report holds counts, not its examples.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .answers import AnswerValue, answers_equivalent, normalize_answer
 from .orchestrator import CandidateRecord
@@ -50,23 +52,6 @@ class TransitionLabel:
         return f"{first}->{second}"
 
 
-def _answer_values() -> Callable[[AnswerValue | str], AnswerValue]:
-    """A lookup that normalizes each distinct answer string once and passes
-    an ``AnswerValue`` through; each report step keeps its own."""
-    memo: dict[str, AnswerValue] = {}
-
-    def value(answer: AnswerValue | str) -> AnswerValue:
-        if isinstance(answer, AnswerValue):
-            return answer
-        text = str(answer)
-        found = memo.get(text)
-        if found is None:
-            found = memo[text] = normalize_answer(text)
-        return found
-
-    return value
-
-
 def label_transitions(
     initial_answers: Sequence[AnswerValue | str],
     final_answers: Sequence[AnswerValue | str],
@@ -81,17 +66,15 @@ def label_transitions(
         raise ValueError("initial, final, and gold sequences must align")
     if example_ids is None:
         example_ids = [str(index) for index in range(count)]
-    value = _answer_values()
+    tally = ReportTally()
     labels = []
     for index in range(count):
-        gold = value(gold_answers[index])
-        initially = answers_equivalent(value(initial_answers[index]), gold)
-        finally_ = answers_equivalent(value(final_answers[index]), gold)
+        gold = tally.value(gold_answers[index])
         labels.append(
             TransitionLabel(
                 example_id=example_ids[index],
-                initially_correct=initially,
-                finally_correct=finally_,
+                initially_correct=tally.correct(initial_answers[index], gold),
+                finally_correct=tally.correct(final_answers[index], gold),
                 triggered=bool(triggered[index]) if triggered is not None else False,
                 accepted=bool(accepted[index]) if accepted is not None else False,
             )
@@ -158,121 +141,226 @@ def rule_of_three(zero_harm_total: int) -> float:
     return 300.0 / zero_harm_total
 
 
-def _candidate_matches_gold(
-    record: CandidateRecord, gold: AnswerValue, value: Callable[[str], AnswerValue]
-) -> bool:
-    if record.parsed is None:
-        return False
-    return answers_equivalent(value(record.parsed.final_answer), gold)
+_TRANSITION_OF = {
+    (True, True): TRANSITION_CC,
+    (True, False): TRANSITION_CW,
+    (False, True): TRANSITION_WC,
+    (False, False): TRANSITION_WW,
+}
+
+
+class ReportTally:
+    """Every count a run's report and risk summary read, fed one example at a time.
+
+    It holds counts and one memo of normalized answers, so each distinct
+    answer string is normalized once per report and nothing else grows with
+    the number of examples. ``report`` checks the flow and accounting
+    identities with explicit raises, so they also run under -O. A tally
+    without ``with_flow`` leaves the candidate-flow block out of the report,
+    for a run whose candidate records are not known.
+    """
+
+    def __init__(self, with_flow: bool = True) -> None:
+        self.with_flow = with_flow
+        self._values: dict[str, AnswerValue] = {}
+        self.total = self.initially_correct = self.finally_correct = 0
+        self.fixed = self.broken = self.accepted = 0
+        self.outcome_counts = dict.fromkeys(TRANSITIONS, 0)
+        self.triggered_wrong = self.corrected = 0
+        self.attempts = self.accepted_patterns = self.noop_rejections = 0
+        self.changing = self.changing_accepted = self.changing_accepted_graph_clean = 0
+        self.graph_clean = self.graph_risky = 0
+
+    def value(self, answer: AnswerValue | str) -> AnswerValue:
+        """``answer`` normalized once per distinct string; an ``AnswerValue`` passes through."""
+        if isinstance(answer, AnswerValue):
+            return answer
+        text = str(answer)
+        found = self._values.get(text)
+        if found is None:
+            found = self._values[text] = normalize_answer(text)
+        return found
+
+    def correct(self, answer: AnswerValue | str, gold: AnswerValue) -> bool:
+        return answers_equivalent(self.value(answer), gold)
+
+    def add(self, prediction, records: Iterable[CandidateRecord]) -> None:
+        """Count one example from its predictions.jsonl row (its initial, final
+        and gold answers and its triggered and accepted flags) and its
+        candidates.jsonl rows."""
+        gold = self.value(prediction.gold_answer)
+        matched = False
+        for record in records:
+            matched = self.add_record(record, gold) or matched
+        self.add_label(
+            self.correct(prediction.initial_answer, gold),
+            self.correct(prediction.final_answer, gold),
+            prediction.triggered,
+            prediction.accepted,
+            matched,
+        )
+
+    def add_label(
+        self,
+        initially_correct: bool,
+        finally_correct: bool,
+        triggered: bool,
+        accepted: bool,
+        matched: bool,
+    ) -> None:
+        """Count one labelled example; ``matched`` says a candidate of it matched gold."""
+        self.total += 1
+        if initially_correct:
+            self.initially_correct += 1
+            if not finally_correct:
+                self.broken += 1
+        else:
+            if triggered:
+                self.triggered_wrong += 1
+            if matched:
+                self.corrected += 1
+            if finally_correct:
+                self.fixed += 1
+        if finally_correct:
+            self.finally_correct += 1
+        if accepted:
+            self.accepted += 1
+            self.outcome_counts[_TRANSITION_OF[bool(initially_correct), bool(finally_correct)]] += 1
+
+    def add_record(self, record: CandidateRecord, gold: AnswerValue | None) -> bool:
+        """Count one candidate's acceptance pattern; True when its parsed answer matches ``gold``."""
+        verdict = record.verdict
+        accepted = bool(verdict and verdict.accepted)
+        self.attempts += 1
+        if accepted:
+            self.accepted_patterns += 1
+        if verdict and "no_op" in verdict.rejection_reasons:
+            self.noop_rejections += 1
+        if record.answer_changed:
+            self.changing += 1
+            if accepted:
+                self.changing_accepted += 1
+                if record.graph_clean:
+                    self.changing_accepted_graph_clean += 1
+        if record.graph_clean is True:
+            self.graph_clean += 1
+        elif record.graph_clean is False:
+            self.graph_risky += 1
+        if gold is None or record.parsed is None:
+            return False
+        return self.correct(record.parsed.final_answer, gold)
+
+    def risk_summary(self) -> dict:
+        """Acceptance-decision pattern counts of the candidate records."""
+        return {
+            "patterns_inspected": self.attempts,
+            "accepted_patterns": self.accepted_patterns,
+            "rejected_patterns": self.attempts - self.accepted_patterns,
+            "noop_rejections": self.noop_rejections,
+            "answer_changing_candidates": self.changing,
+            "answer_changing_accepted": self.changing_accepted,
+            "answer_changing_rejected": self.changing - self.changing_accepted,
+            "accepted_answer_changing_graph_clean": self.changing_accepted_graph_clean,
+            "candidate_graph_clean_patterns": self.graph_clean,
+            "candidate_graph_risk_patterns": self.graph_risky,
+        }
+
+    def report(self, harm_budget: float | None = None) -> RunReport:
+        """The report of the examples counted so far."""
+        total = self.total
+        if total == 0:
+            raise ValueError("cannot report on an empty run")
+        fixed, broken, accepted = self.fixed, self.broken, self.accepted
+        initial_accuracy = 100.0 * self.initially_correct / total
+        final_accuracy = 100.0 * self.finally_correct / total
+        init_wrong = total - self.initially_correct
+
+        flow = None
+        if self.with_flow:
+            corr_c = self.corrected
+            flow = {
+                "InitW": init_wrong,
+                "TrigW": self.triggered_wrong,
+                "CorrC": corr_c,
+                "AccC": fixed,
+                "RejC": corr_c - fixed,
+                "NoC": init_wrong - corr_c,
+                "FinalW": init_wrong - fixed,
+                "Brk": broken,
+            }
+            # Cross-checks of the flow block; the last fails when an accepted
+            # fix has no gold-matching candidate.
+            _check_identity(flow["RejC"] == flow["CorrC"] - flow["AccC"], "RejC = CorrC - AccC")
+            _check_identity(flow["NoC"] == flow["InitW"] - flow["CorrC"], "NoC = InitW - CorrC")
+            _check_identity(flow["FinalW"] == flow["InitW"] - fixed, "FinalW = InitW - fixed")
+            _check_identity(
+                flow["RejC"] >= 0, "RejC >= 0 (accepted fixes without a gold-matching candidate)"
+            )
+
+        # Accounting identity in exact counts.
+        _check_identity(
+            self.finally_correct == self.initially_correct + fixed - broken,
+            "final correct = initial correct + fixed - broken",
+        )
+        _check_identity(
+            accepted == sum(self.outcome_counts.values()), "accepted = sum of accepted outcomes"
+        )
+        return RunReport(
+            total=total,
+            initial_accuracy=initial_accuracy,
+            final_accuracy=final_accuracy,
+            delta=final_accuracy - initial_accuracy,
+            fixed=fixed,
+            broken=broken,
+            harm_rate=100.0 * broken / total,
+            accepted=accepted,
+            attempts=self.attempts,
+            accepted_precision=(
+                100.0 * self.outcome_counts[TRANSITION_WC] / accepted if accepted else None
+            ),
+            error_repair_rate=100.0 * fixed / init_wrong if init_wrong else None,
+            sign_test_p=sign_test(fixed, broken) if fixed + broken >= 1 else None,
+            rule_of_three_bound=rule_of_three(total) if broken == 0 else None,
+            candidate_flow=flow,
+            outcome_counts=dict(self.outcome_counts),
+            harm_budget=harm_budget,
+            # The budget is a share, as broken / total is; harm_rate is a percentage.
+            harm_budget_exceeded=(broken / total > harm_budget) if harm_budget is not None else None,
+        )
 
 
 def compute_report(
-    labels: Sequence[TransitionLabel],
+    labels: Sequence[TransitionLabel] | ReportTally,
     records: Iterable[CandidateRecord] | None = None,
     gold_by_id: Mapping[str, AnswerValue | str] | None = None,
     harm_budget: float | None = None,
 ) -> RunReport:
     """Aggregate one run's labels and candidate records into a report.
 
-    The candidate-flow decomposition needs the records plus gold answers;
-    when records are omitted (report-only recomputations without a
-    candidate log) the flow block is left out.
+    A run passes the ``ReportTally`` it fed one example at a time in place
+    of the labels. Labels are counted into a tally first, with the records
+    and gold answers: the candidate-flow decomposition needs both, and when
+    records are omitted (report-only recomputations without a candidate
+    log) the flow block is left out.
     """
-    total = len(labels)
-    if total == 0:
-        raise ValueError("cannot report on an empty run")
-
-    initially_correct = sum(1 for label in labels if label.initially_correct)
-    finally_correct = sum(1 for label in labels if label.finally_correct)
-    fixed = sum(1 for label in labels if label.transition == TRANSITION_WC)
-    broken = sum(1 for label in labels if label.transition == TRANSITION_CW)
-    accepted_labels = [label for label in labels if label.accepted]
-    accepted = len(accepted_labels)
-
-    outcome_counts = {transition: 0 for transition in TRANSITIONS}
-    for label in accepted_labels:
-        outcome_counts[label.transition] += 1
-
-    initial_accuracy = 100.0 * initially_correct / total
-    final_accuracy = 100.0 * finally_correct / total
-    harm_rate = 100.0 * broken / total
-
-    fixed_accepted = outcome_counts[TRANSITION_WC]
-    accepted_precision = 100.0 * fixed_accepted / accepted if accepted else None
-
-    init_wrong = total - initially_correct
-    error_repair_rate = 100.0 * fixed / init_wrong if init_wrong else None
-
-    sign_p = sign_test(fixed, broken) if fixed + broken >= 1 else None
-    bound = rule_of_three(total) if broken == 0 else None
-
-    attempts, flow = 0, None
+    if isinstance(labels, ReportTally):
+        return labels.report(harm_budget)
+    tally = ReportTally(with_flow=records is not None)
+    matched = set()
     if records is not None:
-        record_list = list(records)
-        attempts = len(record_list)
-        value = _answer_values()
-        gold_map = {key: value(gold) for key, gold in (gold_by_id or {}).items()}
-        matches_by_example: dict[str, bool] = {}
-        for record in record_list:
-            gold = gold_map.get(record.example_id)
-            if gold is None:
-                continue
-            if _candidate_matches_gold(record, gold, value):
-                matches_by_example[record.example_id] = True
-
-        trig_w = sum(1 for label in labels if not label.initially_correct and label.triggered)
-        corr_c = sum(
-            1
-            for label in labels
-            if not label.initially_correct and matches_by_example.get(label.example_id, False)
+        golds = {key: tally.value(gold) for key, gold in (gold_by_id or {}).items()}
+        for record in records:
+            if tally.add_record(record, golds.get(record.example_id)):
+                matched.add(record.example_id)
+    for label in labels:
+        tally.add_label(
+            label.initially_correct,
+            label.finally_correct,
+            label.triggered,
+            label.accepted,
+            label.example_id in matched,
         )
-        flow = {
-            "InitW": init_wrong,
-            "TrigW": trig_w,
-            "CorrC": corr_c,
-            "AccC": fixed,
-            "RejC": corr_c - fixed,
-            "NoC": init_wrong - corr_c,
-            "FinalW": init_wrong - fixed,
-            "Brk": broken,
-        }
-        # Flow identities hold on every run by construction; recheck the
-        # cross-source ones that depend on record/label consistency.
-        _check_identity(flow["RejC"] == flow["CorrC"] - flow["AccC"], "RejC = CorrC - AccC")
-        _check_identity(flow["NoC"] == flow["InitW"] - flow["CorrC"], "NoC = InitW - CorrC")
-        _check_identity(flow["FinalW"] == flow["InitW"] - fixed, "FinalW = InitW - fixed")
-        _check_identity(
-            flow["RejC"] >= 0, "RejC >= 0 (accepted fixes without a gold-matching candidate)"
-        )
-
-    # Accounting identity in exact counts.
-    _check_identity(
-        finally_correct == initially_correct + fixed - broken,
-        "final correct = initial correct + fixed - broken",
-    )
-    _check_identity(
-        accepted == sum(outcome_counts.values()), "accepted = sum of accepted outcomes"
-    )
-    return RunReport(
-        total=total,
-        initial_accuracy=initial_accuracy,
-        final_accuracy=final_accuracy,
-        delta=final_accuracy - initial_accuracy,
-        fixed=fixed,
-        broken=broken,
-        harm_rate=harm_rate,
-        accepted=accepted,
-        attempts=attempts,
-        accepted_precision=accepted_precision,
-        error_repair_rate=error_repair_rate,
-        sign_test_p=sign_p,
-        rule_of_three_bound=bound,
-        candidate_flow=flow,
-        outcome_counts=outcome_counts,
-        harm_budget=harm_budget,
-        # The budget is a share, as broken / total is; harm_rate is a percentage.
-        harm_budget_exceeded=(broken / total > harm_budget) if harm_budget is not None else None,
-    )
+    return tally.report(harm_budget)
 
 
 @dataclass(frozen=True)

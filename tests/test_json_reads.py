@@ -10,7 +10,7 @@ inside a ``from_json_dict``, which names ``path:line`` and the dotted field
 when one is missing; elsewhere it reads attributes. It reads no risk row
 and no progress row: the checkpoint holds candidates.jsonl rows, which a
 resume reads as a replay cache through ``ReplayProvider.from_jsonl``. Its
-only other string-key reads are of its own ``paths`` dicts.
+only other string-key reads are of its own ``paths`` and ``temps`` dicts.
 """
 
 import ast
@@ -53,12 +53,9 @@ def _json_reads(module: str, source: str) -> list[str]:
 
 
 PIPELINE_STRING_KEYS = [
-    "_finalize_run: paths['candidates']",
-    "_finalize_run: paths['predictions']",
-    "_finalize_run: paths['risk_log']",
-    "_finalize_run: paths['risk_summary']",
-    "_write_report: paths['report_json']",
-    "_write_report: paths['report_text']",
+    "_run_examples: temps['candidates']",
+    "_run_examples: temps['predictions']",
+    "_run_examples: temps['risk_log']",
     "filter_dataset: paths['filter_counts']",
     "filter_dataset: paths['numeric_pool']",
     "filter_dataset: paths['sample']",

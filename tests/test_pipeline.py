@@ -463,7 +463,7 @@ class TestReplayRun:
     def test_a_completed_checkpoint_holds_the_candidates_rows(self, synthetic, tmp_path):
         directory, dataset_path, cache_path = synthetic
         fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
-        # The synthetic dataset is in id order, so the two files are one.
+        # Examples run in id order, as candidates.jsonl lists them, so the two files are one.
         progress = (tmp_path / "fresh" / PROGRESS_FILE).read_bytes()
         assert progress == fresh.paths["candidates"].read_bytes()
 
@@ -729,6 +729,55 @@ class TestReplayRun:
         assert sorted(path.name for path in (tmp_path / "run").iterdir()) == files
 
 
+    @pytest.mark.parametrize("failing_at", ["ex000", "ex025", "ex049", "report"])
+    def test_an_interrupted_run_keeps_the_previous_artifacts(
+        self, synthetic, tmp_path, monkeypatch, failing_at
+    ):
+        """Rows go to temp files as each example finishes; a run that stops at
+        an example, or at its report, renames none of them and leaves none."""
+        directory, dataset_path, cache_path = synthetic
+        first = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        before = _digests(first)
+
+        def interrupt(*args, **kwargs):
+            raise RuntimeError("interrupted")
+
+        if failing_at == "report":
+            monkeypatch.setattr(pipeline.ReportTally, "report", interrupt)
+        else:
+            process = pipeline._process_example
+
+            def failing_process(record, **kwargs):
+                if record.example_id == failing_at:
+                    interrupt()
+                return process(record, **kwargs)
+
+            monkeypatch.setattr(pipeline, "_process_example", failing_process)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        assert _digests(first) == before
+        assert not list((tmp_path / "run").glob("*.tmp"))
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_examples_run_in_id_order_whatever_the_dataset_order(self, synthetic, tmp_path, order):
+        import random
+
+        from synthetic_run import build_synthetic_run
+
+        directory, dataset_path, cache_path = synthetic
+        fresh = run_pipeline(_replay_manifest(tmp_path / "fresh", dataset_path, cache_path))
+        records = build_synthetic_run()[0]
+        if order == "reversed":
+            records.reverse()
+        else:
+            random.Random(7).shuffle(records)
+        unordered_path = tmp_path / "unordered.jsonl"
+        write_dataset(records, unordered_path)
+        run = run_pipeline(_replay_manifest(tmp_path / "run", unordered_path, cache_path))
+        assert _digests(run) == _digests(fresh)
+        progress = (tmp_path / "run" / PROGRESS_FILE).read_bytes()
+        assert progress == run.paths["candidates"].read_bytes()
+
     def test_replay_refuses_a_cache_recorded_under_other_prompts(self, synthetic, tmp_path):
         directory, dataset_path, cache_path = synthetic
         first = run_pipeline(_replay_manifest(tmp_path / "a", dataset_path, cache_path))
@@ -818,6 +867,58 @@ def test_synthetic_replay_digests(synthetic, tmp_path, mode):
     result = run_pipeline(_replay_manifest(tmp_path, dataset_path, cache_path, mode=mode))
     digests = tuple(hashlib.sha256(result.paths[key].read_bytes()).hexdigest() for key in ARTIFACT_KEYS)
     assert digests == SYNTHETIC_DIGESTS[mode]
+
+
+# Heap kept per example, in bytes. A run keeps its dataset and its replay
+# cache, about 0.9 KB per synthetic example; one that kept every finished
+# example until the end read about 3.8 KB.
+BYTES_PER_EXAMPLE = 1500
+
+
+def test_run_memory_grows_only_with_its_inputs(tmp_path):
+    """The heap peak of a replay over 4N examples exceeds that over N by less
+    than ``BYTES_PER_EXAMPLE`` for each added example."""
+    import tracemalloc
+    from dataclasses import replace
+
+    from synthetic_run import build_synthetic_run
+    from trace_repair.equations import parse_number
+
+    records, cache = build_synthetic_run()
+
+    def peak(copies: int) -> int:
+        directory = tmp_path / f"x{copies}"
+        directory.mkdir()
+        write_dataset(
+            (
+                replace(record, example_id=f"c{copy}-{record.example_id}")
+                for copy in range(copies)
+                for record in records
+            ),
+            directory / "dataset.jsonl",
+        )
+        (directory / "cache.jsonl").write_text(
+            "".join(
+                json.dumps({**row, "example_id": f"c{copy}-{row['example_id']}"}) + "\n"
+                for copy in range(copies)
+                for row in cache
+            )
+        )
+        manifest = _replay_manifest(
+            directory / "run", directory / "dataset.jsonl", directory / "cache.jsonl"
+        )
+        parse_number.cache_clear()
+        tracemalloc.start()
+        try:
+            run_pipeline(manifest)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # loads every module the run imports
+    small, large = peak(2), peak(8)
+    added = 6 * len(records)
+    assert large - small < BYTES_PER_EXAMPLE * added, (small, large)
 
 
 _ARTIFACT_FILES = (
@@ -1039,9 +1140,22 @@ class TestReportMode:
         recomputed = recompute_report(run.paths["predictions"], tmp_path / "report")
         assert recomputed.report.to_json_dict() == run.report.to_json_dict()
 
-    def test_each_distinct_answer_is_normalized_once_per_step(self, synthetic, tmp_path, count_calls):
+    def test_each_distinct_answer_is_normalized_once_per_step(self, synthetic, tmp_path, monkeypatch):
+        """One memo per report: a run and a recomputed report each normalize
+        each distinct initial, final, gold and parsed candidate answer once."""
+        from trace_repair import reporting
+
         directory, dataset_path, cache_path = synthetic
+        normalized = []
+
+        def counting(text):
+            normalized.append(text)
+            return normalize_answer(text)
+
+        normalize_answer = reporting.normalize_answer
+        monkeypatch.setattr(reporting, "normalize_answer", counting)
         run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        in_run, normalized[:] = normalized[:], []
         predictions = [
             pipeline.Prediction.from_json_dict(*line)
             for line in pipeline.read_jsonl(run.paths["predictions"])
@@ -1050,26 +1164,17 @@ class TestReportMode:
             pipeline.CandidateRecord.from_json_dict(*line)
             for line in pipeline.read_jsonl(run.paths["candidates"])
         ]
-        parsed = [record.parsed.final_answer for record in records if record.parsed is not None]
+        parsed = {record.parsed.final_answer for record in records if record.parsed is not None}
         assert parsed
-        golds = {row.gold_answer for row in predictions}
-        labelled = {row.initial_answer for row in predictions} | {
-            row.final_answer for row in predictions
-        }
-        (tmp_path / "report").mkdir()
-        normalized = count_calls("answers", "normalize_answer")
-        pipeline._write_report(tmp_path / "report", predictions, records, None)
-        # Each distinct initial, final and gold answer once for the labels,
-        # and each distinct gold and parsed candidate answer once for the
-        # candidate flow.
-        assert len(labelled | golds) < 3 * len(predictions)
-        assert sorted(normalized) == sorted(
-            [(text,) for text in labelled | golds] + [(text,) for text in golds | set(parsed)]
-        )
+        answers = {row.gold_answer for row in predictions} | parsed
+        answers |= {row.initial_answer for row in predictions}
+        answers |= {row.final_answer for row in predictions}
+        assert len(answers) < 3 * len(predictions)
+        assert sorted(in_run) == sorted(answers)
         recompute_report(run.paths["predictions"], tmp_path / "recomputed")
-        for directory in ("report", "recomputed"):
-            report = (tmp_path / directory / pipeline.REPORT_JSON_FILE).read_bytes()
-            assert report == run.paths["report_json"].read_bytes()
+        assert sorted(normalized) == sorted(answers)
+        report = (tmp_path / "recomputed" / pipeline.REPORT_JSON_FILE).read_bytes()
+        assert report == run.paths["report_json"].read_bytes()
 
     @pytest.mark.parametrize(
         "edit, fault",

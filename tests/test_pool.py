@@ -125,6 +125,18 @@ def test_outage_aborts_at_the_same_example_and_resumes(synthetic, endpoint, tmp_
     assert _bytes(resumed, tmp_path / "k4") == _bytes(fresh, tmp_path / "fresh")
 
 
+def test_an_outage_keeps_the_previous_artifacts(synthetic, endpoint, tmp_path):
+    endpoint.latency_s = 0.0
+    output_dir = tmp_path / "run"
+    first, _ = _run(synthetic, output_dir, 4)
+    before = {key: first.paths[key].read_bytes() for key in ARTIFACTS}
+    endpoint.down_from = FIFTH_REPAIRED
+    with pytest.raises(ProviderOutageError):
+        _run(synthetic, output_dir, 4)
+    assert {key: first.paths[key].read_bytes() for key in ARTIFACTS} == before
+    assert not list(output_dir.glob("*.tmp"))
+
+
 def test_resume_after_a_cut_at_every_line_asks_only_for_what_it_lacks(
     synthetic, endpoint, tmp_path
 ):
