@@ -870,8 +870,8 @@ def test_synthetic_replay_digests(synthetic, tmp_path, mode):
 
 
 # Heap kept per example, in bytes. A run keeps its dataset and its replay
-# cache, about 0.9 KB per synthetic example; one that kept every finished
-# example until the end read about 3.8 KB.
+# cache, about 0.9 KB per synthetic example; a run that also kept every
+# finished example until the end would need about 3.8 KB.
 BYTES_PER_EXAMPLE = 1500
 
 
