@@ -67,10 +67,8 @@ _EXPORTS = {
         "FieldStats",
         "ReportIdentityError",
         "RunReport",
-        "TransitionLabel",
         "aggregate_runs",
         "compute_report",
-        "label_transitions",
         "render_report",
         "rule_of_three",
         "sign_test",

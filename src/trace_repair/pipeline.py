@@ -479,57 +479,52 @@ def filter_dataset(
     return paths, counts
 
 
-def _read_rows(path: Path, row_type, *key: str) -> list:
-    """``row_type.from_json_dict`` of each line of ``path``; a second row with
-    the same ``key`` fields raises a ``DatasetError`` naming its line."""
-    rows = {}
-    for where, row in read_jsonl(path):
-        item = row_type.from_json_dict(where, row)
-        values = tuple(getattr(item, name) for name in key)
-        if values in rows:
-            named = " ".join(f"{name.split('_')[0]} {value!r}" for name, value in zip(key, values))
-            raise DatasetError(f"{where}: duplicate row for {named}")
-        rows[values] = item
-    return list(rows.values())
-
-
-def _check_same_run(
-    predictions_path: Path, predictions: list[Prediction], candidates_path: Path, records
-) -> None:
-    """Refuse, naming both files, a candidate of an example with no
-    prediction or an accepted attempt with no candidate."""
-    attempts = {(record.example_id, record.attempt_index) for record in records}
-    stray = {example_id for example_id, _ in attempts} - {row.example_id for row in predictions}
-    faults = [f"example {example_id!r} has no prediction" for example_id in sorted(stray)] + [
-        f"example {row.example_id!r} has no candidate at its accepted attempt"
-        for row in predictions
-        if row.accepted and (row.example_id, row.accepted_attempt) not in attempts
-    ]
-    if faults:
-        raise DatasetError(f"{candidates_path} is not the run of {predictions_path}: {faults[0]}")
-
-
 def recompute_report(
     predictions_path: Path, output_dir: Path, harm_budget: float | None = None
 ) -> PipelineResult:
     """Recompute report.json/.txt from a run's saved predictions, without a provider.
 
-    The candidate-flow block needs the run's candidates.jsonl, read from
-    beside the predictions file when it is there. A second prediction of an
-    example, or a second candidate of an attempt, is refused.
+    The candidate-flow block needs the run's candidates.jsonl, read first,
+    by example, from beside the predictions file when it is there. Each
+    prediction is then counted as it is read, with its candidates, so no
+    prediction is held. A second prediction of an example, or a second
+    candidate of an attempt, is refused naming its line; a candidate of an
+    example with no prediction, or an accepted attempt with no candidate,
+    is refused naming both files.
     """
     _check_harm_budget(harm_budget)
-    predictions = _read_rows(predictions_path, Prediction, "example_id")
     candidates_path = predictions_path.parent / CANDIDATES_FILE
-    records_by_id: dict[str, list[CandidateRecord]] = {}
     tally = ReportTally(with_flow=candidates_path.exists())
+    records_by_id: dict[str, dict[int, CandidateRecord]] = {}
     if tally.with_flow:
-        records = _read_rows(candidates_path, CandidateRecord, "example_id", "attempt_index")
-        _check_same_run(predictions_path, predictions, candidates_path, records)
-        for record in records:
-            records_by_id.setdefault(record.example_id, []).append(record)
-    for row in predictions:
-        tally.add(row, records_by_id.get(row.example_id, ()))
+        for where, row in read_jsonl(candidates_path):
+            record = CandidateRecord.from_json_dict(where, row)
+            attempts = records_by_id.setdefault(record.example_id, {})
+            if record.attempt_index in attempts:
+                raise DatasetError(
+                    f"{where}: duplicate row for example {record.example_id!r} "
+                    f"attempt {record.attempt_index!r}"
+                )
+            attempts[record.attempt_index] = record
+    seen: set[str] = set()
+    missing = None
+    for where, row in read_jsonl(predictions_path):
+        prediction = Prediction.from_json_dict(where, row)
+        example_id = prediction.example_id
+        if example_id in seen:
+            raise DatasetError(f"{where}: duplicate row for example {example_id!r}")
+        seen.add(example_id)
+        attempts = records_by_id.pop(example_id, {})
+        if tally.with_flow and prediction.accepted and prediction.accepted_attempt not in attempts:
+            missing = example_id if missing is None else missing
+        tally.add(prediction, attempts.values())
+    if records_by_id or missing is not None:
+        fault = (
+            f"example {min(records_by_id)!r} has no prediction"
+            if records_by_id
+            else f"example {missing!r} has no candidate at its accepted attempt"
+        )
+        raise DatasetError(f"{candidates_path} is not the run of {predictions_path}: {fault}")
     report = compute_report(tally, harm_budget=harm_budget)
     output_dir.mkdir(parents=True, exist_ok=True)
     paths = {key: output_dir / ARTIFACT_FILES[key] for key in ("report_json", "report_text")}

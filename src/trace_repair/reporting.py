@@ -1,11 +1,12 @@
-"""Transition labeling and every aggregate the pipeline reports.
+"""Every aggregate the pipeline reports, counted from a run's rows.
 
 Gold answers enter the system only here. Transition accounting, harm
 rate, accepted precision, the exact paired sign test, the rule-of-three
 bound, the candidate-flow decomposition, and multi-run aggregation all
 live in this module, with the flow identities checked on every report.
-Every report is counted by one ``ReportTally``, fed one example at a time,
-so a run's report holds counts, not its examples.
+Every report is counted by one ``ReportTally``, fed one example at a time
+from its predictions.jsonl row and its candidates.jsonl rows, so a run's
+report holds counts, not its examples.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .answers import AnswerValue, answers_equivalent, normalize_answer
 from .orchestrator import CandidateRecord
@@ -28,58 +29,13 @@ TRANSITIONS = (TRANSITION_WC, TRANSITION_CW, TRANSITION_WW, TRANSITION_CC)
 
 
 class ReportIdentityError(ValueError):
-    """A flow or accounting identity failed: labels and records disagree."""
+    """A flow or accounting identity failed: predictions and candidates disagree."""
 
 
 def _check_identity(holds: bool, identity: str) -> None:
     # An explicit raise, not an assert, so the check also runs under -O.
     if not holds:
         raise ReportIdentityError(f"report identity failed: {identity}")
-
-
-@dataclass(frozen=True)
-class TransitionLabel:
-    example_id: str
-    initially_correct: bool
-    finally_correct: bool
-    triggered: bool
-    accepted: bool
-
-    @property
-    def transition(self) -> str:
-        first = "C" if self.initially_correct else "W"
-        second = "C" if self.finally_correct else "W"
-        return f"{first}->{second}"
-
-
-def label_transitions(
-    initial_answers: Sequence[AnswerValue | str],
-    final_answers: Sequence[AnswerValue | str],
-    gold_answers: Sequence[AnswerValue | str],
-    example_ids: Sequence[str] | None = None,
-    triggered: Sequence[bool] | None = None,
-    accepted: Sequence[bool] | None = None,
-) -> list[TransitionLabel]:
-    """Label each example's correctness transition against gold."""
-    count = len(gold_answers)
-    if len(initial_answers) != count or len(final_answers) != count:
-        raise ValueError("initial, final, and gold sequences must align")
-    if example_ids is None:
-        example_ids = [str(index) for index in range(count)]
-    tally = ReportTally()
-    labels = []
-    for index in range(count):
-        gold = tally.value(gold_answers[index])
-        labels.append(
-            TransitionLabel(
-                example_id=example_ids[index],
-                initially_correct=tally.correct(initial_answers[index], gold),
-                finally_correct=tally.correct(final_answers[index], gold),
-                triggered=bool(triggered[index]) if triggered is not None else False,
-                accepted=bool(accepted[index]) if accepted is not None else False,
-            )
-        )
-    return labels
 
 
 @dataclass(frozen=True)
@@ -152,12 +108,14 @@ _TRANSITION_OF = {
 class ReportTally:
     """Every count a run's report and risk summary read, fed one example at a time.
 
-    It holds counts and one memo of normalized answers, so each distinct
-    answer string is normalized once per report and nothing else grows with
-    the number of examples. ``report`` checks the flow and accounting
-    identities with explicit raises, so they also run under -O. A tally
-    without ``with_flow`` leaves the candidate-flow block out of the report,
-    for a run whose candidate records are not known.
+    ``add`` is the one way an example is counted, from its predictions.jsonl
+    row and its candidates.jsonl rows, whether a run has just made them or
+    ``report`` reads them back. It holds counts and one memo of normalized
+    answers, so each distinct answer string is normalized once per report
+    and nothing else grows with the number of examples. ``report`` checks
+    the flow and accounting identities with explicit raises, so they also
+    run under -O. A tally without ``with_flow`` leaves the candidate-flow
+    block out of the report, for a run whose candidate records are not known.
     """
 
     def __init__(self, with_flow: bool = True) -> None:
@@ -171,51 +129,53 @@ class ReportTally:
         self.changing = self.changing_accepted = self.changing_accepted_graph_clean = 0
         self.graph_clean = self.graph_risky = 0
 
-    def value(self, answer: AnswerValue | str) -> AnswerValue:
-        """``answer`` normalized once per distinct string; an ``AnswerValue`` passes through."""
-        if isinstance(answer, AnswerValue):
-            return answer
+    def value(self, answer: str | None) -> AnswerValue:
+        """``answer`` normalized once per distinct string; a JSON null reads as ``"None"``."""
         text = str(answer)
         found = self._values.get(text)
         if found is None:
             found = self._values[text] = normalize_answer(text)
         return found
 
-    def correct(self, answer: AnswerValue | str, gold: AnswerValue) -> bool:
+    def correct(self, answer: str | None, gold: AnswerValue) -> bool:
         return answers_equivalent(self.value(answer), gold)
 
     def add(self, prediction, records: Iterable[CandidateRecord]) -> None:
         """Count one example from its predictions.jsonl row (its initial, final
         and gold answers and its triggered and accepted flags) and its
-        candidates.jsonl rows."""
+        candidates.jsonl rows: each candidate's acceptance pattern, and whether
+        any candidate's parsed answer matches gold."""
         gold = self.value(prediction.gold_answer)
         matched = False
         for record in records:
-            matched = self.add_record(record, gold) or matched
-        self.add_label(
-            self.correct(prediction.initial_answer, gold),
-            self.correct(prediction.final_answer, gold),
-            prediction.triggered,
-            prediction.accepted,
-            matched,
-        )
-
-    def add_label(
-        self,
-        initially_correct: bool,
-        finally_correct: bool,
-        triggered: bool,
-        accepted: bool,
-        matched: bool,
-    ) -> None:
-        """Count one labelled example; ``matched`` says a candidate of it matched gold."""
+            verdict = record.verdict
+            accepted = bool(verdict and verdict.accepted)
+            self.attempts += 1
+            if accepted:
+                self.accepted_patterns += 1
+            if verdict and "no_op" in verdict.rejection_reasons:
+                self.noop_rejections += 1
+            if record.answer_changed:
+                self.changing += 1
+                if accepted:
+                    self.changing_accepted += 1
+                    if record.graph_clean:
+                        self.changing_accepted_graph_clean += 1
+            if record.graph_clean is True:
+                self.graph_clean += 1
+            elif record.graph_clean is False:
+                self.graph_risky += 1
+            if record.parsed is not None:
+                matched = self.correct(record.parsed.final_answer, gold) or matched
+        initially_correct = self.correct(prediction.initial_answer, gold)
+        finally_correct = self.correct(prediction.final_answer, gold)
         self.total += 1
         if initially_correct:
             self.initially_correct += 1
             if not finally_correct:
                 self.broken += 1
         else:
-            if triggered:
+            if prediction.triggered:
                 self.triggered_wrong += 1
             if matched:
                 self.corrected += 1
@@ -223,32 +183,9 @@ class ReportTally:
                 self.fixed += 1
         if finally_correct:
             self.finally_correct += 1
-        if accepted:
+        if prediction.accepted:
             self.accepted += 1
-            self.outcome_counts[_TRANSITION_OF[bool(initially_correct), bool(finally_correct)]] += 1
-
-    def add_record(self, record: CandidateRecord, gold: AnswerValue | None) -> bool:
-        """Count one candidate's acceptance pattern; True when its parsed answer matches ``gold``."""
-        verdict = record.verdict
-        accepted = bool(verdict and verdict.accepted)
-        self.attempts += 1
-        if accepted:
-            self.accepted_patterns += 1
-        if verdict and "no_op" in verdict.rejection_reasons:
-            self.noop_rejections += 1
-        if record.answer_changed:
-            self.changing += 1
-            if accepted:
-                self.changing_accepted += 1
-                if record.graph_clean:
-                    self.changing_accepted_graph_clean += 1
-        if record.graph_clean is True:
-            self.graph_clean += 1
-        elif record.graph_clean is False:
-            self.graph_risky += 1
-        if gold is None or record.parsed is None:
-            return False
-        return self.correct(record.parsed.final_answer, gold)
+            self.outcome_counts[_TRANSITION_OF[initially_correct, finally_correct]] += 1
 
     def risk_summary(self) -> dict:
         """Acceptance-decision pattern counts of the candidate records."""
@@ -329,37 +266,12 @@ class ReportTally:
         )
 
 
-def compute_report(
-    labels: Sequence[TransitionLabel] | ReportTally,
-    records: Iterable[CandidateRecord] | None = None,
-    gold_by_id: Mapping[str, AnswerValue | str] | None = None,
-    harm_budget: float | None = None,
-) -> RunReport:
-    """Aggregate one run's labels and candidate records into a report.
+def compute_report(tally: ReportTally, harm_budget: float | None = None) -> RunReport:
+    """The report of the examples ``tally`` has counted, annotated with ``harm_budget``.
 
-    A run passes the ``ReportTally`` it fed one example at a time in place
-    of the labels. Labels are counted into a tally first, with the records
-    and gold answers: the candidate-flow decomposition needs both, and when
-    records are omitted (report-only recomputations without a candidate
-    log) the flow block is left out.
+    ``run``, ``baseline`` and ``report`` each feed a ``ReportTally`` one
+    example at a time and finish here.
     """
-    if isinstance(labels, ReportTally):
-        return labels.report(harm_budget)
-    tally = ReportTally(with_flow=records is not None)
-    matched = set()
-    if records is not None:
-        golds = {key: tally.value(gold) for key, gold in (gold_by_id or {}).items()}
-        for record in records:
-            if tally.add_record(record, golds.get(record.example_id)):
-                matched.add(record.example_id)
-    for label in labels:
-        tally.add_label(
-            label.initially_correct,
-            label.finally_correct,
-            label.triggered,
-            label.accepted,
-            label.example_id in matched,
-        )
     return tally.report(harm_budget)
 
 

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from report_rows import candidate, prediction, tally_of
 from synthetic_run import (
     EXPECTED_ACCEPTED,
     EXPECTED_ATTEMPTS,
@@ -34,7 +35,6 @@ from trace_repair.diagnostics import (
     diagnose,
 )
 from trace_repair.equations import check_equations
-from trace_repair.orchestrator import CandidateRecord, ParsedCandidate
 from trace_repair.pipeline import MODE_REPLAY, RunManifest, run_pipeline
 from trace_repair.policy import (
     PolicyConfig,
@@ -46,7 +46,6 @@ from trace_repair.policy import (
 )
 from trace_repair.reporting import (
     RunReport,
-    TransitionLabel,
     aggregate_runs,
     compute_report,
     round2,
@@ -69,36 +68,13 @@ def _ok(criterion: str, detail: str) -> None:
     print(f"[acceptance] {criterion}: PASS  ({detail})")
 
 
-def _label(example_id, initially, finally_, triggered, accepted):
-    return TransitionLabel(
-        example_id=example_id,
-        initially_correct=initially,
-        finally_correct=finally_,
-        triggered=triggered,
-        accepted=accepted,
-    )
-
-
-def _rec(example_id, attempt, answer):
-    parsed = ParsedCandidate(steps=("s",), final_answer=answer) if answer else None
-    return CandidateRecord(
-        example_id=example_id,
-        attempt_index=attempt,
-        prompt_hash="",
-        raw_output="",
-        parsed=parsed,
-    )
-
-
 def test_criterion_1_metric_oracle():
     """total=1319, initially correct=1261, F=17, B=0, accepted=20."""
-    labels = []
+    rows = []
     records = []
-    gold = {}
 
-    def add(example_id, initially, finally_, triggered, accepted):
-        labels.append(_label(example_id, initially, finally_, triggered, accepted))
-        gold[example_id] = "7"
+    def add(example_id, initial, final, triggered, accepted_attempt=None):
+        rows.append(prediction(example_id, initial, final, "7", triggered, accepted_attempt))
 
     index = 0
 
@@ -112,42 +88,42 @@ def test_criterion_1_metric_oracle():
     # record count lands on the reference 1498 attempts.
     fixed_ids = [next_id() for _ in range(17)]
     for position, example_id in enumerate(fixed_ids):
-        add(example_id, False, True, True, True)
         last = 0 if position < 13 else 2
+        add(example_id, "5", "7", True, last)
         for attempt in range(last):
-            records.append(_rec(example_id, attempt, "5"))
-        records.append(_rec(example_id, last, "7"))
+            records.append(candidate(example_id, attempt, "5"))
+        records.append(candidate(example_id, last, "7"))
     # 3 accepted wrong-to-wrong modifications, accepted at attempt 2.
     for _ in range(3):
         example_id = next_id()
-        add(example_id, False, False, True, True)
-        records.extend(_rec(example_id, attempt, "5") for attempt in range(2))
-        records.append(_rec(example_id, 2, "6"))
+        add(example_id, "5", "6", True, 2)
+        records.extend(candidate(example_id, attempt, "5") for attempt in range(2))
+        records.append(candidate(example_id, 2, "6"))
     # 8 triggered-wrong with a correct-but-rejected candidate.
     for _ in range(8):
         example_id = next_id()
-        add(example_id, False, False, True, False)
+        add(example_id, "5", "5", True)
         records.extend(
-            [_rec(example_id, 0, "7"), _rec(example_id, 1, "5"), _rec(example_id, 2, None)]
+            [candidate(example_id, 0, "7"), candidate(example_id, 1, "5"), candidate(example_id, 2)]
         )
     # 15 triggered-wrong with no correct candidate.
     for _ in range(15):
         example_id = next_id()
-        add(example_id, False, False, True, False)
-        records.extend(_rec(example_id, attempt, "5") for attempt in range(3))
+        add(example_id, "5", "5", True)
+        records.extend(candidate(example_id, attempt, "5") for attempt in range(3))
     # 15 wrong, never triggered.
     for _ in range(15):
-        add(next_id(), False, False, False, False)
+        add(next_id(), "5", "5", False)
     # 465 correct triggered (508 total triggered), all candidates rejected.
     for _ in range(465):
         example_id = next_id()
-        add(example_id, True, True, True, False)
-        records.extend(_rec(example_id, attempt, "7") for attempt in range(3))
+        add(example_id, "7", "7", True)
+        records.extend(candidate(example_id, attempt, "7") for attempt in range(3))
     # Remaining correct untouched examples.
     while index < 1319:
-        add(next_id(), True, True, False, False)
+        add(next_id(), "7", "7", False)
 
-    report = compute_report(labels, records, gold)
+    report = compute_report(tally_of(rows, records))
     assert report.total == 1319
     assert report.fixed == 17
     assert report.broken == 0
@@ -191,29 +167,34 @@ def test_criterion_4_flow_identities_randomized():
     runs = 1000
     for _ in range(runs):
         n = rng.randint(1, 50)
+        rows = []
+        # (example_id, initially correct, finally correct, triggered), as drawn.
         labels = []
         records = []
-        gold = {}
         for index in range(n):
             example_id = f"e{index}"
-            gold[example_id] = "7"
             initially = rng.random() < 0.6
             triggered = rng.random() < 0.5 or not initially
             accepted = triggered and rng.random() < 0.3
+            initial = "7" if initially else "5"
             if accepted:
                 candidate_ok = rng.random() < 0.7
                 finally_ = candidate_ok
                 answer = "7" if candidate_ok else "6"
-                records.append(_rec(example_id, 0, answer))
+                records.append(candidate(example_id, 0, answer))
             else:
                 finally_ = initially
+                answer = initial
                 if triggered and rng.random() < 0.5:
-                    answer = "7" if rng.random() < 0.4 else "5"
+                    reply = "7" if rng.random() < 0.4 else "5"
                     for attempt in range(rng.randint(1, 3)):
-                        records.append(_rec(example_id, attempt, answer))
-            labels.append(_label(example_id, initially, finally_, triggered, accepted))
+                        records.append(candidate(example_id, attempt, reply))
+            rows.append(
+                prediction(example_id, initial, answer, "7", triggered, 0 if accepted else None)
+            )
+            labels.append((example_id, initially, finally_, triggered))
 
-        report = compute_report(labels, records, gold)
+        report = compute_report(tally_of(rows, records))
         flow = report.candidate_flow
 
         # Independent brute-force recount.
@@ -223,18 +204,14 @@ def test_criterion_4_flow_identities_randomized():
                 normalize_answer(record.parsed.final_answer), normalize_answer("7")
             ):
                 gold_match.add(record.example_id)
-        init_w = [label for label in labels if not label.initially_correct]
+        init_w = [label for label in labels if not label[1]]
         brute = {
             "InitW": len(init_w),
-            "TrigW": sum(1 for label in init_w if label.triggered),
-            "CorrC": sum(1 for label in init_w if label.example_id in gold_match),
-            "AccC": sum(1 for label in init_w if label.finally_correct),
-            "FinalW": sum(1 for label in init_w if not label.finally_correct),
-            "Brk": sum(
-                1
-                for label in labels
-                if label.initially_correct and not label.finally_correct
-            ),
+            "TrigW": sum(1 for _, _, _, triggered in init_w if triggered),
+            "CorrC": sum(1 for example_id, *_ in init_w if example_id in gold_match),
+            "AccC": sum(1 for _, _, finally_, _ in init_w if finally_),
+            "FinalW": sum(1 for _, _, finally_, _ in init_w if not finally_),
+            "Brk": sum(1 for _, initially, finally_, _ in labels if initially and not finally_),
         }
         brute["RejC"] = brute["CorrC"] - brute["AccC"]
         brute["NoC"] = brute["InitW"] - brute["CorrC"]

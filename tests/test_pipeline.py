@@ -8,10 +8,12 @@ import pytest
 from synthetic_run import (
     EXPECTED_ACCEPTED,
     EXPECTED_ATTEMPTS,
+    GROUP_CLEAN,
     GROUP_NOOP,
     GROUP_RETRY,
     GROUP_SAFE_FIX,
     GROUP_UNSAFE,
+    build_synthetic_run,
     write_synthetic_run,
 )
 from trace_repair.cli import main
@@ -20,8 +22,10 @@ from trace_repair.pipeline import (
     MODE_DIRECT_BESTOF3_GATED,
     MODE_GUARDED,
     MODE_REPLAY,
+    MODE_SOLVE_ALL,
     MODE_SOLVE_TRIGGERED,
     PROGRESS_FILE,
+    RUN_MODES,
     RunManifest,
     filter_dataset,
     recompute_report,
@@ -873,52 +877,80 @@ def test_synthetic_replay_digests(synthetic, tmp_path, mode):
 # cache, about 0.9 KB per synthetic example; a run that also kept every
 # finished example until the end would need about 3.8 KB.
 BYTES_PER_EXAMPLE = 1500
+# ``report`` keeps the candidates until their predictions are read, 1.0 to
+# 1.3 KB per synthetic example (one candidate each) on Python 3.10 to 3.13;
+# one that also kept every prediction would need 1.7 to 2.0 KB.
+REPORT_BYTES_PER_EXAMPLE = 1450
+
+
+def _copied_run(directory: Path, copies: int) -> RunManifest:
+    """A replay over ``copies`` copies of the synthetic set, each example id
+    prefixed with its copy, written into ``directory``."""
+    from dataclasses import replace
+
+    records, cache = build_synthetic_run()
+    directory.mkdir()
+    write_dataset(
+        (
+            replace(record, example_id=f"c{copy}-{record.example_id}")
+            for copy in range(copies)
+            for record in records
+        ),
+        directory / "dataset.jsonl",
+    )
+    (directory / "cache.jsonl").write_text(
+        "".join(
+            json.dumps({**row, "example_id": f"c{copy}-{row['example_id']}"}) + "\n"
+            for copy in range(copies)
+            for row in cache
+        )
+    )
+    return _replay_manifest(directory / "run", directory / "dataset.jsonl", directory / "cache.jsonl")
+
+
+def _heap_peak(call) -> int:
+    """The tracemalloc peak of ``call()``, with the number memo emptied first."""
+    import tracemalloc
+
+    from trace_repair.equations import parse_number
+
+    parse_number.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_run_memory_grows_only_with_its_inputs(tmp_path):
     """The heap peak of a replay over 4N examples exceeds that over N by less
     than ``BYTES_PER_EXAMPLE`` for each added example."""
-    import tracemalloc
-    from dataclasses import replace
-
-    from synthetic_run import build_synthetic_run
-    from trace_repair.equations import parse_number
-
-    records, cache = build_synthetic_run()
 
     def peak(copies: int) -> int:
-        directory = tmp_path / f"x{copies}"
-        directory.mkdir()
-        write_dataset(
-            (
-                replace(record, example_id=f"c{copy}-{record.example_id}")
-                for copy in range(copies)
-                for record in records
-            ),
-            directory / "dataset.jsonl",
-        )
-        (directory / "cache.jsonl").write_text(
-            "".join(
-                json.dumps({**row, "example_id": f"c{copy}-{row['example_id']}"}) + "\n"
-                for copy in range(copies)
-                for row in cache
-            )
-        )
-        manifest = _replay_manifest(
-            directory / "run", directory / "dataset.jsonl", directory / "cache.jsonl"
-        )
-        parse_number.cache_clear()
-        tracemalloc.start()
-        try:
-            run_pipeline(manifest)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        manifest = _copied_run(tmp_path / f"x{copies}", copies)
+        return _heap_peak(lambda: run_pipeline(manifest))
 
     peak(1)  # loads every module the run imports
     small, large = peak(2), peak(8)
-    added = 6 * len(records)
+    added = 6 * len(build_synthetic_run()[0])
     assert large - small < BYTES_PER_EXAMPLE * added, (small, large)
+
+
+def test_report_memory_holds_no_prediction(tmp_path):
+    """The heap peak of ``report`` over a run of 4N examples exceeds that over
+    N by less than ``REPORT_BYTES_PER_EXAMPLE`` for each added example."""
+
+    def peak(copies: int) -> int:
+        manifest = _copied_run(tmp_path / f"x{copies}", copies)
+        run_pipeline(manifest)
+        predictions = manifest.output_dir / pipeline.PREDICTIONS_FILE
+        return _heap_peak(lambda: recompute_report(predictions, tmp_path / f"report{copies}"))
+
+    peak(1)  # loads every module the report imports
+    small, large = peak(2), peak(8)
+    added = 6 * len(build_synthetic_run()[0])
+    assert large - small < REPORT_BYTES_PER_EXAMPLE * added, (small, large)
 
 
 _ARTIFACT_FILES = (
@@ -1134,11 +1166,36 @@ class TestTriggeredIds:
 
 
 class TestReportMode:
-    def test_recomputes_identically_without_provider(self, synthetic, tmp_path):
+    @pytest.mark.parametrize("mode", RUN_MODES)
+    def test_recomputes_identically_without_provider(self, synthetic, tmp_path, mode):
+        directory, dataset_path, cache_path = synthetic
+        if mode == MODE_SOLVE_ALL:
+            # solve_all regenerates the clean examples too, and accepts a wrong answer.
+            wrong = json.dumps({"steps": ["2 + 2 = 4"], "final_answer": "4"})
+            rows = [
+                {"example_id": example_id, "attempt_index": 0, "raw_output": wrong}
+                for example_id in GROUP_CLEAN
+            ]
+            cache_path = tmp_path / "cache.jsonl"
+            cache_path.write_text(
+                Path(synthetic[2]).read_text() + "".join(json.dumps(row) + "\n" for row in rows)
+            )
+        run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, mode=mode))
+        recomputed = recompute_report(run.paths["predictions"], tmp_path / "report")
+        for key in ("report_json", "report_text"):
+            assert recomputed.paths[key].read_bytes() == run.paths[key].read_bytes()
+
+    def test_without_candidates_the_flow_block_is_left_out(self, synthetic, tmp_path):
         directory, dataset_path, cache_path = synthetic
         run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        run.paths["candidates"].unlink()
         recomputed = recompute_report(run.paths["predictions"], tmp_path / "report")
-        assert recomputed.report.to_json_dict() == run.report.to_json_dict()
+        report = json.loads(recomputed.paths["report_json"].read_text())
+        assert report["candidate_flow"] is None
+        # No candidate row is asked of the accepted predictions.
+        assert report["accepted"] == EXPECTED_ACCEPTED
+        assert report["attempts"] == 0
+        assert report == {**run.report.to_json_dict(), "candidate_flow": None, "attempts": 0}
 
     def test_each_distinct_answer_is_normalized_once_per_step(self, synthetic, tmp_path, monkeypatch):
         """One memo per report: a run and a recomputed report each normalize

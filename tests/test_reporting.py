@@ -8,15 +8,14 @@ from pathlib import Path
 import pytest
 
 import trace_repair
-from trace_repair.orchestrator import CandidateRecord, ParsedCandidate
+from report_rows import candidate, prediction, tally_of
 from trace_repair.reporting import (
     ReportIdentityError,
+    ReportTally,
     RunReport,
-    TransitionLabel,
     aggregate_runs,
     compute_report,
     fmt2,
-    label_transitions,
     render_report,
     round2,
     rule_of_three,
@@ -24,40 +23,31 @@ from trace_repair.reporting import (
 )
 
 
-def _record(example_id, attempt, answer=None):
-    return CandidateRecord(
-        example_id=example_id,
-        attempt_index=attempt,
-        prompt_hash="",
-        raw_output="",
-        parsed=ParsedCandidate(steps=("s",), final_answer=answer) if answer else None,
+def _impossible_flow():
+    """An accepted W->C fix whose only candidate misses gold, so RejC = -1."""
+    return tally_of(
+        [prediction("a", "5", "7", triggered=True, accepted_attempt=0)], [candidate("a", 0, "5")]
     )
 
 
-def _impossible_flow():
-    """An accepted W->C fix whose only candidate misses gold, so RejC = -1."""
-    labels = [TransitionLabel("a", False, True, triggered=True, accepted=True)]
-    return labels, [_record("a", 0, "5")], {"a": "7"}
-
-
-class TestLabels:
+class TestTransitions:
     def test_transitions(self):
-        labels = label_transitions(
-            ["5", "7", "9", "4"],
-            ["7", "7", "8", "4"],
-            ["7", "7", "7", "4"],
-            triggered=[True, True, True, False],
-            accepted=[True, False, True, False],
-        )
-        assert [label.transition for label in labels] == ["W->C", "C->C", "W->W", "C->C"]
+        rows = [
+            prediction("a", "5", "7", triggered=True, accepted_attempt=0),
+            prediction("b", "7", "7.0", triggered=True, accepted_attempt=1),
+            prediction("c", "9", "8", triggered=True, accepted_attempt=0),
+            prediction("d", "7", "5", triggered=True, accepted_attempt=2),
+            prediction("e", "4", "4", gold="4"),
+        ]
+        report = compute_report(tally_of(rows))
+        assert report.outcome_counts == {"W->C": 1, "C->W": 1, "W->W": 1, "C->C": 1}
+        assert (report.accepted, report.fixed, report.broken) == (4, 1, 1)
 
     def test_gold_equivalence_used(self):
-        labels = label_transitions(["1,000"], ["1000.0"], ["1000"])
-        assert labels[0].initially_correct and labels[0].finally_correct
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            label_transitions(["1"], ["1", "2"], ["1"])
+        row = prediction("a", "1,000", "1000.0", "1000", accepted_attempt=0)
+        report = compute_report(tally_of([row]))
+        assert report.initial_accuracy == report.final_accuracy == 100.0
+        assert report.outcome_counts["C->C"] == 1
 
 
 class TestSignTest:
@@ -89,17 +79,13 @@ class TestRuleOfThree:
 
 class TestComputeReport:
     def test_small_run(self):
-        labels = label_transitions(
-            ["5", "7", "9"],
-            ["7", "7", "9"],
-            ["7", "7", "7"],
-            example_ids=["a", "b", "c"],
-            triggered=[True, False, True],
-            accepted=[True, False, False],
-        )
-        records = [_record("a", 0, "7"), _record("c", 0, "1"), _record("c", 1, "2")]
-        gold = {"a": "7", "b": "7", "c": "7"}
-        report = compute_report(labels, records, gold)
+        rows = [
+            prediction("a", "5", "7", triggered=True, accepted_attempt=0),
+            prediction("b", "7", "7"),
+            prediction("c", "9", "9", triggered=True),
+        ]
+        records = [candidate("a", 0, "7"), candidate("c", 0, "1"), candidate("c", 1, "2")]
+        report = compute_report(tally_of(rows, records))
         assert report.total == 3
         assert report.fixed == 1
         assert report.broken == 0
@@ -121,53 +107,52 @@ class TestComputeReport:
         rng = random.Random(5)
         for _ in range(50):
             n = rng.randint(1, 40)
-            labels = []
+            rows = []
             for index in range(n):
-                initially = rng.random() < 0.6
+                initial = "7" if rng.random() < 0.6 else "5"
                 accepted = rng.random() < 0.3
-                finally_ = not initially if accepted and rng.random() < 0.7 else initially
-                labels.append(
-                    TransitionLabel(
-                        example_id=str(index),
-                        initially_correct=initially,
-                        finally_correct=finally_,
+                flipped = "5" if initial == "7" else "7"
+                final = flipped if accepted and rng.random() < 0.7 else initial
+                rows.append(
+                    prediction(
+                        str(index),
+                        initial,
+                        final,
                         triggered=accepted or rng.random() < 0.4,
-                        accepted=accepted,
+                        accepted_attempt=0 if accepted else None,
                     )
                 )
-            report = compute_report(labels)
+            report = compute_report(tally_of(rows))
             initial_count = round(report.initial_accuracy * report.total / 100)
             final_count = round(report.final_accuracy * report.total / 100)
             assert final_count == initial_count + report.fixed - report.broken
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError):
-            compute_report([])
+            compute_report(ReportTally())
 
     def test_harm_budget_annotation(self):
-        labels = label_transitions(["7"], ["5"], ["7"], accepted=[True])
-        report = compute_report(labels, harm_budget=0.5)
+        tally = tally_of([prediction("a", "7", "5", accepted_attempt=0)])
+        report = compute_report(tally, harm_budget=0.5)
         assert report.harm_budget_exceeded is True
 
     @pytest.mark.parametrize("broken, status", [(1, "within budget"), (2, "within budget"), (3, "EXCEEDED")])
     def test_harm_budget_is_a_share_of_the_examples(self, broken, status):
         # 0.5%, 1% and 1.5% of 200 examples broken, against a budget of 0.01.
-        final = ["5"] * broken + ["7"] * (200 - broken)
-        accepted = [True] * broken + [False] * (200 - broken)
-        labels = label_transitions(["7"] * 200, final, ["7"] * 200, accepted=accepted)
-        report = compute_report(labels, harm_budget=0.01)
+        rows = [prediction(str(index), "7", "5", accepted_attempt=0) for index in range(broken)]
+        rows += [prediction(str(index), "7", "7") for index in range(broken, 200)]
+        report = compute_report(tally_of(rows), harm_budget=0.01)
         assert report.harm_budget_exceeded is (status == "EXCEEDED")
         # Printed in percent, as the harm rate is.
         assert f"harm budget         {'1.00':>10} ({status})" in render_report(report)
 
     def test_no_flow_without_records(self):
-        labels = label_transitions(["7"], ["7"], ["7"])
-        report = compute_report(labels)
+        report = compute_report(tally_of([prediction("a", "7", "7")]))
         assert report.candidate_flow is None
 
     def test_impossible_flow_raises(self):
         with pytest.raises(ReportIdentityError, match="RejC >= 0"):
-            compute_report(*_impossible_flow())
+            compute_report(_impossible_flow())
 
     def test_impossible_flow_raises_under_optimize(self):
         # python -O strips assert statements; the identity check must survive it.
@@ -175,7 +160,7 @@ class TestComputeReport:
             "from test_reporting import _impossible_flow\n"
             "from trace_repair.reporting import ReportIdentityError, compute_report\n"
             "try:\n"
-            "    compute_report(*_impossible_flow())\n"
+            "    compute_report(_impossible_flow())\n"
             "except ReportIdentityError as exc:\n"
             "    print(exc)\n"
         )
@@ -219,8 +204,8 @@ class TestRendering:
         assert round2(1.005) == 1.01
 
     def test_render_contains_key_lines(self):
-        labels = label_transitions(["5"], ["7"], ["7"], accepted=[True], triggered=[True])
-        report = compute_report(labels, [_record("0", 0, "7")], {"0": "7"})
+        rows = [prediction("0", "5", "7", triggered=True, accepted_attempt=0)]
+        report = compute_report(tally_of(rows, [candidate("0", 0, "7")]))
         text = render_report(report)
         assert "final accuracy" in text
         assert "candidate flow" in text
