@@ -1176,10 +1176,11 @@ class TestReportMode:
                 {"example_id": example_id, "attempt_index": 0, "raw_output": wrong}
                 for example_id in GROUP_CLEAN
             ]
-            cache_path = tmp_path / "cache.jsonl"
-            cache_path.write_text(
-                Path(synthetic[2]).read_text() + "".join(json.dumps(row) + "\n" for row in rows)
+            extended = tmp_path / "cache.jsonl"
+            extended.write_text(
+                Path(cache_path).read_text() + "".join(json.dumps(row) + "\n" for row in rows)
             )
+            cache_path = extended
         run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path, mode=mode))
         recomputed = recompute_report(run.paths["predictions"], tmp_path / "report")
         for key in ("report_json", "report_text"):
@@ -1191,11 +1192,9 @@ class TestReportMode:
         run.paths["candidates"].unlink()
         recomputed = recompute_report(run.paths["predictions"], tmp_path / "report")
         report = json.loads(recomputed.paths["report_json"].read_text())
-        assert report["candidate_flow"] is None
-        # No candidate row is asked of the accepted predictions.
-        assert report["accepted"] == EXPECTED_ACCEPTED
-        assert report["attempts"] == 0
         assert report == {**run.report.to_json_dict(), "candidate_flow": None, "attempts": 0}
+        # The accepted predictions were counted without a candidate row.
+        assert report["accepted"] == EXPECTED_ACCEPTED
 
     def test_each_distinct_answer_is_normalized_once_per_step(self, synthetic, tmp_path, monkeypatch):
         """One memo per report: a run and a recomputed report each normalize
