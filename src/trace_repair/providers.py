@@ -4,7 +4,8 @@ The replay provider serves recorded outputs and errors keyed by (example
 id, attempt index), the id read as text. It refuses a cache row that is
 incomplete, mistyped or a duplicate, naming ``path:line``, and fails loudly
 on a row recorded under another prompt and on a miss, which a cache with a
-fallback provider, such as a resume's checkpoint, sends there instead. The remote provider talks to any
+fallback provider, such as a resume's checkpoint, sends there instead; such
+a cache also refuses an unpinned row. The remote provider talks to any
 chat-completions style endpoint over the standard library's ``http.client``,
 with temperature 0 and the configured token budgets; connection reuse,
 retries and backoff live here, outside the policy logic. A reply without
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Mapping
 from urllib.parse import SplitResult, unquote, urlsplit
 
-from .datasets import DatasetError, read_jsonl
+from .datasets import ID_TYPES, DatasetError, json_fields, read_jsonl
 from .orchestrator import (
     SYSTEM_TEXT,
     PromptSpec,
@@ -82,12 +83,18 @@ class ReplayProvider:
         ``attempt_index`` or a string ``raw_output``, an ``attempt_index``
         that is neither an integer nor a string ``int()`` reads, a
         ``retry_output``, ``prompt_hash`` or ``error`` that is neither a
-        string nor null, or a second row for the same attempt aborts with a
+        string nor null, an ``example_id`` that is neither a string nor a
+        number, or a second row for the same attempt aborts with a
         ``DatasetError`` that names the line. Ids are read as text, so ``7``
         and ``"7"`` name the same example, as in the dataset.
+
+        With a ``fallback`` the cache serves in front of a live provider, so
+        a row without a ``prompt_hash``, or with a null or empty one, is
+        refused too: it would be served under any mode or config.
         """
         entries: dict[tuple[str, int], ReplayEntry] = {}
         for where, row in read_jsonl(path, ("example_id", "attempt_index", "raw_output")):
+            example_id = str(json_fields(where, row, {"example_id": ID_TYPES})[0])
             index = row["attempt_index"]
             # int() would read 1.5 and true as attempt 1, so only an
             # integer, or a string that int() reads, names an attempt.
@@ -103,7 +110,9 @@ class ReplayProvider:
             for name, value in vars(entry).items():
                 if not (isinstance(value, str) or value is None and name != "raw_output"):
                     raise DatasetError(f"{where}: {name} {value!r} is not a string")
-            key = (str(row["example_id"]), index)
+            if fallback is not None and not json_fields(where, row, {"prompt_hash": (str,)})[0]:
+                raise DatasetError(f"{where}: 'prompt_hash' is empty")
+            key = (example_id, index)
             if key in entries:
                 raise DatasetError(f"{where}: duplicate row for example {key[0]!r} attempt {index}")
             entries[key] = entry

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from .answers import AnswerValue, answers_equivalent, normalize_answer
 from .orchestrator import CandidateRecord
+from .policy import REJECT_NO_OP
 
 TRANSITION_CC = "C->C"
 TRANSITION_CW = "C->W"
@@ -112,10 +113,9 @@ class ReportTally:
     row and its candidates.jsonl rows, whether a run has just made them or
     ``report`` reads them back. It holds counts and one memo of normalized
     answers, so each distinct answer string is normalized once per report
-    and nothing else grows with the number of examples. ``report`` checks
-    the flow and accounting identities with explicit raises, so they also
-    run under -O. A tally without ``with_flow`` leaves the candidate-flow
-    block out of the report, for a run whose candidate records are not known.
+    and nothing else grows with the number of examples. A tally without
+    ``with_flow`` leaves the candidate-flow block out of ``compute_report``,
+    for a run whose candidate records are not known.
     """
 
     def __init__(self, with_flow: bool = True) -> None:
@@ -153,7 +153,7 @@ class ReportTally:
             self.attempts += 1
             if accepted:
                 self.accepted_patterns += 1
-            if verdict and "no_op" in verdict.rejection_reasons:
+            if verdict and REJECT_NO_OP in verdict.rejection_reasons:
                 self.noop_rejections += 1
             if record.answer_changed:
                 self.changing += 1
@@ -202,77 +202,74 @@ class ReportTally:
             "candidate_graph_risk_patterns": self.graph_risky,
         }
 
-    def report(self, harm_budget: float | None = None) -> RunReport:
-        """The report of the examples counted so far."""
-        total = self.total
-        if total == 0:
-            raise ValueError("cannot report on an empty run")
-        fixed, broken, accepted = self.fixed, self.broken, self.accepted
-        initial_accuracy = 100.0 * self.initially_correct / total
-        final_accuracy = 100.0 * self.finally_correct / total
-        init_wrong = total - self.initially_correct
-
-        flow = None
-        if self.with_flow:
-            corr_c = self.corrected
-            flow = {
-                "InitW": init_wrong,
-                "TrigW": self.triggered_wrong,
-                "CorrC": corr_c,
-                "AccC": fixed,
-                "RejC": corr_c - fixed,
-                "NoC": init_wrong - corr_c,
-                "FinalW": init_wrong - fixed,
-                "Brk": broken,
-            }
-            # Cross-checks of the flow block; the last fails when an accepted
-            # fix has no gold-matching candidate.
-            _check_identity(flow["RejC"] == flow["CorrC"] - flow["AccC"], "RejC = CorrC - AccC")
-            _check_identity(flow["NoC"] == flow["InitW"] - flow["CorrC"], "NoC = InitW - CorrC")
-            _check_identity(flow["FinalW"] == flow["InitW"] - fixed, "FinalW = InitW - fixed")
-            _check_identity(
-                flow["RejC"] >= 0, "RejC >= 0 (accepted fixes without a gold-matching candidate)"
-            )
-
-        # Accounting identity in exact counts.
-        _check_identity(
-            self.finally_correct == self.initially_correct + fixed - broken,
-            "final correct = initial correct + fixed - broken",
-        )
-        _check_identity(
-            accepted == sum(self.outcome_counts.values()), "accepted = sum of accepted outcomes"
-        )
-        return RunReport(
-            total=total,
-            initial_accuracy=initial_accuracy,
-            final_accuracy=final_accuracy,
-            delta=final_accuracy - initial_accuracy,
-            fixed=fixed,
-            broken=broken,
-            harm_rate=100.0 * broken / total,
-            accepted=accepted,
-            attempts=self.attempts,
-            accepted_precision=(
-                100.0 * self.outcome_counts[TRANSITION_WC] / accepted if accepted else None
-            ),
-            error_repair_rate=100.0 * fixed / init_wrong if init_wrong else None,
-            sign_test_p=sign_test(fixed, broken) if fixed + broken >= 1 else None,
-            rule_of_three_bound=rule_of_three(total) if broken == 0 else None,
-            candidate_flow=flow,
-            outcome_counts=dict(self.outcome_counts),
-            harm_budget=harm_budget,
-            # The budget is a share, as broken / total is; harm_rate is a percentage.
-            harm_budget_exceeded=(broken / total > harm_budget) if harm_budget is not None else None,
-        )
-
 
 def compute_report(tally: ReportTally, harm_budget: float | None = None) -> RunReport:
     """The report of the examples ``tally`` has counted, annotated with ``harm_budget``.
 
     ``run``, ``baseline`` and ``report`` each feed a ``ReportTally`` one
-    example at a time and finish here.
+    example at a time and finish here. The flow and accounting identities
+    are checked with explicit raises, so they also run under -O.
     """
-    return tally.report(harm_budget)
+    total = tally.total
+    if total == 0:
+        raise ValueError("cannot report on an empty run")
+    fixed, broken, accepted = tally.fixed, tally.broken, tally.accepted
+    initial_accuracy = 100.0 * tally.initially_correct / total
+    final_accuracy = 100.0 * tally.finally_correct / total
+    init_wrong = total - tally.initially_correct
+
+    flow = None
+    if tally.with_flow:
+        corr_c = tally.corrected
+        flow = {
+            "InitW": init_wrong,
+            "TrigW": tally.triggered_wrong,
+            "CorrC": corr_c,
+            "AccC": fixed,
+            "RejC": corr_c - fixed,
+            "NoC": init_wrong - corr_c,
+            "FinalW": init_wrong - fixed,
+            "Brk": broken,
+        }
+        # Cross-checks of the flow block; the last fails when an accepted
+        # fix has no gold-matching candidate.
+        _check_identity(flow["RejC"] == flow["CorrC"] - flow["AccC"], "RejC = CorrC - AccC")
+        _check_identity(flow["NoC"] == flow["InitW"] - flow["CorrC"], "NoC = InitW - CorrC")
+        _check_identity(flow["FinalW"] == flow["InitW"] - fixed, "FinalW = InitW - fixed")
+        _check_identity(
+            flow["RejC"] >= 0, "RejC >= 0 (accepted fixes without a gold-matching candidate)"
+        )
+
+    # Accounting identity in exact counts.
+    _check_identity(
+        tally.finally_correct == tally.initially_correct + fixed - broken,
+        "final correct = initial correct + fixed - broken",
+    )
+    _check_identity(
+        accepted == sum(tally.outcome_counts.values()), "accepted = sum of accepted outcomes"
+    )
+    return RunReport(
+        total=total,
+        initial_accuracy=initial_accuracy,
+        final_accuracy=final_accuracy,
+        delta=final_accuracy - initial_accuracy,
+        fixed=fixed,
+        broken=broken,
+        harm_rate=100.0 * broken / total,
+        accepted=accepted,
+        attempts=tally.attempts,
+        accepted_precision=(
+            100.0 * tally.outcome_counts[TRANSITION_WC] / accepted if accepted else None
+        ),
+        error_repair_rate=100.0 * fixed / init_wrong if init_wrong else None,
+        sign_test_p=sign_test(fixed, broken) if fixed + broken >= 1 else None,
+        rule_of_three_bound=rule_of_three(total) if broken == 0 else None,
+        candidate_flow=flow,
+        outcome_counts=dict(tally.outcome_counts),
+        harm_budget=harm_budget,
+        # The budget is a share, as broken / total is; harm_rate is a percentage.
+        harm_budget_exceeded=(broken / total > harm_budget) if harm_budget is not None else None,
+    )
 
 
 @dataclass(frozen=True)

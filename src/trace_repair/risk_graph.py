@@ -221,13 +221,13 @@ def analyse_problem(text: str) -> ProblemAnalysis:
     lowered = text.lower()
     times = "times" in lowered or not text.isascii()
     match = _TIMES_MORE_RE.search(text) if times else None
-    multiplier = _number_value(match.group(1).lower()) if match else None
+    mention = _numbers([match.group(1).lower()]) if match else []
     split = "equally" in lowered or "evenly" in lowered
     return ProblemAnalysis(
         graph=graph,
         mentions=frozenset(numeric_mentions(text)),
         bindings=bindings,
-        times_more=None if multiplier is None else (match.group(0), multiplier),
+        times_more=(match.group(0), mention[0][1]) if mention else None,
         equal_split=split and _EQUAL_SPLIT_RE.search(text) is not None,
         requested=_requested_kind(text),
     )
@@ -284,19 +284,12 @@ def _tokenize(text: str) -> TokenColumns:
     return words, [word.lower() for word in words], sentences, initial
 
 
-def _number_value(word: str) -> Fraction | None:
-    """A lowered token's value: a number word's or a digit string's; None
-    for any other word.
-
-    A digit string is a token that starts with ``$`` or a digit.
-    """
-    if word[0] == "$" or word[0].isdigit():
-        return parse_number(word.lstrip("$"))
-    return _NUMBER_WORD_VALUES.get(word)
-
-
 def _numbers(lowered: list[str]) -> list[tuple[int, Fraction]]:
-    """Each numeric mention's token index and value (``_number_value``), in token order."""
+    """Each numeric mention's token index and value, in token order.
+
+    A mention is a lowered token that is a number word or a digit string,
+    a token that starts with ``$`` or a digit.
+    """
     numbers = []
     for index, word in enumerate(lowered):
         if word[0] == "$" or word[0].isdigit():

@@ -81,6 +81,46 @@ class TestLoadWrite:
         with pytest.raises(DatasetError, match="gold_answer"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("problem_text", None, "a string"),
+            ("problem_text", 12, "a string"),
+            ("problem_text", ["p"], "a string"),
+            ("gold_answer", None, "a string or an int or a float"),
+            ("gold_answer", True, "a string or an int or a float"),
+            ("gold_answer", [7], "a string or an int or a float"),
+            ("example_id", {"k": 1}, "a string or an int or a float"),
+            ("example_id", None, "a string or an int or a float"),
+            ("example_id", False, "a string or an int or a float"),
+            ("cached_initial_trace", ["x"], "a string"),
+            ("cached_initial_trace", 5, "a string"),
+            ("cached_initial_trace", {"text": "x"}, "a string"),
+        ],
+    )
+    def test_a_mistyped_field_is_fatal_at_its_line(self, tmp_path, field, value, expected):
+        """A text field of another JSON type stops the load: read with str(),
+        a null gold answer would become the answer "None"."""
+        path = tmp_path / "typed.jsonl"
+        good = {"example_id": "a", "problem_text": "p", "gold_answer": "1"}
+        bad = {**good, "example_id": "b", field: value}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        error = f"{path}:2: '{field}' is a JSON {type(value).__name__}, not {expected}"
+        with pytest.raises(DatasetError, match=re.escape(error)):
+            load_dataset(path)
+
+    def test_numbers_are_read_as_text_and_a_null_trace_as_none(self, tmp_path):
+        path = tmp_path / "numbers.jsonl"
+        rows = [
+            dict(example_id=7, problem_text="p", gold_answer=12, cached_initial_trace=None),
+            dict(example_id=8.5, problem_text="q", gold_answer=1.5, cached_initial_trace=""),
+        ]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert load_dataset(path) == [
+            DatasetRecord("7", "p", "12", None),
+            DatasetRecord("8.5", "q", "1.5", ""),
+        ]
+
 
 class TestFilterNumeric:
     def test_categories(self):

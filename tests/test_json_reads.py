@@ -7,10 +7,12 @@ one document each: a model's candidate, a provider's reply body and the
 
 ``pipeline.py`` reads a prediction or candidate row by a string key only
 inside a ``from_json_dict``, which names ``path:line`` and the dotted field
-when one is missing; elsewhere it reads attributes. It reads no risk row
-and no progress row: the checkpoint holds candidates.jsonl rows, which a
-resume reads as a replay cache through ``ReplayProvider.from_jsonl``. Its
-only other string-key reads are of its own ``paths`` and ``temps`` dicts.
+when one is missing; elsewhere it reads attributes. Its only other
+string-key reads are of its own ``paths`` and ``temps`` dicts. It reads no
+risk row and no progress row: it calls ``read_jsonl`` and ``json_fields``
+only in ``Prediction.from_json_dict`` and ``recompute_report``, and the
+checkpoint, which holds candidates.jsonl rows, is read by a resume as a
+replay cache through ``ReplayProvider.from_jsonl`` alone.
 """
 
 import ast
@@ -87,6 +89,39 @@ def _string_key_reads(source: str) -> list[str]:
     return found
 
 
+PIPELINE_ROW_READS = [
+    "Prediction.from_json_dict: json_fields",
+    "recompute_report: read_jsonl",
+    "recompute_report: read_jsonl",
+]
+ROW_READERS = ("read_jsonl", "json_fields")
+
+
+def _row_reads(source: str) -> list[str]:
+    """``scope: name`` for each call of a ``ROW_READERS`` name, bare or as an
+    attribute, ``scope`` being the dotted class and function names around it;
+    and ``scope: import name as alias`` for each import that would hide one."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            where = scope or "<module>"
+            if isinstance(child, ast.alias) and child.name in ROW_READERS and child.asname:
+                found.append(f"{where}: import {child.name} as {child.asname}")
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ROW_READERS:
+                    found.append(f"{where}: {name}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
 def test_json_is_parsed_only_in_the_allowed_places():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -128,4 +163,29 @@ def test_every_string_key_read_is_reported():
         "total: row['c']",
         "total: row['e']['f']",
         "total: row['e']",
+    ]
+
+
+def test_pipeline_reads_rows_only_in_from_json_dict_and_report():
+    source = (PACKAGE / "pipeline.py").read_text(encoding="utf-8")
+    assert sorted(_row_reads(source)) == PIPELINE_ROW_READS
+
+
+def test_every_row_read_is_reported():
+    source = (
+        "from .datasets import read_jsonl as rows\n"
+        "HEADER = json_fields('a', {}, ())\n"
+        "class Row:\n"
+        "    def from_json_dict(cls, row):\n"
+        "        return datasets.json_fields('w', row, ('a',))\n"
+        "def resume(path):\n"
+        "    def scan():\n"
+        "        return list(read_jsonl(path)), load(path)\n"
+        "    return scan()\n"
+    )
+    assert _row_reads(source) == [
+        "<module>: import read_jsonl as rows",
+        "<module>: json_fields",
+        "Row.from_json_dict: json_fields",
+        "resume.scan: read_jsonl",
     ]

@@ -747,7 +747,7 @@ class TestReplayRun:
             raise RuntimeError("interrupted")
 
         if failing_at == "report":
-            monkeypatch.setattr(pipeline.ReportTally, "report", interrupt)
+            monkeypatch.setattr(pipeline, "compute_report", interrupt)
         else:
             process = pipeline._process_example
 
@@ -951,6 +951,32 @@ def test_report_memory_holds_no_prediction(tmp_path):
     small, large = peak(2), peak(8)
     added = 6 * len(build_synthetic_run()[0])
     assert large - small < REPORT_BYTES_PER_EXAMPLE * added, (small, large)
+
+
+def test_checkpoint_read_holds_no_copy_of_the_file(synthetic, tmp_path):
+    """A resume's checkpoint read, its torn-line cut and then the replay
+    reader, peaks within 10% of the reader alone on the same file of at
+    least 5 MB: the cut holds none of the file, and no row is read twice."""
+    from trace_repair.providers import ReplayProvider
+
+    directory, dataset_path, cache_path = synthetic
+    run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+    rows = [json.loads(line) for line in open(tmp_path / "run" / PROGRESS_FILE, encoding="utf-8")]
+    path = tmp_path / PROGRESS_FILE
+    with open(path, "w", encoding="utf-8") as handle:
+        copy = 0
+        while handle.tell() < 5 * 2**20:
+            handle.writelines(
+                json.dumps({**row, "example_id": f"c{copy}-{row['example_id']}"}) + "\n"
+                for row in rows
+            )
+            copy += 1
+        handle.write(json.dumps(rows[0])[:40])
+    size = path.stat().st_size
+    checkpoint = _heap_peak(lambda: pipeline._read_checkpoint(path, ReplayProvider({})))
+    assert path.stat().st_size < size  # the torn line is cut
+    reader = _heap_peak(lambda: ReplayProvider.from_jsonl(path, fallback=ReplayProvider({})))
+    assert checkpoint <= 1.1 * reader, (checkpoint, reader)
 
 
 _ARTIFACT_FILES = (

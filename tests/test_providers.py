@@ -125,6 +125,22 @@ class TestReplayProvider:
                 '{"example_id": "ex1", "attempt_index": 1, "raw_output": "x", "prompt_hash": []}',
                 "prompt_hash [] is not a string",
             ),
+            (
+                '{"example_id": {"k": 1}, "attempt_index": 1, "raw_output": "x"}',
+                "'example_id' is a JSON dict, not a string or an int or a float",
+            ),
+            (
+                '{"example_id": ["ex1"], "attempt_index": 1, "raw_output": "x"}',
+                "'example_id' is a JSON list, not a string or an int or a float",
+            ),
+            (
+                '{"example_id": null, "attempt_index": 1, "raw_output": "x"}',
+                "'example_id' is a JSON NoneType, not a string or an int or a float",
+            ),
+            (
+                '{"example_id": true, "attempt_index": 1, "raw_output": "x"}',
+                "'example_id' is a JSON bool, not a string or an int or a float",
+            ),
         ],
     )
     def test_unreadable_row_names_its_line(self, tmp_path, line, message):
@@ -133,6 +149,31 @@ class TestReplayProvider:
         path.write_text(f"{json.dumps(first)}\n{line}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             ReplayProvider.from_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "pin, message",
+        [
+            ({}, "missing field 'prompt_hash'"),
+            ({"prompt_hash": None}, "'prompt_hash' is a JSON NoneType, not a string"),
+            ({"prompt_hash": ""}, "'prompt_hash' is empty"),
+        ],
+    )
+    def test_a_cache_in_front_of_a_provider_refuses_an_unpinned_row_at_its_line(
+        self, tmp_path, pin, message
+    ):
+        """Served in front of a live provider, an unpinned row would answer
+        any prompt; the reader names the first such row in its one pass,
+        before a bad line further on. Without a fallback it is accepted."""
+        path = tmp_path / "cache.jsonl"
+        pinned = {"example_id": "ex1", "attempt_index": 0, "raw_output": "x", "prompt_hash": "ab"}
+        unpinned = {"example_id": "ex1", "attempt_index": 1, "raw_output": "y"}
+        path.write_text(f"{json.dumps(pinned)}\n{json.dumps({**unpinned, **pin})}\n")
+        entry = ReplayProvider.from_jsonl(path).entries[("ex1", 1)]
+        assert entry.prompt_hash == pin.get("prompt_hash")
+        with open(path, "a") as handle:
+            handle.write("not json\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+            ReplayProvider.from_jsonl(path, fallback=ReplayProvider({}))
 
     def test_an_integer_and_a_text_id_name_the_same_example(self, tmp_path):
         path = tmp_path / "cache.jsonl"
