@@ -32,7 +32,7 @@ from trace_repair.pipeline import (
     run_pipeline,
 )
 from trace_repair.datasets import DatasetError, DatasetRecord, write_dataset
-from trace_repair.providers import ReplayCacheMiss
+from trace_repair.providers import ReplayCacheMiss, ReplayProvider
 
 
 @pytest.fixture(scope="module")
@@ -957,11 +957,10 @@ def test_checkpoint_read_holds_no_copy_of_the_file(synthetic, tmp_path):
     """A resume's checkpoint read, its torn-line cut and then the replay
     reader, peaks within 10% of the reader alone on the same file of at
     least 5 MB: the cut holds none of the file, and no row is read twice."""
-    from trace_repair.providers import ReplayProvider
-
     directory, dataset_path, cache_path = synthetic
     run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
-    rows = [json.loads(line) for line in open(tmp_path / "run" / PROGRESS_FILE, encoding="utf-8")]
+    progress = (tmp_path / "run" / PROGRESS_FILE).read_text(encoding="utf-8")
+    rows = [json.loads(line) for line in progress.splitlines()]
     path = tmp_path / PROGRESS_FILE
     with open(path, "w", encoding="utf-8") as handle:
         copy = 0
