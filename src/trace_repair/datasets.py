@@ -1,7 +1,8 @@
 """JSONL input and output, dataset loading, numeric filtering, and sampling.
 
-``read_jsonl`` reads every JSONL input, and ``jsonl_line`` encodes every
-JSONL row written. Datasets are UTF-8 JSONL files with one record per line:
+``read_jsonl`` reads every JSONL input, ``jsonl_line`` encodes every JSONL
+row written, and ``write_artifacts`` commits every output file, as a set.
+Datasets are UTF-8 JSONL files with one record per line:
 
     {"example_id": ..., "problem_text": ..., "gold_answer": ...,
      "cached_initial_trace": ...}
@@ -26,10 +27,11 @@ import random
 import re
 import types
 import typing
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .answers import (
     KIND_NONE,
@@ -189,17 +191,24 @@ def load_dataset(path: str | Path) -> list[DatasetRecord]:
     return records
 
 
-def write_artifact(path: str | Path, chunks: Iterable[str]) -> None:
-    """Write a file through a temp file, so a crash never leaves it half written."""
-    path = Path(path)
-    temp = path.with_name(path.name + ".tmp")
-    try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
+@contextmanager
+def write_artifacts(paths: Mapping[str, str | Path]) -> Iterator[dict[str, TextIO]]:
+    """Open a ``.tmp`` file beside each of ``paths`` and yield the handles by key.
+
+    When the block ends, each is renamed into place, in the order of
+    ``paths``; if the block raises, or a temp file cannot be opened, all
+    are deleted and no file of the set changes. A crash between two renames
+    can still mix a set; ROADMAP item 8's ``run.json`` would close that gap."""
+    with ExitStack() as temps:
+        with ExitStack() as handles:
+            files = {}
+            for key, path in paths.items():
+                temp = Path(f"{path}.tmp")
+                files[key] = handles.enter_context(open(temp, "w", encoding="utf-8"))
+                temps.callback(temp.unlink, missing_ok=True)
+            yield files
+        for key, path in paths.items():
+            os.replace(files[key].name, path)
 
 
 # ``json.dumps`` with a keyword argument builds an encoder per call; this one
@@ -213,7 +222,8 @@ def jsonl_line(row: dict) -> str:
 
 
 def write_dataset(records: Iterable[DatasetRecord], path: str | Path) -> None:
-    write_artifact(path, (jsonl_line(record.to_json_dict()) for record in records))
+    with write_artifacts({"dataset": path}) as files:
+        files["dataset"].writelines(jsonl_line(record.to_json_dict()) for record in records)
 
 
 @dataclass

@@ -13,16 +13,21 @@ Every run writes the same artifact set into its output directory:
 Guarded repair and the direct-regeneration baselines share one
 per-example path; a mode only picks which examples are repaired and the
 repair_example arguments. Examples run in example-id order, and each
-example's rows are written to the artifacts' temp files as it finishes;
-the report is counted alongside, and the six artifacts are renamed into
-place together once the run and its report have succeeded, so a run holds
-no finished example. The checkpoint is a replay cache: a resume reruns
-every example through it, in front of the run's provider, so its output
-is byte-identical to an uninterrupted run's, and appends only the
-attempts the checkpoint lacks. Report rows are typed
-(``Prediction``, ``CandidateRecord``): a bad line, a missing field, or a
-nested value that is not the object or list it should be stops the report
-naming ``path:line`` and the dotted field.
+example's rows are written to the artifacts' temp files as it finishes, so
+a run holds no finished example. The report is counted alongside. Every
+output set (the six artifacts, ``report``'s pair, the ``filter`` and
+``sample`` files) goes through ``datasets.write_artifacts``, which renames
+the set into place only once all of it is written. The checkpoint is a
+replay cache: a resume reruns every example through it, in front of the
+run's provider, so its output is byte-identical to an uninterrupted
+run's, and appends only the attempts the checkpoint lacks.
+
+``report`` reads predictions.jsonl and candidates.jsonl side by side, in
+the example-id order a run writes them, and holds no row past its
+example. Report rows are typed (``Prediction``, ``CandidateRecord``): a
+bad line, a missing field, a nested value that is not the object or list
+it should be, or a row out of id order stops the report naming
+``path:line``.
 
 A remote provider keeps up to its ``concurrency`` examples in flight at
 once: each pool thread takes the next pending example as soon as its last
@@ -53,8 +58,7 @@ from .datasets import (
     read_jsonl,
     read_lines,
     sample_subset,
-    write_artifact,
-    write_dataset,
+    write_artifacts,
 )
 from .diagnostics import diagnose
 from .orchestrator import CandidateRecord, repair_example
@@ -128,29 +132,20 @@ class Prediction:
     accepted_attempt: int | None
     final_trace: str
 
-    @staticmethod
-    def _contradiction(
-        triggered, trigger_reasons, accepted, accepted_attempt, final_answer, initial_answer, **_
-    ) -> tuple[str, str] | None:
-        """The first two of a prediction's fields that contradict each other,
-        or None.
-
-        The trigger flag is set exactly when it has reasons, the acceptance
-        flag exactly when it has an attempt, and an unaccepted example keeps
-        its initial answer.
-        """
-        if triggered != bool(trigger_reasons):
-            return "triggered", "trigger_reasons"
-        if accepted != (accepted_attempt is not None):
-            return "accepted", "accepted_attempt"
-        if not accepted and final_answer != initial_answer:
-            return "final_answer", "initial_answer"
-        return None
-
     def __post_init__(self) -> None:
-        pair = self._contradiction(**vars(self))
-        if pair:
-            raise ValueError(f"Prediction {self.example_id!r}: {pair[0]!r} does not match {pair[1]!r}")
+        """Refuse the first two fields that contradict each other: the trigger
+        flag is set exactly when it has reasons, the acceptance flag exactly
+        when it has an attempt, and an unaccepted example keeps its initial
+        answer."""
+        if self.triggered != bool(self.trigger_reasons):
+            pair = "triggered", "trigger_reasons"
+        elif self.accepted != (self.accepted_attempt is not None):
+            pair = "accepted", "accepted_attempt"
+        elif not self.accepted and self.final_answer != self.initial_answer:
+            pair = "final_answer", "initial_answer"
+        else:
+            return
+        raise ValueError(f"Prediction {self.example_id!r}: {pair[0]!r} does not match {pair[1]!r}")
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))
@@ -158,21 +153,12 @@ class Prediction:
     @classmethod
     def from_json_dict(cls, where: str, row) -> "Prediction":
         values = json_fields(where, row, json_types(cls))
-        pair = cls._contradiction(**row)
-        if pair:
-            raise DatasetError(f"{where}: {pair[0]!r} does not match {pair[1]!r}")
-        return cls(*values)
-
-
-@dataclass(frozen=True)
-class ExampleResult:
-    """One example's outcome: its predictions.jsonl row, its candidates.jsonl
-    rows and its risk_log.jsonl row. The run writes them as it takes the
-    example and keeps none of it."""
-
-    prediction: Prediction
-    records: tuple[CandidateRecord, ...]
-    risk: dict
+        try:
+            return cls(*values)
+        except ValueError as exc:
+            # The row is named by its line, not by its example.
+            fault = str(exc).removeprefix(f"Prediction {values[0]!r}: ")
+            raise DatasetError(f"{where}: {fault}") from None
 
 
 @dataclass
@@ -277,8 +263,9 @@ def _process_example(
     manifest: RunManifest,
     provider,
     triggered_ids: set[str] | None,
-) -> ExampleResult:
-    """Run one example end to end."""
+) -> tuple[Prediction, tuple[CandidateRecord, ...], dict]:
+    """Run one example end to end: its predictions.jsonl row, its
+    candidates.jsonl rows and its risk_log.jsonl row."""
     cfg = manifest.config
     r0 = ReasoningTrace.from_text(record.cached_initial_trace or "")
     diag0 = diagnose(record.problem_text, r0)
@@ -316,7 +303,7 @@ def _process_example(
         final_trace=final.text,
     )
     risk = _risk_log_entry(record, diag0, decision.triggered, records, accepted_index)
-    return ExampleResult(prediction, records, risk)
+    return prediction, records, risk
 
 
 def _read_checkpoint(path: Path, provider) -> ReplayProvider:
@@ -339,9 +326,10 @@ def _read_checkpoint(path: Path, provider) -> ReplayProvider:
     return ReplayProvider.from_jsonl(path, fallback=provider)
 
 
-def _report_texts(report: RunReport) -> dict[str, str]:
-    """report.json and report.txt of ``report``, by PipelineResult.paths key."""
-    return {"report_json": jsonl_line(report.to_json_dict()), "report_text": render_report(report)}
+def _write_report(files: dict, report: RunReport) -> None:
+    """Write report.json and report.txt to their handles, by PipelineResult.paths key."""
+    files["report_json"].write(jsonl_line(report.to_json_dict()))
+    files["report_text"].write(render_report(report))
 
 
 def _in_order(process, items, concurrency: int):
@@ -364,7 +352,113 @@ def _in_order(process, items, concurrency: int):
         yield from pool.map(process, items)
 
 
-def _run_examples(manifest: RunManifest) -> PipelineResult:
+def filter_dataset(
+    dataset_path: Path,
+    output_dir: Path,
+    sample_size: int | None = None,
+    seed: int | None = None,
+) -> tuple[dict[str, Path], dict]:
+    """Keep the numeric-answer records, optionally sample them; returns (paths, counts).
+
+    The files are written as one set, after the sample is drawn, so a
+    refused sample writes none of them."""
+    if sample_size is not None and seed is None:
+        raise ValueError("sampling requires a seed")
+    dataset = load_dataset(dataset_path)
+    result = filter_numeric(dataset)
+    counts = {
+        "pool": len(dataset),
+        "kept": len(result.kept),
+        "rejected": result.counts(),
+        "rejected_ids": result.rejected_ids,
+    }
+    paths = {
+        "numeric_pool": output_dir / "numeric_pool.jsonl",
+        "filter_counts": output_dir / "filter_counts.json",
+    }
+    subset = None if sample_size is None else sample_subset(result.kept, sample_size, seed)
+    if subset is not None:
+        paths.update(
+            sample=output_dir / f"sample_seed{seed}.jsonl",
+            sample_ids=output_dir / f"sample_seed{seed}_ids.txt",
+        )
+    output_dir.mkdir(parents=True, exist_ok=True)
+    with write_artifacts(paths) as files:
+        files["numeric_pool"].writelines(jsonl_line(record.to_json_dict()) for record in result.kept)
+        files["filter_counts"].write(json.dumps(counts, ensure_ascii=False, indent=2) + "\n")
+        if subset is not None:
+            files["sample"].writelines(jsonl_line(record.to_json_dict()) for record in subset)
+            files["sample_ids"].writelines(record.example_id + "\n" for record in subset)
+    return paths, counts
+
+
+def _in_id_order(rows, parse):
+    """``(where, parse(where, row))`` for each of ``rows``, refusing at its
+    line a row whose example id is below the one before it."""
+    previous = ""
+    for where, row in rows:
+        item = parse(where, row)
+        if item.example_id < previous:
+            raise DatasetError(
+                f"{where}: example {item.example_id!r} is out of example-id order, after {previous!r}"
+            )
+        previous = item.example_id
+        yield where, item
+
+
+def recompute_report(
+    predictions_path: Path, output_dir: Path, harm_budget: float | None = None
+) -> PipelineResult:
+    """Recompute report.json/.txt from a run's saved predictions, without a provider.
+
+    The candidate-flow block needs the run's candidates.jsonl, from beside
+    the predictions file when it is there; each prediction is counted as it
+    is read, with its example's candidates. A row out of id order, a second
+    prediction of an example or a second candidate of an attempt is refused
+    naming its line; a candidate of an example with no prediction, or an
+    accepted attempt with no candidate, is refused naming both files.
+    """
+    _check_harm_budget(harm_budget)
+    candidates_path = predictions_path.parent / CANDIDATES_FILE
+    tally = ReportTally(with_flow=candidates_path.exists())
+    rows = read_jsonl(candidates_path) if tally.with_flow else ()
+    candidates = _in_id_order(rows, CandidateRecord.from_json_dict)
+    pending = next(candidates, None)
+    mismatch = f"{candidates_path} is not the run of {predictions_path}: example"
+    previous = None
+    for where, prediction in _in_id_order(read_jsonl(predictions_path), Prediction.from_json_dict):
+        example_id = prediction.example_id
+        if example_id == previous:
+            raise DatasetError(f"{where}: duplicate row for example {example_id!r}")
+        previous = example_id
+        attempts = {}
+        while pending is not None and pending[1].example_id <= example_id:
+            record_where, record = pending
+            if record.example_id < example_id:
+                raise DatasetError(f"{mismatch} {record.example_id!r} has no prediction")
+            if record.attempt_index in attempts:
+                raise DatasetError(
+                    f"{record_where}: duplicate row for example {example_id!r} "
+                    f"attempt {record.attempt_index!r}"
+                )
+            attempts[record.attempt_index] = record
+            pending = next(candidates, None)
+        if tally.with_flow and prediction.accepted and prediction.accepted_attempt not in attempts:
+            raise DatasetError(f"{mismatch} {example_id!r} has no candidate at its accepted attempt")
+        tally.add(prediction, attempts.values())
+    if pending is not None:
+        raise DatasetError(f"{mismatch} {pending[1].example_id!r} has no prediction")
+    report = compute_report(tally, harm_budget=harm_budget)
+    output_dir.mkdir(parents=True, exist_ok=True)
+    paths = {key: output_dir / ARTIFACT_FILES[key] for key in ("report_json", "report_text")}
+    with write_artifacts(paths) as files:
+        _write_report(files, report)
+    return PipelineResult(report=report, paths=paths)
+
+
+def run_pipeline(manifest: RunManifest) -> PipelineResult:
+    """Run guarded repair or a direct-regeneration baseline over a dataset."""
+    manifest.validate()
     # In the order the artifacts list the examples, so each is written as it is taken.
     dataset = sorted(load_dataset(manifest.dataset_path), key=lambda record: record.example_id)
     dataset_ids = {record.example_id for record in dataset}
@@ -393,146 +487,41 @@ def _run_examples(manifest: RunManifest) -> PipelineResult:
         _process_example, manifest=manifest, provider=provider, triggered_ids=triggered_ids
     )
     paths = {key: output / name for key, name in ARTIFACT_FILES.items()}
-    temps = {key: path.with_name(path.name + ".tmp") for key, path in paths.items()}
     tally = ReportTally()
     outage_streak = 0
-    try:
-        with (
-            closing(provider),
-            open(progress_path, "a" if manifest.resume else "w", encoding="utf-8") as progress,
-            open(temps["predictions"], "w", encoding="utf-8") as predictions,
-            open(temps["candidates"], "w", encoding="utf-8") as candidates,
-            open(temps["risk_log"], "w", encoding="utf-8") as risk_log,
-            closing(_in_order(process, dataset, provider.concurrency)) as outcomes,
-        ):
-            for result in outcomes:
-                row, records = result.prediction, result.records
-                lines = [jsonl_line(record.to_json_dict()) for record in records]
-                predictions.write(jsonl_line(row.to_json_dict()))
-                candidates.write("".join(lines))
-                risk_log.write(jsonl_line(result.risk))
-                tally.add(row, records)
-                if records and all(record.transport_failed for record in records):
-                    # Keep the example out of the durable checkpoint so a resume
-                    # regenerates it once the provider is back.
-                    outage_streak += 1
-                    if outage_streak >= OUTAGE_EXAMPLE_LIMIT:
-                        raise ProviderOutageError(
-                            f"{outage_streak} consecutive examples lost every "
-                            f"generation to transport failures; resume with "
-                            f"--resume once the provider recovers"
-                        )
-                    continue
-                outage_streak = 0
-                lacking = [
-                    line
-                    for record, line in zip(records, lines)
-                    if (record.example_id, record.attempt_index) not in checkpointed
-                ]
-                progress.write("".join(lacking))
-                progress.flush()
+    with (
+        closing(provider),
+        open(progress_path, "a" if manifest.resume else "w", encoding="utf-8") as progress,
+        write_artifacts(paths) as files,
+        closing(_in_order(process, dataset, provider.concurrency)) as outcomes,
+    ):
+        for prediction, records, risk in outcomes:
+            lines = [jsonl_line(record.to_json_dict()) for record in records]
+            files["predictions"].write(jsonl_line(prediction.to_json_dict()))
+            files["candidates"].write("".join(lines))
+            files["risk_log"].write(jsonl_line(risk))
+            tally.add(prediction, records)
+            if records and all(record.transport_failed for record in records):
+                # Keep the example out of the durable checkpoint so a resume
+                # regenerates it once the provider is back.
+                outage_streak += 1
+                if outage_streak >= OUTAGE_EXAMPLE_LIMIT:
+                    raise ProviderOutageError(
+                        f"{outage_streak} consecutive examples lost every "
+                        f"generation to transport failures; resume with "
+                        f"--resume once the provider recovers"
+                    )
+                continue
+            outage_streak = 0
+            lacking = [
+                line
+                for record, line in zip(records, lines)
+                if (record.example_id, record.attempt_index) not in checkpointed
+            ]
+            progress.write("".join(lacking))
+            progress.flush()
+        # Inside the block, so a report that fails leaves the previous artifacts.
         report = compute_report(tally, harm_budget=manifest.harm_budget)
-        texts = {"risk_summary": jsonl_line(tally.risk_summary()), **_report_texts(report)}
-        for key, text in texts.items():
-            temps[key].write_text(text, encoding="utf-8")
-        for key, path in paths.items():
-            os.replace(temps[key], path)
-    finally:
-        for temp in temps.values():
-            temp.unlink(missing_ok=True)
+        files["risk_summary"].write(jsonl_line(tally.risk_summary()))
+        _write_report(files, report)
     return PipelineResult(report=report, paths=paths)
-
-
-def filter_dataset(
-    dataset_path: Path,
-    output_dir: Path,
-    sample_size: int | None = None,
-    seed: int | None = None,
-) -> tuple[dict[str, Path], dict]:
-    """Keep the numeric-answer records, optionally sample them; returns (paths, counts)."""
-    if sample_size is not None and seed is None:
-        raise ValueError("sampling requires a seed")
-    dataset = load_dataset(dataset_path)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    result = filter_numeric(dataset)
-
-    paths = {
-        "numeric_pool": output_dir / "numeric_pool.jsonl",
-        "filter_counts": output_dir / "filter_counts.json",
-    }
-    write_dataset(result.kept, paths["numeric_pool"])
-    counts = {
-        "pool": len(dataset),
-        "kept": len(result.kept),
-        "rejected": result.counts(),
-        "rejected_ids": result.rejected_ids,
-    }
-    write_artifact(paths["filter_counts"], [json.dumps(counts, ensure_ascii=False, indent=2), "\n"])
-
-    if sample_size is not None:
-        subset = sample_subset(result.kept, sample_size, seed)
-        paths["sample"] = output_dir / f"sample_seed{seed}.jsonl"
-        paths["sample_ids"] = output_dir / f"sample_seed{seed}_ids.txt"
-        write_dataset(subset, paths["sample"])
-        write_artifact(paths["sample_ids"], [record.example_id + "\n" for record in subset])
-    return paths, counts
-
-
-def recompute_report(
-    predictions_path: Path, output_dir: Path, harm_budget: float | None = None
-) -> PipelineResult:
-    """Recompute report.json/.txt from a run's saved predictions, without a provider.
-
-    The candidate-flow block needs the run's candidates.jsonl, read first,
-    by example, from beside the predictions file when it is there. Each
-    prediction is then counted as it is read, with its candidates, so no
-    prediction is held. A second prediction of an example, or a second
-    candidate of an attempt, is refused naming its line; a candidate of an
-    example with no prediction, or an accepted attempt with no candidate,
-    is refused naming both files.
-    """
-    _check_harm_budget(harm_budget)
-    candidates_path = predictions_path.parent / CANDIDATES_FILE
-    tally = ReportTally(with_flow=candidates_path.exists())
-    records_by_id: dict[str, dict[int, CandidateRecord]] = {}
-    if tally.with_flow:
-        for where, row in read_jsonl(candidates_path):
-            record = CandidateRecord.from_json_dict(where, row)
-            attempts = records_by_id.setdefault(record.example_id, {})
-            if record.attempt_index in attempts:
-                raise DatasetError(
-                    f"{where}: duplicate row for example {record.example_id!r} "
-                    f"attempt {record.attempt_index!r}"
-                )
-            attempts[record.attempt_index] = record
-    seen: set[str] = set()
-    missing = None
-    for where, row in read_jsonl(predictions_path):
-        prediction = Prediction.from_json_dict(where, row)
-        example_id = prediction.example_id
-        if example_id in seen:
-            raise DatasetError(f"{where}: duplicate row for example {example_id!r}")
-        seen.add(example_id)
-        attempts = records_by_id.pop(example_id, {})
-        if tally.with_flow and prediction.accepted and prediction.accepted_attempt not in attempts:
-            missing = example_id if missing is None else missing
-        tally.add(prediction, attempts.values())
-    if records_by_id or missing is not None:
-        fault = (
-            f"example {min(records_by_id)!r} has no prediction"
-            if records_by_id
-            else f"example {missing!r} has no candidate at its accepted attempt"
-        )
-        raise DatasetError(f"{candidates_path} is not the run of {predictions_path}: {fault}")
-    report = compute_report(tally, harm_budget=harm_budget)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    paths = {key: output_dir / ARTIFACT_FILES[key] for key in ("report_json", "report_text")}
-    for key, text in _report_texts(report).items():
-        write_artifact(paths[key], [text])
-    return PipelineResult(report=report, paths=paths)
-
-
-def run_pipeline(manifest: RunManifest) -> PipelineResult:
-    """Run guarded repair or a direct-regeneration baseline over a dataset."""
-    manifest.validate()
-    return _run_examples(manifest)

@@ -8,7 +8,8 @@ one document each: a model's candidate, a provider's reply body and the
 ``pipeline.py`` reads a prediction or candidate row by a string key only
 inside a ``from_json_dict``, which names ``path:line`` and the dotted field
 when one is missing; elsewhere it reads attributes. Its only other
-string-key reads are of its own ``paths`` and ``temps`` dicts. It reads no
+string-key reads take an output file's handle, by key, from the ``files``
+that ``datasets.write_artifacts`` yields. It reads no
 risk row and no progress row: it calls ``read_jsonl`` and ``json_fields``
 only in ``Prediction.from_json_dict`` and ``recompute_report``, and the
 checkpoint, which holds candidates.jsonl rows, is read by a resume as a
@@ -55,15 +56,16 @@ def _json_reads(module: str, source: str) -> list[str]:
 
 
 PIPELINE_STRING_KEYS = [
-    "_run_examples: temps['candidates']",
-    "_run_examples: temps['predictions']",
-    "_run_examples: temps['risk_log']",
-    "filter_dataset: paths['filter_counts']",
-    "filter_dataset: paths['numeric_pool']",
-    "filter_dataset: paths['sample']",
-    "filter_dataset: paths['sample']",
-    "filter_dataset: paths['sample_ids']",
-    "filter_dataset: paths['sample_ids']",
+    "_write_report: files['report_json']",
+    "_write_report: files['report_text']",
+    "filter_dataset: files['filter_counts']",
+    "filter_dataset: files['numeric_pool']",
+    "filter_dataset: files['sample']",
+    "filter_dataset: files['sample_ids']",
+    "run_pipeline: files['candidates']",
+    "run_pipeline: files['predictions']",
+    "run_pipeline: files['risk_log']",
+    "run_pipeline: files['risk_summary']",
 ]
 
 

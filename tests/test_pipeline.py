@@ -877,10 +877,11 @@ def test_synthetic_replay_digests(synthetic, tmp_path, mode):
 # cache, about 0.9 KB per synthetic example; a run that also kept every
 # finished example until the end would need about 3.8 KB.
 BYTES_PER_EXAMPLE = 1500
-# ``report`` keeps the candidates until their predictions are read, 1.0 to
-# 1.3 KB per synthetic example (one candidate each) on Python 3.10 to 3.13;
-# one that also kept every prediction would need 1.7 to 2.0 KB.
-REPORT_BYTES_PER_EXAMPLE = 1450
+# ``report`` reads predictions.jsonl and candidates.jsonl side by side and
+# keeps no row past its example, so its heap peak grows by under 1 byte per
+# added synthetic example; one that kept every candidate until its
+# prediction was read would grow by about 1 KB (one candidate each).
+REPORT_BYTES_PER_EXAMPLE = 100
 
 
 def _copied_run(directory: Path, copies: int) -> RunManifest:
@@ -1319,6 +1320,51 @@ class TestReportMode:
         with pytest.raises(DatasetError, match=re.escape(error)):
             recompute_report(run.paths["predictions"], tmp_path / "report")
 
+    @pytest.mark.parametrize("key", ["predictions", "candidates"])
+    def test_a_row_out_of_id_order_names_its_line(self, synthetic, tmp_path, key):
+        """Both files are read side by side in example-id order. A clean
+        example's prediction (it has no candidate) swapped with the next one,
+        or a no-op example's candidate (never accepted) moved to the end, is
+        refused at the line where it is read."""
+        directory, dataset_path, cache_path = synthetic
+        run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = run.paths[key]
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        ids = [json.loads(line)["example_id"] for line in lines]
+        if key == "predictions":
+            assert ids[:2] == GROUP_CLEAN[:2]
+            lines[:2] = lines[1::-1]
+            moved, after, number = ids[0], ids[1], 2
+        else:
+            index = ids.index(GROUP_NOOP[0])
+            lines.append(lines.pop(index))
+            moved, after, number = ids[index], ids[-1], len(lines)
+        path.write_text("".join(lines), encoding="utf-8")
+        error = f"{path.name}:{number}: example {moved!r} is out of example-id order, after {after!r}"
+        with pytest.raises(DatasetError, match=re.escape(error)):
+            recompute_report(run.paths["predictions"], tmp_path / "report")
+
+    def test_a_report_that_cannot_write_one_file_changes_neither(self, synthetic, tmp_path):
+        """report.json and report.txt are committed as one set: with a
+        directory where report.txt's temp file goes, both keep their bytes.
+        A crash between the two renames can still mix the pair; a run.json
+        written last, holding each file's digest (ROADMAP item 8), is what
+        would close that gap."""
+        directory, dataset_path, cache_path = synthetic
+        run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        output_dir = tmp_path / "report"
+        output_dir.mkdir()
+        (output_dir / pipeline.REPORT_JSON_FILE).write_text("old json\n")
+        (output_dir / pipeline.REPORT_TEXT_FILE).write_text("old text\n")
+        (output_dir / (pipeline.REPORT_TEXT_FILE + ".tmp")).mkdir()
+        with pytest.raises(IsADirectoryError):
+            recompute_report(run.paths["predictions"], output_dir)
+        assert (output_dir / pipeline.REPORT_JSON_FILE).read_text() == "old json\n"
+        assert (output_dir / pipeline.REPORT_TEXT_FILE).read_text() == "old text\n"
+        assert sorted(path.name for path in output_dir.iterdir()) == [
+            pipeline.REPORT_JSON_FILE, pipeline.REPORT_TEXT_FILE, pipeline.REPORT_TEXT_FILE + ".tmp"
+        ]
+
     @pytest.mark.parametrize("key, name, value, error", _REPORT_ROW_FAULTS)
     def test_a_row_without_a_field_names_its_file_and_line(
         self, synthetic, tmp_path, key, name, value, error
@@ -1408,6 +1454,25 @@ class TestFilterMode:
         sample_ids = open(paths["sample_ids"]).read().split()
         assert len(sample_ids) == 10
         assert len(set(sample_ids)) == 10
+
+    def test_a_refused_sample_leaves_the_output_directory_as_it_was(self, tmp_path):
+        records = [
+            DatasetRecord(f"n{i}", f"How many things? {i} and {i + 1}.", str(i), None)
+            for i in range(30)
+        ]
+        dataset_path = tmp_path / "pool.jsonl"
+        write_dataset(records, dataset_path)
+        output_dir = tmp_path / "filtered"
+        filter_dataset(dataset_path, output_dir, sample_size=10, seed=42)
+        write_dataset(records[:5], dataset_path)
+
+        before = {path.name: path.read_bytes() for path in output_dir.iterdir()}
+        with pytest.raises(ValueError, match="sample size 10 out of range for pool of 5"):
+            filter_dataset(dataset_path, output_dir, sample_size=10, seed=42)
+        assert {path.name: path.read_bytes() for path in output_dir.iterdir()} == before
+        with pytest.raises(ValueError, match="out of range"):
+            filter_dataset(dataset_path, tmp_path / "new", sample_size=999999, seed=42)
+        assert not (tmp_path / "new").exists()
 
     def test_sampling_requires_seed(self, tmp_path):
         with pytest.raises(ValueError, match="seed"):
