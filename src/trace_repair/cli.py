@@ -4,7 +4,9 @@ Verbs: run (alias replay), baseline, filter, sample, report. Configuration
 precedence: built-in defaults < --config JSON file < environment
 variables < explicit flags. ``run`` and ``baseline`` build their config
 flags from ``policy.SOURCES``; only ``--config`` and the inverted
-``--[no-]equation-support`` are written here.
+``--[no-]equation-support`` are written here. A refused input (a bad
+file, config value or sample size, or a replay cache miss) exits with
+status 2 and one line on stderr, as a refused flag does.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .policy import SOURCES, PolicyConfig, config_from_env, config_from_mapping
-from .providers import RemoteProvider
+from .providers import RemoteProvider, ReplayCacheMiss
 from .reporting import render_report
 
 
@@ -153,36 +155,38 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    try:
+        if args.command == "filter":
+            _, counts = filter_dataset(args.dataset, args.output_dir)
+            print(json.dumps(counts["rejected"], indent=2))
+            return 0
 
-    if args.command == "filter":
-        _, counts = filter_dataset(args.dataset, args.output_dir)
-        print(json.dumps(counts["rejected"], indent=2))
-        return 0
+        if args.command == "sample":
+            paths, _ = filter_dataset(args.dataset, args.output_dir, args.size, args.seed)
+            print(f"sampled ids written to {paths['sample_ids']}")
+            return 0
 
-    if args.command == "sample":
-        paths, _ = filter_dataset(args.dataset, args.output_dir, args.size, args.seed)
-        print(f"sampled ids written to {paths['sample_ids']}")
-        return 0
-
-    if args.command == "report":
-        result = recompute_report(args.predictions, args.output_dir, args.harm_budget)
-    else:
-        result = run_pipeline(
-            RunManifest(
-                mode=args.mode,
-                dataset_path=args.dataset,
-                output_dir=args.output_dir,
-                config=_build_config(args),
-                provider=args.provider,
-                cache_path=args.cache,
-                triggered_ids_path=args.triggered_ids,
-                resume=args.resume,
-                harm_budget=args.harm_budget,
-                concurrency=args.concurrency,
+        if args.command == "report":
+            result = recompute_report(args.predictions, args.output_dir, args.harm_budget)
+        else:
+            result = run_pipeline(
+                RunManifest(
+                    mode=args.mode,
+                    dataset_path=args.dataset,
+                    output_dir=args.output_dir,
+                    config=_build_config(args),
+                    provider=args.provider,
+                    cache_path=args.cache,
+                    triggered_ids_path=args.triggered_ids,
+                    resume=args.resume,
+                    harm_budget=args.harm_budget,
+                    concurrency=args.concurrency,
+                )
             )
-        )
-    print(render_report(result.report), end="")
-    return 0
+        print(render_report(result.report), end="")
+        return 0
+    except (ValueError, OSError, ReplayCacheMiss) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

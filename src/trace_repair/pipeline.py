@@ -31,8 +31,9 @@ it should be, or a row out of id order stops the report naming
 
 A remote provider keeps up to its ``concurrency`` examples in flight at
 once: each pool thread takes the next pending example as soon as its last
-one is done. Results are still taken in example-id order, so progress.jsonl,
-the resume checkpoint and the outage abort read as in a serial run.
+one is done, from at most ``POOL_WINDOW`` examples submitted at a time.
+Results are still taken in example-id order, so progress.jsonl, the resume
+checkpoint and the outage abort read as in a serial run.
 """
 
 from __future__ import annotations
@@ -227,37 +228,6 @@ def _load_triggered_ids(path: Path | None, dataset_ids: set[str]) -> set[str] | 
     return ids
 
 
-def _risk_log_entry(
-    record: DatasetRecord,
-    diag0,
-    triggered: bool,
-    records: tuple[CandidateRecord, ...] | list[CandidateRecord],
-    accepted_index: int | None,
-) -> dict:
-    return {
-        "example_id": record.example_id,
-        "initial_risks": risk_categories(diag0.graph),
-        "initial_score": diag0.graph.score,
-        "initial_diagnosis": diag0.graph.diagnosis,
-        "meta_category": diag0.meta.category,
-        "triggered": triggered,
-        "accepted_attempt": accepted_index,
-        "candidates": [_risk_pattern(item) for item in records],
-    }
-
-
-def _risk_pattern(item: CandidateRecord) -> dict:
-    """One candidate's acceptance pattern, as its example's risk_log.jsonl row holds it."""
-    return {
-        "attempt_index": item.attempt_index,
-        "clean": item.clean,
-        "graph_clean": item.graph_clean,
-        "answer_changed": item.answer_changed,
-        "accepted": bool(item.verdict and item.verdict.accepted),
-        "rejection_reasons": list(item.verdict.rejection_reasons) if item.verdict else [],
-    }
-
-
 def _process_example(
     record: DatasetRecord,
     manifest: RunManifest,
@@ -265,7 +235,8 @@ def _process_example(
     triggered_ids: set[str] | None,
 ) -> tuple[Prediction, tuple[CandidateRecord, ...], dict]:
     """Run one example end to end: its predictions.jsonl row, its
-    candidates.jsonl rows and its risk_log.jsonl row."""
+    candidates.jsonl rows and its risk_log.jsonl row's header, to which the
+    run adds the candidates' patterns as the report counts them."""
     cfg = manifest.config
     r0 = ReasoningTrace.from_text(record.cached_initial_trace or "")
     diag0 = diagnose(record.problem_text, r0)
@@ -302,7 +273,15 @@ def _process_example(
         accepted_attempt=accepted_index,
         final_trace=final.text,
     )
-    risk = _risk_log_entry(record, diag0, decision.triggered, records, accepted_index)
+    risk = {
+        "example_id": record.example_id,
+        "initial_risks": risk_categories(diag0.graph),
+        "initial_score": diag0.graph.score,
+        "initial_diagnosis": diag0.graph.diagnosis,
+        "meta_category": diag0.meta.category,
+        "triggered": decision.triggered,
+        "accepted_attempt": accepted_index,
+    }
     return prediction, records, risk
 
 
@@ -332,16 +311,22 @@ def _write_report(files: dict, report: RunReport) -> None:
     files["report_text"].write(render_report(report))
 
 
+# Items submitted to the pool at once. ``Executor.map`` submits all it is
+# given before it yields, so a whole dataset would hold one future per example.
+POOL_WINDOW = 256
+
+
 def _in_order(process, items, concurrency: int):
     """Yield ``process(item)`` for each item in order, with up to ``concurrency`` calls in flight.
 
-    At 1 this is a plain ``map``: no thread starts. Above 1 every item is
-    submitted to a pool of ``concurrency`` threads, so a thread that
-    finishes takes the next item at once, whichever item is still running
-    at the head. Closing the generator cancels the calls that have not
-    started and waits for the others; their results, and any error they
-    raise, are dropped, since a serial run that stopped at the same item
-    would not have made those calls.
+    At 1 this is a plain ``map``: no thread starts. Above 1 the items go to
+    a pool of ``concurrency`` threads in slices of ``POOL_WINDOW``, so a
+    thread that finishes takes the next item of its slice at once,
+    whichever item is still running at the head, and the next slice is
+    submitted once the last is taken. Closing the generator cancels the
+    calls that have not started and waits for the others; their results,
+    and any error they raise, are dropped, since a serial run that stopped
+    at the same item would not have made those calls.
     """
     if concurrency == 1:
         yield from map(process, items)
@@ -349,7 +334,8 @@ def _in_order(process, items, concurrency: int):
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(concurrency) as pool:
-        yield from pool.map(process, items)
+        for start in range(0, len(items), POOL_WINDOW):
+            yield from pool.map(process, items[start : start + POOL_WINDOW])
 
 
 def filter_dataset(
@@ -499,8 +485,9 @@ def run_pipeline(manifest: RunManifest) -> PipelineResult:
             lines = [jsonl_line(record.to_json_dict()) for record in records]
             files["predictions"].write(jsonl_line(prediction.to_json_dict()))
             files["candidates"].write("".join(lines))
-            files["risk_log"].write(jsonl_line(risk))
-            tally.add(prediction, records)
+            # Each pattern is built once, so risk_summary.json sums these rows.
+            patterns = tally.add(prediction, records)
+            files["risk_log"].write(jsonl_line({**risk, "candidates": patterns}))
             if records and all(record.transport_failed for record in records):
                 # Keep the example out of the durable checkpoint so a resume
                 # regenerates it once the provider is back.

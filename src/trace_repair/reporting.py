@@ -3,10 +3,11 @@
 Gold answers enter the system only here. Transition accounting, harm
 rate, accepted precision, the exact paired sign test, the rule-of-three
 bound, the candidate-flow decomposition, and multi-run aggregation all
-live in this module, with the flow identities checked on every report.
-Every report is counted by one ``ReportTally``, fed one example at a time
-from its predictions.jsonl row and its candidates.jsonl rows, so a run's
-report holds counts, not its examples.
+live in this module. Every report is counted by one ``ReportTally``, fed
+one example at a time from its predictions.jsonl row and its
+candidates.jsonl rows, so a run's report holds counts, not its examples.
+Fixed, broken and accepted are read off its accepted-transition table; the
+one identity checked, RejC >= 0, compares predictions with candidates.
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ TRANSITIONS = (TRANSITION_WC, TRANSITION_CW, TRANSITION_WW, TRANSITION_CC)
 
 class ReportIdentityError(ValueError):
     """A flow or accounting identity failed: predictions and candidates disagree."""
-
-
-def _check_identity(holds: bool, identity: str) -> None:
-    # An explicit raise, not an assert, so the check also runs under -O.
-    if not holds:
-        raise ReportIdentityError(f"report identity failed: {identity}")
 
 
 @dataclass(frozen=True)
@@ -106,6 +101,19 @@ _TRANSITION_OF = {
 }
 
 
+def candidate_pattern(record: CandidateRecord) -> dict:
+    """One candidate's acceptance pattern, as its example's risk_log.jsonl row holds it."""
+    verdict = record.verdict
+    return {
+        "attempt_index": record.attempt_index,
+        "clean": record.clean,
+        "graph_clean": record.graph_clean,
+        "answer_changed": record.answer_changed,
+        "accepted": bool(verdict and verdict.accepted),
+        "rejection_reasons": list(verdict.rejection_reasons) if verdict else [],
+    }
+
+
 class ReportTally:
     """Every count a run's report and risk summary read, fed one example at a time.
 
@@ -116,13 +124,17 @@ class ReportTally:
     and nothing else grows with the number of examples. A tally without
     ``with_flow`` leaves the candidate-flow block out of ``compute_report``,
     for a run whose candidate records are not known.
+
+    Each example is counted once. ``Prediction`` refuses an unaccepted
+    example whose final answer is not its initial one, so only the accepted
+    examples, counted by transition in ``outcome_counts``, change
+    correctness: ``compute_report`` reads fixed, broken and accepted there.
     """
 
     def __init__(self, with_flow: bool = True) -> None:
         self.with_flow = with_flow
         self._values: dict[str, AnswerValue] = {}
-        self.total = self.initially_correct = self.finally_correct = 0
-        self.fixed = self.broken = self.accepted = 0
+        self.total = self.initially_correct = 0
         self.outcome_counts = dict.fromkeys(TRANSITIONS, 0)
         self.triggered_wrong = self.corrected = 0
         self.attempts = self.accepted_patterns = self.noop_rejections = 0
@@ -140,52 +152,48 @@ class ReportTally:
     def correct(self, answer: str | None, gold: AnswerValue) -> bool:
         return answers_equivalent(self.value(answer), gold)
 
-    def add(self, prediction, records: Iterable[CandidateRecord]) -> None:
+    def add(self, prediction, records: Iterable[CandidateRecord]) -> list[dict]:
         """Count one example from its predictions.jsonl row (its initial, final
         and gold answers and its triggered and accepted flags) and its
         candidates.jsonl rows: each candidate's acceptance pattern, and whether
-        any candidate's parsed answer matches gold."""
+        any candidate's parsed answer matches gold. Returns the patterns, in
+        the order of ``records``."""
         gold = self.value(prediction.gold_answer)
         matched = False
+        patterns = []
         for record in records:
-            verdict = record.verdict
-            accepted = bool(verdict and verdict.accepted)
+            pattern = candidate_pattern(record)
+            patterns.append(pattern)
             self.attempts += 1
-            if accepted:
+            if pattern["accepted"]:
                 self.accepted_patterns += 1
-            if verdict and REJECT_NO_OP in verdict.rejection_reasons:
+            if REJECT_NO_OP in pattern["rejection_reasons"]:
                 self.noop_rejections += 1
-            if record.answer_changed:
+            if pattern["answer_changed"]:
                 self.changing += 1
-                if accepted:
+                if pattern["accepted"]:
                     self.changing_accepted += 1
-                    if record.graph_clean:
+                    if pattern["graph_clean"]:
                         self.changing_accepted_graph_clean += 1
-            if record.graph_clean is True:
+            if pattern["graph_clean"] is True:
                 self.graph_clean += 1
-            elif record.graph_clean is False:
+            elif pattern["graph_clean"] is False:
                 self.graph_risky += 1
             if record.parsed is not None:
                 matched = self.correct(record.parsed.final_answer, gold) or matched
         initially_correct = self.correct(prediction.initial_answer, gold)
-        finally_correct = self.correct(prediction.final_answer, gold)
         self.total += 1
         if initially_correct:
             self.initially_correct += 1
-            if not finally_correct:
-                self.broken += 1
         else:
             if prediction.triggered:
                 self.triggered_wrong += 1
             if matched:
                 self.corrected += 1
-            if finally_correct:
-                self.fixed += 1
-        if finally_correct:
-            self.finally_correct += 1
         if prediction.accepted:
-            self.accepted += 1
+            finally_correct = self.correct(prediction.final_answer, gold)
             self.outcome_counts[_TRANSITION_OF[initially_correct, finally_correct]] += 1
+        return patterns
 
     def risk_summary(self) -> dict:
         """Acceptance-decision pattern counts of the candidate records."""
@@ -207,15 +215,18 @@ def compute_report(tally: ReportTally, harm_budget: float | None = None) -> RunR
     """The report of the examples ``tally`` has counted, annotated with ``harm_budget``.
 
     ``run``, ``baseline`` and ``report`` each feed a ``ReportTally`` one
-    example at a time and finish here. The flow and accounting identities
-    are checked with explicit raises, so they also run under -O.
+    example at a time and finish here. Every count is read off the tally's
+    accepted-transition table; the one cross-file identity, RejC >= 0, is
+    checked with an explicit raise, so it also runs under -O.
     """
     total = tally.total
     if total == 0:
         raise ValueError("cannot report on an empty run")
-    fixed, broken, accepted = tally.fixed, tally.broken, tally.accepted
+    outcomes = tally.outcome_counts
+    fixed, broken = outcomes[TRANSITION_WC], outcomes[TRANSITION_CW]
+    accepted = sum(outcomes.values())
     initial_accuracy = 100.0 * tally.initially_correct / total
-    final_accuracy = 100.0 * tally.finally_correct / total
+    final_accuracy = 100.0 * (tally.initially_correct + fixed - broken) / total
     init_wrong = total - tally.initially_correct
 
     flow = None
@@ -231,23 +242,10 @@ def compute_report(tally: ReportTally, harm_budget: float | None = None) -> RunR
             "FinalW": init_wrong - fixed,
             "Brk": broken,
         }
-        # Cross-checks of the flow block; the last fails when an accepted
-        # fix has no gold-matching candidate.
-        _check_identity(flow["RejC"] == flow["CorrC"] - flow["AccC"], "RejC = CorrC - AccC")
-        _check_identity(flow["NoC"] == flow["InitW"] - flow["CorrC"], "NoC = InitW - CorrC")
-        _check_identity(flow["FinalW"] == flow["InitW"] - fixed, "FinalW = InitW - fixed")
-        _check_identity(
-            flow["RejC"] >= 0, "RejC >= 0 (accepted fixes without a gold-matching candidate)"
-        )
-
-    # Accounting identity in exact counts.
-    _check_identity(
-        tally.finally_correct == tally.initially_correct + fixed - broken,
-        "final correct = initial correct + fixed - broken",
-    )
-    _check_identity(
-        accepted == sum(tally.outcome_counts.values()), "accepted = sum of accepted outcomes"
-    )
+        if flow["RejC"] < 0:
+            raise ReportIdentityError(
+                "report identity failed: RejC >= 0 (accepted fixes without a gold-matching candidate)"
+            )
     return RunReport(
         total=total,
         initial_accuracy=initial_accuracy,
@@ -258,14 +256,12 @@ def compute_report(tally: ReportTally, harm_budget: float | None = None) -> RunR
         harm_rate=100.0 * broken / total,
         accepted=accepted,
         attempts=tally.attempts,
-        accepted_precision=(
-            100.0 * tally.outcome_counts[TRANSITION_WC] / accepted if accepted else None
-        ),
+        accepted_precision=100.0 * fixed / accepted if accepted else None,
         error_repair_rate=100.0 * fixed / init_wrong if init_wrong else None,
         sign_test_p=sign_test(fixed, broken) if fixed + broken >= 1 else None,
         rule_of_three_bound=rule_of_three(total) if broken == 0 else None,
         candidate_flow=flow,
-        outcome_counts=dict(tally.outcome_counts),
+        outcome_counts=dict(outcomes),
         harm_budget=harm_budget,
         # The budget is a share, as broken / total is; harm_rate is a percentage.
         harm_budget_exceeded=(broken / total > harm_budget) if harm_budget is not None else None,

@@ -1,11 +1,17 @@
 """The CLI's config flags, config file and environment all reach PolicyConfig."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trace_repair
 from trace_repair.cli import _build_config, build_parser
+from trace_repair.datasets import DatasetRecord, write_dataset
 from trace_repair.policy import ENV_KEYS, PolicyConfig
 
 RUN = ["run", "--dataset", "data.jsonl", "--output-dir", "out"]
@@ -147,7 +153,7 @@ def test_a_config_file_that_is_not_an_object_is_refused(tmp_path, text, error):
     ],
 )
 def test_a_count_below_one_stops_the_run_before_it_starts(
-    tmp_path, monkeypatch, source, field, value
+    tmp_path, monkeypatch, capsys, source, field, value
 ):
     from trace_repair import cli
 
@@ -161,5 +167,28 @@ def test_a_count_below_one_stops_the_run_before_it_starts(
         flags = [source, value]
     else:
         monkeypatch.setenv(source, value)
-    with pytest.raises(ValueError, match=f"config field {field} must be at least 1, not {value}"):
+    with pytest.raises(SystemExit) as raised:
         cli.main([*RUN, *flags])
+    assert raised.value.code == 2
+    assert f"config field {field} must be at least 1, not {value}" in capsys.readouterr().err
+
+
+def test_a_refused_sample_size_is_one_line_and_status_2(tmp_path):
+    records = [
+        DatasetRecord(f"n{i}", f"How many things? {i} and {i + 1}.", str(i), None)
+        for i in range(1000)
+    ]
+    write_dataset(records, tmp_path / "pool.jsonl")
+    argv = ["sample", "--dataset", str(tmp_path / "pool.jsonl"), "--output-dir", str(tmp_path / "out")]
+    src = str(Path(trace_repair.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "trace_repair.cli", *argv, "--size", "999999", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 2
+    assert "sample size 999999 out of range" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()

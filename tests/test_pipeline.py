@@ -873,6 +873,65 @@ def test_synthetic_replay_digests(synthetic, tmp_path, mode):
     assert digests == SYNTHETIC_DIGESTS[mode]
 
 
+def _cache_of(mode, cache_path, tmp_path) -> Path:
+    """The synthetic cache for ``mode``: solve_all also regenerates the clean
+    examples, so it gets an attempt for each, with a wrong answer."""
+    if mode != MODE_SOLVE_ALL:
+        return Path(cache_path)
+    wrong = json.dumps({"steps": ["2 + 2 = 4"], "final_answer": "4"})
+    rows = [{"example_id": example_id, "attempt_index": 0, "raw_output": wrong} for example_id in GROUP_CLEAN]
+    extended = tmp_path / "cache.jsonl"
+    extended.write_text(Path(cache_path).read_text() + "".join(json.dumps(row) + "\n" for row in rows))
+    return extended
+
+
+@pytest.mark.parametrize("mode", RUN_MODES)
+def test_report_and_risk_summary_are_recounts_of_the_rows(synthetic, tmp_path, mode):
+    """report.json's counts match a recount of predictions.jsonl against the
+    dataset's gold answers, and risk_summary.json is the column sums of
+    risk_log.jsonl's candidate patterns."""
+    from trace_repair.answers import answers_equivalent, normalize_answer
+
+    directory, dataset_path, cache_path = synthetic
+    cache = _cache_of(mode, cache_path, tmp_path)
+    run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache, mode=mode))
+    gold = {record.example_id: normalize_answer(record.gold_answer) for record in build_synthetic_run()[0]}
+    rows = [json.loads(line) for line in open(run.paths["predictions"])]
+    initially, finally_ = (
+        [answers_equivalent(normalize_answer(str(row[key])), gold[row["example_id"]]) for row in rows]
+        for key in ("initial_answer", "final_answer")
+    )
+    report = json.loads(run.paths["report_json"].read_text())
+    assert report["fixed"] == sum(not before and after for before, after in zip(initially, finally_))
+    assert report["broken"] == sum(before and not after for before, after in zip(initially, finally_))
+    assert report["accepted"] == sum(row["accepted"] for row in rows)
+    assert report["final_accuracy"] == 100.0 * sum(finally_) / len(rows)
+    if mode == MODE_SOLVE_ALL:
+        # It accepts a wrong answer for every initially correct example.
+        assert report["broken"] == len(GROUP_CLEAN) + len(GROUP_UNSAFE)
+
+    patterns = [
+        pattern
+        for row in map(json.loads, open(run.paths["risk_log"]))
+        for pattern in row["candidates"]
+    ]
+    changing = [pattern for pattern in patterns if pattern["answer_changed"]]
+    assert json.loads(run.paths["risk_summary"].read_text()) == {
+        "patterns_inspected": len(patterns),
+        "accepted_patterns": sum(pattern["accepted"] for pattern in patterns),
+        "rejected_patterns": sum(not pattern["accepted"] for pattern in patterns),
+        "noop_rejections": sum("no_op" in pattern["rejection_reasons"] for pattern in patterns),
+        "answer_changing_candidates": len(changing),
+        "answer_changing_accepted": sum(pattern["accepted"] for pattern in changing),
+        "answer_changing_rejected": sum(not pattern["accepted"] for pattern in changing),
+        "accepted_answer_changing_graph_clean": sum(
+            pattern["accepted"] and pattern["graph_clean"] is True for pattern in changing
+        ),
+        "candidate_graph_clean_patterns": sum(pattern["graph_clean"] is True for pattern in patterns),
+        "candidate_graph_risk_patterns": sum(pattern["graph_clean"] is False for pattern in patterns),
+    }
+
+
 # Heap kept per example, in bytes. A run keeps its dataset and its replay
 # cache, about 0.9 KB per synthetic example; a run that also kept every
 # finished example until the end would need about 3.8 KB.

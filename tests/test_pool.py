@@ -19,6 +19,7 @@ from synthetic_run import EXPECTED_ATTEMPTS, GROUP_SAFE_FIX, GROUP_UNSAFE, write
 from trace_repair.pipeline import (
     MODE_GUARDED,
     MODE_REPLAY,
+    POOL_WINDOW,
     PROGRESS_FILE,
     ProviderOutageError,
     RunManifest,
@@ -207,6 +208,29 @@ def test_a_free_thread_takes_the_next_item_while_the_head_waits():
         return item
 
     assert list(_in_order(process, range(4), 2)) == [0, 1, 2, 3]
+
+
+def test_the_pool_is_given_a_bounded_window_of_items():
+    # Item 0 waits until an item past the window has started, or a second;
+    # a pool given every item at once starts that item and lets it through.
+    started = []
+    past_window = threading.Event()
+
+    def process(item):
+        started.append(item)
+        if item == POOL_WINDOW:
+            past_window.set()
+        if item == 0:
+            past_window.wait(timeout=1)
+        return item
+
+    outcomes = _in_order(process, range(10 * POOL_WINDOW), 2)
+    try:
+        assert next(outcomes) == 0
+        assert len(started) <= POOL_WINDOW
+    finally:
+        outcomes.close()
+    assert len(started) <= POOL_WINDOW
 
 
 def test_replay_runs_inline(synthetic, tmp_path, monkeypatch):
