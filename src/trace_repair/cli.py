@@ -114,17 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
         aliases=["replay"],
         help="guarded repair over a dataset (replay: from a candidate cache)",
     )
-    run_cmd.set_defaults(mode=MODE_GUARDED, triggered_ids=None)
+    run_cmd.set_defaults(mode=MODE_GUARDED)
     _add_run_flags(run_cmd)
 
     baseline_cmd = commands.add_parser("baseline", help="direct-regeneration baselines")
     baseline_cmd.add_argument("--mode", choices=BASELINE_MODES, required=True)
-    baseline_cmd.add_argument(
-        "--triggered-ids",
-        type=Path,
-        help="trigger set from a prior guarded run (one id per line); "
-        "recomputed deterministically when omitted",
-    )
     _add_run_flags(baseline_cmd)
 
     filter_cmd = commands.add_parser("filter", help="numeric answer filtering")
@@ -177,7 +171,6 @@ def main(argv: list[str] | None = None) -> int:
                     config=_build_config(args),
                     provider=args.provider,
                     cache_path=args.cache,
-                    triggered_ids_path=args.triggered_ids,
                     resume=args.resume,
                     harm_budget=args.harm_budget,
                     concurrency=args.concurrency,

@@ -85,20 +85,6 @@ class DatasetRecord:
         return payload
 
 
-def read_lines(path: str | Path) -> Iterator[tuple[str, str]]:
-    """Yield ``(where, line)``, ``where`` being ``path:line``, for each line that is not blank.
-    A line that is not UTF-8 raises a ``DatasetError`` that names it."""
-    with open(path, "rb") as handle:
-        for number, raw in enumerate(handle, start=1):
-            where = f"{path}:{number}"
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise DatasetError(f"{where}: not UTF-8 ({exc})") from None
-            if line.strip():
-                yield where, line
-
-
 # The JSON value type of each field annotation; any other is a nested
 # dataclass, read from an object.
 _JSON_TYPES = {
@@ -149,19 +135,28 @@ def json_fields(
 def read_jsonl(
     path: str | Path, required: Sequence[str] | Mapping[str, tuple[type, ...]] = ()
 ) -> Iterator[tuple[str, dict]]:
-    """Yield ``(where, row)`` for each line of ``read_lines``.
+    """Yield ``(where, row)``, ``where`` being ``path:line``, for each line that is not blank.
 
-    A line that is not JSON, a row that is not an object, or a row without
-    one of the ``required`` fields, or with one of a type it does not admit
-    (as ``json_fields`` reads them), raises a ``DatasetError`` that names it.
+    A line that is not UTF-8 or not JSON, a row that is not an object, or a
+    row without one of the ``required`` fields, or with one of a type it
+    does not admit (as ``json_fields`` reads them), raises a
+    ``DatasetError`` that names it.
     """
-    for where, line in read_lines(path):
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{where}: not JSON ({exc})") from None
-        json_fields(where, row, required)
-        yield where, row
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            where = f"{path}:{number}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DatasetError(f"{where}: not UTF-8 ({exc})") from None
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"{where}: not JSON ({exc})") from None
+            json_fields(where, row, required)
+            yield where, row
 
 
 def load_dataset(path: str | Path) -> list[DatasetRecord]:

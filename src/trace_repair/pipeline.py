@@ -57,7 +57,6 @@ from .datasets import (
     jsonl_line,
     load_dataset,
     read_jsonl,
-    read_lines,
     sample_subset,
     write_artifacts,
 )
@@ -91,8 +90,6 @@ MODE_REPAIR_ARGS = {
 
 BASELINE_MODES = (MODE_SOLVE_ALL, MODE_SOLVE_TRIGGERED, MODE_DIRECT_BESTOF3_GATED)
 RUN_MODES = (MODE_GUARDED, *BASELINE_MODES)
-# Modes that may take the trigger set of a prior guarded run.
-TRIGGERED_ID_MODES = (MODE_SOLVE_TRIGGERED, MODE_DIRECT_BESTOF3_GATED)
 
 # Consecutive examples whose generations all fail at the transport level
 # before the run is declared dead and aborted for a later resume.
@@ -170,7 +167,6 @@ class RunManifest:
     config: PolicyConfig = field(default_factory=PolicyConfig)
     provider: str = "replay"
     cache_path: Path | None = None
-    triggered_ids_path: Path | None = None
     resume: bool = False
     harm_budget: float | None = None
     # Examples in flight at once with the remote provider; None takes its default.
@@ -179,10 +175,6 @@ class RunManifest:
     def validate(self) -> None:
         if self.mode not in RUN_MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {RUN_MODES}")
-        if self.triggered_ids_path is not None and self.mode not in TRIGGERED_ID_MODES:
-            raise ValueError(
-                f"a triggered-ids file applies only to {TRIGGERED_ID_MODES}, not {self.mode!r}"
-            )
         if self.provider == "replay" and self.cache_path is None:
             raise ValueError("replay provider requires a candidate cache path")
         if self.cache_path is not None and self.provider != "replay":
@@ -215,41 +207,21 @@ def _build_provider(manifest: RunManifest):
     raise ValueError(f"unknown provider {manifest.provider!r}")
 
 
-def _load_triggered_ids(path: Path | None, dataset_ids: set[str]) -> set[str] | None:
-    if path is None:
-        return None
-    ids = {line.strip() for _, line in read_lines(path)}
-    unknown = ids - dataset_ids
-    if unknown:
-        raise ValueError(
-            f"{path} names {len(unknown)} example ids that are not in the dataset, "
-            f"e.g. {min(unknown)!r}"
-        )
-    return ids
-
-
 def _process_example(
-    record: DatasetRecord,
-    manifest: RunManifest,
-    provider,
-    triggered_ids: set[str] | None,
+    record: DatasetRecord, manifest: RunManifest, provider
 ) -> tuple[Prediction, tuple[CandidateRecord, ...], dict]:
     """Run one example end to end: its predictions.jsonl row, its
     candidates.jsonl rows and its risk_log.jsonl row's header, to which the
-    run adds the candidates' patterns as the report counts them."""
+    run adds the candidates' patterns as the report counts them. An example
+    is repaired when the trigger fires, or in solve_all always, so the
+    baselines re-solve exactly the examples guarded repair targets."""
     cfg = manifest.config
     r0 = ReasoningTrace.from_text(record.cached_initial_trace or "")
     diag0 = diagnose(record.problem_text, r0)
     decision = trigger(diag0.meta, diag0.graph, r0, cfg)
 
     final, records, accepted_index = r0, (), None
-    if manifest.mode == MODE_SOLVE_ALL:
-        targeted = True
-    elif triggered_ids is not None:
-        targeted = record.example_id in triggered_ids
-    else:
-        targeted = decision.triggered
-    if targeted:
+    if decision.triggered or manifest.mode == MODE_SOLVE_ALL:
         outcome = repair_example(
             record.example_id,
             record.problem_text,
@@ -397,18 +369,19 @@ def recompute_report(
 ) -> PipelineResult:
     """Recompute report.json/.txt from a run's saved predictions, without a provider.
 
-    The candidate-flow block needs the run's candidates.jsonl, from beside
-    the predictions file when it is there; each prediction is counted as it
-    is read, with its example's candidates. A row out of id order, a second
-    prediction of an example or a second candidate of an attempt is refused
-    naming its line; a candidate of an example with no prediction, or an
-    accepted attempt with no candidate, is refused naming both files.
+    A run's report is counted from both of its row files, so the run's
+    candidates.jsonl must sit beside the predictions file; without it the
+    report stops with ``FileNotFoundError`` naming the path, before anything
+    is written. Each prediction is counted as it is read, with its example's
+    candidates. A row out of id order, a second prediction of an example or
+    a second candidate of an attempt is refused naming its line; a candidate
+    of an example with no prediction, or an accepted attempt with no
+    candidate, is refused naming both files.
     """
     _check_harm_budget(harm_budget)
     candidates_path = predictions_path.parent / CANDIDATES_FILE
-    tally = ReportTally(with_flow=candidates_path.exists())
-    rows = read_jsonl(candidates_path) if tally.with_flow else ()
-    candidates = _in_id_order(rows, CandidateRecord.from_json_dict)
+    tally = ReportTally()
+    candidates = _in_id_order(read_jsonl(candidates_path), CandidateRecord.from_json_dict)
     pending = next(candidates, None)
     mismatch = f"{candidates_path} is not the run of {predictions_path}: example"
     previous = None
@@ -429,7 +402,7 @@ def recompute_report(
                 )
             attempts[record.attempt_index] = record
             pending = next(candidates, None)
-        if tally.with_flow and prediction.accepted and prediction.accepted_attempt not in attempts:
+        if prediction.accepted and prediction.accepted_attempt not in attempts:
             raise DatasetError(f"{mismatch} {example_id!r} has no candidate at its accepted attempt")
         tally.add(prediction, attempts.values())
     if pending is not None:
@@ -447,9 +420,7 @@ def run_pipeline(manifest: RunManifest) -> PipelineResult:
     manifest.validate()
     # In the order the artifacts list the examples, so each is written as it is taken.
     dataset = sorted(load_dataset(manifest.dataset_path), key=lambda record: record.example_id)
-    dataset_ids = {record.example_id for record in dataset}
     provider = _build_provider(manifest)
-    triggered_ids = _load_triggered_ids(manifest.triggered_ids_path, dataset_ids)
 
     output = manifest.output_dir
     output.mkdir(parents=True, exist_ok=True)
@@ -460,7 +431,7 @@ def run_pipeline(manifest: RunManifest) -> PipelineResult:
         # Every example runs again; the checkpoint serves what it recorded.
         provider = _read_checkpoint(progress_path, provider)
         checkpointed = provider.entries
-        unknown = {example_id for example_id, _ in checkpointed} - dataset_ids
+        unknown = {example_id for example_id, _ in checkpointed} - {r.example_id for r in dataset}
         if unknown:
             raise ValueError(
                 f"{progress_path} holds {len(unknown)} example ids that are not in "
@@ -469,9 +440,7 @@ def run_pipeline(manifest: RunManifest) -> PipelineResult:
             )
         log.info("resuming: %d attempts already recorded", len(checkpointed))
 
-    process = partial(
-        _process_example, manifest=manifest, provider=provider, triggered_ids=triggered_ids
-    )
+    process = partial(_process_example, manifest=manifest, provider=provider)
     paths = {key: output / name for key, name in ARTIFACT_FILES.items()}
     tally = ReportTally()
     outage_streak = 0

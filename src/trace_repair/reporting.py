@@ -6,8 +6,9 @@ bound, the candidate-flow decomposition, and multi-run aggregation all
 live in this module. Every report is counted by one ``ReportTally``, fed
 one example at a time from its predictions.jsonl row and its
 candidates.jsonl rows, so a run's report holds counts, not its examples.
-Fixed, broken and accepted are read off its accepted-transition table; the
-one identity checked, RejC >= 0, compares predictions with candidates.
+Fixed, broken and accepted are read off its accepted-transition table. Two
+identities compare predictions with candidates: a candidate is accepted
+exactly at its prediction's accepted attempt, and RejC >= 0.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class RunReport:
     error_repair_rate: float | None = None
     sign_test_p: float | None = None
     rule_of_three_bound: float | None = None
-    candidate_flow: dict | None = None
+    candidate_flow: dict = field(default_factory=dict)
     outcome_counts: dict = field(default_factory=dict)
     harm_budget: float | None = None
     harm_budget_exceeded: bool | None = None
@@ -101,7 +102,7 @@ _TRANSITION_OF = {
 }
 
 
-def candidate_pattern(record: CandidateRecord) -> dict:
+def candidate_pattern(record: CandidateRecord, accepted: bool) -> dict:
     """One candidate's acceptance pattern, as its example's risk_log.jsonl row holds it."""
     verdict = record.verdict
     return {
@@ -109,7 +110,7 @@ def candidate_pattern(record: CandidateRecord) -> dict:
         "clean": record.clean,
         "graph_clean": record.graph_clean,
         "answer_changed": record.answer_changed,
-        "accepted": bool(verdict and verdict.accepted),
+        "accepted": accepted,
         "rejection_reasons": list(verdict.rejection_reasons) if verdict else [],
     }
 
@@ -121,18 +122,19 @@ class ReportTally:
     row and its candidates.jsonl rows, whether a run has just made them or
     ``report`` reads them back. It holds counts and one memo of normalized
     answers, so each distinct answer string is normalized once per report
-    and nothing else grows with the number of examples. A tally without
-    ``with_flow`` leaves the candidate-flow block out of ``compute_report``,
-    for a run whose candidate records are not known.
+    and nothing else grows with the number of examples. Every report has
+    both row files, so every report has its candidate-flow block.
 
     Each example is counted once. ``Prediction`` refuses an unaccepted
     example whose final answer is not its initial one, so only the accepted
     examples, counted by transition in ``outcome_counts``, change
     correctness: ``compute_report`` reads fixed, broken and accepted there.
+    A candidate's pattern is accepted exactly when it is the prediction's
+    accepted attempt, so the baselines' accept-all attempts, which have no
+    verdict, count as accepted patterns too.
     """
 
-    def __init__(self, with_flow: bool = True) -> None:
-        self.with_flow = with_flow
+    def __init__(self) -> None:
         self._values: dict[str, AnswerValue] = {}
         self.total = self.initially_correct = 0
         self.outcome_counts = dict.fromkeys(TRANSITIONS, 0)
@@ -157,21 +159,29 @@ class ReportTally:
         and gold answers and its triggered and accepted flags) and its
         candidates.jsonl rows: each candidate's acceptance pattern, and whether
         any candidate's parsed answer matches gold. Returns the patterns, in
-        the order of ``records``."""
+        the order of ``records``. A verdict that disagrees with the
+        prediction's accepted attempt raises ``ReportIdentityError``."""
         gold = self.value(prediction.gold_answer)
         matched = False
         patterns = []
         for record in records:
-            pattern = candidate_pattern(record)
+            accepted = record.attempt_index == prediction.accepted_attempt
+            if record.verdict is not None and record.verdict.accepted != accepted:
+                raise ReportIdentityError(
+                    f"report identity failed: example {prediction.example_id!r} attempt "
+                    f"{record.attempt_index} has verdict accepted={not accepted}, but the "
+                    f"prediction's accepted attempt is {prediction.accepted_attempt}"
+                )
+            pattern = candidate_pattern(record, accepted)
             patterns.append(pattern)
             self.attempts += 1
-            if pattern["accepted"]:
+            if accepted:
                 self.accepted_patterns += 1
             if REJECT_NO_OP in pattern["rejection_reasons"]:
                 self.noop_rejections += 1
             if pattern["answer_changed"]:
                 self.changing += 1
-                if pattern["accepted"]:
+                if accepted:
                     self.changing_accepted += 1
                     if pattern["graph_clean"]:
                         self.changing_accepted_graph_clean += 1
@@ -216,7 +226,7 @@ def compute_report(tally: ReportTally, harm_budget: float | None = None) -> RunR
 
     ``run``, ``baseline`` and ``report`` each feed a ``ReportTally`` one
     example at a time and finish here. Every count is read off the tally's
-    accepted-transition table; the one cross-file identity, RejC >= 0, is
+    accepted-transition table; the cross-file identity RejC >= 0 is
     checked with an explicit raise, so it also runs under -O.
     """
     total = tally.total
@@ -229,23 +239,21 @@ def compute_report(tally: ReportTally, harm_budget: float | None = None) -> RunR
     final_accuracy = 100.0 * (tally.initially_correct + fixed - broken) / total
     init_wrong = total - tally.initially_correct
 
-    flow = None
-    if tally.with_flow:
-        corr_c = tally.corrected
-        flow = {
-            "InitW": init_wrong,
-            "TrigW": tally.triggered_wrong,
-            "CorrC": corr_c,
-            "AccC": fixed,
-            "RejC": corr_c - fixed,
-            "NoC": init_wrong - corr_c,
-            "FinalW": init_wrong - fixed,
-            "Brk": broken,
-        }
-        if flow["RejC"] < 0:
-            raise ReportIdentityError(
-                "report identity failed: RejC >= 0 (accepted fixes without a gold-matching candidate)"
-            )
+    corr_c = tally.corrected
+    if corr_c < fixed:
+        raise ReportIdentityError(
+            "report identity failed: RejC >= 0 (accepted fixes without a gold-matching candidate)"
+        )
+    flow = {
+        "InitW": init_wrong,
+        "TrigW": tally.triggered_wrong,
+        "CorrC": corr_c,
+        "AccC": fixed,
+        "RejC": corr_c - fixed,
+        "NoC": init_wrong - corr_c,
+        "FinalW": init_wrong - fixed,
+        "Brk": broken,
+    }
     return RunReport(
         total=total,
         initial_accuracy=initial_accuracy,

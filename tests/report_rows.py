@@ -34,12 +34,11 @@ def candidate(example_id, attempt, answer=None):
     )
 
 
-def tally_of(predictions, records=None):
-    """A ``ReportTally`` fed each prediction with its example's records;
-    without records it leaves the candidate-flow block out."""
-    tally = ReportTally(with_flow=records is not None)
+def tally_of(predictions, records=()):
+    """A ``ReportTally`` fed each prediction with its example's records."""
+    tally = ReportTally()
     by_id = {}
-    for record in records or ():
+    for record in records:
         by_id.setdefault(record.example_id, []).append(record)
     for row in predictions:
         tally.add(row, by_id.get(row.example_id, ()))

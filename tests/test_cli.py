@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import trace_repair
-from trace_repair.cli import _build_config, build_parser
+from trace_repair.cli import _build_config, build_parser, main
 from trace_repair.datasets import DatasetRecord, write_dataset
 from trace_repair.policy import ENV_KEYS, PolicyConfig
 
@@ -192,3 +192,12 @@ def test_a_refused_sample_size_is_one_line_and_status_2(tmp_path):
     assert "sample size 999999 out of range" in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_a_trigger_set_file_is_refused(capsys):
+    """Baselines target the examples the trigger fires on; no flag replaces it."""
+    argv = ["baseline", "--mode", "solve_triggered", "--triggered-ids", "x", *RUN[1:], "--cache", "c.jsonl"]
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    assert "unrecognized arguments: --triggered-ids x" in capsys.readouterr().err

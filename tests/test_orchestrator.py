@@ -263,7 +263,7 @@ def _dataset():
     ]
 
 
-def _run_baseline(tmp_path, mode, cache, triggered_ids=None):
+def _run_baseline(tmp_path, mode, cache):
     """Run a baseline through the pipeline; returns (finals by id, records)."""
     dataset_path = tmp_path / "dataset.jsonl"
     write_dataset(_dataset(), dataset_path)
@@ -282,17 +282,12 @@ def _run_baseline(tmp_path, mode, cache, triggered_ids=None):
             for (example_id, attempt), entry in cache.items()
         )
     )
-    ids_path = None
-    if triggered_ids is not None:
-        ids_path = tmp_path / "triggered_ids.txt"
-        ids_path.write_text("".join(f"{example_id}\n" for example_id in triggered_ids))
     result = run_pipeline(
         RunManifest(
             mode=mode,
             dataset_path=dataset_path,
             output_dir=tmp_path / "out",
             cache_path=cache_path,
-            triggered_ids_path=ids_path,
         )
     )
     finals = {
@@ -340,17 +335,13 @@ class TestBaselines:
             ("a", 1): ReplayEntry(unsupported),
             ("a", 2): ReplayEntry(unsupported),
         }
-        finals, records = _run_baseline(
-            tmp_path, MODE_DIRECT_BESTOF3_GATED, cache, triggered_ids={"a"}
-        )
+        finals, records = _run_baseline(tmp_path, MODE_DIRECT_BESTOF3_GATED, cache)
         assert finals["a"].answer.canonical == "23"  # preserved
         assert len(records) == 3
 
     def test_direct_gated_accepts_supported_fix(self, tmp_path):
         cache = {("a", 0): ReplayEntry(GOOD)}
-        finals, records = _run_baseline(
-            tmp_path, MODE_DIRECT_BESTOF3_GATED, cache, triggered_ids={"a"}
-        )
+        finals, records = _run_baseline(tmp_path, MODE_DIRECT_BESTOF3_GATED, cache)
         assert finals["a"].answer.canonical == "22"
         assert len(records) == 1
 

@@ -9,6 +9,7 @@ from synthetic_run import (
     EXPECTED_ACCEPTED,
     EXPECTED_ATTEMPTS,
     GROUP_CLEAN,
+    GROUP_EMPTY,
     GROUP_NOOP,
     GROUP_RETRY,
     GROUP_SAFE_FIX,
@@ -666,23 +667,19 @@ class TestReplayRun:
             with pytest.raises(ValueError, match=re.escape(error)):
                 pipeline.Prediction(**{**fields, **changed})
 
-    @pytest.mark.parametrize("name", ["dataset", "cache", "progress", "triggered_ids"])
+    @pytest.mark.parametrize("name", ["dataset", "cache", "progress"])
     def test_a_byte_that_is_not_utf8_names_its_line(self, synthetic, tmp_path, name):
         directory, dataset_path, cache_path = synthetic
-        ids_path = tmp_path / "ids.txt"
-        ids_path.write_text(f"{GROUP_SAFE_FIX[0]}\n{GROUP_SAFE_FIX[1]}\n")
         paths = {
             "dataset": Path(shutil.copy(dataset_path, tmp_path)),
             "cache": Path(shutil.copy(cache_path, tmp_path)),
             "progress": tmp_path / "run" / PROGRESS_FILE,
-            "triggered_ids": ids_path,
         }
         manifest = _replay_manifest(
             tmp_path / "run",
             paths["dataset"],
             paths["cache"],
             mode=MODE_SOLVE_TRIGGERED,
-            triggered_ids_path=ids_path,
             resume=True,
         )
         run_pipeline(manifest)
@@ -850,8 +847,8 @@ SYNTHETIC_DIGESTS = {
     MODE_SOLVE_TRIGGERED: (
         "8372aa30a868d4f9ae460b3848dcd8240c2534d5a72b2c541434e51ddb723358",
         "a30e3707a68934bf593d4909f26ea6769ca4f91cd0c987a5c946e8ade5e78fbb",
-        "35768cded32bf87417188164f20e24073c0302f3812467fbd1fa7aa8155ad505",
-        "9864c4316f2cb05378bce25551507952b8fc09dbc97f679e6af9ec91f2dd037f",
+        "341b2930cc8b85068cd21473141ac425f29111c091ff66b8468a5edbee68b978",
+        "68dfbb3cab1992fa3df8e21cd3262aca677c8f98ad6e3248286e7bf18a586d08",
         "34a0b4a03f4dcd9edbadebac537f38e6425898f826a2a5aa857bc67fe065ea86",
         "b7278c8267598f5f84c90b6bf1031c34906c548d86f2ffe8355d196a28726cf2",
     ),
@@ -871,6 +868,21 @@ def test_synthetic_replay_digests(synthetic, tmp_path, mode):
     result = run_pipeline(_replay_manifest(tmp_path, dataset_path, cache_path, mode=mode))
     digests = tuple(hashlib.sha256(result.paths[key].read_bytes()).hexdigest() for key in ARTIFACT_KEYS)
     assert digests == SYNTHETIC_DIGESTS[mode]
+
+
+@pytest.mark.parametrize("mode", [MODE_SOLVE_TRIGGERED, MODE_DIRECT_BESTOF3_GATED])
+def test_a_baseline_re_solves_exactly_the_guarded_trigger_set(synthetic, tmp_path, mode):
+    """Targeting follows the trigger: the examples a baseline regenerates are
+    the ones guarded repair's predictions read as triggered."""
+    directory, dataset_path, cache_path = synthetic
+    guarded = run_pipeline(_replay_manifest(tmp_path / "guarded", dataset_path, cache_path))
+    baseline = run_pipeline(_replay_manifest(tmp_path / mode, dataset_path, cache_path, mode=mode))
+    triggered = {
+        row["example_id"] for row in map(json.loads, open(guarded.paths["predictions"])) if row["triggered"]
+    }
+    regenerated = {row["example_id"] for row in map(json.loads, open(baseline.paths["candidates"]))}
+    assert regenerated == triggered
+    assert triggered == {*GROUP_SAFE_FIX, *GROUP_UNSAFE, *GROUP_NOOP, *GROUP_RETRY, *GROUP_EMPTY}
 
 
 def _cache_of(mode, cache_path, tmp_path) -> Path:
@@ -916,7 +928,10 @@ def test_report_and_risk_summary_are_recounts_of_the_rows(synthetic, tmp_path, m
         for pattern in row["candidates"]
     ]
     changing = [pattern for pattern in patterns if pattern["answer_changed"]]
-    assert json.loads(run.paths["risk_summary"].read_text()) == {
+    summary = json.loads(run.paths["risk_summary"].read_text())
+    # Acceptance has one source: the accepted attempts are the accepted patterns.
+    assert summary["accepted_patterns"] == report["accepted"]
+    assert summary == {
         "patterns_inspected": len(patterns),
         "accepted_patterns": sum(pattern["accepted"] for pattern in patterns),
         "rejected_patterns": sum(not pattern["accepted"] for pattern in patterns),
@@ -1223,33 +1238,6 @@ class TestUnprintableNumbers:
         assert prediction["triggered"]
 
 
-class TestTriggeredIds:
-    def test_rejected_outside_triggered_modes(self, synthetic, tmp_path):
-        directory, dataset_path, cache_path = synthetic
-        ids_path = tmp_path / "ids.txt"
-        ids_path.write_text("ex020\n")
-        manifest = _replay_manifest(
-            tmp_path / "run", dataset_path, cache_path, triggered_ids_path=ids_path
-        )
-        assert manifest.mode == MODE_GUARDED
-        with pytest.raises(ValueError, match="triggered-ids"):
-            run_pipeline(manifest)
-
-    def test_ids_must_be_in_the_dataset(self, synthetic, tmp_path):
-        directory, dataset_path, cache_path = synthetic
-        ids_path = tmp_path / "ids.txt"
-        ids_path.write_text("ex020\nother-dataset-7\n")
-        manifest = _replay_manifest(
-            tmp_path / "run",
-            dataset_path,
-            cache_path,
-            mode=MODE_SOLVE_TRIGGERED,
-            triggered_ids_path=ids_path,
-        )
-        with pytest.raises(ValueError, match="'other-dataset-7'"):
-            run_pipeline(manifest)
-
-
 class TestReportMode:
     @pytest.mark.parametrize("mode", RUN_MODES)
     def test_recomputes_identically_without_provider(self, synthetic, tmp_path, mode):
@@ -1271,15 +1259,69 @@ class TestReportMode:
         for key in ("report_json", "report_text"):
             assert recomputed.paths[key].read_bytes() == run.paths[key].read_bytes()
 
-    def test_without_candidates_the_flow_block_is_left_out(self, synthetic, tmp_path):
+    def test_without_candidates_the_report_is_refused(self, synthetic, tmp_path, capsys):
+        """A report is counted from both row files: without candidates.jsonl
+        it names the missing path and writes nothing, and the CLI exits 2."""
         directory, dataset_path, cache_path = synthetic
         run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
         run.paths["candidates"].unlink()
-        recomputed = recompute_report(run.paths["predictions"], tmp_path / "report")
-        report = json.loads(recomputed.paths["report_json"].read_text())
-        assert report == {**run.report.to_json_dict(), "candidate_flow": None, "attempts": 0}
-        # The accepted predictions were counted without a candidate row.
-        assert report["accepted"] == EXPECTED_ACCEPTED
+        output_dir = tmp_path / "report"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(run.paths["candidates"]))):
+            recompute_report(run.paths["predictions"], output_dir)
+        assert not output_dir.exists()
+        with pytest.raises(SystemExit) as raised:
+            main(["report", "--predictions", str(run.paths["predictions"]), "--output-dir", str(output_dir)])
+        assert raised.value.code == 2
+        assert str(run.paths["candidates"]) in capsys.readouterr().err
+        assert not output_dir.exists()
+
+    @pytest.mark.parametrize(
+        "example_id, accepted",
+        [(GROUP_UNSAFE[0], True), (GROUP_SAFE_FIX[0], False)],
+        ids=["accepting-verdict-off-the-accepted-attempt", "rejecting-verdict-on-the-accepted-attempt"],
+    )
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+    def test_a_verdict_that_disagrees_with_the_prediction_is_refused(
+        self, synthetic, tmp_path, example_id, accepted, flags
+    ):
+        """Acceptance has one source, the prediction's accepted attempt; a
+        candidates.jsonl verdict that says otherwise stops the report, also
+        with asserts stripped."""
+        import os
+        import subprocess
+        import sys
+
+        directory, dataset_path, cache_path = synthetic
+        run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache_path))
+        path = run.paths["candidates"]
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        row = next(row for row in rows if row["example_id"] == example_id)
+        assert row["verdict"]["accepted"] is not accepted
+        row["verdict"]["accepted"] = accepted
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        output_dir = tmp_path / "report"
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from trace_repair.pipeline import recompute_report\n"
+            "from trace_repair.reporting import ReportIdentityError\n"
+            "try:\n"
+            "    recompute_report(Path(sys.argv[1]), Path(sys.argv[2]))\n"
+            "except ReportIdentityError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", script, str(run.paths["predictions"]), str(output_dir)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        error = f"report identity failed: example {example_id!r} attempt 0 has verdict accepted={accepted}"
+        assert error in result.stdout
+        assert not output_dir.exists()
 
     def test_each_distinct_answer_is_normalized_once_per_step(self, synthetic, tmp_path, monkeypatch):
         """One memo per report: a run and a recomputed report each normalize

@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+from dataclasses import replace
+
 import pytest
 
 import trace_repair
 from report_rows import candidate, prediction, tally_of
+from trace_repair.policy import AcceptanceVerdict
 from trace_repair.reporting import (
     ReportIdentityError,
     ReportTally,
@@ -30,6 +33,12 @@ def _impossible_flow():
     )
 
 
+def _accepted_candidates(rows):
+    """Each accepted row's candidate at its accepted attempt, answering its
+    final answer, so every accepted fix has a gold-matching candidate."""
+    return [candidate(row.example_id, row.accepted_attempt, row.final_answer) for row in rows if row.accepted]
+
+
 class TestTransitions:
     def test_transitions(self):
         rows = [
@@ -39,7 +48,7 @@ class TestTransitions:
             prediction("d", "7", "5", triggered=True, accepted_attempt=2),
             prediction("e", "4", "4", gold="4"),
         ]
-        report = compute_report(tally_of(rows))
+        report = compute_report(tally_of(rows, _accepted_candidates(rows)))
         assert report.outcome_counts == {"W->C": 1, "C->W": 1, "W->W": 1, "C->C": 1}
         assert (report.accepted, report.fixed, report.broken) == (4, 1, 1)
 
@@ -122,7 +131,7 @@ class TestComputeReport:
                         accepted_attempt=0 if accepted else None,
                     )
                 )
-            report = compute_report(tally_of(rows))
+            report = compute_report(tally_of(rows, _accepted_candidates(rows)))
             initial_count = round(report.initial_accuracy * report.total / 100)
             final_count = round(report.final_accuracy * report.total / 100)
             assert final_count == initial_count + report.fixed - report.broken
@@ -146,9 +155,26 @@ class TestComputeReport:
         # Printed in percent, as the harm rate is.
         assert f"harm budget         {'1.00':>10} ({status})" in render_report(report)
 
-    def test_no_flow_without_records(self):
-        report = compute_report(tally_of([prediction("a", "7", "7")]))
-        assert report.candidate_flow is None
+    @pytest.mark.parametrize(
+        "accepted_attempt, verdicts",
+        [(None, {1: True}), (0, {0: True, 1: True}), (1, {0: False, 1: False})],
+        ids=["accepting-verdict-unaccepted-example", "accepting-verdict-off-attempt", "rejected-accepted-attempt"],
+    )
+    def test_a_verdict_must_agree_with_the_accepted_attempt(self, accepted_attempt, verdicts):
+        final = "7" if accepted_attempt is not None else "5"
+        row = prediction("a", "5", final, triggered=True, accepted_attempt=accepted_attempt)
+        records = [
+            replace(candidate("a", attempt, "7"), verdict=AcceptanceVerdict(accepted, "p", ()))
+            for attempt, accepted in verdicts.items()
+        ]
+        with pytest.raises(ReportIdentityError, match="'a' attempt 1 has verdict accepted="):
+            tally_of([row], records)
+
+    def test_an_accepted_attempt_without_a_verdict_is_an_accepted_pattern(self):
+        """solve_all and solve_triggered accept a parsed attempt without a verdict."""
+        row = prediction("a", "5", "7", triggered=True, accepted_attempt=0)
+        tally = tally_of([row], [candidate("a", 0, "7")])
+        assert tally.risk_summary()["accepted_patterns"] == 1
 
     def test_impossible_flow_raises(self):
         with pytest.raises(ReportIdentityError, match="RejC >= 0"):
