@@ -6,6 +6,12 @@ the provider for up to N JSON candidates, applies at most one format retry
 per attempt, and runs cleanliness, re-diagnosis, and the acceptance
 policy. The first accepted candidate wins; otherwise the cached trace is
 preserved unchanged.
+
+Each distinct candidate text is parsed and diagnosed once per example. The
+example's memo starts with the cached trace and its diagnosis, so a
+candidate that copies the cached trace reuses ``diag0``, and one that
+repeats an earlier attempt reuses that attempt's parse and diagnosis. The
+guards themselves run on every attempt.
 """
 
 from __future__ import annotations
@@ -326,10 +332,13 @@ def _attempt(
     provider: CandidateProvider,
     cfg: PolicyConfig,
     accept_all: bool,
+    seen: dict[str, tuple[ReasoningTrace, DiagnosisReport | None]],
 ) -> tuple[CandidateRecord, ReasoningTrace | None]:
     """Generate, retry the format at most once and apply the guards.
 
-    Returns the attempt's record and, when it is accepted, the candidate.
+    ``seen`` is the example's memo: each text met so far, with its parsed
+    trace and, once a clean attempt has needed it, its diagnosis. Returns
+    the attempt's record and, when it is accepted, the candidate.
     """
     spec = replace(spec, base_hash=spec.prompt_hash())
     record = partial(CandidateRecord, spec.example_id, spec.attempt_index, spec.base_hash)
@@ -345,7 +354,10 @@ def _attempt(
         parsed = None if retry_raw is None else parse_candidate(retry_raw)
         if parsed is None:
             return record(error=error or "parse_failure"), None
-    candidate = ReasoningTrace.from_text(parsed.trace_text())
+    text = parsed.trace_text()
+    if text not in seen:
+        seen[text] = ReasoningTrace.from_text(text), None
+    candidate, diag_c = seen[text]
     record = partial(
         record, parsed=parsed, answer_changed=not answers_equivalent(r0.answer, candidate.answer)
     )
@@ -355,7 +367,9 @@ def _attempt(
     record = partial(record, clean=clean.ok, clean_reason=clean.reason)
     if not clean.ok:
         return record(verdict=AcceptanceVerdict.rejected(REJECT_UNCLEAN)), None
-    diag_c = diagnose(diag0.problem, candidate)
+    if diag_c is None:
+        diag_c = diagnose(diag0.problem, candidate)
+        seen[text] = candidate, diag_c
     verdict = accept_policy(r0, candidate, diag0, diag_c, trigger_decision, cfg)
     accepted = candidate if verdict.accepted else None
     return record(graph_clean=graph_clean(diag_c.graph), verdict=verdict), accepted
@@ -382,9 +396,12 @@ def repair_example(
     attempts = 1 if accept_all else cfg.n_candidates
     spec = build_prompt(example_id, problem_text, r0.text, diag0, 0, include_initial)
     records: list[CandidateRecord] = []
+    seen = {r0.text: (r0, diag0)}
     for attempt_index in range(attempts):
         attempt = replace(spec, attempt_index=attempt_index)
-        record, accepted = _attempt(attempt, r0, diag0, trigger_decision, provider, cfg, accept_all)
+        record, accepted = _attempt(
+            attempt, r0, diag0, trigger_decision, provider, cfg, accept_all, seen
+        )
         records.append(record)
         if accepted is not None:
             return RepairOutcome(accepted, tuple(records), attempt_index)

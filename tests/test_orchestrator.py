@@ -21,6 +21,7 @@ from trace_repair.orchestrator import (
 )
 from trace_repair.pipeline import (
     MODE_DIRECT_BESTOF3_GATED,
+    MODE_GUARDED,
     MODE_SOLVE_ALL,
     MODE_SOLVE_TRIGGERED,
     RunManifest,
@@ -35,6 +36,8 @@ WRONG_INITIAL = "14 + 8 = 23\nFinal Answer: 23"
 GOOD = json.dumps({"steps": ["14 + 8 = 22"], "final_answer": "22"})
 NOOP = json.dumps({"steps": ["14 + 8 = 23"], "final_answer": "23"})
 MALFORMED = "Sure! Here is my corrected attempt: the total is 22."
+# A no-op whose text is not the cached trace's.
+RESTATED_NOOP = json.dumps({"steps": ["Liam has 14 + 8 = 23 stickers"], "final_answer": "23"})
 
 
 def _context(initial_text=WRONG_INITIAL):
@@ -358,16 +361,86 @@ class TestBaselines:
         assert records[0].retried
 
 
-def test_each_candidate_text_is_parsed_once(count_calls):
+def test_each_distinct_text_is_parsed_once_per_example(count_calls):
+    """A text met again in the example is not parsed again, and a copy of
+    the cached trace is not parsed at all."""
     r0, diag0, decision = _context()
     provider = ReplayProvider(
-        {("ex1", 0): ReplayEntry(NOOP), ("ex1", 1): ReplayEntry(NOOP), ("ex1", 2): ReplayEntry(GOOD)}
+        {
+            ("ex1", 0): ReplayEntry(NOOP),
+            ("ex1", 1): ReplayEntry(RESTATED_NOOP),
+            ("ex1", 2): ReplayEntry(RESTATED_NOOP),
+            ("ex1", 3): ReplayEntry(GOOD),
+        }
     )
     extractions = count_calls("answers", "extract_answer")
-    outcome = repair_example("ex1", PROBLEM, r0, diag0, decision, provider, CFG)
-    assert outcome.accepted_index == 2
+    outcome = repair_example(
+        "ex1", PROBLEM, r0, diag0, decision, provider, dataclasses.replace(CFG, n_candidates=4)
+    )
+    assert outcome.accepted_index == 3
     texts = [record.parsed.trace_text() for record in outcome.records]
-    assert [args[0] for args in extractions] == texts
+    assert texts[0] == r0.text and texts[1] == texts[2]
+    assert [args[0] for args in extractions] == [texts[1], texts[3]]
+
+
+# An answer-changing candidate that passes cleanliness but keeps a high
+# semantic risk, so no acceptance path takes it.
+UNSAFE = json.dumps({"steps": ["14 - 8 = 6"], "final_answer": "6"})
+UNSAFE_ROW = {
+    "example_id": "ex1",
+    "raw_output": UNSAFE,
+    "retry_output": None,
+    "parsed": {"steps": ["14 - 8 = 6"], "final_answer": "6"},
+    "retried": False,
+    "clean": True,
+    "clean_reason": None,
+    "graph_clean": False,
+    "answer_changed": True,
+    "verdict": {"accepted": False, "path": "none", "rejection_reasons": ["residual_risk"]},
+    "error": None,
+}
+# Pinned from a loop that diagnosed every attempt afresh: reusing a
+# diagnosis must not change a field of a record.
+COPY_THEN_UNSAFE_TWICE = [
+    {
+        **UNSAFE_ROW,
+        "attempt_index": 0,
+        "prompt_hash": "ed4eadecfd9b8a8604aa21f0bd11a7b6af4f6c694cf6c7db44d8d77efe8ae33e",
+        "raw_output": NOOP,
+        "parsed": {"steps": ["14 + 8 = 23"], "final_answer": "23"},
+        "graph_clean": True,
+        "answer_changed": False,
+        "verdict": {"accepted": False, "path": "none", "rejection_reasons": ["no_op"]},
+    },
+    {
+        **UNSAFE_ROW,
+        "attempt_index": 1,
+        "prompt_hash": "bb719dc7bc2ac5a826fa3a8f5b347f21f1ecfb55971cfde05c7ef75a5c244953",
+    },
+    {
+        **UNSAFE_ROW,
+        "attempt_index": 2,
+        "prompt_hash": "3c787485fc84d066392b05505433e346532ce3b8ca19aebe6f0e96ca575bca2a",
+    },
+]
+
+
+def test_a_copy_of_the_cached_trace_and_a_repeat_are_diagnosed_once_in_all(count_calls):
+    """The cached trace's own text reuses the first diagnosis, and a repeated
+    candidate its first attempt's: one parse and one diagnosis for three
+    attempts, and the same records as a diagnosis per attempt gave."""
+    r0, diag0, decision = _context()
+    assert parse_candidate(NOOP).trace_text() == r0.text
+    provider = ReplayProvider(
+        {("ex1", 0): ReplayEntry(NOOP), ("ex1", 1): ReplayEntry(UNSAFE), ("ex1", 2): ReplayEntry(UNSAFE)}
+    )
+    diagnoses = count_calls("diagnostics", "diagnose")
+    extractions = count_calls("answers", "extract_answer")
+    outcome = repair_example("ex1", PROBLEM, r0, diag0, decision, provider, CFG)
+    assert len(diagnoses) == 1 and len(extractions) == 1
+    assert diagnoses[0][1].text == extractions[0][0] == "14 - 8 = 6\nFinal Answer: 6"
+    assert outcome.accepted_index is None and outcome.final_trace is r0
+    assert [record.to_json_dict() for record in outcome.records] == COPY_THEN_UNSAFE_TWICE
 
 
 TRANSPORT = ProviderTransportError("connection reset")
@@ -497,3 +570,49 @@ def test_each_attempt_hashes_its_prompt_once(monkeypatch):
     stale = ReplayProvider({("ex1", 0): ReplayEntry(MALFORMED, NOOP, "0" * 64)})
     with pytest.raises(ReplayCacheMiss, match="another prompt"):
         repair_example("ex1", PROBLEM, r0, diag0, decision, stale, dataclasses.replace(CFG, n_candidates=1))
+
+
+def test_a_text_two_examples_share_is_diagnosed_against_each_problem(tmp_path):
+    """The memo is the example's: the one candidate text is graph-clean and
+    accepted against one problem and left with a residual risk against the
+    other, and each example's rows are its rows in a run of its own."""
+    subtraction = DatasetRecord(
+        "a",
+        "Liam has 14 stickers and gives away 8 stickers. How many stickers are left?",
+        "6",
+        "14 - 8 = 5\nFinal Answer: 5",
+    )
+    addition = DatasetRecord("b", PROBLEM, "22", WRONG_INITIAL)
+    cache = [("a", 0, UNSAFE)] + [("b", attempt, UNSAFE) for attempt in range(3)]
+
+    def rows(directory, records):
+        directory.mkdir()
+        write_dataset(records, directory / "dataset.jsonl")
+        ids = {record.example_id for record in records}
+        (directory / "cache.jsonl").write_text(
+            "".join(
+                json.dumps({"example_id": example_id, "attempt_index": attempt, "raw_output": raw}) + "\n"
+                for example_id, attempt, raw in cache
+                if example_id in ids
+            )
+        )
+        manifest = RunManifest(
+            mode=MODE_GUARDED,
+            dataset_path=directory / "dataset.jsonl",
+            output_dir=directory / "out",
+            cache_path=directory / "cache.jsonl",
+        )
+        paths = run_pipeline(manifest).paths
+        by_example = {}
+        for key in ("predictions", "candidates", "risk_log"):
+            for line in paths[key].read_text(encoding="utf-8").splitlines():
+                by_example.setdefault(json.loads(line)["example_id"], {}).setdefault(key, []).append(line)
+        return by_example
+
+    joint = rows(tmp_path / "joint", [subtraction, addition])
+    assert joint == {**rows(tmp_path / "a", [subtraction]), **rows(tmp_path / "b", [addition])}
+    graph_cleans = {
+        example_id: [json.loads(line)["graph_clean"] for line in example["candidates"]]
+        for example_id, example in joint.items()
+    }
+    assert graph_cleans == {"a": [True], "b": [False, False, False]}
