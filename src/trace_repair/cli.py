@@ -21,6 +21,7 @@ from pathlib import Path
 from .pipeline import (
     BASELINE_MODES,
     MODE_GUARDED,
+    PROVIDERS,
     RunManifest,
     filter_dataset,
     recompute_report,
@@ -88,7 +89,7 @@ def _positive_int(text: str) -> int:
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", type=Path, required=True)
     parser.add_argument("--output-dir", type=Path, required=True)
-    parser.add_argument("--provider", choices=("replay", "remote"), default="replay")
+    parser.add_argument("--provider", choices=PROVIDERS, default="replay")
     parser.add_argument("--cache", type=Path, help="candidate cache for the replay provider")
     parser.add_argument(
         "--concurrency",

@@ -90,6 +90,8 @@ MODE_REPAIR_ARGS = {
 
 BASELINE_MODES = (MODE_SOLVE_ALL, MODE_SOLVE_TRIGGERED, MODE_DIRECT_BESTOF3_GATED)
 RUN_MODES = (MODE_GUARDED, *BASELINE_MODES)
+# Where a run's candidates come from: a candidate cache, or a live endpoint.
+PROVIDERS = ("replay", "remote")
 
 # Consecutive examples whose generations all fail at the transport level
 # before the run is declared dead and aborted for a later resume.
@@ -173,6 +175,8 @@ class RunManifest:
     concurrency: int | None = None
 
     def validate(self) -> None:
+        if self.provider not in PROVIDERS:
+            raise ValueError(f"unknown provider {self.provider!r}; expected one of {PROVIDERS}")
         if self.mode not in RUN_MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {RUN_MODES}")
         if self.provider == "replay" and self.cache_path is None:
@@ -200,11 +204,9 @@ class PipelineResult:
 def _build_provider(manifest: RunManifest):
     if manifest.provider == "replay":
         return ReplayProvider.from_jsonl(manifest.cache_path)
-    if manifest.provider == "remote" and manifest.concurrency is None:
+    if manifest.concurrency is None:
         return RemoteProvider()
-    if manifest.provider == "remote":
-        return RemoteProvider(concurrency=manifest.concurrency)
-    raise ValueError(f"unknown provider {manifest.provider!r}")
+    return RemoteProvider(concurrency=manifest.concurrency)
 
 
 def _process_example(
@@ -418,9 +420,10 @@ def recompute_report(
 def run_pipeline(manifest: RunManifest) -> PipelineResult:
     """Run guarded repair or a direct-regeneration baseline over a dataset."""
     manifest.validate()
+    # Before the dataset is read; a remote provider opens no socket until its first request.
+    provider = _build_provider(manifest)
     # In the order the artifacts list the examples, so each is written as it is taken.
     dataset = sorted(load_dataset(manifest.dataset_path), key=lambda record: record.example_id)
-    provider = _build_provider(manifest)
 
     output = manifest.output_dir
     output.mkdir(parents=True, exist_ok=True)

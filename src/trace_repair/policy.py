@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .answers import ReasoningTrace, answers_equivalent, as_fraction
 from .diagnostics import (
@@ -289,7 +289,7 @@ def is_clean(
     return Cleanliness(True, None)
 
 
-def equation_supported(candidate: ReasoningTrace, checks: list[EquationCheck]) -> bool:
+def equation_supported(candidate: ReasoningTrace, checks: Sequence[EquationCheck]) -> bool:
     """True when the final answer is the result of a verified derivation.
 
     Only verified arithmetic/LCM/GCD results count; a naming statement
@@ -315,7 +315,7 @@ class AcceptanceVerdict:
 
 def _match_path(
     initial: ReasoningTrace,
-    candidate: ReasoningTrace,
+    supported: bool,
     diag0: DiagnosisReport,
     diag_c: DiagnosisReport,
     trigger_reasons: frozenset[str],
@@ -346,7 +346,7 @@ def _match_path(
         diag_c.meta.category in relaxed_categories
         and candidate_graph_clean
         and diag_c.graph.score >= cfg.graph_min_score - _EPS
-        and (cfg.disable_equation_support or equation_supported(candidate, list(diag_c.checks)))
+        and supported
     ):
         return PATH_RELAXED_SUPPORT
     if (
@@ -377,7 +377,9 @@ def accept_policy(
     if answers_equivalent(initial.answer, candidate.answer):
         return AcceptanceVerdict.rejected(REJECT_NO_OP)
 
-    path = _match_path(initial, candidate, diag0, diag_c, trigger_decision.reasons, cfg)
+    # Decided once for the path and the guard; true under the ablation.
+    supported = cfg.disable_equation_support or equation_supported(candidate, diag_c.checks)
+    path = _match_path(initial, supported, diag0, diag_c, trigger_decision.reasons, cfg)
     if path is None:
         if has_high_risk(diag_c.graph):
             return AcceptanceVerdict.rejected(REJECT_RESIDUAL_RISK)
@@ -388,9 +390,7 @@ def accept_policy(
         diag0.graph, diag_c.graph, cfg.graph_min_score, cfg.graph_drop_tolerance
     ):
         failures.append(REJECT_GRAPH_GUARD)
-    if not cfg.disable_equation_support and not equation_supported(
-        candidate, list(diag_c.checks)
-    ):
+    if not supported:
         failures.append(REJECT_UNSUPPORTED_ANSWER)
     if failures:
         return AcceptanceVerdict.rejected(*failures)

@@ -312,58 +312,49 @@ def aggregate_runs(reports: Sequence[RunReport]) -> dict[str, FieldStats]:
     return stats
 
 
+def _fmt_p(value: float | None) -> str:
+    """A sign-test p-value: too small for two decimals, so in exponent form."""
+    return "--" if value is None else f"{value:.3e}"
+
+
+# Each number render_report lists, in order: its summary column (None for
+# none), its listing label, its RunReport field and its formatter.
+REPORT_FIELDS = (
+    (None, "examples", "total", str),
+    ("Initial", "initial accuracy", "initial_accuracy", fmt2),
+    ("Final", "final accuracy", "final_accuracy", fmt2),
+    ("Delta", "delta", "delta", fmt2),
+    ("Fixed", "fixed (W->C)", "fixed", str),
+    ("Broken", "broken (C->W)", "broken", str),
+    ("Harm", "harm rate", "harm_rate", fmt2),
+    ("Accepted", "accepted", "accepted", str),
+    ("Attempts", "attempts", "attempts", str),
+    ("Prec.", "accepted precision", "accepted_precision", fmt2),
+    (None, "error repair rate", "error_repair_rate", fmt2),
+    (None, "sign test p", "sign_test_p", _fmt_p),
+    (None, "rule of three bound", "rule_of_three_bound", fmt2),
+)
+
+
 def render_report(report: RunReport) -> str:
     """Human-readable report: one summary row plus the detailed listing."""
-    columns = (
-        ("Initial", fmt2(report.initial_accuracy)),
-        ("Final", fmt2(report.final_accuracy)),
-        ("Delta", fmt2(report.delta)),
-        ("Fixed", str(report.fixed)),
-        ("Broken", str(report.broken)),
-        ("Harm", fmt2(report.harm_rate)),
-        ("Accepted", str(report.accepted)),
-        ("Attempts", str(report.attempts)),
-        ("Prec.", fmt2(report.accepted_precision)),
-    )
-    header = "".join(f"{name:>10}" for name, _ in columns)
-    row = "".join(f"{value:>10}" for _, value in columns)
-    lines = [
-        header,
-        row,
-        "",
-        f"examples            {report.total:>10d}",
-        f"initial accuracy    {fmt2(report.initial_accuracy):>10}",
-        f"final accuracy      {fmt2(report.final_accuracy):>10}",
-        f"delta               {fmt2(report.delta):>10}",
-        f"fixed (W->C)        {report.fixed:>10d}",
-        f"broken (C->W)       {report.broken:>10d}",
-        f"harm rate           {fmt2(report.harm_rate):>10}",
-        f"accepted            {report.accepted:>10d}",
-        f"attempts            {report.attempts:>10d}",
-        f"accepted precision  {fmt2(report.accepted_precision):>10}",
-        f"error repair rate   {fmt2(report.error_repair_rate):>10}",
+    values = [
+        (column, label, fmt(getattr(report, name))) for column, label, name, fmt in REPORT_FIELDS
     ]
-    if report.sign_test_p is not None:
-        lines.append(f"sign test p         {report.sign_test_p:>10.3e}")
-    else:
-        lines.append("sign test p                 --")
-    lines.append(
-        f"rule of three bound {fmt2(report.rule_of_three_bound):>10}"
-    )
-    if report.candidate_flow:
-        flow = report.candidate_flow
-        lines.append(
-            "candidate flow      "
-            + " ".join(f"{key}={flow[key]}" for key in
-                       ("InitW", "TrigW", "CorrC", "AccC", "RejC", "NoC", "FinalW", "Brk"))
-        )
-    if report.outcome_counts:
-        lines.append(
-            "accepted outcomes   "
-            + " ".join(f"{key}={report.outcome_counts[key]}" for key in TRANSITIONS)
-        )
+    summary = [(column, value) for column, _, value in values if column]
+    lines = [
+        "".join(f"{column:>10}" for column, _ in summary),
+        "".join(f"{value:>10}" for _, value in summary),
+        "",
+        *(f"{label:<20}{value:>10}" for _, label, value in values),
+    ]
+    for label, counts in (
+        ("candidate flow", report.candidate_flow),
+        ("accepted outcomes", report.outcome_counts),
+    ):
+        lines.append(f"{label:<20}" + " ".join(f"{key}={count}" for key, count in counts.items()))
     if report.harm_budget is not None:
         status = "EXCEEDED" if report.harm_budget_exceeded else "within budget"
         # In percent, as the harm rate above it.
-        lines.append(f"harm budget         {fmt2(100.0 * report.harm_budget):>10} ({status})")
+        lines.append(f"{'harm budget':<20}{fmt2(100.0 * report.harm_budget):>10} ({status})")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,9 @@ import sys
 
 import pytest
 
+# Its recount's asserts must run under python -O too, as a test module's do.
+pytest.register_assert_rewrite("report_rows")
+
 
 @pytest.fixture
 def count_calls(monkeypatch):

@@ -150,6 +150,13 @@ def build_synthetic_run() -> tuple[list[DatasetRecord], list[dict]]:
     return records, cache
 
 
+def solve_all_attempts() -> list[dict]:
+    """Cache rows for the clean examples, which only solve_all regenerates:
+    one attempt each, with a wrong answer."""
+    wrong = _candidate(["2 + 2 = 4"], 4)
+    return [{"example_id": example_id, "attempt_index": 0, "raw_output": wrong} for example_id in GROUP_CLEAN]
+
+
 def write_synthetic_run(directory) -> tuple[str, str]:
     """Write dataset and cache files; returns their paths."""
     from trace_repair.datasets import write_dataset

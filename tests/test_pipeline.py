@@ -15,8 +15,10 @@ from synthetic_run import (
     GROUP_SAFE_FIX,
     GROUP_UNSAFE,
     build_synthetic_run,
+    solve_all_attempts,
     write_synthetic_run,
 )
+from report_rows import assert_recounts
 from trace_repair.cli import main
 from trace_repair import pipeline
 from trace_repair.pipeline import (
@@ -890,10 +892,9 @@ def _cache_of(mode, cache_path, tmp_path) -> Path:
     examples, so it gets an attempt for each, with a wrong answer."""
     if mode != MODE_SOLVE_ALL:
         return Path(cache_path)
-    wrong = json.dumps({"steps": ["2 + 2 = 4"], "final_answer": "4"})
-    rows = [{"example_id": example_id, "attempt_index": 0, "raw_output": wrong} for example_id in GROUP_CLEAN]
     extended = tmp_path / "cache.jsonl"
-    extended.write_text(Path(cache_path).read_text() + "".join(json.dumps(row) + "\n" for row in rows))
+    rows = "".join(json.dumps(row) + "\n" for row in solve_all_attempts())
+    extended.write_text(Path(cache_path).read_text() + rows)
     return extended
 
 
@@ -902,49 +903,14 @@ def test_report_and_risk_summary_are_recounts_of_the_rows(synthetic, tmp_path, m
     """report.json's counts match a recount of predictions.jsonl against the
     dataset's gold answers, and risk_summary.json is the column sums of
     risk_log.jsonl's candidate patterns."""
-    from trace_repair.answers import answers_equivalent, normalize_answer
-
     directory, dataset_path, cache_path = synthetic
     cache = _cache_of(mode, cache_path, tmp_path)
     run = run_pipeline(_replay_manifest(tmp_path / "run", dataset_path, cache, mode=mode))
-    gold = {record.example_id: normalize_answer(record.gold_answer) for record in build_synthetic_run()[0]}
-    rows = [json.loads(line) for line in open(run.paths["predictions"])]
-    initially, finally_ = (
-        [answers_equivalent(normalize_answer(str(row[key])), gold[row["example_id"]]) for row in rows]
-        for key in ("initial_answer", "final_answer")
-    )
-    report = json.loads(run.paths["report_json"].read_text())
-    assert report["fixed"] == sum(not before and after for before, after in zip(initially, finally_))
-    assert report["broken"] == sum(before and not after for before, after in zip(initially, finally_))
-    assert report["accepted"] == sum(row["accepted"] for row in rows)
-    assert report["final_accuracy"] == 100.0 * sum(finally_) / len(rows)
+    gold = {record.example_id: record.gold_answer for record in build_synthetic_run()[0]}
+    report = assert_recounts(run.paths, gold)
     if mode == MODE_SOLVE_ALL:
         # It accepts a wrong answer for every initially correct example.
         assert report["broken"] == len(GROUP_CLEAN) + len(GROUP_UNSAFE)
-
-    patterns = [
-        pattern
-        for row in map(json.loads, open(run.paths["risk_log"]))
-        for pattern in row["candidates"]
-    ]
-    changing = [pattern for pattern in patterns if pattern["answer_changed"]]
-    summary = json.loads(run.paths["risk_summary"].read_text())
-    # Acceptance has one source: the accepted attempts are the accepted patterns.
-    assert summary["accepted_patterns"] == report["accepted"]
-    assert summary == {
-        "patterns_inspected": len(patterns),
-        "accepted_patterns": sum(pattern["accepted"] for pattern in patterns),
-        "rejected_patterns": sum(not pattern["accepted"] for pattern in patterns),
-        "noop_rejections": sum("no_op" in pattern["rejection_reasons"] for pattern in patterns),
-        "answer_changing_candidates": len(changing),
-        "answer_changing_accepted": sum(pattern["accepted"] for pattern in changing),
-        "answer_changing_rejected": sum(not pattern["accepted"] for pattern in changing),
-        "accepted_answer_changing_graph_clean": sum(
-            pattern["accepted"] and pattern["graph_clean"] is True for pattern in changing
-        ),
-        "candidate_graph_clean_patterns": sum(pattern["graph_clean"] is True for pattern in patterns),
-        "candidate_graph_risk_patterns": sum(pattern["graph_clean"] is False for pattern in patterns),
-    }
 
 
 # Heap kept per example, in bytes. A run keeps its dataset and its replay
@@ -1534,6 +1500,42 @@ class TestCacheNeedsReplay:
             main([*argv, "--dataset", str(dataset_path), "--output-dir", str(tmp_path / "run")])
         assert raised.value.code == 2
         assert "--cache applies only to --provider replay" in capsys.readouterr().err
+
+
+class TestProviderBeforeData:
+    """A run checks its provider and builds it before it reads the dataset."""
+
+    @pytest.fixture
+    def malformed(self, tmp_path):
+        dataset_path = tmp_path / "dataset.jsonl"
+        dataset_path.write_text("{not json\n", encoding="utf-8")
+        return dataset_path
+
+    def test_an_unknown_provider_is_refused_before_a_malformed_dataset(self, malformed, tmp_path):
+        manifest = RunManifest(
+            mode=MODE_GUARDED, dataset_path=malformed, output_dir=tmp_path / "run", provider="remot"
+        )
+        with pytest.raises(ValueError, match="unknown provider 'remot'"):
+            run_pipeline(manifest)
+        assert not (tmp_path / "run").exists()
+
+    def test_an_unknown_provider_is_refused_before_its_cache(self, synthetic, tmp_path):
+        directory, dataset_path, cache_path = synthetic
+        manifest = _replay_manifest(tmp_path / "run", dataset_path, cache_path, provider="remot")
+        with pytest.raises(ValueError, match="unknown provider 'remot'"):
+            manifest.validate()
+
+    def test_a_remote_provider_without_its_endpoint_is_refused_before_the_dataset(
+        self, malformed, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("LLM_REPAIR_BASE_URL", raising=False)
+        monkeypatch.setattr(pipeline, "load_dataset", lambda path: pytest.fail("dataset read"))
+        manifest = RunManifest(
+            mode=MODE_GUARDED, dataset_path=malformed, output_dir=tmp_path / "run", provider="remote"
+        )
+        with pytest.raises(ValueError, match="remote provider needs LLM_REPAIR_BASE_URL"):
+            run_pipeline(manifest)
+        assert not (tmp_path / "run").exists()
 
 
 class TestFilterMode:

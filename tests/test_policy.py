@@ -11,7 +11,7 @@ from trace_repair.diagnostics import (
     MetaDiagnosis,
     diagnose,
 )
-from trace_repair.equations import check_equations
+from trace_repair.equations import check_equations, verified_results
 from trace_repair.policy import (
     ENV_KEYS,
     PATH_CLEAN_SEMANTIC_IMPROVEMENT,
@@ -420,3 +420,23 @@ class TestAcceptPolicy:
             verdict = accept_policy(r0, cand, diag0, diag_c, decision, CFG)
             if verdict.accepted:
                 assert not any(risk.severity == SEVERITY_HIGH for risk in diag_c.graph.risks)
+
+    def test_equation_support_is_decided_once_per_verdict(self, monkeypatch):
+        import trace_repair.policy as policy
+
+        problem = "Tom has 3 apples and 4 pears."
+        r0 = ReasoningTrace.from_text("3 + 4 = 7\nFinal Answer: 7")
+        cand = ReasoningTrace.from_text("3 * 4 = 12\nFinal Answer: 12")
+        diag0, diag_c = diagnose(problem, r0), diagnose(problem, cand)
+        decision = trigger(diag0.meta, diag0.graph, r0, CFG)
+        calls = []
+
+        def counted(checks):
+            calls.append(checks)
+            return verified_results(checks)
+
+        monkeypatch.setattr(policy, "verified_results", counted)
+        verdict = accept_policy(r0, cand, diag0, diag_c, decision, CFG)
+        assert verdict.accepted
+        assert verdict.path == PATH_RELAXED_SUPPORT
+        assert len(calls) == 1

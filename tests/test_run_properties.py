@@ -9,6 +9,15 @@ from ``synthetic_run``'s groups:
   else the run holds;
 - report: ``report`` over the run's two row files writes the run's own
   report.json and report.txt.
+
+For every mode, with the four ablation switches drawn as well:
+
+- accounting: report.json and risk_summary.json are recounts of the rows,
+  and the accepted patterns are the accepted examples.
+
+The synthetic cache serves every switched run: no switch changes the
+trigger, and each only loosens acceptance, so a run stops at or before the
+attempt the default run accepts.
 """
 
 import json
@@ -28,20 +37,33 @@ from synthetic_run import (
     GROUP_SAFE_FIX,
     GROUP_UNSAFE,
     build_synthetic_run,
+    solve_all_attempts,
 )
+from report_rows import assert_recounts
 from trace_repair.datasets import write_dataset
 from trace_repair.pipeline import (
     ARTIFACT_FILES,
     MODE_GUARDED,
+    MODE_SOLVE_ALL,
     MODE_SOLVE_TRIGGERED,
+    RUN_MODES,
     RunManifest,
     recompute_report,
     run_pipeline,
 )
+from trace_repair.policy import PolicyConfig
 
 GROUPS = (GROUP_CLEAN, GROUP_SAFE_FIX, GROUP_UNSAFE, GROUP_NOOP, GROUP_RETRY, GROUP_EMPTY)
 MODES = (MODE_GUARDED, MODE_SOLVE_TRIGGERED)
 RECORDS, CACHE = build_synthetic_run()
+GOLD = {record.example_id: record.gold_answer for record in RECORDS}
+# Each is the default's opposite when drawn true: a loosened guard or path.
+SWITCHES = {
+    "enable_graph_guard": False,
+    "disable_equation_support": True,
+    "relax_missing_constraint": True,
+    "weak_reasoner_mode": True,
+}
 # The files whose rows are keyed by example, one row or one row per attempt.
 ROW_FILES = ("predictions", "candidates", "risk_log")
 
@@ -58,11 +80,18 @@ def subsets(draw):
     return ids
 
 
-def _run(directory: Path, mode: str, ids, shuffle: random.Random | None = None) -> dict[str, Path]:
-    """Replay the synthetic examples in ``ids`` under ``mode``; ``shuffle``
-    reorders the dataset's and the cache's lines first."""
+def _run(
+    directory: Path,
+    mode: str,
+    ids,
+    shuffle: random.Random | None = None,
+    config: PolicyConfig = PolicyConfig(),
+) -> dict[str, Path]:
+    """Replay the synthetic examples in ``ids`` under ``mode`` and ``config``;
+    ``shuffle`` reorders the dataset's and the cache's lines first."""
     records = [record for record in RECORDS if record.example_id in ids]
-    cache = [row for row in CACHE if row["example_id"] in ids]
+    rows = CACHE + solve_all_attempts() if mode == MODE_SOLVE_ALL else CACHE
+    cache = [row for row in rows if row["example_id"] in ids]
     if shuffle is not None:
         shuffle.shuffle(records)
         shuffle.shuffle(cache)
@@ -70,7 +99,13 @@ def _run(directory: Path, mode: str, ids, shuffle: random.Random | None = None) 
     dataset_path, cache_path = directory / "dataset.jsonl", directory / "cache.jsonl"
     write_dataset(records, dataset_path)
     cache_path.write_text("".join(json.dumps(row) + "\n" for row in cache), encoding="utf-8")
-    manifest = RunManifest(mode=mode, dataset_path=dataset_path, output_dir=directory / "out", cache_path=cache_path)
+    manifest = RunManifest(
+        mode=mode,
+        dataset_path=dataset_path,
+        output_dir=directory / "out",
+        config=config,
+        cache_path=cache_path,
+    )
     return run_pipeline(manifest).paths
 
 
@@ -119,3 +154,15 @@ def test_report_rewrites_the_runs_own_report(mode, ids):
         report = recompute_report(run["predictions"], Path(scratch) / "report").paths
         for key in report:
             assert report[key].read_bytes() == run[key].read_bytes(), key
+
+
+@PROPERTY
+@given(
+    mode=st.sampled_from(RUN_MODES),
+    ids=subsets(),
+    switched=st.sets(st.sampled_from(sorted(SWITCHES))),
+)
+def test_the_counts_are_recounts_of_the_rows_under_any_switches(mode, ids, switched):
+    config = PolicyConfig(**{name: SWITCHES[name] for name in switched})
+    with tempfile.TemporaryDirectory() as scratch:
+        assert_recounts(_run(Path(scratch) / "run", mode, ids, config=config), GOLD)
