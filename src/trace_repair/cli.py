@@ -5,8 +5,9 @@ precedence: built-in defaults < --config JSON file < environment
 variables < explicit flags. ``run`` and ``baseline`` build their config
 flags from ``policy.SOURCES``; only ``--config`` and the inverted
 ``--[no-]equation-support`` are written here. A refused input (a bad
-file, config value or sample size, or a replay cache miss) exits with
-status 2 and one line on stderr, as a refused flag does.
+file, config value, provider setting or sample size, or a replay cache
+miss) exits with status 2 and one line on stderr, as a refused flag does.
+The rule's owner refuses it (``RunManifest.validate``, say), not this CLI.
 """
 
 from __future__ import annotations
@@ -76,16 +77,6 @@ def _build_config(args: argparse.Namespace) -> PolicyConfig:
     return config.with_overrides(**overrides) if overrides else config
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, not {text!r}")
-    return value
-
-
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", type=Path, required=True)
     parser.add_argument("--output-dir", type=Path, required=True)
@@ -93,7 +84,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache", type=Path, help="candidate cache for the replay provider")
     parser.add_argument(
         "--concurrency",
-        type=_positive_int,
+        type=int,
         help="examples in flight at once with the remote provider "
         f"(default {RemoteProvider.DEFAULT_CONCURRENCY})",
     )
@@ -142,10 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "concurrency", None) is not None and args.provider != "remote":
-        parser.error("--concurrency applies only to --provider remote")
-    if getattr(args, "cache", None) is not None and args.provider != "replay":
-        parser.error("--cache applies only to --provider replay")
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

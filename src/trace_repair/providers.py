@@ -184,13 +184,13 @@ class RemoteProvider:
         self.api_key = api_key or os.environ.get(ENV_API_KEY, "")
         self.timeout = timeout
         self.max_tries = max_tries
+        if concurrency < 1:
+            raise ValueError(f"concurrency must be at least 1, not {concurrency}")
         if not self.base_url or not self.model:
             raise ValueError(
                 f"remote provider needs {ENV_BASE_URL} and {ENV_MODEL} "
                 "(or explicit base_url/model)"
             )
-        if concurrency < 1:
-            raise ValueError(f"concurrency must be at least 1, not {concurrency}")
         self.concurrency = concurrency
         self.identity = f"remote:{self.model}"
         self.url = f"{self.base_url}/chat/completions"
@@ -270,7 +270,7 @@ class RemoteProvider:
             except (OSError, HTTPException) as exc:
                 last_error = exc
             else:
-                if status < 400:
+                if status < 300:
                     return _completion_text(data)
                 last_error = _status_error(status, reason, self.url)
                 if not _retryable_status(status):

@@ -212,6 +212,7 @@ class FakeEndpoint(LoopbackServer):
     Faults: each key in ``transient`` gets one 503 with ``Retry-After: 0`` on
     its first request; every request of a key in ``failing``, or of an
     example at dataset position ``down_from`` or later, gets that 503; with
+    ``redirect`` each of these faults is a 301 to an https URL instead; with
     ``malformed`` every reply is a 200 whose body is not JSON. ``requests``
     counts the requests of each key.
     """
@@ -233,6 +234,7 @@ class FakeEndpoint(LoopbackServer):
         self.transient: set[tuple] = set()
         self.failing: set[tuple] = set()
         self.down_from: int | None = None
+        self.redirect = False
         self.malformed = False
         self.requests: Counter = Counter()
         self.faults = 0
@@ -257,6 +259,11 @@ class FakeEndpoint(LoopbackServer):
         if down or key in self.failing or (first and key in self.transient):
             with self._lock:
                 self.faults += 1
+            if self.redirect:
+                moved = {"Location": f"https://127.0.0.1{target}"}
+                return response(
+                    301, body=b"<html>Moved</html>", headers=moved, delay_s=self.latency_s
+                )
             return response(
                 503, {"error": "overloaded"}, headers={"Retry-After": "0"}, delay_s=self.latency_s
             )

@@ -150,6 +150,66 @@ def build_synthetic_run() -> tuple[list[DatasetRecord], list[dict]]:
     return records, cache
 
 
+# One triggered example per ablation switch, whose attempt-0 verdict that
+# switch decides (build_switch_groups). Attempts 1 and 2 are too short to pass
+# is_clean under any switch.
+SWITCH_GRAPH_GUARD = "sw_graph_guard"
+SWITCH_EQUATION_SUPPORT = "sw_equation_support"
+SWITCH_RELAX_MISSING_CONSTRAINT = "sw_relax_missing_constraint"
+SWITCH_WEAK_REASONER = "sw_weak_reasoner"
+
+
+def build_switch_groups() -> tuple[list[DatasetRecord], list[dict]]:
+    """Returns (dataset records, candidate cache rows) of the four switch examples:
+
+    - graph guard: an empty trace rescued by a candidate with a
+      per_entity_rate_missing risk, accepted only with the guard off;
+    - equation support: an empty trace rescued by a candidate with no
+      equation, accepted only under disable_equation_support;
+    - relax missing constraint: a supported candidate that leaves a
+      quantity unused, accepted on relaxed_support only under the switch;
+    - weak reasoner: a graph-clean candidate at score 0.40, accepted on
+      weak_reasoner_relaxed only in weak mode with the graph guard off.
+    """
+    marbles = _addition_problem("Maya", 11, 6, "marbles")
+    examples = [
+        (
+            SWITCH_GRAPH_GUARD,
+            "Maya buys 3 boxes with 4 pens each. How many pens does Maya have in total?",
+            "12",
+            "",
+            _candidate(["3 + 4 = 7"], 7),
+        ),
+        (
+            SWITCH_EQUATION_SUPPORT,
+            marbles,
+            "17",
+            "",
+            _candidate(["Maya ends up with 17 marbles."], 17),
+        ),
+        (
+            SWITCH_RELAX_MISSING_CONSTRAINT,
+            marbles.replace(" How", " She keeps them in 2 bags. How"),
+            "17",
+            "11 + 6 = 18\n2 + 2 = 4\nFinal Answer: 18",
+            _candidate(["11 + 6 = 17"], 17),
+        ),
+        (
+            SWITCH_WEAK_REASONER,
+            "Tom has 12 apples. Sam has 5 more than Tom. How many more does Sam have?",
+            "5",
+            "12 + 4 = 16\nTotal = 16\nTotal = 17\n5 * 1 = 5\nFinal Answer: 16",
+            _candidate(["The 12 kites and 5 kites.", "5 * 1 = 5", "12 + 6 = 18"], 18),
+        ),
+    ]
+    records, cache = [], []
+    for example_id, problem, gold, trace, first in examples:
+        records.append(DatasetRecord(example_id, problem, gold, trace))
+        for attempt, raw in enumerate([first, _candidate([], 1), _candidate([], 1)]):
+            cache.append({"example_id": example_id, "attempt_index": attempt, "raw_output": raw})
+    return records, cache
+
+
 def solve_all_attempts() -> list[dict]:
     """Cache rows for the clean examples, which only solve_all regenerates:
     one attempt each, with a wrong answer."""

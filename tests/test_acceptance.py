@@ -327,6 +327,55 @@ def test_criterion_5_guard_safety_properties():
     )
 
 
+def test_weak_reasoner_mode_changes_no_acceptance_under_the_graph_guard():
+    """Pins today's behaviour, not a requirement. The weak path is tried only
+    once relaxed support has failed on the graph score or on support, and the
+    graph guard and the support guard then refuse on those same conditions,
+    so under the guard weak mode accepts nothing more. With the guard off it
+    does."""
+    rng = random.Random(5)
+    # A verdict depends only on the texts, so each distinct draw is decided once.
+    drawn = set()
+    for _ in range(40_000):
+        problem, initial_text = rng.choice(_PROBLEMS), rng.choice(_INITIALS)
+        drawn.add((problem, initial_text, _build_candidate(rng)))
+    diagnosed = {}
+
+    def diagnosed_trace(problem, text):
+        if (problem, text) not in diagnosed:
+            trace = ReasoningTrace.from_text(text)
+            diagnosed[problem, text] = (trace, diagnose(problem, trace))
+        return diagnosed[problem, text]
+
+    # (graph guard on, config without weak mode, the same with it), for
+    # every setting of the other two switches.
+    pairs = []
+    for guard, unsupported, relaxed in itertools.product((True, False), repeat=3):
+        cfg = CFG.with_overrides(
+            enable_graph_guard=guard,
+            disable_equation_support=unsupported,
+            relax_missing_constraint=relaxed,
+        )
+        pairs.append((guard, cfg, cfg.with_overrides(weak_reasoner_mode=True)))
+
+    flips = {True: 0, False: 0}
+    for problem, initial_text, candidate_text in sorted(drawn):
+        if not is_clean(candidate_text, CFG, initial_length=len(initial_text)).ok:
+            continue
+        r0, diag0 = diagnosed_trace(problem, initial_text)
+        candidate, diag_c = diagnosed_trace(problem, candidate_text)
+        decision = trigger(diag0.meta, diag0.graph, r0, CFG)
+        for guard, cfg, weak in pairs:
+            verdicts = [
+                accept_policy(r0, candidate, diag0, diag_c, decision, config).accepted
+                for config in (cfg, weak)
+            ]
+            flips[guard] += verdicts[0] != verdicts[1]
+    assert flips[True] == 0
+    assert flips[False] > 0
+    _ok("weak reasoner", f"{len(drawn)} distinct draws; flipped: {flips[True]} guarded, {flips[False]} not")
+
+
 def test_criterion_6_equation_support_fixtures():
     cases = {
         "276 / 12 = 23\nFinal Answer: 23": True,

@@ -86,27 +86,39 @@ def test_concurrency_reaches_the_manifest(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "flags, message",
     [
-        ["--provider", "remote", "--concurrency", "0"],
-        ["--provider", "remote", "--concurrency", "-2"],
-        ["--provider", "remote", "--concurrency", "abc"],
-        ["--provider", "remote", "--concurrency", "1.5"],
-        ["--cache", "c.jsonl", "--concurrency", "2"],
-        ["--provider", "replay", "--cache", "c.jsonl", "--concurrency", "1"],
+        (["--provider", "remote", "--concurrency", "0"], "concurrency must be at least 1, not 0"),
+        (["--provider", "remote", "--concurrency", "-2"], "concurrency must be at least 1, not -2"),
+        (
+            ["--provider", "remote", "--concurrency", "abc"],
+            "argument --concurrency: invalid int value: 'abc'",
+        ),
+        (
+            ["--provider", "remote", "--concurrency", "1.5"],
+            "argument --concurrency: invalid int value: '1.5'",
+        ),
+        (
+            ["--cache", "c.jsonl", "--concurrency", "2"],
+            "concurrency applies only to the remote provider",
+        ),
+        (
+            ["--provider", "replay", "--cache", "c.jsonl", "--concurrency", "1"],
+            "concurrency applies only to the remote provider",
+        ),
     ],
 )
-def test_bad_concurrency_is_a_parser_error(monkeypatch, capsys, flags):
-    from trace_repair import cli
-
-    monkeypatch.setattr(cli, "run_pipeline", lambda manifest: pytest.fail("run started"))
+def test_bad_concurrency_is_a_parser_error(tmp_path, monkeypatch, capsys, flags, message):
+    # The floor is RemoteProvider's, checked before its endpoint settings;
+    # which provider takes the flag is RunManifest.validate's.
+    monkeypatch.delenv("LLM_REPAIR_BASE_URL", raising=False)
+    output_dir = tmp_path / "out"
+    argv = ["run", "--dataset", str(tmp_path / "data.jsonl"), "--output-dir", str(output_dir)]
     with pytest.raises(SystemExit) as raised:
-        cli.main([*RUN, *flags])
+        main([*argv, *flags])
     assert raised.value.code == 2
-    err = capsys.readouterr().err
-    assert "--concurrency" in err
-    # The message names the value, not the function that read it.
-    assert "_positive_int" not in err
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f" error: {message}")
+    assert not output_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -1490,16 +1490,16 @@ class TestCacheNeedsReplay:
         with pytest.raises(ValueError, match="candidate cache applies only to the replay provider"):
             manifest.validate()
 
-    def test_the_cli_refuses_it(self, synthetic, tmp_path, monkeypatch, capsys):
-        from trace_repair import cli
-
+    def test_the_cli_refuses_it(self, synthetic, tmp_path, capsys):
         directory, dataset_path, cache_path = synthetic
-        monkeypatch.setattr(cli, "run_pipeline", lambda manifest: pytest.fail("run started"))
         argv = ["run", "--provider", "remote", "--cache", str(cache_path)]
         with pytest.raises(SystemExit) as raised:
             main([*argv, "--dataset", str(dataset_path), "--output-dir", str(tmp_path / "run")])
         assert raised.value.code == 2
-        assert "--cache applies only to --provider replay" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "trace-repair: error: a candidate cache applies only to the replay provider"
+        )
+        assert not (tmp_path / "run").exists()
 
 
 class TestProviderBeforeData:

@@ -195,6 +195,28 @@ def test_malformed_body_is_one_parse_failure_not_an_outage(synthetic, endpoint, 
     assert set(endpoint.requests.values()) == {1}
 
 
+def test_a_redirect_fails_its_attempt_at_once_and_counts_toward_an_outage(
+    synthetic, endpoint, tmp_path
+):
+    endpoint.redirect = True
+    endpoint.latency_s = 0.0
+    endpoint.transient = set()
+    redirected = (GROUP_UNSAFE[0], 0, False)
+    result, _ = _run(synthetic, tmp_path / "one", 2)
+    rows = [json.loads(line) for line in result.paths["candidates"].read_text().splitlines()]
+    failed = [row for row in rows if row["error"] is not None]
+    assert [(row["example_id"], row["attempt_index"], row["error"]) for row in failed] == [
+        (*redirected[:2], "transport: HTTP 301")
+    ]
+    assert endpoint.requests[redirected] == 1
+
+    endpoint.requests.clear()
+    endpoint.down_from = FIFTH_REPAIRED
+    with pytest.raises(ProviderOutageError):
+        _run(synthetic, tmp_path / "outage", 2)
+    assert set(endpoint.requests.values()) == {1}
+
+
 def test_a_free_thread_takes_the_next_item_while_the_head_waits():
     # Item 0 can finish only once item 2 has started, which needs the
     # thread that finished item 1 to move on past the waiting head.

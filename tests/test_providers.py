@@ -364,6 +364,13 @@ class TestRemoteRetries:
         assert len(calls) == 1
         assert sleeps == []
 
+    def test_a_redirect_fails_at_once(self, serve, sleeps):
+        moved = {"Location": "https://llm.local/v1/chat/completions"}
+        provider, calls = serve([response(301, body=b"<html>Moved</html>", headers=moved)] * 3)
+        with pytest.raises(ProviderTransportError, match="^HTTP 301$"):
+            provider.generate(SPEC, 768, 0.0)
+        assert len(calls) == 1 and sleeps == []
+
     @pytest.mark.parametrize(
         "error",
         [

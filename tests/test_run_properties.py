@@ -10,10 +10,17 @@ from ``synthetic_run``'s groups:
 - report: ``report`` over the run's two row files writes the run's own
   report.json and report.txt.
 
-For every mode, with the four ablation switches drawn as well:
+For every mode, with the four ablation switches drawn as well, over
+subsets that may include ``build_switch_groups``' examples:
 
 - accounting: report.json and risk_summary.json are recounts of the rows,
   and the accepted patterns are the accepted examples.
+
+For guarded repair and the direct_bestof3_gated baseline, with the switches
+drawn:
+
+- switch verdicts: each switch example is accepted, at attempt 0 and on its
+  path, exactly when its rule says so.
 
 The synthetic cache serves every switched run: no switch changes the
 trigger, and each only loosens acceptance, so a run stops at or before the
@@ -36,6 +43,11 @@ from synthetic_run import (
     GROUP_RETRY,
     GROUP_SAFE_FIX,
     GROUP_UNSAFE,
+    SWITCH_EQUATION_SUPPORT,
+    SWITCH_GRAPH_GUARD,
+    SWITCH_RELAX_MISSING_CONSTRAINT,
+    SWITCH_WEAK_REASONER,
+    build_switch_groups,
     build_synthetic_run,
     solve_all_attempts,
 )
@@ -43,6 +55,7 @@ from report_rows import assert_recounts
 from trace_repair.datasets import write_dataset
 from trace_repair.pipeline import (
     ARTIFACT_FILES,
+    MODE_DIRECT_BESTOF3_GATED,
     MODE_GUARDED,
     MODE_SOLVE_ALL,
     MODE_SOLVE_TRIGGERED,
@@ -56,7 +69,9 @@ from trace_repair.policy import PolicyConfig
 GROUPS = (GROUP_CLEAN, GROUP_SAFE_FIX, GROUP_UNSAFE, GROUP_NOOP, GROUP_RETRY, GROUP_EMPTY)
 MODES = (MODE_GUARDED, MODE_SOLVE_TRIGGERED)
 RECORDS, CACHE = build_synthetic_run()
-GOLD = {record.example_id: record.gold_answer for record in RECORDS}
+SWITCH_RECORDS, SWITCH_CACHE = build_switch_groups()
+SWITCH_GROUP = [record.example_id for record in SWITCH_RECORDS]
+GOLD = {record.example_id: record.gold_answer for record in RECORDS + SWITCH_RECORDS}
 # Each is the default's opposite when drawn true: a loosened guard or path.
 SWITCHES = {
     "enable_graph_guard": False,
@@ -71,12 +86,12 @@ PROPERTY = settings(max_examples=30, derandomize=True, deadline=None)
 
 
 @st.composite
-def subsets(draw):
-    """Example ids: a non-empty subset of each of a non-empty set of groups."""
-    groups = draw(st.sets(st.sampled_from(range(len(GROUPS))), min_size=1))
+def subsets(draw, groups=GROUPS):
+    """Example ids: a non-empty subset of each of a non-empty set of ``groups``."""
+    drawn = draw(st.sets(st.sampled_from(range(len(groups))), min_size=1))
     ids = set()
-    for group in sorted(groups):
-        ids |= draw(st.sets(st.sampled_from(GROUPS[group]), min_size=1))
+    for group in sorted(drawn):
+        ids |= draw(st.sets(st.sampled_from(groups[group]), min_size=1))
     return ids
 
 
@@ -89,8 +104,8 @@ def _run(
 ) -> dict[str, Path]:
     """Replay the synthetic examples in ``ids`` under ``mode`` and ``config``;
     ``shuffle`` reorders the dataset's and the cache's lines first."""
-    records = [record for record in RECORDS if record.example_id in ids]
-    rows = CACHE + solve_all_attempts() if mode == MODE_SOLVE_ALL else CACHE
+    records = [record for record in RECORDS + SWITCH_RECORDS if record.example_id in ids]
+    rows = CACHE + SWITCH_CACHE + (solve_all_attempts() if mode == MODE_SOLVE_ALL else [])
     cache = [row for row in rows if row["example_id"] in ids]
     if shuffle is not None:
         shuffle.shuffle(records)
@@ -159,10 +174,47 @@ def test_report_rewrites_the_runs_own_report(mode, ids):
 @PROPERTY
 @given(
     mode=st.sampled_from(RUN_MODES),
-    ids=subsets(),
+    ids=subsets((*GROUPS, SWITCH_GROUP)),
     switched=st.sets(st.sampled_from(sorted(SWITCHES))),
 )
 def test_the_counts_are_recounts_of_the_rows_under_any_switches(mode, ids, switched):
     config = PolicyConfig(**{name: SWITCHES[name] for name in switched})
     with tempfile.TemporaryDirectory() as scratch:
         assert_recounts(_run(Path(scratch) / "run", mode, ids, config=config), GOLD)
+
+
+def _switch_verdicts(config: PolicyConfig) -> dict[str, str]:
+    """The path on which each switch example is accepted under ``config``,
+    for those its rule accepts."""
+    rules = {
+        SWITCH_GRAPH_GUARD: ("empty_generation_rescue", not config.enable_graph_guard),
+        SWITCH_EQUATION_SUPPORT: ("empty_generation_rescue", config.disable_equation_support),
+        SWITCH_RELAX_MISSING_CONSTRAINT: ("relaxed_support", config.relax_missing_constraint),
+        SWITCH_WEAK_REASONER: (
+            "weak_reasoner_relaxed",
+            config.weak_reasoner_mode and not config.enable_graph_guard,
+        ),
+    }
+    return {example_id: path for example_id, (path, accepted) in rules.items() if accepted}
+
+
+@PROPERTY
+@given(
+    mode=st.sampled_from((MODE_GUARDED, MODE_DIRECT_BESTOF3_GATED)),
+    switched=st.sets(st.sampled_from(sorted(SWITCHES))),
+)
+def test_each_switch_decides_its_own_examples_verdict(mode, switched):
+    config = PolicyConfig(**{name: SWITCHES[name] for name in switched})
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = _run(Path(scratch) / "run", mode, set(SWITCH_GROUP), config=config)
+        predictions, candidates = (
+            [json.loads(line) for line in paths[key].read_text().splitlines()]
+            for key in ("predictions", "candidates")
+        )
+    verdicts = _switch_verdicts(config)
+    attempts = {row["example_id"]: row["accepted_attempt"] for row in predictions if row["accepted"]}
+    assert attempts == dict.fromkeys(verdicts, 0)
+    paths_taken = {
+        row["example_id"]: row["verdict"]["path"] for row in candidates if row["verdict"]["accepted"]
+    }
+    assert paths_taken == verdicts
