@@ -95,22 +95,15 @@ def meta_diagnose(
     """
     has_answer = trace.has_answer and not trace.is_empty
 
-    if checks:
-        rate = sum(1 for check in checks if check.verified) / len(checks)
-    else:
-        rate = 0.0
+    # One walk over the checks gives both the rate and whether any failed.
+    verified = sum(check.verified for check in checks)
+    rate = verified / len(checks) if checks else 0.0
     format_score = _format_score(trace)
 
     if not has_answer:
-        return MetaDiagnosis(
-            category=CATEGORY_GENERATION_FAILURE,
-            meta_score=0.0,
-            equation_verification_rate=rate,
-            constraint_coverage=coverage,
-            format_score=0.0,
-        )
+        return MetaDiagnosis(CATEGORY_GENERATION_FAILURE, 0.0, rate, coverage, 0.0)
 
-    if any(not check.verified for check in checks):
+    if verified < len(checks):
         category = CATEGORY_ARITHMETIC_ERROR
     elif naming_conflicts(trace.text):
         category = CATEGORY_LOGICAL_CONTRADICTION
@@ -123,13 +116,7 @@ def meta_diagnose(
 
     score = WEIGHT_EQUATIONS * rate + WEIGHT_COVERAGE * coverage + WEIGHT_FORMAT * format_score
     score = min(1.0, max(0.0, score))
-    return MetaDiagnosis(
-        category=category,
-        meta_score=score,
-        equation_verification_rate=rate,
-        constraint_coverage=coverage,
-        format_score=format_score,
-    )
+    return MetaDiagnosis(category, score, rate, coverage, format_score)
 
 
 class DiagnosisReport(NamedTuple):
@@ -158,10 +145,4 @@ def diagnose(problem: ProblemAnalysis | str, trace: ReasoningTrace | str) -> Dia
     missing, coverage = constraint_coverage(problem.mentions, trace.text, checks, index)
     meta = meta_diagnose(trace, checks, coverage)
     graph = semantic_graph_check(problem, trace, checks, index)
-    return DiagnosisReport(
-        checks=tuple(checks),
-        meta=meta,
-        graph=graph,
-        missing_quantities=tuple(str(value) for value in missing),
-        problem=problem,
-    )
+    return DiagnosisReport(tuple(checks), meta, graph, tuple(map(str, missing)), problem)

@@ -199,24 +199,19 @@ def check_equations(trace_text: str) -> list[EquationCheck]:
     scan ran too.
     """
     checks: list[EquationCheck] = []
+    add, parse, verify, operators = checks.append, parse_number, _verify, _OPERATORS
     # An lcm/gcd left-hand side keeps one character past its second operand.
     lcm_gcd = ((_LCM_GCD_RE, 1),) if _LCM_GCD_GATE.search(trace_text) else ()
     for pattern, lhs_overhang in ((_EQUATION_RE, 0), *lcm_gcd):
         for match in pattern.finditer(trace_text):
-            a, b, c = map(parse_number, match.group("a", "b", "c"))
+            a_text, b_text, c_text, symbol = match.group("a", "b", "c", "op")
+            a, b, c = parse(a_text), parse(b_text), parse(c_text)
             if a is None or b is None or c is None:
                 continue
-            operator = _OPERATORS[match.group("op").lower()]
-            checks.append(
-                EquationCheck(
-                    lhs_text=trace_text[match.start() : match.end("b") + lhs_overhang],
-                    operands=(a, b),
-                    operator=operator,
-                    claimed_result=c,
-                    verified=_verify(operator, a, b, c),
-                    position=match.start(),
-                )
-            )
+            operator = operators[symbol.lower()]
+            start = match.start()
+            lhs = trace_text[start : match.end("b") + lhs_overhang]
+            add(EquationCheck(lhs, (a, b), operator, c, verify(operator, a, b, c), start))
 
     if lcm_gcd:
         checks.sort(key=lambda check: check.position)

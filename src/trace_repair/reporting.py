@@ -14,7 +14,7 @@ exactly at its prediction's accepted attempt, and RejC >= 0.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -56,7 +56,8 @@ class RunReport:
     harm_budget_exceeded: bool | None = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The report's fields as one JSON row; its two dicts are shared, not copied."""
+        return dict(vars(self))
 
 
 def round2(value: float) -> float:

@@ -21,6 +21,10 @@ tests, filtered and deduplicated once, and each edge carries its node:
   and a different base value: ``_check_change_events`` flags a trace that
   adds what the problem removes, or the reverse.
 
+The tokens are walked for comparisons only when they hold a comparative
+marker, and for rates only when they hold a rate marker. A value's binding
+is the stems of its nodes' unit and entity words, at most two per node.
+
 The trace gets no graph and no nodes, only what the checks read of it: its
 token columns and each number's ``(token index, value)``, in token order.
 ``_check_comparisons`` looks for a comparison in the trace only when a
@@ -214,9 +218,11 @@ def analyse_problem(text: str) -> ProblemAnalysis:
     graph = build_relation_graph(*extract_quantities(text))
     bindings: dict[Fraction, frozenset[str]] = {}
     for node in graph.nodes:
-        bindings[node.value] = bindings.get(node.value, frozenset()) | _binding_tokens(
-            node.unit_phrase, node.entity_mention
-        )
+        # One hash per node; a second only for a value seen before.
+        words = _binding_tokens(node.unit_phrase, node.entity_mention)
+        binding = bindings.setdefault(node.value, words)
+        if binding is not words:
+            bindings[node.value] = binding | words
     # Each scan runs only on a text that holds its keyword (see the scans).
     lowered = text.lower()
     times = "times" in lowered or not text.isascii()
@@ -224,12 +230,12 @@ def analyse_problem(text: str) -> ProblemAnalysis:
     mention = _numbers([match.group(1).lower()]) if match else []
     split = "equally" in lowered or "evenly" in lowered
     return ProblemAnalysis(
-        graph=graph,
-        mentions=frozenset(numeric_mentions(text)),
-        bindings=bindings,
-        times_more=(match.group(0), mention[0][1]) if mention else None,
-        equal_split=split and _EQUAL_SPLIT_RE.search(text) is not None,
-        requested=_requested_kind(text),
+        graph,
+        frozenset(numeric_mentions(text)),
+        bindings,
+        (match.group(0), mention[0][1]) if mention else None,
+        split and _EQUAL_SPLIT_RE.search(text) is not None,
+        _requested_kind(text),
     )
 
 
@@ -268,6 +274,7 @@ def _tokenize(text: str) -> TokenColumns:
     words: list[str] = []
     sentences: list[int] = []
     initial: list[bool] = []
+    add_word, add_sentence, add_initial = words.append, sentences.append, initial.append
     sentence = 0
     at_start = True
     # A break is "", and no token is empty.
@@ -276,10 +283,11 @@ def _tokenize(text: str) -> TokenColumns:
             sentence += 1
             at_start = True
             continue
-        words.append(word)
-        sentences.append(sentence)
-        initial.append(at_start)
-        sentence += word.count(".")
+        add_word(word)
+        add_sentence(sentence)
+        add_initial(at_start)
+        if "." in word:
+            sentence += word.count(".")
         at_start = False
     return words, [word.lower() for word in words], sentences, initial
 
@@ -290,14 +298,15 @@ def _numbers(lowered: list[str]) -> list[tuple[int, Fraction]]:
     A mention is a lowered token that is a number word or a digit string,
     a token that starts with ``$`` or a digit.
     """
-    numbers = []
+    numbers: list[tuple[int, Fraction]] = []
+    add = numbers.append
     for index, word in enumerate(lowered):
-        if word[0] == "$" or word[0].isdigit():
+        if word in _NUMBER_WORD_VALUES:
+            add((index, _NUMBER_WORD_VALUES[word]))
+        elif word[0] == "$" or word[0].isdigit():
             value = parse_number(word.lstrip("$"))
-        else:
-            value = _NUMBER_WORD_VALUES.get(word)
-        if value is not None:
-            numbers.append((index, value))
+            if value is not None:
+                add((index, value))
     return numbers
 
 
@@ -335,10 +344,10 @@ def _unit_and_entity(
     if word[0] == "$":
         unit = "dollars"
     else:
-        start, end = max(0, index - WINDOW_TOKENS), index + WINDOW_TOKENS + 1
-        after = [candidate for candidate in units[index + 1 : end] if candidate]
-        before = [candidate for candidate in units[start:index] if candidate]
-        unit = after[0] if after else before[-1] if before else ""
+        # The first unit word after the number, or else the last before it.
+        after = units[index + 1 : index + WINDOW_TOKENS + 1]
+        before = units[max(0, index - WINDOW_TOKENS) : index]
+        unit = next(filter(None, after), "") or next(filter(None, reversed(before)), "")
 
     # The nearest entity word, the earlier one on a tie.
     count = len(entities)
@@ -369,21 +378,10 @@ def extract_quantities(text: str) -> tuple[TokenColumns, list[QuantityNode]]:
         window = lowered[max(0, index - WINDOW_TOKENS) : index + WINDOW_TOKENS + 1]
         nodes.append(
             QuantityNode(
-                surface=words[index],
-                value=value,
-                unit_phrase=unit,
-                entity_mention=entity,
-                change_verbs=CHANGE_VERBS.intersection(window),
-                token_index=index,
+                words[index], value, unit, entity, CHANGE_VERBS.intersection(window), index
             )
         )
     return tokens, nodes
-
-
-def _nearest(positions: list[int], target: int, candidates) -> int | None:
-    """The candidate node nearest a token, the earlier on a tie; None if none."""
-    inside = [index for index in candidates if 0 <= index < len(positions)]
-    return min(inside, key=lambda index: (abs(positions[index] - target), index), default=None)
 
 
 def _comparison_deltas(words: list[str], positions: list[int]) -> Iterator[int]:
@@ -406,61 +404,78 @@ def build_relation_graph(tokens: TokenColumns, nodes: list[QuantityNode]) -> Qua
     """One edge per relation a check tests, over ``extract_quantities(text)``.
 
     Comparisons come one per marker, rates one per value and changes one per
-    pair of distinct values, each the first in text order.
+    pair of distinct values, each the first in text order. The tokens are
+    walked for comparisons only when they hold a comparative marker, and for
+    rates only when they hold a rate marker.
     """
     _, lowered, token_sentences, _ = tokens
     positions = [node.token_index for node in nodes]
-    edges = [
-        RelationEdge(kind=EDGE_COMPARISON, node=nodes[index])
-        for index in _comparison_deltas(lowered, positions)
-    ]
+    edges = []
+    if not COMPARATIVE_MARKERS.isdisjoint(lowered):
+        edges = [
+            RelationEdge(EDGE_COMPARISON, nodes[index])
+            for index in _comparison_deltas(lowered, positions)
+        ]
 
-    # Rate: each/per/every; the per-quantity is the node nearest the marker.
-    rates: set[Fraction] = set()
-    for position, word in enumerate(lowered):
-        if word not in RATE_MARKERS:
-            continue
-        split = bisect_left(positions, position)
-        per_index = _nearest(positions, position, (split - 1, split))
-        if per_index is None or abs(positions[per_index] - position) > WINDOW_TOKENS:
-            continue
-        if nodes[per_index].value not in rates:
-            rates.add(nodes[per_index].value)
-            edges.append(RelationEdge(kind=EDGE_RATE, node=nodes[per_index]))
+    # Rate: each/per/every; the per-quantity is the node nearest the marker,
+    # the earlier on a tie. No marker is a node, so the two neighbours are
+    # one before it and one after.
+    if nodes and not RATE_MARKERS.isdisjoint(lowered):
+        rates: set[Fraction] = set()
+        for position, word in enumerate(lowered):
+            if word not in RATE_MARKERS:
+                continue
+            nearest = bisect_left(positions, position)
+            if nearest == len(positions) or (
+                nearest and position - positions[nearest - 1] <= positions[nearest] - position
+            ):
+                nearest -= 1
+            per_quantity = nodes[nearest]
+            if abs(per_quantity.token_index - position) > WINDOW_TOKENS:
+                continue
+            if per_quantity.value not in rates:
+                rates.add(per_quantity.value)
+                edges.append(RelationEdge(EDGE_RATE, per_quantity))
 
-    # Change events: a node carrying a change verb, based on the nearest
-    # same-sentence node; its first verb in sorted order gives the direction.
-    sentences = [token_sentences[position] for position in positions]
+    # Change events: a node carrying a change verb, based on the nearer of
+    # its same-sentence neighbour nodes, the earlier on a tie; its first verb
+    # in sorted order gives the direction.
     pairs: set[frozenset[Fraction]] = set()
+    last = len(nodes) - 1
     for index, node in enumerate(nodes):
         if not node.change_verbs:
             continue
-        neighbours = [
-            other
-            for other in (index - 1, index + 1)
-            if 0 <= other < len(nodes) and sentences[other] == sentences[index]
-        ]
-        base_index = _nearest(positions, node.token_index, neighbours)
+        at = node.token_index
+        sentence = token_sentences[at]
+        base_index = None
+        if index < last and token_sentences[positions[index + 1]] == sentence:
+            base_index = index + 1
+        if index and token_sentences[positions[index - 1]] == sentence and (
+            base_index is None or at - positions[index - 1] <= positions[index + 1] - at
+        ):
+            base_index = index - 1
         if base_index is None:
             continue
         base = nodes[base_index].value
-        pair = frozenset({node.value, base})
+        pair = frozenset((node.value, base))
         if len(pair) < 2 or pair in pairs:
             continue
         pairs.add(pair)
         decrease = min(node.change_verbs) in _DECREASE_VERBS
-        edges.append(RelationEdge(kind=EDGE_CHANGE_EVENT, node=node, base=base, decrease=decrease))
+        edges.append(RelationEdge(EDGE_CHANGE_EVENT, node, base, decrease))
 
-    return QuantityGraph(nodes=tuple(nodes), edges=tuple(edges))
+    return QuantityGraph(tuple(nodes), tuple(edges))
 
 
-def _binding_tokens(unit_phrase: str, entity_mention: str) -> frozenset[str]:
-    words = set()
-    for chunk in (unit_phrase, entity_mention):
-        for word in chunk.lower().split():
-            if word and word not in _STOPWORDS:
-                words.add(_stem(word))
-    return frozenset(words)
+def _binding_tokens(unit: str, entity: str) -> frozenset[str]:
+    """A number's binding: the stems of its unit word and entity word.
+
+    Both come from ``_unit_and_entity``, so each is "" or one letters-only
+    word whose lowered form is outside ``_UNIT_EXCLUSIONS``, which holds
+    ``_STOPWORDS``; the unit is already lowered. A binding is therefore at
+    most two stems, and no word of it is a stopword.
+    """
+    return frozenset(_stem(word) for word in (unit, entity.lower()) if word)
 
 
 def _stem(word: str) -> str:
@@ -496,14 +511,18 @@ def _check_quantity_binding(
             entry = bound[word]
         else:
             same_binding = problem.bindings.get(value)
-            bound[word] = entry = (
-                (value, same_binding) if same_binding and value not in flagged else None
-            )
+            # An empty ``flagged`` is not probed: a probe hashes the value.
+            if same_binding and (not flagged or value not in flagged):
+                entry = (value, same_binding)
+            else:
+                entry = None
+            bound[word] = entry
         if entry is None:
             continue
         if features is None:
             features = _token_features(tokens)
-            worded = [at for at, (unit, entity) in enumerate(zip(*features)) if unit or entity]
+            units, entities = features
+            worded = [at for at, unit in enumerate(units) if unit or entities[at]]
         if word[0] != "$":
             nearest = bisect_left(worded, index - WINDOW_TOKENS)
             if nearest == len(worded) or worded[nearest] > index + WINDOW_TOKENS:
@@ -527,9 +546,7 @@ def _check_quantity_binding(
             severity = SEVERITY_HIGH
         else:
             severity = SEVERITY_WARNING
-        signals.append(
-            RiskSignal(category=RISK_QUANTITY_BINDING, severity=severity, evidence=evidence)
-        )
+        signals.append(RiskSignal(RISK_QUANTITY_BINDING, severity, evidence))
     return signals
 
 
@@ -568,9 +585,9 @@ def _check_comparisons(
     if unapplied and next(_comparison_deltas(lowered, [at for at, _ in numbers]), None) is None:
         signals.append(
             RiskSignal(
-                category=RISK_COMPARISON,
-                severity=SEVERITY_WARNING,
-                evidence=(f"comparison over {unapplied[0].surface} is not applied in the trace",),
+                RISK_COMPARISON,
+                SEVERITY_WARNING,
+                (f"comparison over {unapplied[0].surface} is not applied in the trace",),
             )
         )
 
@@ -579,9 +596,9 @@ def _check_comparisons(
         if not any(_operand_of(index, value, (OP_MUL,)) for value in (multiplier, multiplier + 1)):
             signals.append(
                 RiskSignal(
-                    category=RISK_TIMES_MORE,
-                    severity=SEVERITY_HIGH,
-                    evidence=(f"'{phrase}' has no multiplication in the trace",),
+                    RISK_TIMES_MORE,
+                    SEVERITY_HIGH,
+                    (f"'{phrase}' has no multiplication in the trace",),
                 )
             )
     return signals
@@ -596,9 +613,9 @@ def _check_rate_usage(
             continue
         signals.append(
             RiskSignal(
-                category=RISK_RATE_MISSING,
-                severity=SEVERITY_HIGH,
-                evidence=(
+                RISK_RATE_MISSING,
+                SEVERITY_HIGH,
+                (
                     f"per-quantity {edge.node.surface} "
                     f"({edge.node.unit_phrase or 'no unit'}) is never multiplied",
                 ),
@@ -610,9 +627,9 @@ def _check_rate_usage(
         if not has_division:
             signals.append(
                 RiskSignal(
-                    category=RISK_EQUALLY_SPLIT,
-                    severity=SEVERITY_HIGH,
-                    evidence=("equal split in the problem but no division in the trace",),
+                    RISK_EQUALLY_SPLIT,
+                    SEVERITY_HIGH,
+                    ("equal split in the problem but no division in the trace",),
                 )
             )
     return signals
@@ -636,9 +653,9 @@ def _check_change_events(problem_graph: QuantityGraph, index: OperandIndex) -> l
             continue
         signals.append(
             RiskSignal(
-                category=RISK_CHANGE_EVENT,
-                severity=SEVERITY_HIGH,
-                evidence=(f"{edge.node.surface} should be {right} but the trace {wrong} it",),
+                RISK_CHANGE_EVENT,
+                SEVERITY_HIGH,
+                (f"{edge.node.surface} should be {right} but the trace {wrong} it",),
             )
         )
     return signals
@@ -651,10 +668,11 @@ _ASKS_DIFFERENCE_RE = re.compile(
 _ASKS_TOTAL_RE = re.compile(
     r"\bin\s+all\b|\bin\s+total\b|\baltogether\b|\btotal\b|\bsum\b", re.IGNORECASE
 )
+_SENTENCE_GAP_RE = re.compile(r"(?<=[.!?])\s+")
 
 
 def _question_part(problem_text: str) -> str:
-    sentences = re.split(r"(?<=[.!?])\s+", problem_text)
+    sentences = _SENTENCE_GAP_RE.split(problem_text)
     questions = [sentence for sentence in sentences if "?" in sentence]
     if questions:
         return " ".join(questions)
@@ -694,9 +712,9 @@ def _check_answer_format(
         return []
     return [
         RiskSignal(
-            category=RISK_ANSWER_FORMAT,
-            severity=SEVERITY_WARNING,
-            evidence=(f"question asks for a {requested}; answer derived by {operator}",),
+            RISK_ANSWER_FORMAT,
+            SEVERITY_WARNING,
+            (f"question asks for a {requested}; answer derived by {operator}",),
         )
     ]
 
@@ -718,17 +736,8 @@ def semantic_graph_check(
     if isinstance(trace, str):
         trace = ReasoningTrace.from_text(trace)
     if trace.is_empty or not trace.has_answer:
-        return GraphReport(
-            risks=(
-                RiskSignal(
-                    category=RISK_GENERATION_FAILURE,
-                    severity=SEVERITY_WARNING,
-                    evidence=("empty or answerless trace",),
-                ),
-            ),
-            score=0.0,
-            diagnosis=DIAGNOSIS_GENERATION_FAILURE,
-        )
+        failure = RiskSignal(RISK_GENERATION_FAILURE, SEVERITY_WARNING, ("empty or answerless trace",))
+        return GraphReport((failure,), 0.0, DIAGNOSIS_GENERATION_FAILURE)
 
     tokens = _tokenize(trace.text)
     numbers = _numbers(tokens[1])
@@ -757,11 +766,7 @@ def semantic_graph_check(
         score -= PENALTIES[risk.severity]
     score = min(1.0, max(0.0, score))
 
-    return GraphReport(
-        risks=tuple(deduped),
-        score=score,
-        diagnosis=DIAGNOSIS_OK,
-    )
+    return GraphReport(tuple(deduped), score, DIAGNOSIS_OK)
 
 
 _SCORE_EPS = 1e-9

@@ -5,12 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
 import trace_repair
 from report_rows import candidate, prediction, tally_of
+from trace_repair.datasets import jsonl_line
 from trace_repair.policy import AcceptanceVerdict
 from trace_repair.reporting import (
     ReportIdentityError,
@@ -111,6 +112,19 @@ class TestComputeReport:
             "FinalW": 1,
             "Brk": 0,
         }
+
+    def test_json_row_is_the_deep_copys_row(self):
+        """The report's shallow JSON dict writes the line a deep copy writes."""
+        rows = [
+            prediction("a", "5", "7", triggered=True, accepted_attempt=0),
+            prediction("b", "7", "5", accepted_attempt=0),
+            prediction("c", "9", "9", triggered=True),
+        ]
+        records = [candidate("a", 0, "7"), candidate("b", 0, "5"), candidate("c", 0, "1")]
+        report = compute_report(tally_of(rows, records), harm_budget=0.5)
+        assert report.candidate_flow and report.outcome_counts
+        row = report.to_json_dict()
+        assert jsonl_line(row) == jsonl_line(asdict(report))
 
     def test_accounting_identity(self):
         rng = random.Random(5)
